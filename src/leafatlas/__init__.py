@@ -9,7 +9,7 @@ engine for the deformed skew product, and the closed-form type-B/D tables.
 from .exactnum import CycNum, as_cyc, cyc_parse, cyc_to_str, root_of_unity
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, Parabolic, ReflectionGroup,
-    catalog, close_group, dihedral_tau,
+    close_group, dihedral_tau,
 )
 from .tau import TauContext, TauError, build_tau, is_regular, lehrer_springer_group, make_full
 from .leaves import LeafLabel, Stratum, leaf_report, leaves_zero_tau, strata_double, strata_single
@@ -20,5 +20,8 @@ from .cherednik import (
     rees_specialize,
 )
 from .catalog import leaves_B, leaves_D, leaves_D_tau_t, smooth_B
+# bound after the submodule import above, which would rebind the name
+# `catalog` to the tables module
+from .refgroup import catalog
 
 __version__ = "0.1.0"

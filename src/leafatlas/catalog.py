@@ -242,13 +242,3 @@ def dihedral_equal_parameter_record(d: int) -> dict:
         "tau": "swap-twist",
         "status": "model verified externally; recorded as reference data",
     }
-
-
-def catalog_rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"

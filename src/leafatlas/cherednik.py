@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from . import linalg as la
-from .exactnum import CycNum, ExactDomainError, as_cyc, cyc_parse, cyc_to_str
+from .exactnum import CycNum, ExactDomainError, _frac_str, as_cyc, cyc_parse, cyc_to_str
 from .refgroup import GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
@@ -694,10 +694,6 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
         term = alg.multiply(alg.multiply(xpart, wpart), ypart) * coeff
         total = total + term
     return total
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _coeff_str(c: CycNum) -> str:

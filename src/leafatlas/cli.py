@@ -15,16 +15,20 @@ import re
 import sys
 from fractions import Fraction
 
-from . import catalog as cat
 from . import leaves as leaves_mod
 from . import linalg as la
 from . import verify as verify_mod
+from .catalog import (
+    CatalogError, dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t, smooth_B,
+)
 from .cherednik import (
     CherednikAlgebra, CherednikError, PoissonCompatibilityError, euler_degree,
     filtration_degree, format_element, parse_element, poisson_bracket,
     rank1_center_relation,
 )
-from .exactnum import CycNum, ExactDomainError, as_cyc, cyc_parse, cyc_to_str, root_of_unity
+from .exactnum import (
+    CycNum, ExactDomainError, _frac_str, as_cyc, cyc_parse, cyc_to_str, root_of_unity,
+)
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup,
     catalog as group_catalog, close_group, dihedral_tau,
@@ -164,12 +168,9 @@ def resolve_parameter(W: ReflectionGroup, spec: str) -> ParameterK:
 
 def _scalar_str(x) -> str:
     if isinstance(x, CycNum):
-        if x.is_rational():
-            q = x.as_fraction()
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return cyc_to_str(x)
+        return _frac_str(x.as_fraction()) if x.is_rational() else cyc_to_str(x)
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else str(x)
+        return _frac_str(x)
     return str(x)
 
 
@@ -340,14 +341,14 @@ def cmd_catalog_b(args, cap):
         ratio = _scalar_from_str(args.ratio)
         report["ratio"] = _scalar_str(ratio)
         try:
-            report["smooth"] = cat.smooth_B(args.n, ratio)
-        except cat.CatalogError as exc:
+            report["smooth"] = smooth_B(args.n, ratio)
+        except CatalogError as exc:
             raise SpecError(str(exc)) from exc
     m = args.m if args.m is not None else 0
     report["m"] = m
     try:
-        rows = [rec.as_row() for rec in cat.leaves_B(args.n, m)]
-    except cat.CatalogError as exc:
+        rows = [rec.as_row() for rec in leaves_B(args.n, m)]
+    except CatalogError as exc:
         raise SpecError(str(exc)) from exc
     report["rows"] = rows
     return report, "rows"
@@ -357,9 +358,9 @@ def cmd_catalog_d(args, cap):
     if args.n is None:
         raise SpecError("catalog-D needs --n")
     try:
-        rows = [rec.as_row() for rec in cat.leaves_D(args.n)]
-        twist = cat.leaves_D_tau_t(args.n)
-    except cat.CatalogError as exc:
+        rows = [rec.as_row() for rec in leaves_D(args.n)]
+        twist = leaves_D_tau_t(args.n)
+    except CatalogError as exc:
         raise SpecError(str(exc)) from exc
     report = {
         "schema": 1, "command": "catalog-D", "rule": "type-D-leaf-table",
@@ -372,8 +373,8 @@ def cmd_catalog_dihedral(args, cap):
     if args.d is None:
         raise SpecError("catalog-dihedral needs --d")
     try:
-        record = cat.dihedral_equal_parameter_record(args.d)
-    except cat.CatalogError as exc:
+        record = dihedral_equal_parameter_record(args.d)
+    except CatalogError as exc:
         raise SpecError(str(exc)) from exc
     W = group_catalog(f"dihedral{args.d}", cap)
     ctx = build_tau(W, dihedral_tau(args.d))
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv", "text"], default=None)
     p.add_argument("--output")
     p.add_argument("--threads", type=int, default=None,
-                   help="sharding hint; results are independent of it")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--config", help="key = value file; flags take precedence")
     p.add_argument("--cap", type=int, default=None, help="group order cap")
     p.add_argument("--verify", action="store_true",
@@ -567,7 +568,7 @@ def run(argv) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SpecError, GroupError, TauError, cat.CatalogError, CherednikError,
+    except (SpecError, GroupError, TauError, CatalogError, CherednikError,
             ExactDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -7,7 +7,7 @@ the odd conductor).  Two CycNums are equal as values iff their stored
 (conductor, coefficient map) agree, so they hash and sort canonically.
 
 Rationals are fractions.Fraction throughout; no floating point enters any
-computation (a float embedding exists only as a debug printer).
+computation.
 """
 
 from __future__ import annotations
@@ -418,12 +418,6 @@ class CycNum:
 
     def __str__(self):
         return cyc_to_str(self)
-
-    def to_complex(self) -> complex:
-        # debug printer only; never used in computations
-        from cmath import exp, pi
-        z = exp(2j * pi / self.conductor)
-        return sum(float(c) * z ** e for e, c in self.coeffs) if self.coeffs else 0j
 
 
 _ZERO = CycNum(1, {})

@@ -110,8 +110,7 @@ def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
     for k in sorted(P.element_keys & ctx.setwise_keys):
         diff = la.mat_sub(W.by_key[k].mat, ident)
         fixers.extend(diff)
-    fixed = la.nullspace(tuple(fixers), W.dim) if fixers else \
-        la.rref([tuple(ident[i]) for i in range(W.dim)])
+    fixed = la.nullspace(tuple(fixers), W.dim)
     return len(la.intersect(inner, fixed, W.dim)) == 0
 
 
@@ -157,14 +156,6 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
     return tuple(out)
 
 
-def leaf_image_under_upsilon(ctx: TauContext, label: LeafLabel):
-    """Label-level image of the leaf closure under the bigrading map: the
-    pair of closed single strata it projects onto."""
-    d = label.dimension // 2
-    side = {"p_tau_class": label.p_tau_class, "dimension": d}
-    return (dict(side), dict(side))
-
-
 def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
     """Emptiness test for the doubled stratum: a twisted-fixed generic pair
     (point, covector) whose stabilizers intersect exactly in P."""
@@ -173,19 +164,11 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
     s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), W.dim)
     dual_fixed = la.nullspace(
         tuple(r for g in P.elements for r in la.transpose(
-            la.mat_sub(g.mat, la.identity(W.dim)))), W.dim) \
-        if P.order > 1 else la.rref([tuple(la.identity(W.dim)[i]) for i in range(W.dim)])
+            la.mat_sub(g.mat, la.identity(W.dim)))), W.dim)
     s_x = la.intersect(dual_fixed, la.left_fixed_space(wtau), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)
     return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == P.element_keys
-
-
-def single_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
-    W = ctx.W
-    s = la.intersect(P.fixed_space,
-                     la.fixed_space(la.mat_mul(coset_rep.mat, ctx.tau)), W.dim)
-    return W.stabilizer_keys(W.witness_point(s)) == P.element_keys
 
 
 def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
@@ -196,7 +179,7 @@ def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
     N = ctx.W.normalizer(P)
     for idx in range(N.order):
         u = N.rep(idx)
-        if single_twist_nonempty(ctx, P, u) != double_twist_nonempty(ctx, P, u):
+        if ctx.meets_stratum(P, u) != double_twist_nonempty(ctx, P, u):
             return False
     return True
 

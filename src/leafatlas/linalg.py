@@ -137,7 +137,7 @@ def nullspace(a: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
     if ncols is None:
         ncols = len(a[0]) if a else 0
     if not a:
-        return rref([tuple(_ONE if i == j else _ZERO for j in range(ncols)) for i in range(ncols)]) if ncols else ()
+        return identity(ncols)
     red = rref(a)
     pivots = []
     for row in red:
@@ -229,14 +229,14 @@ def subspace_key(basis: tuple[Vector, ...]) -> tuple:
 def annihilator(basis: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:
     """Covectors vanishing on the span of `basis` inside dimension n."""
     if not basis:
-        return rref([tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)])
+        return identity(n)
     return nullspace(basis, n)
 
 
 def intersect(a: tuple[Vector, ...], b: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:
     anns = list(annihilator(a, n)) + list(annihilator(b, n))
     if not anns:
-        return rref([tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)])
+        return identity(n)
     return nullspace(tuple(anns), n)
 
 

@@ -165,11 +165,13 @@ class ReflectionGroup:
                 hyps[key] = H
             refl.append((g, H))
         ordered = tuple(sorted(hyps.values(), key=lambda H: H.key))
+        # g != 1 fixing H pointwise has rank(g - 1) = 1, so it is a reflection
+        # bucketed under H: the pointwise stabilizer is read off the list
+        one = self.by_key[self.identity.key]
         for H in ordered:
-            fixers = tuple(g for g in self.elements
-                           if all(la.mat_vec(g.mat, b) == b for b in H.basis))
-            H.pointwise = fixers
-            H.e = len(fixers)
+            H.pointwise = tuple(sorted([one] + [g for g, K in refl if K is H],
+                                       key=lambda g: g.key))
+            H.e = len(H.pointwise)
         # W-orbits of hyperplanes
         key_to_h = {H.key: H for H in ordered}
         seen = set()
@@ -233,7 +235,8 @@ class ReflectionGroup:
         reflecting hyperplane that does not contain the subspace."""
         if not basis:
             return la.zero_vector(self.dim)
-        avoid = [H for H in self.hyperplanes if not la.subspace_leq(basis, H.basis)]
+        inc = self.incidence(basis)
+        avoid = [H for i, H in enumerate(self.hyperplanes) if i not in inc]
         for attempt in range(64):
             ws = primes(len(basis) + attempt)[attempt:]
             v = la.zero_vector(self.dim)
@@ -259,32 +262,32 @@ class ReflectionGroup:
         raise GroupError("witness search exhausted its schedule")
 
     # -- stabilizers ---------------------------------------------------------------
+    def incidence(self, basis) -> frozenset[int]:
+        """Indices into `hyperplanes` of the hyperplanes containing span(basis)."""
+        return frozenset(i for i, H in enumerate(self.hyperplanes)
+                         if all(la.dot(H.alpha, b).is_zero() for b in basis))
+
     def stabilizer_keys(self, v: Vector) -> frozenset[str]:
+        """Whole-group scan for the stabilizer of v (the reference oracle)."""
         return frozenset(g.key for g in self.elements if la.mat_vec(g.mat, v) == v)
 
     def dual_stabilizer_keys(self, c: Vector) -> frozenset[str]:
         return frozenset(g.key for g in self.elements if la.covec_mat(c, g.mat) == c)
 
-    def _parabolic_from_keys(self, keys: frozenset[str]) -> Parabolic:
-        elems = [self.by_key[k] for k in keys]
-        if len(elems) == 1:
-            fixed = la.rref([tuple(la.identity(self.dim)[i]) for i in range(self.dim)]) if self.dim else ()
-        else:
-            anns = []
-            for g in elems:
-                diff = la.mat_sub(g.mat, la.identity(self.dim))
-                anns.extend(diff)
-            fixed = la.nullspace(tuple(anns), self.dim) if anns else ()
-        witness = self.witness_point(fixed)
-        return Parabolic(self, elems, fixed, witness)
-
     def stabilizer(self, v: Vector) -> Parabolic:
-        return self._parabolic_from_keys(self.stabilizer_keys(v))
+        return self.pointwise_stabilizer((v,))
 
     def pointwise_stabilizer(self, basis) -> Parabolic:
-        keys = frozenset(g.key for g in self.elements
-                         if all(la.mat_vec(g.mat, b) == b for b in basis))
-        return self._parabolic_from_keys(keys)
+        """The pointwise stabilizer of span(basis).  By Steinberg's theorem it
+        is generated by the reflections whose hyperplanes contain the
+        subspace; this needs W to be generated by its reflections, which
+        close_group enforces."""
+        inc = self.incidence(basis)
+        chosen = [H for i, H in enumerate(self.hyperplanes) if i in inc]
+        keys = _close_keys(self, [s for s, H in self.reflections if H in chosen])
+        fixed = la.nullspace(tuple(H.alpha for H in chosen), self.dim)
+        return Parabolic(self, [self.by_key[k] for k in keys], fixed,
+                         self.witness_point(fixed))
 
     def setwise_stabilizer_keys(self, basis) -> frozenset[str]:
         if not basis:
@@ -299,7 +302,7 @@ class ReflectionGroup:
     # -- intersection lattice and parabolic subgroups --------------------------------
     def flats(self):
         if self._flats is None:
-            full = la.rref([tuple(la.identity(self.dim)[i]) for i in range(self.dim)]) if self.dim else ()
+            full = la.identity(self.dim)
             found = {la.subspace_key(full): full}
             queue = [full]
             while queue:
@@ -316,12 +319,7 @@ class ReflectionGroup:
     def parabolic_subgroups(self) -> tuple[Parabolic, ...]:
         """Every parabolic subgroup (one per intersection-lattice flat)."""
         if self._parabolics is None:
-            out = []
-            for flat in self.flats():
-                gens = [s for s, H in self.reflections if la.subspace_leq(flat, H.basis)]
-                keys = _close_keys(self, gens)
-                witness = self.witness_point(flat)
-                out.append(Parabolic(self, [self.by_key[k] for k in keys], flat, witness))
+            out = [self.pointwise_stabilizer(f) for f in self.flats()]
             out.sort(key=lambda P: (-len(P.fixed_space), P.key))
             self._parabolics = tuple(out)
         return self._parabolics

@@ -84,9 +84,6 @@ class TauContext:
         self.delta = max(len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements)
         self.is_full = self.delta == len(self.v_tau)
         self.setwise_keys = W.setwise_stabilizer_keys(self.v_tau)
-        self.pointwise_keys = frozenset(
-            g.key for g in W.elements
-            if all(la.mat_vec(g.mat, b) == b for b in self.v_tau))
         self._build_quotient()
         self._splits = None
         self._split_orbits = None
@@ -146,8 +143,7 @@ class TauContext:
             out = []
             for P in self.W.parabolic_subgroups():
                 s = la.intersect(P.fixed_space, self.v_tau, self.W.dim)
-                stab = self.W.pointwise_stabilizer(s)
-                if stab.element_keys != P.element_keys:
+                if self.W.incidence(s) != self.W.incidence(P.fixed_space):
                     continue
                 pt_keys = frozenset(
                     self.restrict_key(k) for k in P.element_keys & self.setwise_keys)
@@ -188,6 +184,14 @@ class TauContext:
             self._split_orbits = tuple(orbits)
         return self._split_orbits
 
+    def meets_stratum(self, P: Parabolic, u: GroupElement) -> bool:
+        """True iff the fixed points of u*tau meet the open stratum of P: the
+        part of V^P fixed by u*tau lies in no hyperplane beyond those
+        containing V^P, so its pointwise stabilizer is exactly P."""
+        s = la.intersect(P.fixed_space, la.fixed_space(la.mat_mul(u.mat, self.tau)),
+                         self.W.dim)
+        return self.W.incidence(s) == self.W.incidence(P.fixed_space)
+
     # -- twist classes ------------------------------------------------------------
     def twist_classes(self, P: Parabolic):
         """Orbits, under the normalizer quotient, of cosets w with
@@ -205,14 +209,7 @@ class TauContext:
             result = (N, ())
             self._twists[P.key] = result
             return result
-        members = []
-        for idx in range(N.order):
-            u = N.rep(idx)
-            s = la.intersect(P.fixed_space,
-                             la.fixed_space(la.mat_mul(u.mat, self.tau)), self.W.dim)
-            v = self.W.witness_point(s)
-            if self.W.stabilizer_keys(v) == P.element_keys:
-                members.append(idx)
+        members = [idx for idx in range(N.order) if self.meets_stratum(P, N.rep(idx))]
         member_set = set(members)
         classes = []
         seen: set[int] = set()
@@ -302,7 +299,7 @@ def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
 
 def is_regular(ctx: TauContext) -> bool:
     """True iff the fixed space meets the hyperplane complement."""
-    return all(not la.subspace_leq(ctx.v_tau, H.basis) for H in ctx.W.hyperplanes)
+    return not ctx.W.incidence(ctx.v_tau)
 
 
 def lehrer_springer_group(ctx: TauContext) -> ReflectionGroup:

@@ -36,6 +36,10 @@ class Check:
                     "detail": detail if isinstance(detail, str) else ""}
         except AssertionError as exc:
             return {"id": self.check_id, "status": "fail", "detail": str(exc)}
+        except Exception as exc:
+            # any other error fails this check instead of aborting the suite
+            return {"id": self.check_id, "status": "fail",
+                    "detail": f"{type(exc).__name__}: {exc}"}
 
 
 def _field_axiom_sample():
@@ -65,11 +69,6 @@ def _group_checks(W: ReflectionGroup) -> list[Check]:
         Check("group.hyperplane-orders", lambda: _hyperplane_orders(W)),
         Check("group.parabolic-witnesses", lambda: _witness_check(W)),
     ]
-
-
-def assert_true(cond, msg: str = "invariant violated"):
-    assert cond, msg
-    return True
 
 
 def _hyperplane_orders(W):

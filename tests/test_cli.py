@@ -3,6 +3,7 @@
 import json
 
 from leafatlas.cli import run
+from leafatlas.verify import Check
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,11 @@ def test_byte_determinism_across_threads(tmp_path):
             assert code == 0
             outputs.append(path.read_bytes())
     assert len(set(outputs)) == 1
+
+
+def test_verify_check_reports_any_error_as_failure():
+    assert Check("x", lambda: 1 / 0).run() == {
+        "id": "x", "status": "fail", "detail": "ZeroDivisionError: division by zero"}
 
 
 def test_verify_flag_appends_invariants(capsys):

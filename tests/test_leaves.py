@@ -1,9 +1,11 @@
 """Strata and the twisted leaf atlas at the undeformed point."""
 
+from pathlib import Path
+
 from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
-    LeafLabel, closure_leq, leaf_image_under_upsilon, leaf_report,
+    closure_leq, leaf_report,
     leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
     tau_components,
 )
@@ -104,29 +106,24 @@ def test_double_membership_agreement(pair_contexts):
             assert double_membership_agrees(ctx, cls.representative), name
 
 
-def test_leaf_image_under_upsilon():
-    ctx = build_tau(catalog("B2"), la.identity(2))
-    L = leaves_zero_tau(ctx)
-    top = next(l for l in L if l.dimension == 4)
-    img = leaf_image_under_upsilon(ctx, top)
-    assert img[0]["dimension"] == 2 and img[1]["dimension"] == 2
-    point = next(l for l in L if l.dimension == 0)
-    img0 = leaf_image_under_upsilon(ctx, point)
-    assert img0[0]["dimension"] == 0 and img0[1]["dimension"] == 0
-
-
 def test_b4_type_b1_fixed_dim_three():
     # the coordinate reflection subgroup of rank one in the rank-4 group has
-    # a three-dimensional fixed space, so its leaf projects onto a pair of
-    # three-dimensional closed strata
+    # a three-dimensional fixed space
     W = catalog("B4")
     basis = la.rref([la.vec([0, 1, 0, 0]), la.vec([0, 0, 1, 0]), la.vec([0, 0, 0, 1])])
     P = W.pointwise_stabilizer(basis)
     assert P.order == 2
     assert len(P.fixed_space) == 3
-    label = LeafLabel(0, 0, 0, "", 6, "origin", 3, 48, "0")
-    img = leaf_image_under_upsilon(None, label)
-    assert img[0]["dimension"] == 3 and img[1]["dimension"] == 3
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(snippet, {})
+    printed = capsys.readouterr().out.splitlines()
+    ctx = build_tau(catalog("dihedral4"), dihedral_tau(4))
+    assert printed == [f"{l.dimension} {l.model_normalizer_order}"
+                       for l in leaves_zero_tau(ctx)]
 
 
 def test_leaf_report_schema():

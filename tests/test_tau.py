@@ -106,8 +106,38 @@ def test_top_split_is_pointwise_stabilizer():
     W = catalog("dihedral4")
     ctx = build_tau(W, dihedral_tau(4))
     splits = {sp.parabolic.element_keys for sp in ctx.split_parabolics()}
-    assert ctx.pointwise_keys in splits or \
-        W.pointwise_stabilizer(ctx.v_tau).element_keys in splits
+    assert W.pointwise_stabilizer(ctx.v_tau).element_keys in splits
+
+
+def test_incidence_agrees_with_whole_group_scans(pair_contexts):
+    # the incidence answers of the production path against the scans of W
+    # they replaced, which stay as the reference
+    for name, ctx in pair_contexts.items():
+        W = ctx.W
+
+        def scan(basis):
+            return frozenset(g.key for g in W.elements
+                             if all(la.mat_vec(g.mat, b) == b for b in basis))
+
+        for X in [P.fixed_space for P in W.parabolic_subgroups()] + [ctx.v_tau]:
+            assert W.incidence(X) == {i for i, H in enumerate(W.hyperplanes)
+                                      if la.subspace_leq(X, H.basis)}, name
+            assert W.pointwise_stabilizer(X).element_keys == scan(X), name
+        for H in W.hyperplanes:
+            assert [g.key for g in H.pointwise] == sorted(scan(H.basis)), name
+        splits = ctx.split_by_keys()
+        for P in W.parabolic_subgroups():
+            s = la.intersect(P.fixed_space, ctx.v_tau, W.dim)
+            assert (P.element_keys in splits) == (scan(s) == P.element_keys), name
+        for cls in W.parabolic_classes():
+            P = cls.representative
+            N = W.normalizer(P)
+            for idx in range(N.order):
+                u = N.rep(idx)
+                s = la.intersect(P.fixed_space,
+                                 la.fixed_space(la.mat_mul(u.mat, ctx.tau)), W.dim)
+                expected = W.stabilizer_keys(W.witness_point(s)) == P.element_keys
+                assert ctx.meets_stratum(P, u) == expected, name
 
 
 def test_normalizer_identification():
