@@ -132,6 +132,8 @@ def resolve_tau(W: ReflectionGroup, spec: str):
                               for row in data["matrix"]])
             except TypeError as exc:
                 raise SpecError(f"bad twist matrix: {exc}") from exc
+            if len(mat) != W.dim or any(len(row) != W.dim for row in mat):
+                raise SpecError(f"twist matrix must be {W.dim}x{W.dim}")
             return mat, "matrix"
         if "word" in data or "zeta" in data:
             zeta = _zeta_from_str(str(data["zeta"])) if "zeta" in data else None

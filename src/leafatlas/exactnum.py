@@ -224,11 +224,7 @@ def _poly_ext_inverse(coeffs: dict[int, Fraction], n: int) -> dict[int, Fraction
         return strip(out)
 
     r_prev, r_cur = strip(r_prev), strip(r_cur)
-    while len(r_cur) > 1 or (r_cur and False):
-        if not r_cur:
-            raise ExactDomainError("division by zero in Q(zeta)")
-        if len(r_cur) == 1:
-            break
+    while len(r_cur) > 1:
         q_shift = len(r_prev) - len(r_cur)
         if q_shift < 0:
             r_prev, r_cur = r_cur, r_prev

@@ -11,8 +11,9 @@ and the rank-two group generated by order-3 reflections on 4 hyperplanes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
-from .exactnum import CycNum, as_cyc, root_of_unity, primes
+from .exactnum import CycNum, _phi_degree, as_cyc, root_of_unity, primes
 from . import linalg as la
 from .linalg import Matrix, Vector
 
@@ -94,6 +95,24 @@ def _normalize_line(v: Vector) -> Vector:
     return tuple(inv * x for x in v)
 
 
+def _rank_one_shift(m: Matrix) -> bool:
+    """True iff rank(m - 1) == 1: every row of m - 1 is a multiple of its
+    first nonzero row.  Rows are compared by cross-multiplication (no field
+    inverse) and the scan stops at the first row that is not a multiple."""
+    one = CycNum.one()
+    lead = None
+    for i, row in enumerate(m):
+        r = tuple(x - one if j == i else x for j, x in enumerate(row))
+        if lead is None:
+            c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
+            if c is not None:
+                lead = r
+            continue
+        if any(x * lead[c] != r[c] * y for x, y in zip(r, lead)):
+            return False
+    return lead is not None
+
+
 class ReflectionGroup:
     def __init__(self, dim: int, elements, generators, name: str = ""):
         self.dim = dim
@@ -152,9 +171,9 @@ class ReflectionGroup:
         hyps: dict[tuple, Hyperplane] = {}
         ident = la.identity(self.dim)
         for g in self.elements:
-            diff = la.mat_sub(g.mat, ident)
-            if la.mat_rank(diff) != 1:
+            if not _rank_one_shift(g.mat):
                 continue
+            diff = la.mat_sub(g.mat, ident)
             alpha = _normalize_line(next(r for r in diff if any(not x.is_zero() for x in r)))
             cols = la.transpose(diff)
             avee = _normalize_line(next(c for c in cols if any(not x.is_zero() for x in c)))
@@ -224,10 +243,15 @@ class ReflectionGroup:
         return self._det
 
     def generated_by_reflections(self) -> bool:
-        gens = [g for g, _ in self.reflections]
-        if not gens:
-            return self.order == 1
-        return len(_close_keys(self, gens)) == self.order
+        """True iff W is generated by its reflections.  When the generators
+        W was closed from are all reflections this holds by construction and
+        no closure runs; otherwise W is closed under all of its reflections.
+        `verify` always runs that closure, as the oracle."""
+        refl = [s for s, _ in self.reflections]
+        keys = {s.key for s in refl}
+        if self.generators and all(g.key in keys for g in self.generators):
+            return True
+        return len(_close_keys(self, refl)) == self.order
 
     # -- witness points ----------------------------------------------------------
     def witness_point(self, basis) -> Vector:
@@ -433,24 +457,55 @@ def _close_keys(group: ReflectionGroup, gens) -> frozenset[str]:
     return frozenset(found)
 
 
+def _finite_order_bound(dim: int, gens) -> int:
+    """L = lcm{d : phi(d) <= dim * phi(N)}, N the lcm of the entries'
+    conductors.  An eigenvalue of a finite-order element of GL_dim(Q(zeta_N))
+    is a d-th root of unity of degree at most dim over Q(zeta_N), so
+    phi(d) <= dim * phi(N), and the element's order divides L.  Since
+    phi(p^a) divides phi(d) when p^a divides d, L is the product over primes
+    p of the largest p^a with phi(p^a) <= dim * phi(N)."""
+    n = 1
+    for g in gens:
+        for row in g.mat:
+            for x in row:
+                n = n * x.conductor // gcd(n, x.conductor)
+    budget = dim * _phi_degree(n)
+    out = 1
+    for p in range(2, budget + 2):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        pk = p
+        while pk * (p - 1) <= budget:
+            pk *= p
+        out *= pk
+    return out
+
+
 def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
                 name: str = "") -> ReflectionGroup:
     """Enumerate the group generated by invertible finite-order matrices."""
     if not generators:
         raise GroupError("need at least one generator")
     dim = len(generators[0])
+    if dim < 1:
+        raise GroupError("generator 0 is an empty matrix")
     gens = []
-    for m in generators:
+    for i, m in enumerate(generators):
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise GroupError(f"generator {i} is not a {dim}x{dim} matrix")
         m = la.mat(m)
         if la.det(m).is_zero():
-            raise GroupError("generator is singular")
+            raise GroupError(f"generator {i} is singular")
         gens.append(GroupElement(m))
     ident = GroupElement(la.identity(dim))
-    for g in gens:
+    bound = _finite_order_bound(dim, gens)
+    for i, g in enumerate(gens):
         acc, k = g.mat, 1
         while acc != ident.mat:
             acc = la.mat_mul(acc, g.mat)
             k += 1
+            if k > bound:
+                raise GroupError(f"generator {i} has infinite order")
             if k > order_cap:
                 raise CapExceededError("group too large or infinite")
     found = {ident.key: ident}
@@ -590,6 +645,8 @@ def _diag(entries) -> Matrix:
 
 
 def _gdeen_generators(de: int, e: int, n: int) -> list[Matrix]:
+    if min(de, e, n) < 1:
+        raise GroupError("G(de,e,n) needs de, e, n >= 1")
     if de % e:
         raise GroupError("e must divide de in G(de,e,n)")
     d = de // e
@@ -647,6 +704,8 @@ def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
     m = _re.fullmatch(r"[Bb]\(?(\d+)\)?", s)
     if m:
         n = int(m.group(1))
+        if n < 1:
+            raise GroupError("B(n) needs n >= 1")
         return close_group(_gdeen_generators(2, 1, n), order_cap, name=f"B{n}")
     m = _re.fullmatch(r"[Dd]\(?(\d+)\)?", s)
     if m:

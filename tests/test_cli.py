@@ -1,6 +1,9 @@
 """Command-line interface: dispatch, formats, determinism, exit codes."""
 
 import json
+import time
+
+import pytest
 
 from leafatlas.cli import run
 from leafatlas.verify import Check
@@ -104,6 +107,30 @@ def test_corrupt_group_file_exit2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "reflections", "--group", f"@{bad}")
     assert code == 2
     assert "error" in err
+
+
+def _assert_one_line_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_infinite_order_generator_exit2_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "reflections", "--group", '{"generators":[[["2"]]]}')
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reflections", "--group", '{"generators":[[["0","1"],["1"]]]}'],
+    ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1"]]}'],
+    ["reflections", "--group", "B0"],
+])
+def test_malformed_shapes_exit2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    _assert_one_line_error(err)
 
 
 def test_missing_group_exit2(capsys):

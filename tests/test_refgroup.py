@@ -8,8 +8,16 @@ from hypothesis import given, settings, strategies as st
 from leafatlas import linalg as la
 from leafatlas.exactnum import CycNum, as_cyc
 from leafatlas.refgroup import (
-    GroupError, ParameterK, catalog, close_group, group_algebra_mul, idempotent,
+    GroupError, ParameterK, _rank_one_shift, catalog, close_group, group_algebra_mul,
+    idempotent,
 )
+from leafatlas.verify import _reflection_closure_order, run_suite
+
+ORACLE_BATTERY = ("cyclic3", "dihedral5", "B3", "D4", "G4", "G(4,2,3)")
+
+
+def _closes_under_reflections(W):
+    return _reflection_closure_order(W) == W.order
 
 
 def test_close_group_negation_dim1():
@@ -26,6 +34,59 @@ def test_close_group_g212_order8():
     # |G(de,e,n)| = de^n n!/e cross-check by enumeration
     W = catalog("G(2,1,2)")
     assert W.order == 2 ** 2 * 2
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_rank_one_shift_matches_rank(name):
+    W = catalog(name)
+    ident = la.identity(W.dim)
+    for g in W.elements:
+        assert _rank_one_shift(g.mat) == (la.mat_rank(la.mat_sub(g.mat, ident)) == 1)
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_generated_by_reflections_matches_closure(name):
+    W = catalog(name)
+    assert W.generated_by_reflections() == _closes_under_reflections(W)
+
+
+def test_generated_by_reflections_matches_closure_on_twists(pair_contexts):
+    for ctx in pair_contexts.values():
+        W = ctx.w_tau
+        assert W.generated_by_reflections() == _closes_under_reflections(W)
+
+
+def test_close_group_non_reflection_generator_falls_back_to_closure():
+    rotation = la.mat([[0, -1], [1, 0]])
+    W = close_group([rotation, la.mat([[1, 0], [0, -1]])])
+    assert W.order == 8
+    assert not _rank_one_shift(rotation)
+    assert W.generated_by_reflections() and _closes_under_reflections(W)
+
+
+@pytest.mark.parametrize("gen", [[[0, -1], [1, 0]], [[-1, 0], [0, -1]]])
+def test_close_group_rejects_non_reflection_groups(gen):
+    with pytest.raises(GroupError):
+        close_group([la.mat(gen)])
+
+
+def test_verify_reflection_generation_runs_the_closure():
+    W = catalog("B2")
+    assert W.hyperplane_orbit_count == 2
+    W._reflections = tuple((s, H) for s, H in W.reflections if H.orbit_id != 0)
+    W.generated_by_reflections = lambda: True  # verify must not ask the group
+    status = {r["id"]: r["status"] for r in run_suite(W)}
+    assert status["group.reflection-generated"] == "fail"
+
+
+def test_verify_hyperplane_check_scans_the_group():
+    # same size and cyclic order, wrong elements: only the scan notices
+    W = catalog("G4")
+    H, K = W.hyperplanes[:2]
+    stray = next(g for g in K.pointwise if g != W.identity)
+    H.pointwise = H.pointwise[:-1] + (stray,)
+    status = {r["id"]: r["status"] for r in run_suite(W)}
+    assert status["group.hyperplane-orders"] == "fail"
 
 
 def test_order_cap_error():
