@@ -126,6 +126,8 @@ def resolve_tau(W: ReflectionGroup, spec: str):
         return dihedral_tau(int(m.group(1))), "swap"
     if spec.startswith("@") or spec.lstrip().startswith("{"):
         data = _load_json_maybe_file(spec)
+        if not isinstance(data, dict):
+            raise SpecError("twist spec must be an object")
         if "matrix" in data:
             try:
                 mat = la.mat([[_scalar_from_str(str(x)) for x in row]
@@ -137,7 +139,10 @@ def resolve_tau(W: ReflectionGroup, spec: str):
             return mat, "matrix"
         if "word" in data or "zeta" in data:
             zeta = _zeta_from_str(str(data["zeta"])) if "zeta" in data else None
-            word = [int(i) for i in data.get("word", [])]
+            word = data.get("word", [])
+            if not isinstance(word, list) or not all(
+                    isinstance(i, int) and not isinstance(i, bool) for i in word):
+                raise SpecError("twist word must be a list of generator indices")
             try:
                 return tau_from_word(W, word, zeta), f"word{word}" + \
                     (f"*zeta({data.get('zeta')})" if "zeta" in data else "")
@@ -152,9 +157,9 @@ def resolve_parameter(W: ReflectionGroup, spec: str) -> ParameterK:
         return ParameterK.zero(W)
     if spec.startswith("@") or spec.lstrip().startswith("{"):
         data = _load_json_maybe_file(spec)
-        lists = data.get("orbits")
-        if not isinstance(lists, list):
-            raise SpecError("parameter spec needs an 'orbits' list")
+        lists = data.get("orbits") if isinstance(data, dict) else None
+        if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
+            raise SpecError("parameter spec needs an 'orbits' list of value lists")
         per_orbit = [[_scalar_from_str(str(v)) for v in lst] for lst in lists]
     else:
         per_orbit = [[_scalar_from_str(v) for v in chunk.split(",")]

@@ -62,13 +62,7 @@ def closure_leq(W: ReflectionGroup, lower: int, upper: int) -> bool:
     """True iff the stratum of class `lower` lies in the closure of the
     stratum of class `upper` (reverse inclusion of parabolics)."""
     classes = W.parabolic_classes()
-    big = classes[lower]
-    small = classes[upper]
-    for Q in big.members:
-        for P in small.members:
-            if P.element_keys <= Q.element_keys:
-                return True
-    return False
+    return any(P.inc <= Q.inc for Q in classes[lower].members for P in classes[upper].members)
 
 
 def tau_components(ctx: TauContext, cls: ParabolicClass):
@@ -173,8 +167,7 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
 
 def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
     """Single and doubled emptiness tests agree on every normalizer coset."""
-    stable = frozenset(ctx.tau_conj(g).key for g in P.elements) == P.element_keys
-    if not stable:
+    if not ctx.normalizes(P):
         return True
     N = ctx.W.normalizer(P)
     for idx in range(N.order):

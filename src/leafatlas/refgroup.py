@@ -60,31 +60,31 @@ class Hyperplane:
 
 
 class Parabolic:
-    """A parabolic subgroup with its fixed space and a witness point."""
+    """A parabolic subgroup with its fixed space and a witness point.  By
+    Steinberg's theorem it is determined by `inc`, the indices of the
+    hyperplanes containing its fixed space; `key` only orders parabolics."""
 
-    __slots__ = ("group", "elements", "element_keys", "fixed_space", "witness", "key")
+    __slots__ = ("group", "elements", "element_keys", "fixed_space", "witness", "key", "inc")
 
-    def __init__(self, group, elements, fixed_space, witness):
+    def __init__(self, group, elements, fixed_space, witness, inc):
         self.group = group
         self.elements = tuple(sorted(elements, key=lambda g: g.key))
         self.element_keys = frozenset(g.key for g in self.elements)
         self.fixed_space = fixed_space
         self.witness = witness
         self.key = tuple(g.key for g in self.elements)
+        self.inc = inc
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def rank_drop(self) -> int:
-        return self.group.dim - len(self.fixed_space)
-
     def __eq__(self, other):
-        return isinstance(other, Parabolic) and self.key == other.key
+        return isinstance(other, Parabolic) and self.group is other.group \
+            and self.inc == other.inc
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self.inc)
 
 
 def _normalize_line(v: Vector) -> Vector:
@@ -191,33 +191,18 @@ class ReflectionGroup:
             H.pointwise = tuple(sorted([one] + [g for g, K in refl if K is H],
                                        key=lambda g: g.key))
             H.e = len(H.pointwise)
-        # W-orbits of hyperplanes
-        key_to_h = {H.key: H for H in ordered}
-        seen = set()
-        orbits = []
-        for H in ordered:
-            if H.key in seen:
-                continue
-            orbit = [H.key]
-            seen.add(H.key)
-            queue = [H]
-            while queue:
-                cur = queue.pop()
-                for g in self.generators:
-                    moved = tuple(la.covec_mat(cur.alpha, self.inv(g).mat))
-                    mk = tuple(x.sort_key() for x in _normalize_line(moved))
-                    if mk not in seen:
-                        seen.add(mk)
-                        orbit.append(mk)
-                        queue.append(key_to_h[mk])
-            orbits.append(sorted(orbit))
-        orbits.sort(key=lambda o: o[0])
-        for oid, orbit in enumerate(orbits):
-            for k in orbit:
-                key_to_h[k].orbit_id = oid
         self._hyperplanes = ordered
         self._reflections = tuple(sorted(refl, key=lambda p: p[0].key))
-        self._orbit_count = len(orbits)
+        self._hyperplane_index = {H.key: i for i, H in enumerate(ordered)}
+        self._generator_perms = tuple(self.hyperplane_perm(g.mat) for g in self.generators)
+        # W-orbits of hyperplanes, numbered by their first hyperplane
+        count = 0
+        for i, H in enumerate(ordered):
+            if H.orbit_id < 0:
+                for (j,) in _orbit(frozenset((i,)), self._generator_perms):
+                    ordered[j].orbit_id = count
+                count += 1
+        self._orbit_count = count
 
     @property
     def reflections(self):
@@ -235,6 +220,15 @@ class ReflectionGroup:
     def hyperplane_orbit_count(self) -> int:
         self.hyperplanes
         return self._orbit_count
+
+    def hyperplane_perm(self, m: Matrix) -> tuple[int, ...]:
+        """The permutation of hyperplane indices induced by a matrix m that
+        normalizes W: entry i is the index of m(H_i), whose linear form is
+        alpha_i m^-1."""
+        m_inv = la.mat_inverse(m)
+        return tuple(self._hyperplane_index[
+            tuple(x.sort_key() for x in _normalize_line(la.covec_mat(H.alpha, m_inv)))]
+            for H in self.hyperplanes)
 
     @property
     def det_character(self) -> dict[str, CycNum]:
@@ -257,33 +251,15 @@ class ReflectionGroup:
     def witness_point(self, basis) -> Vector:
         """Deterministic generic point of span(basis), avoiding every
         reflecting hyperplane that does not contain the subspace."""
-        if not basis:
-            return la.zero_vector(self.dim)
         inc = self.incidence(basis)
-        avoid = [H for i, H in enumerate(self.hyperplanes) if i not in inc]
-        for attempt in range(64):
-            ws = primes(len(basis) + attempt)[attempt:]
-            v = la.zero_vector(self.dim)
-            for w, b in zip(ws, basis):
-                v = la.add_vec(v, la.scale_vec(as_cyc(w), b))
-            if all(not la.dot(H.alpha, v).is_zero() for H in avoid):
-                return v
-        raise GroupError("witness search exhausted its schedule")
+        return _prime_weight_point(self.dim, basis, [
+            H.alpha for i, H in enumerate(self.hyperplanes) if i not in inc])
 
     def witness_covector(self, basis) -> Vector:
         """Generic covector of a subspace of V*, avoiding the dual arrangement."""
-        if not basis:
-            return la.zero_vector(self.dim)
-        avoid = [H for H in self.hyperplanes
-                 if not all(la.dot(c, H.alpha_vee).is_zero() for c in basis)]
-        for attempt in range(64):
-            ws = primes(len(basis) + attempt)[attempt:]
-            c = la.zero_vector(self.dim)
-            for w, b in zip(ws, basis):
-                c = la.add_vec(c, la.scale_vec(as_cyc(w), b))
-            if all(not la.dot(c, H.alpha_vee).is_zero() for H in avoid):
-                return c
-        raise GroupError("witness search exhausted its schedule")
+        return _prime_weight_point(self.dim, basis, [
+            H.alpha_vee for H in self.hyperplanes
+            if not all(la.dot(c, H.alpha_vee).is_zero() for c in basis)])
 
     # -- stabilizers ---------------------------------------------------------------
     def incidence(self, basis) -> frozenset[int]:
@@ -311,7 +287,7 @@ class ReflectionGroup:
         keys = _close_keys(self, [s for s, H in self.reflections if H in chosen])
         fixed = la.nullspace(tuple(H.alpha for H in chosen), self.dim)
         return Parabolic(self, [self.by_key[k] for k in keys], fixed,
-                         self.witness_point(fixed))
+                         self.witness_point(fixed), inc)
 
     def setwise_stabilizer_keys(self, basis) -> frozenset[str]:
         if not basis:
@@ -346,40 +322,46 @@ class ReflectionGroup:
             out = [self.pointwise_stabilizer(f) for f in self.flats()]
             out.sort(key=lambda P: (-len(P.fixed_space), P.key))
             self._parabolics = tuple(out)
+            self._parabolic_by_inc = {P.inc: P for P in out}
         return self._parabolics
 
+    def parabolic(self, inc: frozenset[int]) -> Parabolic:
+        """The parabolic subgroup whose fixed space lies in exactly the
+        hyperplanes of `inc`."""
+        self.parabolic_subgroups()
+        return self._parabolic_by_inc[inc]
+
     def parabolic_classes(self) -> tuple["ParabolicClass", ...]:
+        """Conjugacy classes of parabolics: orbits of incidence sets under the
+        generators' hyperplane permutations.  Each member Q carries the
+        conjugator x (a product of generators) with x P x^-1 = Q, P the
+        representative."""
         if self._classes is None:
-            paras = {P.element_keys: P for P in self.parabolic_subgroups()}
-            seen = set()
             classes = []
+            self._class_by_inc = {}
             for P in self.parabolic_subgroups():
-                if P.element_keys in seen:
+                if P.inc in self._class_by_inc:
                     continue
-                orbit = {P.element_keys: P}
-                queue = [P]
-                while queue:
-                    cur = queue.pop()
-                    for g in self.generators:
-                        moved = frozenset(self.conj(x, g).key for x in cur.elements)
-                        if moved not in orbit:
-                            Q = paras[moved]
-                            orbit[moved] = Q
-                            queue.append(Q)
-                seen |= set(orbit)
-                members = tuple(sorted(orbit.values(), key=lambda Q: Q.key))
-                classes.append(ParabolicClass(members[0], members))
-            classes.sort(key=lambda c: (-len(c.representative.fixed_space), c.representative.key))
+                # P is the first member met in (fixed dim, key) order: the minimum
+                conjugators = {}
+                for inc, step in _orbit(P.inc, self._generator_perms).items():
+                    conjugators[inc] = self.identity if step is None else \
+                        self.mul(self.generators[step[1]], conjugators[step[0]])
+                members = tuple(sorted((self.parabolic(i) for i in conjugators),
+                                       key=lambda Q: Q.key))
+                c = ParabolicClass(P, members, conjugators)
+                classes.append(c)
+                self._class_by_inc.update(dict.fromkeys(conjugators, c))
             for i, c in enumerate(classes):
                 c.class_id = i
             self._classes = tuple(classes)
         return self._classes
 
     def class_of(self, P: Parabolic) -> "ParabolicClass":
-        for c in self.parabolic_classes():
-            if any(P.element_keys == m.element_keys for m in c.members):
-                return c
-        raise GroupError("subgroup is not parabolic")
+        self.parabolic_classes()
+        if P.group is not self:
+            raise GroupError("subgroup is not a parabolic of this group")
+        return self._class_by_inc[P.inc]
 
     # -- normalizers -------------------------------------------------------------
     def normalizer(self, P: Parabolic) -> "CosetQuotient":
@@ -388,9 +370,10 @@ class ReflectionGroup:
 
 
 class ParabolicClass:
-    def __init__(self, representative: Parabolic, members):
+    def __init__(self, representative: Parabolic, members, conjugators):
         self.representative = representative
         self.members = members
+        self.conjugators: dict[frozenset[int], GroupElement] = conjugators
         self.class_id = -1
 
     @property
@@ -405,7 +388,6 @@ class CosetQuotient:
         self.group = group
         self.P = P
         self.subgroup_keys = tuple(sorted(subgroup_keys))
-        pk = P.element_keys
         assigned: dict[str, int] = {}
         cosets = []
         for k in self.subgroup_keys:
@@ -457,7 +439,49 @@ def _close_keys(group: ReflectionGroup, gens) -> frozenset[str]:
     return frozenset(found)
 
 
-def _finite_order_bound(dim: int, gens) -> int:
+def _orbit(start: frozenset[int], perms) -> dict:
+    """The orbit of a set of hyperplane indices under index permutations, as
+    {member: (parent, j)} in breadth-first order, where member is the image of
+    parent under perms[j]; the start maps to None."""
+    tree = {start: None}
+    queue = [start]
+    for cur in queue:
+        for j, p in enumerate(perms):
+            moved = frozenset(p[i] for i in cur)
+            if moved not in tree:
+                tree[moved] = (cur, j)
+                queue.append(moved)
+    return tree
+
+
+def _prime_weight_point(dim: int, basis, avoid) -> Vector:
+    """The first combination of basis, with consecutive primes as weights,
+    on which no vector of avoid vanishes (deterministic generic point)."""
+    if not basis:
+        return la.zero_vector(dim)
+    for attempt in range(64):
+        ws = primes(len(basis) + attempt)[attempt:]
+        v = la.zero_vector(dim)
+        for w, b in zip(ws, basis):
+            v = la.add_vec(v, la.scale_vec(as_cyc(w), b))
+        if all(not la.dot(a, v).is_zero() for a in avoid):
+            return v
+    raise GroupError("witness search exhausted its schedule")
+
+
+def _matrix_order(m: Matrix, bound: int) -> int | None:
+    """The order of m, or None when its powers pass bound without reaching 1."""
+    ident = la.identity(len(m))
+    acc, k = m, 1
+    while acc != ident:
+        if k >= bound:
+            return None
+        acc = la.mat_mul(acc, m)
+        k += 1
+    return k
+
+
+def _finite_order_bound(dim: int, mats) -> int:
     """L = lcm{d : phi(d) <= dim * phi(N)}, N the lcm of the entries'
     conductors.  An eigenvalue of a finite-order element of GL_dim(Q(zeta_N))
     is a d-th root of unity of degree at most dim over Q(zeta_N), so
@@ -465,8 +489,8 @@ def _finite_order_bound(dim: int, gens) -> int:
     phi(p^a) divides phi(d) when p^a divides d, L is the product over primes
     p of the largest p^a with phi(p^a) <= dim * phi(N)."""
     n = 1
-    for g in gens:
-        for row in g.mat:
+    for m in mats:
+        for row in m:
             for x in row:
                 n = n * x.conductor // gcd(n, x.conductor)
     budget = dim * _phi_degree(n)
@@ -498,16 +522,12 @@ def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
             raise GroupError(f"generator {i} is singular")
         gens.append(GroupElement(m))
     ident = GroupElement(la.identity(dim))
-    bound = _finite_order_bound(dim, gens)
+    bound = _finite_order_bound(dim, [g.mat for g in gens])
     for i, g in enumerate(gens):
-        acc, k = g.mat, 1
-        while acc != ident.mat:
-            acc = la.mat_mul(acc, g.mat)
-            k += 1
-            if k > bound:
+        if _matrix_order(g.mat, min(bound, order_cap)) is None:
+            if bound <= order_cap:
                 raise GroupError(f"generator {i} has infinite order")
-            if k > order_cap:
-                raise CapExceededError("group too large or infinite")
+            raise CapExceededError("group too large or infinite")
     found = {ident.key: ident}
     queue = [ident]
     while queue:
@@ -525,25 +545,16 @@ def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
     return W
 
 
-def group_from_elements(dim: int, matrices, name: str = "",
-                        require_reflection_generation: bool = True) -> ReflectionGroup:
-    """Wrap an already-closed set of matrices (used for restricted actions)."""
-    elems = {GroupElement(la.mat(m)).key: GroupElement(la.mat(m)) for m in matrices}
-    ident = GroupElement(la.identity(dim))
-    if ident.key not in elems:
-        elems[ident.key] = ident
-    W = ReflectionGroup(dim, elems.values(), [], name=name)
-    gens = [g for g, _ in W.reflections]
-    if not gens and W.order > 1:
-        if require_reflection_generation:
-            raise GroupError("group is not generated by its reflections")
+def group_from_elements(dim: int, matrices, name: str = "") -> ReflectionGroup:
+    """Wrap an already-closed set of matrices (used for restricted actions).
+    Its generators are its reflections when they generate it, and all of its
+    elements otherwise; they are set before the hyperplane orbits, which they
+    define, are computed."""
+    W = ReflectionGroup(dim, {GroupElement(la.mat(m)) for m in matrices}, [], name=name)
+    gens = [g for g in W.elements if _rank_one_shift(g.mat)]
+    if len(_close_keys(W, gens)) != W.order:
         gens = list(W.elements)
-    keys = _close_keys(W, gens)
-    if require_reflection_generation and len(keys) != W.order:
-        raise GroupError("group is not generated by its reflections")
-    if len(keys) != W.order:
-        gens = list(W.elements)
-    W.generators = tuple(gens) if gens else (ident,)
+    W.generators = tuple(gens)
     return W
 
 

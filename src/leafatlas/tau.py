@@ -14,10 +14,9 @@ from . import linalg as la
 from .exactnum import CycNum, as_cyc
 from .linalg import Matrix, Vector
 from .refgroup import (
-    GroupElement, Parabolic, ParameterK, ReflectionGroup, group_from_elements,
+    GroupElement, Parabolic, ParameterK, ReflectionGroup, _finite_order_bound, _matrix_order,
+    _orbit, group_from_elements,
 )
-
-TAU_ORDER_CAP = 10_000
 
 
 class TauError(Exception):
@@ -66,21 +65,16 @@ class TauContext:
         if la.det(tau).is_zero():
             raise TauError("twist matrix is singular")
         self.tau = tau
+        self.tau_inv = la.mat_inverse(tau)
         for g in W.generators:
-            conj = la.mat_mul(la.mat_mul(tau, g.mat), la.mat_inverse(tau))
+            conj = la.mat_mul(la.mat_mul(tau, g.mat), self.tau_inv)
             if GroupElement(conj).key not in W.by_key:
                 raise TauError("twist does not normalize the group")
-        ident = la.identity(W.dim)
-        acc, order = tau, 1
-        while acc != ident:
-            acc = la.mat_mul(acc, tau)
-            order += 1
-            if order > TAU_ORDER_CAP:
-                raise TauError("twist has order beyond cap (infinite?)")
-        self.order = order
-        self.tau_inv = la.mat_inverse(tau)
+        self.order = _matrix_order(tau, _finite_order_bound(W.dim, [tau]))
+        if self.order is None:
+            raise TauError("twist has infinite order")
+        self.tau_perm = W.hyperplane_perm(tau)
         self.v_tau = la.fixed_space(tau)
-        self.v_tau_dual = la.left_fixed_space(tau)
         self.delta = max(len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements)
         self.is_full = self.delta == len(self.v_tau)
         self.setwise_keys = W.setwise_stabilizer_keys(self.v_tau)
@@ -112,9 +106,7 @@ class TauContext:
             rkey = GroupElement(rmat).key
             mats[rkey] = rmat
             restricted.setdefault(rkey, []).append(k)
-        self.w_tau = group_from_elements(
-            d, mats.values(), name=f"{self.W.name or 'W'}_tau",
-            require_reflection_generation=False)
+        self.w_tau = group_from_elements(d, mats.values(), name=f"{self.W.name or 'W'}_tau")
         self.section = {rk: self.W.by_key[min(ks)] for rk, ks in restricted.items()}
         self.restriction = {k: rk for rk, ks in restricted.items() for k in ks}
 
@@ -139,50 +131,49 @@ class TauContext:
         if not self.is_full:
             raise TauError("twist must be full for split-parabolic theory")
         if self._splits is None:
-            by_keys = {Q.element_keys: Q for Q in self.w_tau.parabolic_subgroups()}
             out = []
             for P in self.W.parabolic_subgroups():
                 s = la.intersect(P.fixed_space, self.v_tau, self.W.dim)
-                if self.W.incidence(s) != self.W.incidence(P.fixed_space):
+                if self.W.incidence(s) != P.inc:
                     continue
-                pt_keys = frozenset(
-                    self.restrict_key(k) for k in P.element_keys & self.setwise_keys)
-                p_tau = by_keys.get(pt_keys)
-                if p_tau is None:
+                # P_tau fixes the coordinates of s in V^tau pointwise, and it
+                # must be the restriction of the part of P stabilizing V^tau
+                p_tau = self.w_tau.parabolic(self.w_tau.incidence(
+                    [la.solve(self.basis_matrix, v) for v in s]))
+                if {self.restrict_key(k) for k in P.element_keys & self.setwise_keys} \
+                        != p_tau.element_keys:
                     raise TauError("restriction of a split parabolic is not parabolic")
                 out.append(SplitParabolic(P, p_tau, s))
             self._splits = tuple(out)
         return self._splits
 
-    def split_by_keys(self) -> dict[frozenset, SplitParabolic]:
-        return {sp.parabolic.element_keys: sp for sp in self.split_parabolics()}
+    def split_by_keys(self) -> dict[frozenset[int], SplitParabolic]:
+        """The split parabolics by incidence set."""
+        return {sp.parabolic.inc: sp for sp in self.split_parabolics()}
 
     def split_orbits(self) -> tuple[tuple[SplitParabolic, ...], ...]:
-        """W_tau-orbits of tau-split parabolic subgroups."""
+        """W_tau-orbits of tau-split parabolic subgroups: orbits of incidence
+        sets under the hyperplane permutations of the section generators."""
         if self._split_orbits is None:
             splits = self.split_by_keys()
-            gens = [self.section[g.key] for g in self.w_tau.generators]
+            perms = [self.W.hyperplane_perm(self.section[g.key].mat)
+                     for g in self.w_tau.generators]
             seen = set()
             orbits = []
-            for keys in sorted(splits, key=lambda ks: splits[ks].parabolic.key):
-                if keys in seen:
+            for sp in self.split_parabolics():
+                if sp.parabolic.inc in seen:
                     continue
-                orbit = {keys}
-                queue = [keys]
-                while queue:
-                    cur = queue.pop()
-                    elems = [self.W.by_key[k] for k in cur]
-                    for g in gens:
-                        moved = frozenset(self.W.conj(x, g).key for x in elems)
-                        if moved not in orbit:
-                            orbit.add(moved)
-                            queue.append(moved)
-                seen |= orbit
-                orbits.append(tuple(sorted((splits[ks] for ks in orbit),
+                orbit = _orbit(sp.parabolic.inc, perms)
+                seen |= set(orbit)
+                orbits.append(tuple(sorted((splits[inc] for inc in orbit),
                                            key=lambda sp: sp.parabolic.key)))
             orbits.sort(key=lambda o: o[0].parabolic.key)
             self._split_orbits = tuple(orbits)
         return self._split_orbits
+
+    def normalizes(self, P: Parabolic) -> bool:
+        """True iff tau P tau^-1 = P, that is, tau permutes P's hyperplanes."""
+        return frozenset(self.tau_perm[i] for i in P.inc) == P.inc
 
     def meets_stratum(self, P: Parabolic, u: GroupElement) -> bool:
         """True iff the fixed points of u*tau meet the open stratum of P: the
@@ -190,7 +181,7 @@ class TauContext:
         containing V^P, so its pointwise stabilizer is exactly P."""
         s = la.intersect(P.fixed_space, la.fixed_space(la.mat_mul(u.mat, self.tau)),
                          self.W.dim)
-        return self.W.incidence(s) == self.W.incidence(P.fixed_space)
+        return self.W.incidence(s) == P.inc
 
     # -- twist classes ------------------------------------------------------------
     def twist_classes(self, P: Parabolic):
@@ -198,16 +189,15 @@ class TauContext:
         fixed points of w*tau meeting the open stratum of P."""
         if not self.is_full:
             raise TauError("twist must be full")
-        cached = self._twists.get(P.key)
+        cached = self._twists.get(P.inc)
         if cached is not None:
             return cached
         N = self.W.normalizer(P)
-        stable = frozenset(self.tau_conj(g).key for g in P.elements) == P.element_keys
-        if not stable:
+        if not self.normalizes(P):
             # a coset w with fixed points on the open stratum would force
             # tau itself to normalize P
             result = (N, ())
-            self._twists[P.key] = result
+            self._twists[P.inc] = result
             return result
         members = [idx for idx in range(N.order) if self.meets_stratum(P, N.rep(idx))]
         member_set = set(members)
@@ -234,25 +224,25 @@ class TauContext:
             classes.append(TwistClass(P, orbit, min(N.rep(i).key for i in orbit)))
         classes.sort(key=lambda c: c.rep_key)
         result = (N, tuple(classes))
-        self._twists[P.key] = result
+        self._twists[P.inc] = result
         return result
 
     def split_class_dictionary(self, P: Parabolic):
         """The bijection between W_tau-orbits of split members of the class
-        of P and twist classes over P, as an index map.  P must be split."""
-        if P.element_keys not in self.split_by_keys():
+        of P and twist classes over P, as an index map.  P must be split.
+        Any x with x P x^-1 = Q serves: changing x by n in N_W(P) twists
+        x^-1 tau(x) by n, which leaves its twist class unchanged."""
+        if P.inc not in self.split_by_keys():
             raise TauError("dictionary base point must be a split parabolic")
         N, classes = self.twist_classes(P)
-        cls = self.W.class_of(P)
-        member_keys = {m.element_keys for m in cls.members}
+        conjugators = self.W.class_of(P).conjugators
+        from_p = self.W.inv(conjugators[P.inc])
         mapping: dict[int, int] = {}
         for oi, orbit in enumerate(self.split_orbits()):
-            if orbit[0].parabolic.element_keys not in member_keys:
-                continue
             Q = orbit[0].parabolic
-            x = next(g for g in self.W.elements
-                     if frozenset(self.W.conj(p, g).key for p in P.elements)
-                     == Q.element_keys)
+            if Q.inc not in conjugators:
+                continue
+            x = self.W.mul(conjugators[Q.inc], from_p)
             w = self.W.mul(self.W.inv(x), self.tau_conj(x))
             widx = N.coset_of(w)
             ci = next(i for i, c in enumerate(classes) if widx in c.coset_indices)
@@ -263,7 +253,7 @@ class TauContext:
         """Twist-class data for one conjugacy class of parabolics, computed
         from its minimal split member (empty when none is split)."""
         splits = self.split_by_keys()
-        split_members = [m for m in cls.members if m.element_keys in splits]
+        split_members = [m for m in cls.members if m.inc in splits]
         if not split_members:
             return None, (), {}
         P = split_members[0]
@@ -383,26 +373,11 @@ def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
 def intersection_of_splits_is_split(ctx: TauContext) -> bool:
     """Pointwise stabilizer of a union of split fixed spaces is split again."""
     splits = ctx.split_by_keys()
-    sps = ctx.split_parabolics()
-    for a in sps:
-        for b in sps:
-            joined = la.span(list(a.tau_fixed) + list(b.tau_fixed))
-            inter = ctx.W.pointwise_stabilizer(joined)
-            if inter.element_keys not in splits:
-                return False
-    return True
+    return all(ctx.W.incidence(la.span(list(a.tau_fixed) + list(b.tau_fixed))) in splits
+               for a in splits.values() for b in splits.values())
 
 
 def tau_stabilizes_parameter(ctx: TauContext, k: ParameterK) -> bool:
-    W = ctx.W
-    key_to_h = {H.key: H for H in W.hyperplanes}
-    for H in W.hyperplanes:
-        moved = la.covec_mat(H.alpha, ctx.tau_inv)
-        lead = next(x for x in moved if not x.is_zero())
-        inv = lead.inverse()
-        mk = tuple((inv * x).sort_key() for x in moved)
-        target = key_to_h[mk]
-        for j in range(H.e):
-            if k.k_H(target, j) != k.k_H(H, j):
-                return False
-    return True
+    hyps = ctx.W.hyperplanes
+    return all(k.k_H(hyps[ctx.tau_perm[i]], j) == k.k_H(H, j)
+               for i, H in enumerate(hyps) for j in range(H.e))

@@ -74,6 +74,7 @@ def _group_checks(W: ReflectionGroup) -> list[Check]:
         Check("group.reflection-generated", reflection_generated),
         Check("group.hyperplane-orders", lambda: _hyperplane_orders(W)),
         Check("group.parabolic-witnesses", lambda: _witness_check(W)),
+        Check("group.class-conjugators", lambda: _class_conjugators(W)),
     ]
 
 
@@ -91,6 +92,17 @@ def _witness_check(W):
     for P in W.parabolic_subgroups():
         assert W.stabilizer_keys(P.witness) == P.element_keys, "witness stabilizer"
     return f"{len(W.parabolic_subgroups())} parabolic subgroups"
+
+
+def _class_conjugators(W):
+    """Conjugating each class representative element by element by a
+    member's recorded conjugator gives that member."""
+    for c in W.parabolic_classes():
+        for Q in c.members:
+            x = c.conjugators[Q.inc]
+            moved = frozenset(W.conj(p, x).key for p in c.representative.elements)
+            assert moved == Q.element_keys, f"class {c.class_id} conjugator"
+    return f"{sum(len(c.members) for c in W.parabolic_classes())} conjugators"
 
 
 def _tau_checks(ctx: TauContext, deep: bool) -> list[Check]:

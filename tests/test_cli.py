@@ -122,10 +122,24 @@ def test_infinite_order_generator_exit2_quickly(capsys):
     _assert_one_line_error(err)
 
 
+def test_infinite_order_twist_exit2_quickly(capsys):
+    # zeta_8 + zeta_8^2 has absolute value |1 + zeta_8| > 1; the powers stop at L = 120
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "leaves-zero", "--group", "cyclic4",
+                           "--tau", '{"matrix":[["Q(z_8): 1*z^1 + 1*z^2"]]}')
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    _assert_one_line_error(err)
+
+
 @pytest.mark.parametrize("argv", [
     ["reflections", "--group", '{"generators":[[["0","1"],["1"]]]}'],
     ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1"]]}'],
     ["reflections", "--group", "B0"],
+    ["leaves-zero", "--group", "B2", "--tau", '{"word":["a"]}'],
+    ["leaves-zero", "--group", "B2", "--tau", '{"word":5}'],
+    ["leaves-zero", "--group", "B2", "--tau", '{"word":[[0]]}'],
+    ["verify", "--group", "B2", "--k", '{"orbits":[5,6]}'],
 ])
 def test_malformed_shapes_exit2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -89,6 +89,58 @@ def test_verify_hyperplane_check_scans_the_group():
     assert status["group.hyperplane-orders"] == "fail"
 
 
+def _conjugate(W, P, x):
+    return frozenset(W.conj(p, x).key for p in P.elements)
+
+
+def _assert_classes_match_conjugation(W, name):
+    # the oracle: orbits of element-key sets under element-wise conjugation
+    # by the generators, the algorithm the incidence-set orbits replaced
+    by_keys = {P.element_keys: P for P in W.parabolic_subgroups()}
+    expected = set()
+    for P in W.parabolic_subgroups():
+        orbit = {P.element_keys}
+        queue = [P]
+        while queue:
+            cur = queue.pop()
+            for g in W.generators:
+                moved = _conjugate(W, cur, g)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    queue.append(by_keys[moved])
+        expected.add(frozenset(orbit))
+    classes = W.parabolic_classes()
+    assert {frozenset(Q.element_keys for Q in c.members) for c in classes} == expected, name
+    order = [(-c.fixed_dim, c.representative.key) for c in classes]
+    assert order == sorted(order), name
+    for c in classes:
+        assert c.representative.key == min(Q.key for Q in c.members), name
+        assert set(c.conjugators) == {Q.inc for Q in c.members}, name
+        for Q in c.members:
+            assert W.class_of(Q) is c, name
+            assert _conjugate(W, c.representative, c.conjugators[Q.inc]) == Q.element_keys, name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_classes_match_elementwise_conjugation(name):
+    _assert_classes_match_conjugation(catalog(name), name)
+
+
+def test_classes_match_elementwise_conjugation_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_classes_match_conjugation(ctx.w_tau, name)
+
+
+def test_verify_class_conjugator_check_conjugates_elementwise():
+    W = catalog("B2")
+    status = {r["id"]: r["status"] for r in run_suite(W)}
+    assert status["group.class-conjugators"] == "pass"
+    c = next(c for c in W.parabolic_classes() if len(c.members) > 1)
+    c.conjugators[c.members[-1].inc] = W.identity
+    status = {r["id"]: r["status"] for r in run_suite(W)}
+    assert status["group.class-conjugators"] == "fail"
+
+
 def test_order_cap_error():
     with pytest.raises(GroupError):
         close_group([la.mat([[-1, 0], [0, 1]]), la.mat([[0, 1], [1, 0]])], order_cap=3)

@@ -128,7 +128,7 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
         splits = ctx.split_by_keys()
         for P in W.parabolic_subgroups():
             s = la.intersect(P.fixed_space, ctx.v_tau, W.dim)
-            assert (P.element_keys in splits) == (scan(s) == P.element_keys), name
+            assert (P.inc in splits) == (scan(s) == P.element_keys), name
         for cls in W.parabolic_classes():
             P = cls.representative
             N = W.normalizer(P)
@@ -138,6 +138,82 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
                                  la.fixed_space(la.mat_mul(u.mat, ctx.tau)), W.dim)
                 expected = W.stabilizer_keys(W.witness_point(s)) == P.element_keys
                 assert ctx.meets_stratum(P, u) == expected, name
+
+
+def _hyperplane_orbits_under_all_elements(W):
+    def image(H, g):
+        moved = la.covec_mat(H.alpha, W.inv(g).mat)
+        lead = next(x for x in moved if not x.is_zero()).inverse()
+        return tuple((lead * x).sort_key() for x in moved)
+    return {frozenset(image(H, g) for g in W.elements) for H in W.hyperplanes}
+
+
+def _assert_orbit_ids_match_all_elements(W, name):
+    orbits = _hyperplane_orbits_under_all_elements(W)
+    assert W.hyperplane_orbit_count == len(orbits), name
+    by_id = {}
+    for H in W.hyperplanes:
+        by_id.setdefault(H.orbit_id, set()).add(H.key)
+    assert {frozenset(o) for o in by_id.values()} == orbits, name
+
+
+def test_induced_hyperplane_orbits_match_all_elements(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_orbit_ids_match_all_elements(ctx.w_tau, name)
+
+
+@pytest.mark.parametrize("group,tau,orbits", [
+    ("B3", "identity", 2), ("G(4,2,3)", "identity", 2), ("D4", "diag-flip", 2),
+])
+def test_induced_hyperplane_orbits_examples(group, tau, orbits):
+    W = catalog(group)
+    ctx = build_tau(W, la.identity(W.dim) if tau == "identity" else _diag_flip(W.dim))
+    assert ctx.is_full
+    _assert_orbit_ids_match_all_elements(ctx.w_tau, group)
+    assert ctx.w_tau.hyperplane_orbit_count == orbits
+    assert len(ParameterK.zero(lehrer_springer_group(ctx)).orbit_e) == orbits
+
+
+def test_split_data_matches_elementwise_conjugation(pair_contexts):
+    # split orbits, the twist dictionary and the tau-stability test against
+    # element-wise conjugation and a scan of W for conjugators
+    for name, ctx in pair_contexts.items():
+        W = ctx.W
+
+        def conjugate(keys, x):
+            return frozenset(W.conj(W.by_key[k], x).key for k in keys)
+
+        gens = [ctx.section[g.key] for g in ctx.w_tau.generators]
+        expected = set()
+        for sp in ctx.split_parabolics():
+            orbit = {sp.parabolic.element_keys}
+            queue = [sp.parabolic.element_keys]
+            while queue:
+                cur = queue.pop()
+                for g in gens:
+                    moved = conjugate(cur, g)
+                    if moved not in orbit:
+                        orbit.add(moved)
+                        queue.append(moved)
+            expected.add(frozenset(orbit))
+        orbits = ctx.split_orbits()
+        assert {frozenset(sp.parabolic.element_keys for sp in o) for o in orbits} == expected, name
+        for P in W.parabolic_subgroups():
+            stable = frozenset(ctx.tau_conj(g).key for g in P.elements) == P.element_keys
+            assert ctx.normalizes(P) == stable, name
+        for cls in W.parabolic_classes():
+            P, classes, mapping = ctx.class_components(cls)
+            if P is None:
+                continue
+            N, _ = ctx.twist_classes(P)
+            member_keys = {m.element_keys for m in cls.members}
+            assert set(mapping) == {oi for oi, o in enumerate(orbits)
+                                    if o[0].parabolic.element_keys in member_keys}, name
+            for oi, ci in mapping.items():
+                Q = orbits[oi][0].parabolic
+                x = next(g for g in W.elements if conjugate(P.element_keys, g) == Q.element_keys)
+                w = W.mul(W.inv(x), ctx.tau_conj(x))
+                assert N.coset_of(w) in classes[ci].coset_indices, name
 
 
 def test_normalizer_identification():
