@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from . import leaves as leaves_mod
 from . import linalg as la
@@ -227,7 +228,29 @@ def _text_render(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _tau_context(args, W, cap) -> tuple[TauContext, dict]:
+class _Job:
+    """One run's options; the group and the twist context are built at most once."""
+
+    def __init__(self, args, cap):
+        self.args, self.cap = args, cap
+
+    @cached_property
+    def group(self) -> ReflectionGroup:
+        return resolve_group(self.args.group, self.cap)
+
+    @cached_property
+    def tau(self) -> tuple[TauContext, dict]:
+        return _tau_context(self.args, self.group)
+
+    def invariants(self) -> list[dict]:
+        """The invariant suite on the group, and the twist and parameter if given."""
+        args = self.args
+        ctx = self.tau[0] if args.tau is not None else None
+        k = resolve_parameter(self.group, args.k) if args.k is not None else None
+        return verify_mod.run_suite(self.group, ctx, k, deep=args.deep)
+
+
+def _tau_context(args, W) -> tuple[TauContext, dict]:
     mat, label = resolve_tau(W, args.tau)
     adjusted = False
     try:
@@ -245,8 +268,8 @@ def _tau_context(args, W, cap) -> tuple[TauContext, dict]:
     return ctx, info
 
 
-def cmd_reflections(args, cap):
-    W = resolve_group(args.group, cap)
+def cmd_reflections(job):
+    W = job.group
     rows = []
     for H in W.hyperplanes:
         rows.append({
@@ -265,8 +288,8 @@ def cmd_reflections(args, cap):
     return report, "hyperplanes"
 
 
-def cmd_parabolics(args, cap):
-    W = resolve_group(args.group, cap)
+def cmd_parabolics(job):
+    W = job.group
     rows = []
     for c in W.parabolic_classes():
         N = W.normalizer(c.representative)
@@ -285,9 +308,9 @@ def cmd_parabolics(args, cap):
     return report, "classes"
 
 
-def cmd_lehrer_springer(args, cap):
-    W = resolve_group(args.group, cap)
-    ctx, info = _tau_context(args, W, cap)
+def cmd_lehrer_springer(job):
+    W = job.group
+    ctx, info = job.tau
     from .tau import hyperplane_restriction_matches
     report = {
         "schema": 1, "command": "lehrer-springer", "group": W.name or "custom",
@@ -303,9 +326,9 @@ def cmd_lehrer_springer(args, cap):
     return report, None
 
 
-def cmd_tau_split(args, cap):
-    W = resolve_group(args.group, cap)
-    ctx, info = _tau_context(args, W, cap)
+def cmd_tau_split(job):
+    W = job.group
+    ctx, info = job.tau
     orbits = []
     for oi, orbit in enumerate(ctx.split_orbits()):
         sp = orbit[0]
@@ -328,16 +351,17 @@ def cmd_tau_split(args, cap):
     return report, "orbits"
 
 
-def cmd_leaves_zero(args, cap):
-    W = resolve_group(args.group, cap)
-    ctx, info = _tau_context(args, W, cap)
+def cmd_leaves_zero(job):
+    W = job.group
+    ctx, info = job.tau
     report = leaves_mod.leaf_report(ctx, W.name or "custom", info["tau"])
     report["command"] = "leaves-zero"
     report.update(info)
     return report, "leaves"
 
 
-def cmd_catalog_b(args, cap):
+def cmd_catalog_b(job):
+    args = job.args
     if args.n is None:
         raise SpecError("catalog-B needs --n")
     report = {
@@ -361,7 +385,8 @@ def cmd_catalog_b(args, cap):
     return report, "rows"
 
 
-def cmd_catalog_d(args, cap):
+def cmd_catalog_d(job):
+    args = job.args
     if args.n is None:
         raise SpecError("catalog-D needs --n")
     try:
@@ -376,14 +401,15 @@ def cmd_catalog_d(args, cap):
     return report, "rows"
 
 
-def cmd_catalog_dihedral(args, cap):
+def cmd_catalog_dihedral(job):
+    args = job.args
     if args.d is None:
         raise SpecError("catalog-dihedral needs --d")
     try:
         record = dihedral_equal_parameter_record(args.d)
     except CatalogError as exc:
         raise SpecError(str(exc)) from exc
-    W = group_catalog(f"dihedral{args.d}", cap)
+    W = group_catalog(f"dihedral{args.d}", job.cap)
     ctx = build_tau(W, dihedral_tau(args.d))
     atlas = leaves_mod.leaf_report(ctx, W.name, "swap")
     report = {
@@ -393,9 +419,9 @@ def cmd_catalog_dihedral(args, cap):
     return report, None
 
 
-def cmd_cherednik_check(args, cap):
-    W = resolve_group(args.group or "cyclic2", cap)
-    k = resolve_parameter(W, args.k)
+def cmd_cherednik_check(job):
+    W = job.group if job.args.group else group_catalog("cyclic2", job.cap)
+    k = resolve_parameter(W, job.args.k)
     try:
         rec = rank1_center_relation(k)
     except CherednikError as exc:
@@ -412,8 +438,9 @@ def cmd_cherednik_check(args, cap):
     return report, None
 
 
-def cmd_poisson(args, cap):
-    W = resolve_group(args.group, cap)
+def cmd_poisson(job):
+    args = job.args
+    W = job.group
     k = resolve_parameter(W, args.k)
     if args.z1 is None or args.z2 is None:
         raise SpecError("poisson needs --z1 and --z2")
@@ -436,14 +463,10 @@ def cmd_poisson(args, cap):
     return report, None
 
 
-def cmd_verify(args, cap):
-    W = resolve_group(args.group, cap)
-    ctx = None
-    info = {}
-    if args.tau is not None:
-        ctx, info = _tau_context(args, W, cap)
-    k = resolve_parameter(W, args.k) if args.k is not None else None
-    results = verify_mod.run_suite(W, ctx, k, deep=args.deep)
+def cmd_verify(job):
+    W = job.group
+    info = job.tau[1] if job.args.tau is not None else {}
+    results = job.invariants()
     failed = [r for r in results if r["status"] != "pass"]
     report = {
         "schema": 1, "command": "verify", "group": W.name or "custom",
@@ -550,19 +573,14 @@ def run(argv) -> int:
         if cap is None:
             env_cap = os.environ.get("LEAFATLAS_CAP")
             cap = int(env_cap) if env_cap else DEFAULT_CAP
-        report, rows_key = COMMANDS[args.command](args, cap)
+        job = _Job(args, cap)
+        report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK
-        if args.verify and args.command != "verify":
-            W = resolve_group(args.group, cap) if args.group else None
-            if W is not None:
-                ctx = None
-                if args.tau is not None:
-                    ctx, _ = _tau_context(args, W, cap)
-                k = resolve_parameter(W, args.k) if args.k is not None else None
-                results = verify_mod.run_suite(W, ctx, k, deep=args.deep)
-                report["invariants"] = results
-                if any(r["status"] != "pass" for r in results):
-                    exit_code = EXIT_VERIFY
+        if args.verify and args.command != "verify" and args.group:
+            results = job.invariants()
+            report["invariants"] = results
+            if any(r["status"] != "pass" for r in results):
+                exit_code = EXIT_VERIFY
         if args.command == "verify" and report.get("fail_count", 0) > 0:
             exit_code = EXIT_VERIFY
         text = emit(report, args.format, rows_key)

@@ -6,6 +6,13 @@ conductor containing the value (never N = 2 mod 4, where we rewrite into
 the odd conductor).  Two CycNums are equal as values iff their stored
 (conductor, coefficient map) agree, so they hash and sort canonically.
 
+Canonicalization reduces modulo Phi_N through a cache of reduced monomials
+and then descends one prime p of N at a time.  When p^2 | N the power basis
+of zeta_N is the tower basis over Q(zeta_(N/p)), so descent is read off the
+exponents (all divisible by p); when N = p it is the test "support is {0}".
+Only for p || N with N != p does descent run the Galois fixed-point test
+and a linear solver.
+
 Rationals are fractions.Fraction throughout; no floating point enters any
 computation.
 """
@@ -25,7 +32,8 @@ class ExactDomainError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # integer / polynomial helpers
 
-def _prime_factors(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     d = 2
     while d * d <= n:
@@ -36,7 +44,7 @@ def _prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def primes(count: int) -> list[int]:
@@ -85,40 +93,64 @@ def _phi_degree(n: int) -> int:
 
 
 def _reduce_mod_phi(coeffs: dict[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Reduce a zeta_n-polynomial to the power basis 1..zeta^(phi(n)-1)."""
+    """Reduce a zeta_n-polynomial to the power basis 1..zeta^(phi(n)-1).
+
+    Exponents below phi(n) are added in directly; every other one is
+    expanded through the cached reduced monomial.
+    """
     deg = _phi_degree(n)
-    work: dict[int, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for e, c in coeffs.items():
-        if c:
-            e %= n
-            work[e] = work.get(e, Fraction(0)) + c
-    phi = cyclotomic_poly(n)
-    while True:
-        high = [e for e in work if e >= deg and work[e]]
-        if not high:
-            break
-        e = max(high)
-        c = work.pop(e)
-        # zeta^e = -c * (lower terms of Phi) * zeta^(e-deg)
-        for j in range(deg):
-            pj = phi[j]
-            if pj:
-                work[e - deg + j] = work.get(e - deg + j, Fraction(0)) - c * pj
-    return {e: c for e, c in work.items() if c}
+        if not c:
+            continue
+        if isinstance(c, int):
+            c = Fraction(c)
+        e %= n
+        if e < deg:
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+            continue
+        for e2, f in _reduced_monomial(n, e):
+            prev = out.get(e2)
+            out[e2] = c * f if prev is None else prev + c * f
+    return {e: c for e, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _reduced_monomial(n: int, e: int) -> tuple[tuple[int, Fraction], ...]:
-    red = _reduce_mod_phi({e: Fraction(1)}, n)
-    return tuple(sorted(red.items()))
+def _reduced_monomial(n: int, e: int) -> tuple[tuple[int, int], ...]:
+    """zeta_n^e (0 <= e < n) over the power basis, as integer coefficients."""
+    deg = _phi_degree(n)
+    phi = cyclotomic_poly(n)
+    work = {e: 1}
+    while True:
+        high = [k for k in work if k >= deg and work[k]]
+        if not high:
+            break
+        k = max(high)
+        c = work.pop(k)
+        # zeta^k = -c * (lower terms of Phi) * zeta^(k-deg)
+        for j in range(deg):
+            if phi[j]:
+                work[k - deg + j] = work.get(k - deg + j, 0) - c * phi[j]
+    return tuple(sorted((k, c) for k, c in work.items() if c))
 
 
 def _apply_galois(coeffs: dict[int, Fraction], n: int, j: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for e, c in coeffs.items():
         for e2, f in _reduced_monomial(n, (j * e) % n):
-            out[e2] = out.get(e2, Fraction(0)) + c * f
+            prev = out.get(e2)
+            out[e2] = c * f if prev is None else prev + c * f
     return {e: c for e, c in out.items() if c}
+
+
+def _galois_fixed(coeffs: dict[int, Fraction], n: int, m: int) -> bool:
+    """True iff Gal(Q(zeta_n)/Q(zeta_m)), m | n, fixes the reduced element.
+
+    That is, iff the element lies in Q(zeta_m).
+    """
+    return all(_apply_galois(coeffs, n, j) == coeffs
+               for j in range(1 + m, n, m) if gcd(j, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +200,34 @@ def _descent_solver(n: int, m: int):
     return tuple(pivot_rows), inv_rows
 
 
+def _descend(coeffs: dict[int, Fraction], n: int, m: int) -> dict[int, Fraction]:
+    """Coordinates over the power basis of zeta_m of an element of Q(zeta_m)."""
+    pivot_rows, inv = _descent_solver(n, m)
+    cvec = [coeffs.get(r, Fraction(0)) for r in pivot_rows]
+    new = {}
+    for f, row in enumerate(inv):
+        val = sum((a * b for a, b in zip(row, cvec)), Fraction(0))
+        if val:
+            new[f] = val
+    return new
+
+
 def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Minimal-conductor canonical form (n never left = 2 mod 4, except n=1)."""
+    """Minimal-conductor canonical form (n never left = 2 mod 4, except n=1).
+
+    Descent by a prime p of n is read off the power basis where it can be:
+    if p^2 | n, then Phi_n(x) = Phi_(n/p)(x^p), so the basis zeta_n^e
+    (e < phi(n)) is the tower basis zeta_(n/p)^j zeta_n^r (r < p) and the
+    element lies in Q(zeta_(n/p)) iff every exponent is divisible by p, with
+    coordinates {e // p: c}; if n = p, it is rational iff its support is {0}.
+    Only for p || n with n != p does descent run the Galois fixed-point test
+    and the linear solver.
+    """
     coeffs = _reduce_mod_phi(coeffs, n)
+    if not coeffs:
+        return 1, coeffs
     while n > 1:
-        if n % 2 == 0 and (n // 2) % 2 == 1:
+        if n % 4 == 2:
             # zeta_n = -zeta_m^((m+1)/2) for odd m = n/2
             m = n // 2
             half = (m + 1) // 2
@@ -181,21 +236,22 @@ def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, F
                 if e % 2 == 1:
                     c = -c
                 e2 = (e * half) % m
-                nxt[e2] = nxt.get(e2, Fraction(0)) + c
+                prev = nxt.get(e2)
+                nxt[e2] = c if prev is None else prev + c
             n, coeffs = m, _reduce_mod_phi(nxt, m)
             continue
         for p in _prime_factors(n):
             m = n // p
-            subgroup = [j for j in range(1, n) if j % m == 1 % m and gcd(j, n) == 1 and j != 1]
-            if all(_apply_galois(coeffs, n, j) == coeffs for j in subgroup):
-                pivot_rows, inv = _descent_solver(n, m)
-                cvec = [coeffs.get(r, Fraction(0)) for r in pivot_rows]
-                new = {}
-                for f, row in enumerate(inv):
-                    val = sum((a * b for a, b in zip(row, cvec)), Fraction(0))
-                    if val:
-                        new[f] = val
-                n, coeffs = m, new
+            if m % p == 0:
+                if all(e % p == 0 for e in coeffs):
+                    n, coeffs = m, {e // p: c for e, c in coeffs.items()}
+                    break
+            elif m == 1:
+                if len(coeffs) == 1 and 0 in coeffs:
+                    n = 1
+                    break
+            elif _galois_fixed(coeffs, n, m):
+                n, coeffs = m, _descend(coeffs, n, m)
                 break
         else:
             break
@@ -308,7 +364,8 @@ class CycNum:
         n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
         a, b = self._promoted(n), other._promoted(n)
         for e, c in b.items():
-            a[e] = a.get(e, Fraction(0)) + c
+            prev = a.get(e)
+            a[e] = c if prev is None else prev + c
         return CycNum(n, a)
 
     def __radd__(self, other):
@@ -353,7 +410,8 @@ class CycNum:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = (e1 + e2) % n
-                prod[e] = prod.get(e, Fraction(0)) + c1 * c2
+                prev = prod.get(e)
+                prod[e] = c1 * c2 if prev is None else prev + c1 * c2
         return CycNum(n, prod)
 
     def __rmul__(self, other):
@@ -363,7 +421,7 @@ class CycNum:
         if self.is_zero():
             raise ExactDomainError("division by zero in Q(zeta)")
         if self.conductor == 1:
-            return CycNum(1, {0: 1 / self.as_fraction()})
+            return CycNum._make_rational(1 / self.as_fraction())
         return CycNum(self.conductor, _poly_ext_inverse(dict(self.coeffs), self.conductor))
 
     def __truediv__(self, other):

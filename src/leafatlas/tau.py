@@ -279,12 +279,15 @@ def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
 def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
     """First w (in element order) with dim V^(w tau) maximal; returns w*tau."""
     tau = la.mat(tau)
-    best = max(len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements)
+    best, best_dim = None, -1
     for g in W.elements:
         cand = la.mat_mul(g.mat, tau)
-        if len(la.fixed_space(cand)) == best:
-            return cand
-    raise TauError("unreachable")
+        dim = len(la.fixed_space(cand))
+        if dim > best_dim:
+            best, best_dim = cand, dim
+            if dim == W.dim:
+                break
+    return best
 
 
 def is_regular(ctx: TauContext) -> bool:

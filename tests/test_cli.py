@@ -236,3 +236,21 @@ def test_verify_flag_appends_invariants(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(r["status"] == "pass" for r in data["invariants"])
+
+
+def test_verify_flag_reuses_the_group_and_twist(capsys, monkeypatch):
+    from leafatlas import refgroup
+    argv = ["leaves-zero", "--group", "B2", "--tau", "identity"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    closures = []
+    close_group = refgroup.close_group
+    monkeypatch.setattr(refgroup, "close_group",
+                        lambda *a, **kw: closures.append(a) or close_group(*a, **kw))
+    code, out, _ = run_cli(capsys, *argv, "--verify")
+    assert code == 0
+    assert len(closures) == 1
+    data = json.loads(out)
+    suite = json.loads(run_cli(capsys, "verify", "--group", "B2", "--tau", "identity")[1])
+    assert data.pop("invariants") == suite["invariants"]
+    assert json.dumps(data, sort_keys=True) == json.dumps(json.loads(plain), sort_keys=True)

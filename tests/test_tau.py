@@ -75,6 +75,28 @@ def test_make_full_dihedral_rotation():
     assert len(la.fixed_space(full)) == 1
 
 
+@pytest.mark.parametrize("group,twist", [
+    ("B3", "neg"), ("dihedral4", "rotation"), ("D4", "neg"), ("G4", "zeta4"),
+])
+def test_make_full_is_first_maximal_in_one_scan(group, twist, monkeypatch):
+    W = catalog(group)
+    if twist == "neg":
+        tau = la.mat([[-1 if i == j else 0 for j in range(W.dim)] for i in range(W.dim)])
+    elif twist == "rotation":
+        tau = la.mat_mul(W.generators[0].mat, dihedral_tau(4))
+    else:
+        z4 = root_of_unity(4)
+        tau = tuple(tuple(z4 * x for x in row) for row in W.elements[1].mat)
+    # oracle: the maximal fixed dimension over the coset, then its first element
+    dims = [len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
+    expect = la.mat_mul(W.elements[dims.index(max(dims))].mat, tau)
+    calls = []
+    fixed_space = la.fixed_space
+    monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
+    assert make_full(W, tau) == expect
+    assert len(calls) <= W.order
+
+
 def test_regularity_cases():
     W = catalog("B2")
     assert is_regular(build_tau(W, la.identity(2)))
