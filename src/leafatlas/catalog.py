@@ -21,6 +21,16 @@ class CatalogError(Exception):
     pass
 
 
+# The tables report normalizer orders 2^n n!, which pass Python's 4300-digit
+# limit on int-to-str conversion from n = 1424 on.
+MAX_RANK = 1000
+
+
+def _check_rank(n: int, least: int, what: str) -> None:
+    if not least <= n <= MAX_RANK:
+        raise CatalogError(f"{what} needs {least} <= rank <= {MAX_RANK}")
+
+
 def _b_order(s: int) -> int:
     return 2 ** s * math.factorial(s)
 
@@ -89,8 +99,7 @@ def smooth_B(n: int, ratio) -> bool:
 
 def leaves_B(n: int, m: int) -> tuple[LeafRecordB, ...]:
     """Leaf table for the rank-n type-B space at integer ratio m >= 0."""
-    if n < 1:
-        raise CatalogError("rank must be positive")
+    _check_rank(n, 1, "type-B table")
     if m < 0:
         raise CatalogError("the ratio is normalized to be non-negative")
     out = []
@@ -113,8 +122,7 @@ def leaves_B(n: int, m: int) -> tuple[LeafRecordB, ...]:
 
 def leaves_D(n: int) -> tuple[LeafRecordD, ...]:
     """Leaf table for the rank-n type-D space (r = 1 is excluded)."""
-    if n < 4:
-        raise CatalogError("type-D table needs rank >= 4")
+    _check_rank(n, 4, "type-D table")
     out = []
     for r in [0] + [r for r in range(2, n + 1) if r * r <= n]:
         s = r * r
@@ -135,8 +143,7 @@ def leaves_D_tau_t(n: int) -> dict:
     """Correspondence report for the type-D space under the order-2 diagonal
     twist: the quotient identification, the leaf matching with the ratio-0
     type-B table, the fixed locus, and the twisted leaf list."""
-    if n < 4:
-        raise CatalogError("type-D report needs rank >= 4")
+    _check_rank(n, 4, "type-D report")
     d_rows = leaves_D(n)
     matching = [{"d_leaf": "S'_0", "b_leaves": ["S_0", "S_1"], "t_action": "free on the S_0 part, trivial on the S_1 part"}]
     for rec in d_rows:

@@ -34,7 +34,7 @@ from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup,
     catalog as group_catalog, close_group, dihedral_tau,
 )
-from .tau import TauContext, TauError, build_tau, is_regular, make_full, tau_from_word
+from .tau import TauContext, TauError, build_tau, is_regular, tau_from_word
 
 DEFAULT_CAP = 10 ** 6
 
@@ -258,8 +258,7 @@ def _tau_context(args, W) -> tuple[TauContext, dict]:
         if not ctx.is_full:
             if args.no_make_full:
                 raise SpecError("twist is not full (rerun without --no-make-full)")
-            mat = make_full(W, mat)
-            ctx = build_tau(W, mat)
+            ctx = build_tau(W, ctx.full_tau)
             adjusted = True
     except TauError as exc:
         raise SpecError(str(exc)) from exc
@@ -520,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--group", help="catalog name, inline JSON, or @file.json")
     p.add_argument("--tau", help="identity | neg | swap | diag-flip | JSON | @file")
-    p.add_argument("--k", help="zero | per-orbit lists '0,1;2,0' | @file.json")
+    p.add_argument("--k", help="zero | per-orbit lists '0,1;2,0' | @file.json; "
+                   "at most e values per orbit, short lists padded with zeros")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)

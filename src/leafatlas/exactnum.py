@@ -441,12 +441,6 @@ class CycNum:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CycNum":
-        """Complex conjugation (the Galois map zeta -> zeta^-1)."""
-        n = self.conductor
-        return CycNum(n, _apply_galois(dict(self.coeffs), n, n - 1) if n > 1
-                      else dict(self.coeffs))
-
     # -- comparison / hashing --------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, CycNum):
@@ -494,15 +488,6 @@ def root_of_unity(n: int, e: int = 1) -> CycNum:
     e %= n
     g = gcd(e, n) if e else n
     return CycNum(n // g, {e // g: Fraction(1)})
-
-
-def multiplicative_order(x: CycNum, cap: int = 10_000) -> int:
-    acc = x
-    for k in range(1, cap + 1):
-        if acc == _ONE:
-            return k
-        acc = acc * x
-    raise ExactDomainError("order exceeds cap (element may not be a root of unity)")
 
 
 # ---------------------------------------------------------------------------

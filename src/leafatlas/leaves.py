@@ -58,13 +58,6 @@ def strata_double(W: ReflectionGroup) -> tuple[Stratum, ...]:
     return tuple(out)
 
 
-def closure_leq(W: ReflectionGroup, lower: int, upper: int) -> bool:
-    """True iff the stratum of class `lower` lies in the closure of the
-    stratum of class `upper` (reverse inclusion of parabolics)."""
-    classes = W.parabolic_classes()
-    return any(P.inc <= Q.inc for Q in classes[lower].members for P in classes[upper].members)
-
-
 def tau_components(ctx: TauContext, cls: ParabolicClass):
     """Irreducible components of the tau-fixed part of one stratum, with the
     matching class of the induced group attached to each component."""

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over Q(zeta) scalars.
 
 Vectors are tuples of CycNum, matrices tuples of row tuples.  Subspaces are
-always carried as reduced-row-echelon bases, which doubles as a canonical
-key for dedup.  Everything is pure and deterministic.
+always carried as reduced-row-echelon bases, so equal subspaces have equal
+bases.  Everything is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -220,10 +220,6 @@ def fixed_space(m: Matrix) -> tuple[Vector, ...]:
 def left_fixed_space(m: Matrix) -> tuple[Vector, ...]:
     """Covectors c with c @ m = c (the fixed space of the dual action)."""
     return fixed_space(transpose(m))
-
-
-def subspace_key(basis: tuple[Vector, ...]) -> tuple:
-    return tuple(tuple(x.sort_key() for x in row) for row in basis)
 
 
 def annihilator(basis: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:

@@ -11,6 +11,7 @@ and the rank-two group generated by order-3 reflections on 4 hyperplanes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, isqrt
 
 from .exactnum import CycNum, _phi_degree, as_cyc, root_of_unity, primes
@@ -278,14 +279,17 @@ class ReflectionGroup:
         return self.pointwise_stabilizer((v,))
 
     def pointwise_stabilizer(self, basis) -> Parabolic:
-        """The pointwise stabilizer of span(basis).  By Steinberg's theorem it
-        is generated by the reflections whose hyperplanes contain the
-        subspace; this needs W to be generated by its reflections, which
-        close_group enforces."""
-        inc = self.incidence(basis)
-        chosen = [H for i, H in enumerate(self.hyperplanes) if i in inc]
-        keys = _close_keys(self, [s for s, H in self.reflections if H in chosen])
-        fixed = la.nullspace(tuple(H.alpha for H in chosen), self.dim)
+        """The pointwise stabilizer of span(basis)."""
+        return self._parabolic_of(self.incidence(basis))
+
+    def _parabolic_of(self, inc: frozenset[int]) -> Parabolic:
+        """The pointwise stabilizer of the flat cut out by the hyperplanes of
+        `inc`, which must be all the hyperplanes containing that flat.  By
+        Steinberg's theorem it is generated by their reflections; this needs
+        W to be generated by its reflections, which close_group enforces."""
+        keys = _close_keys(self, [s for s, H in self.reflections
+                                  if self._hyperplane_index[H.key] in inc])
+        fixed = la.nullspace(tuple(self.hyperplanes[i].alpha for i in sorted(inc)), self.dim)
         return Parabolic(self, [self.by_key[k] for k in keys], fixed,
                          self.witness_point(fixed), inc)
 
@@ -300,26 +304,35 @@ class ReflectionGroup:
         return frozenset(out)
 
     # -- intersection lattice and parabolic subgroups --------------------------------
-    def flats(self):
+    def flats(self) -> tuple[frozenset[int], ...]:
+        """The intersection lattice, each flat given by the indices of the
+        hyperplanes containing it.  It is grown from one representative per
+        W-orbit: for a representative I and a hyperplane j outside it, the
+        incidence set of the flat cut out by I and j is computed; one not met
+        before brings in its whole orbit under the generators' hyperplane
+        permutations and becomes a representative."""
         if self._flats is None:
-            full = la.identity(self.dim)
-            found = {la.subspace_key(full): full}
-            queue = [full]
-            while queue:
-                f = queue.pop()
-                for H in self.hyperplanes:
-                    inter = la.intersect(f, H.basis, self.dim)
-                    k = la.subspace_key(inter)
-                    if k not in found:
-                        found[k] = inter
-                        queue.append(inter)
-            self._flats = tuple(sorted(found.values(), key=la.subspace_key))
+            roots = [H.alpha for H in self.hyperplanes]
+            found = {frozenset()}
+            reps = [frozenset()]
+            for rep in reps:
+                covered = set(rep)
+                for j in range(len(roots)):
+                    if j in covered:
+                        continue
+                    inc = self.incidence(la.nullspace(
+                        tuple(roots[i] for i in sorted(rep | {j})), self.dim))
+                    covered |= inc
+                    if inc not in found:
+                        found.update(_orbit(inc, self._generator_perms))
+                        reps.append(inc)
+            self._flats = tuple(sorted(found, key=sorted))
         return self._flats
 
     def parabolic_subgroups(self) -> tuple[Parabolic, ...]:
         """Every parabolic subgroup (one per intersection-lattice flat)."""
         if self._parabolics is None:
-            out = [self.pointwise_stabilizer(f) for f in self.flats()]
+            out = [self._parabolic_of(inc) for inc in self.flats()]
             out.sort(key=lambda P: (-len(P.fixed_space), P.key))
             self._parabolics = tuple(out)
             self._parabolic_by_inc = {P.inc: P for P in out}
@@ -405,10 +418,6 @@ class CosetQuotient:
     @property
     def order(self) -> int:
         return len(self.cosets)
-
-    @property
-    def subgroup_order(self) -> int:
-        return len(self.subgroup_keys)
 
     def rep(self, idx: int) -> GroupElement:
         return self.cosets[idx][0]
@@ -559,33 +568,6 @@ def group_from_elements(dim: int, matrices, name: str = "") -> ReflectionGroup:
 
 
 # ---------------------------------------------------------------------------
-# group-algebra helpers
-
-def idempotent(W: ReflectionGroup, H: Hyperplane, j: int) -> dict[GroupElement, CycNum]:
-    """The primitive idempotent of the cyclic pointwise stabilizer of H."""
-    if not 0 <= j < H.e:
-        raise GroupError("idempotent index out of range")
-    inv_e = as_cyc(Fraction(1, H.e))
-    out = {}
-    for w in H.pointwise:
-        out[w] = inv_e * (W.det_character[w.key] ** j)
-    return out
-
-
-def group_algebra_mul(W: ReflectionGroup, A: dict, B: dict) -> dict:
-    out: dict[GroupElement, CycNum] = {}
-    for g, cg in A.items():
-        for h, ch in B.items():
-            gh = W.mul(g, h)
-            cur = out.get(gh, CycNum.zero()) + cg * ch
-            if cur.is_zero():
-                out.pop(gh, None)
-            else:
-                out[gh] = cur
-    return out
-
-
-# ---------------------------------------------------------------------------
 # parameters
 
 class ParameterK:
@@ -612,11 +594,16 @@ class ParameterK:
 
     @staticmethod
     def from_lists(W: ReflectionGroup, per_orbit: list[list]) -> "ParameterK":
+        """One list per hyperplane orbit, in orbit order, of at most e values
+        (e the orbit's order); a short list is padded with zeros."""
         vals = {}
-        orbit_ids = sorted({H.orbit_id for H in W.hyperplanes})
-        if len(per_orbit) != len(orbit_ids):
-            raise GroupError(f"expected {len(orbit_ids)} orbit value lists")
-        for oid, lst in zip(orbit_ids, per_orbit):
+        orbit_e = {H.orbit_id: H.e for H in W.hyperplanes}
+        if len(per_orbit) != len(orbit_e):
+            raise GroupError(f"expected {len(orbit_e)} orbit value lists")
+        for oid, lst in zip(sorted(orbit_e), per_orbit):
+            if len(lst) > orbit_e[oid]:
+                raise GroupError(f"orbit {oid} takes at most {orbit_e[oid]} values, "
+                                 f"got {len(lst)}")
             for j, v in enumerate(lst):
                 vals[(oid, j)] = as_cyc(v)
         return ParameterK(W, vals)
@@ -655,11 +642,26 @@ def _diag(entries) -> Matrix:
     return la.mat([[entries[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
 
-def _gdeen_generators(de: int, e: int, n: int) -> list[Matrix]:
+def _check_order(factors, divisor: int, order_cap: int) -> None:
+    """Raise CapExceededError when the product of factors (all >= 1), divided
+    by divisor, is above the cap; the product stops as soon as it is."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > order_cap * divisor:
+            raise CapExceededError("group too large or infinite")
+
+
+def _gdeen_generators(de: int, e: int, n: int, order_cap: int) -> list[Matrix]:
+    """Generators of G(de,e,n), after checking its order (de)^n n!/e against
+    the cap."""
     if min(de, e, n) < 1:
         raise GroupError("G(de,e,n) needs de, e, n >= 1")
     if de % e:
         raise GroupError("e must divide de in G(de,e,n)")
+    if e > 1 and n < 2:
+        raise GroupError("G(de,e,1) needs e = 1 form; use cyclic(d)")
+    _check_order(chain(repeat(de, n), range(2, n + 1)), e, order_cap)
     d = de // e
     gens: list[Matrix] = []
     for j in range(n - 1):
@@ -667,8 +669,6 @@ def _gdeen_generators(de: int, e: int, n: int) -> list[Matrix]:
     if d > 1:
         gens.append(_diag([root_of_unity(d)] + [1] * (n - 1)))
     if e > 1:
-        if n < 2:
-            raise GroupError("G(de,e,1) needs e = 1 form; use cyclic(d)")
         z = root_of_unity(de)
         twisted = [[CycNum.zero() for _ in range(n)] for _ in range(n)]
         twisted[0][1] = z.inverse()
@@ -709,7 +709,8 @@ def _g4_generators() -> list[Matrix]:
 
 
 def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
-    """Build a named group: B(n), D(n), G4, dihedral(d), cyclic(e), G(de,e,n)."""
+    """Build a named group: B(n), D(n), G4, dihedral(d), cyclic(e), G(de,e,n).
+    Each order has a closed form, checked against the cap before any closure."""
     import re as _re
     s = name.strip().replace(" ", "")
     m = _re.fullmatch(r"[Bb]\(?(\d+)\)?", s)
@@ -717,27 +718,31 @@ def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
         n = int(m.group(1))
         if n < 1:
             raise GroupError("B(n) needs n >= 1")
-        return close_group(_gdeen_generators(2, 1, n), order_cap, name=f"B{n}")
+        return close_group(_gdeen_generators(2, 1, n, order_cap), order_cap, name=f"B{n}")
     m = _re.fullmatch(r"[Dd]\(?(\d+)\)?", s)
     if m:
         n = int(m.group(1))
         if n < 2:
             raise GroupError("D(n) needs n >= 2")
-        return close_group(_gdeen_generators(2, 2, n), order_cap, name=f"D{n}")
+        return close_group(_gdeen_generators(2, 2, n, order_cap), order_cap, name=f"D{n}")
     m = _re.fullmatch(r"(?:dihedral|dih)\(?(\d+)\)?", s, _re.IGNORECASE)
     if m:
         d = int(m.group(1))
         if d < 2:
             raise GroupError("dihedral(d) needs d >= 2")
+        _check_order([2 * d], 1, order_cap)
         return close_group(_dihedral_generators(d), order_cap, name=f"dihedral{d}")
     m = _re.fullmatch(r"(?:cyclic|mu)\(?(\d+)\)?", s, _re.IGNORECASE)
     if m:
         e = int(m.group(1))
+        _check_order([e], 1, order_cap)
         return close_group([_diag([root_of_unity(e)])], order_cap, name=f"cyclic{e}")
     if s.upper() == "G4":
+        _check_order([24], 1, order_cap)
         return close_group(_g4_generators(), order_cap, name="G4")
     m = _re.fullmatch(r"[Gg]\((\d+),(\d+),(\d+)\)", s)
     if m:
         de, e, n = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        return close_group(_gdeen_generators(de, e, n), order_cap, name=f"G({de},{e},{n})")
+        return close_group(_gdeen_generators(de, e, n, order_cap), order_cap,
+                           name=f"G({de},{e},{n})")
     raise GroupError(f"unknown group name: {name!r}")

@@ -75,16 +75,25 @@ class TauContext:
             raise TauError("twist has infinite order")
         self.tau_perm = W.hyperplane_perm(tau)
         self.v_tau = la.fixed_space(tau)
-        self.delta = max(len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements)
+        self.full_tau, self.delta = _max_fixed_twist(W, tau)
         self.is_full = self.delta == len(self.v_tau)
-        self.setwise_keys = W.setwise_stabilizer_keys(self.v_tau)
-        self._build_quotient()
         self._splits = None
         self._split_orbits = None
         self._twists: dict = {}
 
     # -- the reflection group on V^tau ---------------------------------------
+    _QUOTIENT = frozenset({"setwise_keys", "basis_matrix", "w_tau", "section", "restriction"})
+
+    def __getattr__(self, name):
+        # the setwise stabilizer of V^tau and the induced group are built on
+        # first use, so a context read only for `is_full` never builds them
+        if name not in TauContext._QUOTIENT:
+            raise AttributeError(name)
+        self._build_quotient()
+        return getattr(self, name)
+
     def _build_quotient(self):
+        self.setwise_keys = self.W.setwise_stabilizer_keys(self.v_tau)
         d = len(self.v_tau)
         if d == 0:
             bmat: Matrix = ()
@@ -201,25 +210,18 @@ class TauContext:
             return result
         members = [idx for idx in range(N.order) if self.meets_stratum(P, N.rep(idx))]
         member_set = set(members)
+        # N/P acts on the cosets by a.u = a u tau(a)^-1, so the orbit of u is
+        # its image under every coset representative a
+        action = [(a, self.W.inv(self.tau_conj(a))) for a in map(N.rep, range(N.order))]
         classes = []
         seen: set[int] = set()
         for idx in members:
             if idx in seen:
                 continue
-            orbit = {idx}
-            queue = [idx]
-            while queue:
-                cur = queue.pop()
-                u = N.rep(cur)
-                for j in range(N.order):
-                    a = N.rep(j)
-                    moved = self.W.mul(self.W.mul(a, u), self.W.inv(self.tau_conj(a)))
-                    midx = N.coset_of(moved)
-                    if midx not in orbit:
-                        if midx not in member_set:
-                            raise TauError("twist-coset orbit left the member set")
-                        orbit.add(midx)
-                        queue.append(midx)
+            u = N.rep(idx)
+            orbit = {N.coset_of(self.W.mul(self.W.mul(a, u), b)) for a, b in action}
+            if not orbit <= member_set:
+                raise TauError("twist-coset orbit left the member set")
             seen |= orbit
             classes.append(TwistClass(P, orbit, min(N.rep(i).key for i in orbit)))
         classes.sort(key=lambda c: c.rep_key)
@@ -278,7 +280,13 @@ def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
 
 def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
     """First w (in element order) with dim V^(w tau) maximal; returns w*tau."""
-    tau = la.mat(tau)
+    return _max_fixed_twist(W, la.mat(tau))[0]
+
+
+def _max_fixed_twist(W: ReflectionGroup, tau: Matrix) -> tuple[Matrix, int]:
+    """(w*tau, delta): delta is the largest dim V^(g tau) over g in W, and w
+    the first element (in element order) reaching it.  One scan of W, which
+    stops at a full-dimensional fixed space."""
     best, best_dim = None, -1
     for g in W.elements:
         cand = la.mat_mul(g.mat, tau)
@@ -287,7 +295,7 @@ def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
             best, best_dim = cand, dim
             if dim == W.dim:
                 break
-    return best
+    return best, best_dim
 
 
 def is_regular(ctx: TauContext) -> bool:

@@ -140,10 +140,23 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["leaves-zero", "--group", "B2", "--tau", '{"word":5}'],
     ["leaves-zero", "--group", "B2", "--tau", '{"word":[[0]]}'],
     ["verify", "--group", "B2", "--k", '{"orbits":[5,6]}'],
+    ["catalog-B", "--n", "3000", "--m", "0"],
+    ["catalog-D", "--n", "3000"],
+    ["catalog-B", "--n", "100000", "--m", "0"],
+    ["cherednik-check", "--group", "cyclic2", "--k", "1,0,0,5"],
 ])
 def test_malformed_shapes_exit2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("group", ["dihedral1000000", "B12"])
+def test_oversized_catalog_group_exit3_quickly(capsys, group):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "reflections", "--group", group)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
     _assert_one_line_error(err)
 
 
@@ -254,3 +267,27 @@ def test_verify_flag_reuses_the_group_and_twist(capsys, monkeypatch):
     suite = json.loads(run_cli(capsys, "verify", "--group", "B2", "--tau", "identity")[1])
     assert data.pop("invariants") == suite["invariants"]
     assert json.dumps(data, sort_keys=True) == json.dumps(json.loads(plain), sort_keys=True)
+
+
+def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch):
+    # B3 neg is not full: the context of -1 is read only for its fullness,
+    # and the setwise stabilizer of V^tau and W_tau are built once, for the
+    # adjusted twist (normalizers also scan setwise, so they are subtracted)
+    from leafatlas import refgroup, tau
+    calls = {"setwise": 0, "normalizer": 0, "induced": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+    RG = refgroup.ReflectionGroup
+    monkeypatch.setattr(RG, "setwise_stabilizer_keys",
+                        counted("setwise", RG.setwise_stabilizer_keys))
+    monkeypatch.setattr(RG, "normalizer", counted("normalizer", RG.normalizer))
+    monkeypatch.setattr(tau, "group_from_elements",
+                        counted("induced", tau.group_from_elements))
+    code, out, _ = run_cli(capsys, "leaves-zero", "--group", "B3", "--tau", "neg")
+    assert code == 0 and json.loads(out)["tau_full_adjusted"]
+    assert calls["induced"] == 1
+    assert calls["setwise"] - calls["normalizer"] == 1

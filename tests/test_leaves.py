@@ -5,8 +5,7 @@ from pathlib import Path
 from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
-    closure_leq, leaf_report,
-    leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
+    leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
     tau_components,
 )
 from leafatlas.refgroup import catalog, dihedral_tau
@@ -37,15 +36,6 @@ def test_double_stratum_dimension_is_twice_fixed_dim():
         singles = {s.parabolic_class: s for s in strata_single(W)}
         for s in strata_double(W):
             assert s.dimension == 2 * singles[s.parabolic_class].dimension
-
-
-def test_closure_order():
-    W = catalog("B2")
-    classes = W.parabolic_classes()
-    open_id = next(c.class_id for c in classes if c.representative.order == 1)
-    closed_id = next(c.class_id for c in classes if c.representative.order == W.order)
-    assert closure_leq(W, closed_id, open_id)
-    assert not closure_leq(W, open_id, closed_id)
 
 
 def test_leaves_identity_b2():

@@ -1,15 +1,12 @@
 """Reflection-group machinery: closure, reflections, parabolics, normalizers."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafatlas import linalg as la
-from leafatlas.exactnum import CycNum, as_cyc
+from leafatlas.exactnum import as_cyc
 from leafatlas.refgroup import (
-    GroupError, ParameterK, _rank_one_shift, catalog, close_group, group_algebra_mul,
-    idempotent,
+    GroupError, ParameterK, _rank_one_shift, catalog, close_group,
 )
 from leafatlas.verify import _reflection_closure_order, run_suite
 
@@ -194,28 +191,40 @@ def test_hyperplane_pointwise_cyclic():
             assert max(orders) == H.e  # cyclic of order e_H has a generator
 
 
-def test_idempotents_e2():
-    W = catalog("cyclic2")
-    H = W.hyperplanes[0]
-    s = next(g for g in W.elements if g != W.identity)
-    e0 = idempotent(W, H, 0)
-    e1 = idempotent(W, H, 1)
-    assert e0[W.identity] == as_cyc(Fraction(1, 2)) and e0[s] == as_cyc(Fraction(1, 2))
-    assert e1[W.identity] == as_cyc(Fraction(1, 2)) and e1[s] == as_cyc(Fraction(-1, 2))
-    assert group_algebra_mul(W, e0, e0) == e0
-    assert group_algebra_mul(W, e0, e1) == {}
+def _intersection_walk(W):
+    """The intersection lattice by intersecting every flat with every
+    hyperplane, keyed by RREF basis (the oracle for `flats`)."""
+    def subspace_key(basis):
+        return tuple(tuple(x.sort_key() for x in row) for row in basis)
+    full = la.identity(W.dim)
+    found = {subspace_key(full): full}
+    queue = [full]
+    while queue:
+        f = queue.pop()
+        for H in W.hyperplanes:
+            inter = la.intersect(f, H.basis, W.dim)
+            k = subspace_key(inter)
+            if k not in found:
+                found[k] = inter
+                queue.append(inter)
+    return tuple(sorted(found.values(), key=subspace_key))
 
 
-def test_idempotents_sum_to_identity():
-    for name in ("B2", "G4"):
-        W = catalog(name)
-        H = W.hyperplanes[0]
-        total = {}
-        for j in range(H.e):
-            for g, c in idempotent(W, H, j).items():
-                total[g] = total.get(g, CycNum.zero()) + c
-        total = {g: c for g, c in total.items() if not c.is_zero()}
-        assert total == {W.identity: as_cyc(1)}
+def _assert_flats_match_walk(W):
+    flats = W.flats()
+    assert len(set(flats)) == len(flats)
+    assert set(flats) == {W.incidence(f) for f in _intersection_walk(W)}
+    assert {P.inc for P in W.parabolic_subgroups()} == set(flats)
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
+def test_flats_match_intersection_walk(name):
+    _assert_flats_match_walk(catalog(name))
+
+
+def test_flats_match_intersection_walk_on_twists(pair_contexts):
+    for ctx in pair_contexts.values():
+        _assert_flats_match_walk(ctx.w_tau)
 
 
 def test_stabilizer_examples():
@@ -300,7 +309,7 @@ def test_normalizer_b4_type_b1_is_b3():
     P = W.pointwise_stabilizer(basis)
     assert P.order == 2
     N = W.normalizer(P)
-    assert N.subgroup_order // P.order == 48
+    assert len(N.subgroup_keys) // P.order == 48
     assert N.order == 48
 
 

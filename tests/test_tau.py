@@ -238,6 +238,36 @@ def test_split_data_matches_elementwise_conjugation(pair_contexts):
                 assert N.coset_of(w) in classes[ci].coset_indices, name
 
 
+def test_twist_classes_match_queue_orbits(pair_contexts):
+    # the one-pass orbits against orbits closed by a queue that applies every
+    # coset representative to every member found
+    for name, ctx in pair_contexts.items():
+        W = ctx.W
+        for P in W.parabolic_subgroups():
+            N, classes = ctx.twist_classes(P)
+            if not ctx.normalizes(P):
+                assert classes == (), name
+                continue
+            members = {idx for idx in range(N.order) if ctx.meets_stratum(P, N.rep(idx))}
+            expected = set()
+            while members - set().union(*expected):
+                start = min(members - set().union(*expected))
+                orbit, queue = {start}, [start]
+                while queue:
+                    u = N.rep(queue.pop())
+                    for j in range(N.order):
+                        a = N.rep(j)
+                        moved = N.coset_of(W.mul(W.mul(a, u), W.inv(ctx.tau_conj(a))))
+                        if moved not in orbit:
+                            orbit.add(moved)
+                            queue.append(moved)
+                assert orbit <= members, name
+                expected.add(frozenset(orbit))
+            assert {frozenset(c.coset_indices) for c in classes} == expected, name
+            assert [c.rep_key for c in classes] == sorted(
+                min(N.rep(i).key for i in orbit) for orbit in expected), name
+
+
 def test_normalizer_identification():
     W = catalog("D3")
     ctx = build_tau(W, _diag_flip(3))
