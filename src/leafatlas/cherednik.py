@@ -645,7 +645,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
         coeff = Poly2.const(1)
         a = [0] * alg.n
         b = [0] * alg.n
-        wkeys: list[str] = []
+        g = alg.W.identity
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
@@ -673,7 +673,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                         gi = int(tok[1:])
                         if gi >= len(alg.W.generators):
                             raise CherednikError(f"generator index {gi} out of range")
-                        wkeys.append(alg.W.generators[gi].key)
+                        g = alg.W.mul(g, alg.W.generators[gi])
             elif m.group(7) is not None:
                 power = int(m.group(8) or 1)
                 coeff = coeff * (Poly2.t(power) if m.group(7) == "t" else Poly2.h(power))
@@ -682,9 +682,6 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                     coeff = coeff * Poly2.const(cyc_parse(factor))
                 except ExactDomainError as exc:
                     raise CherednikError(str(exc)) from exc
-        g = alg.W.identity
-        for wk in wkeys:
-            g = alg.W.mul(g, alg.W.by_key[wk])
         # letters were accumulated in commuting blocks, so the order x / w / y
         # is imposed by multiplying the three normal-ordered pieces
         zero = (0,) * alg.n
@@ -702,14 +699,11 @@ def _coeff_str(c: CycNum) -> str:
     return f"({cyc_to_str(c)})"
 
 
-def format_element(e: CherElement, generator_words: dict[str, str] | None = None) -> str:
-    """Canonical literal form; group elements print as w(<key>) unless a
-    word table is supplied."""
+def format_element(e: CherElement) -> str:
+    """Canonical literal form; group elements print as their generator words."""
     if e.is_zero():
         return "(0)"
-    alg = e.algebra
-    if generator_words is None:
-        generator_words = _generator_word_table(alg.W)
+    W = e.algebra.W
     parts = []
     for mono in sorted(e.terms, key=lambda m: (-(sum(m[0]) + sum(m[2])), m[0], m[2], m[1])):
         a, wk, b = mono
@@ -724,28 +718,12 @@ def format_element(e: CherElement, generator_words: dict[str, str] | None = None
             for i, p in enumerate(a):
                 if p:
                     factors.append(f"x{i+1}" if p == 1 else f"x{i+1}^{p}")
-            word = generator_words.get(wk)
-            if word is None:
+            g = W.by_key.get(wk)
+            if g is None:
                 raise CherednikError("group element has no generator word")
-            factors.append(f"w({word or 'e'})")
+            factors.append(f"w({' '.join(f'g{j}' for j in W.words[g.id]) or 'e'})")
             for i, p in enumerate(b):
                 if p:
                     factors.append(f"y{i+1}" if p == 1 else f"y{i+1}^{p}")
             parts.append(" * ".join(factors))
     return " + ".join(parts)
-
-
-def _generator_word_table(W: ReflectionGroup) -> dict[str, str]:
-    table = {W.identity.key: ""}
-    frontier = [(W.identity, "")]
-    while frontier:
-        nxt = []
-        for g, word in frontier:
-            for i, h in enumerate(W.generators):
-                prod = W.mul(g, h)
-                if prod.key not in table:
-                    w2 = (word + f" g{i}").strip()
-                    table[prod.key] = w2
-                    nxt.append((prod, w2))
-        frontier = nxt
-    return table

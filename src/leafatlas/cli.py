@@ -9,6 +9,8 @@ runs and thread settings.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -192,10 +194,14 @@ def emit(report: dict, fmt: str, rows_key: str | None = None) -> str:
         if not rows:
             return ""
         cols = list(rows[0].keys())
-        lines = [",".join(cols)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
         for row in rows:
-            lines.append(",".join(str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+            writer.writerow(json.dumps(v, sort_keys=True, separators=(",", ":"))
+                            if isinstance(v, (dict, list)) else str(v)
+                            for v in (row[c] for c in cols))
+        return buf.getvalue()
     if fmt == "text":
         return _text_render(report)
     raise SpecError(f"unknown format {fmt!r}")
@@ -563,17 +569,21 @@ def resolve_args(argv) -> argparse.Namespace:
         args.format = "json"
     if args.threads is not None and args.threads < 1:
         raise SpecError("--threads must be at least 1")
+    if args.cap is None:
+        env_cap = os.environ.get("LEAFATLAS_CAP")
+        try:
+            args.cap = int(env_cap) if env_cap else DEFAULT_CAP
+        except ValueError as exc:
+            raise SpecError("LEAFATLAS_CAP must be an integer") from exc
+    if args.cap < 1:
+        raise SpecError("the order cap must be at least 1")
     return args
 
 
 def run(argv) -> int:
     try:
         args = resolve_args(argv)
-        cap = args.cap
-        if cap is None:
-            env_cap = os.environ.get("LEAFATLAS_CAP")
-            cap = int(env_cap) if env_cap else DEFAULT_CAP
-        job = _Job(args, cap)
+        job = _Job(args, args.cap)
         report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK
         if args.verify and args.command != "verify" and args.group:
@@ -585,8 +595,11 @@ def run(argv) -> int:
             exit_code = EXIT_VERIFY
         text = emit(report, args.format, rows_key)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SpecError(f"cannot write {args.output}: {exc.strerror}") from exc
         else:
             sys.stdout.write(text)
         return exit_code

@@ -10,7 +10,9 @@ and the rank-two group generated by order-3 reflections on 4 hyperplanes.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, isqrt
 
@@ -30,12 +32,13 @@ class CapExceededError(GroupError):
 
 
 class GroupElement:
-    __slots__ = ("mat", "key", "_hash")
+    __slots__ = ("mat", "key", "_hash", "id")
 
     def __init__(self, mat: Matrix):
         self.mat = mat
         self.key = f"{len(mat)}|" + ";".join(x.sort_key() for row in mat for x in row)
         self._hash = hash(self.key)
+        self.id = -1            # index in the closure of its group; -1 in none
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.key == other.key
@@ -115,17 +118,34 @@ def _rank_one_shift(m: Matrix) -> bool:
 
 
 class ReflectionGroup:
-    def __init__(self, dim: int, elements, generators, name: str = ""):
+    """The group generated by finite-order matrices s_0..s_(n-1), enumerated
+    by one breadth-first closure.  An element's `id` is its discovery index,
+    and the closure is a tree: `_right[g*n + j]` is the id of g*s_j, and
+    `_steps[g] = p*n + j` when g was first met as p*s_j."""
+
+    def __init__(self, dim: int, generators, order_cap: int = DEFAULT_ORDER_CAP,
+                 name: str = ""):
         self.dim = dim
         self.name = name
-        self.elements: tuple[GroupElement, ...] = tuple(sorted(elements, key=lambda g: g.key))
-        self.by_key = {g.key: g for g in self.elements}
-        self.generators: tuple[GroupElement, ...] = tuple(generators)
-        self.identity = GroupElement(la.identity(dim))
-        if self.identity.key not in self.by_key:
-            raise GroupError("identity missing from element set")
-        self._inv: dict[str, GroupElement] = {}
-        self._mul: dict[tuple[str, str], GroupElement] = {}
+        n = len(generators)
+        self.identity = one = GroupElement(la.identity(dim))
+        one.id = 0
+        self.by_key = {one.key: one}
+        self._by_id = [one]
+        self._right, self._steps = array("l"), array("l", [-1])
+        for cur in self._by_id:
+            for j, s in enumerate(generators):
+                g = GroupElement(la.mat_mul(cur.mat, s))
+                g = self.by_key.setdefault(g.key, g)
+                if g.id < 0:
+                    if len(self._by_id) >= order_cap:
+                        raise CapExceededError("group too large or infinite")
+                    g.id = len(self._by_id)
+                    self._by_id.append(g)
+                    self._steps.append(cur.id * n + j)
+                self._right.append(g.id)
+        self.elements: tuple[GroupElement, ...] = tuple(sorted(self._by_id, key=lambda g: g.key))
+        self.generators = tuple(self._by_id[i] for i in self._right[:n])
         self._reflections = None
         self._hyperplanes = None
         self._det = None
@@ -137,34 +157,59 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    # -- basic group operations ------------------------------------------------
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        cached = self._mul.get((g.key, h.key))
-        if cached is not None:
-            return cached
-        m = la.mat_mul(g.mat, h.mat)
-        out = self.by_key.get(GroupElement(m).key)
-        if out is None:
-            raise GroupError("product left the enumerated group")
-        self._mul[(g.key, h.key)] = out
+    # -- the closure tree ---------------------------------------------------------
+    def _along_tree(self, first, step) -> list:
+        """Per id: `first` at the identity and step(value at p, j) at p*s_j."""
+        n, out = len(self.generators), [first]
+        for s in self._steps[1:]:
+            out.append(step(out[s // n], s % n))
         return out
 
+    @cached_property
+    def words(self) -> list[tuple[int, ...]]:
+        """Per id, the generator indices of the element's tree path, a shortest word."""
+        return self._along_tree((), lambda w, j: w + (j,))
+
+    @cached_property
+    def _inverses(self) -> list[GroupElement]:
+        # (p s_j)^-1 = s_j^-1 p^-1, and s_j^-1 is the one x with x s_j = 1
+        n = len(self.generators)
+        s_inv = [self._by_id[self._right[j::n].index(0)] for j in range(n)]
+        return self._along_tree(self.identity, lambda x, j: self.mul(s_inv[j], x))
+
+    @cached_property
+    def hyperplane_perms(self) -> list[tuple[int, ...]]:
+        """Per id, the element's `hyperplane_perm`."""
+        start = tuple(range(len(self.hyperplanes)))
+        return self._along_tree(start, lambda q, j: tuple(q[i] for i in self._generator_perms[j]))
+
+    def index(self, g: GroupElement) -> int:
+        """The id of g, which must be this group's own element."""
+        if 0 <= g.id < len(self._by_id) and self._by_id[g.id] is g:
+            return g.id
+        raise GroupError("element is not in the enumerated group")
+
+    def extend(self, images) -> list[GroupElement]:
+        """Per id, the image of the element under the endomorphism of W sending
+        generator j to images[j] (conjugation by a normalizing matrix, say)."""
+        return self._along_tree(self.identity, lambda x, j: self.mul(x, images[j]))
+
+    # -- basic group operations ------------------------------------------------
+    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """g*h: g's id moved along h's word through the table of g*s_j."""
+        a, right, n = self.index(g), self._right, len(self.generators)
+        for j in self.words[self.index(h)]:
+            a = right[a * n + j]
+        return self._by_id[a]
+
     def inv(self, g: GroupElement) -> GroupElement:
-        cached = self._inv.get(g.key)
-        if cached is None:
-            cached = self.by_key[GroupElement(la.mat_inverse(g.mat)).key]
-            self._inv[g.key] = cached
-        return cached
+        return self._inverses[self.index(g)]
 
     def conj(self, g: GroupElement, by: GroupElement) -> GroupElement:
         return self.mul(self.mul(by, g), self.inv(by))
 
     def element_order(self, g: GroupElement) -> int:
-        acc, k = g, 1
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            k += 1
-        return k
+        return len(_close_keys(self, [g]))
 
     # -- reflections and hyperplanes --------------------------------------------
     def _compute_reflections(self):
@@ -187,9 +232,8 @@ class ReflectionGroup:
         ordered = tuple(sorted(hyps.values(), key=lambda H: H.key))
         # g != 1 fixing H pointwise has rank(g - 1) = 1, so it is a reflection
         # bucketed under H: the pointwise stabilizer is read off the list
-        one = self.by_key[self.identity.key]
         for H in ordered:
-            H.pointwise = tuple(sorted([one] + [g for g, K in refl if K is H],
+            H.pointwise = tuple(sorted([self.identity] + [g for g, K in refl if K is H],
                                        key=lambda g: g.key))
             H.e = len(H.pointwise)
         self._hyperplanes = ordered
@@ -378,8 +422,11 @@ class ReflectionGroup:
 
     # -- normalizers -------------------------------------------------------------
     def normalizer(self, P: Parabolic) -> "CosetQuotient":
-        nkeys = self.setwise_stabilizer_keys(P.fixed_space)
-        return CosetQuotient(self, sorted(nkeys), P)
+        """N_W(P): the g with g V^P = V^P, that is (Steinberg's theorem) the g
+        whose hyperplane permutation maps P.inc onto itself."""
+        inc = P.inc
+        return CosetQuotient(self, sorted(g.key for g, q in zip(self._by_id, self.hyperplane_perms)
+                                          if all(q[i] in inc for i in inc)), P)
 
 
 class ParabolicClass:
@@ -408,9 +455,7 @@ class CosetQuotient:
                 continue
             g = group.by_key[k]
             keys = sorted(group.mul(g, p).key for p in P.elements)
-            idx = len(cosets)
-            for ck in keys:
-                assigned[ck] = idx
+            assigned.update(dict.fromkeys(keys, len(cosets)))
             cosets.append((group.by_key[keys[0]], frozenset(keys)))
         self.cosets = tuple(cosets)
         self.key_to_coset = assigned
@@ -424,12 +469,6 @@ class CosetQuotient:
 
     def coset_of(self, g: GroupElement) -> int:
         return self.key_to_coset[g.key]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.coset_of(self.group.mul(self.rep(i), self.rep(j)))
-
-    def inv(self, i: int) -> int:
-        return self.coset_of(self.group.inv(self.rep(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,41 +568,28 @@ def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
         m = la.mat(m)
         if la.det(m).is_zero():
             raise GroupError(f"generator {i} is singular")
-        gens.append(GroupElement(m))
-    ident = GroupElement(la.identity(dim))
-    bound = _finite_order_bound(dim, [g.mat for g in gens])
+        gens.append(m)
+    bound = _finite_order_bound(dim, gens)
     for i, g in enumerate(gens):
-        if _matrix_order(g.mat, min(bound, order_cap)) is None:
+        if _matrix_order(g, min(bound, order_cap)) is None:
             if bound <= order_cap:
                 raise GroupError(f"generator {i} has infinite order")
             raise CapExceededError("group too large or infinite")
-    found = {ident.key: ident}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = GroupElement(la.mat_mul(cur.mat, g.mat))
-            if nxt.key not in found:
-                if len(found) >= order_cap:
-                    raise CapExceededError("group too large or infinite")
-                found[nxt.key] = nxt
-                queue.append(nxt)
-    W = ReflectionGroup(dim, found.values(), gens, name=name)
+    W = ReflectionGroup(dim, gens, order_cap, name=name)
     if not W.generated_by_reflections():
         raise GroupError("group is not generated by its reflections")
     return W
 
 
 def group_from_elements(dim: int, matrices, name: str = "") -> ReflectionGroup:
-    """Wrap an already-closed set of matrices (used for restricted actions).
-    Its generators are its reflections when they generate it, and all of its
-    elements otherwise; they are set before the hyperplane orbits, which they
-    define, are computed."""
-    W = ReflectionGroup(dim, {GroupElement(la.mat(m)) for m in matrices}, [], name=name)
-    gens = [g for g in W.elements if _rank_one_shift(g.mat)]
-    if len(_close_keys(W, gens)) != W.order:
-        gens = list(W.elements)
-    W.generators = tuple(gens)
+    """The group of an already-closed set of matrices (used for restricted
+    actions), closed from its reflections when they generate it and from all
+    of its elements otherwise."""
+    given = {GroupElement(m).key: m for m in map(la.mat, matrices)}
+    mats = [given[k] for k in sorted(given)]
+    W = ReflectionGroup(dim, [m for m in mats if _rank_one_shift(m)], len(mats), name=name)
+    if W.order != len(mats):
+        W = ReflectionGroup(dim, mats, len(mats), name=name)
     return W
 
 

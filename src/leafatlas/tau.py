@@ -25,14 +25,14 @@ class TauError(Exception):
 
 def tau_from_word(W: ReflectionGroup, word: list[int], zeta: CycNum | None = None) -> Matrix:
     """Expand a (word in generators, root of unity) twist spec to a matrix."""
-    m = la.identity(W.dim)
+    g = W.identity
     for idx in word:
         if not 0 <= idx < len(W.generators):
             raise TauError(f"generator index {idx} out of range")
-        m = la.mat_mul(m, W.generators[idx].mat)
+        g = W.mul(g, W.generators[idx])
     if zeta is not None and not (zeta == as_cyc(1)):
-        m = tuple(tuple(zeta * x for x in row) for row in m)
-    return m
+        return tuple(tuple(zeta * x for x in row) for row in g.mat)
+    return g.mat
 
 
 class SplitParabolic:
@@ -65,11 +65,12 @@ class TauContext:
         if la.det(tau).is_zero():
             raise TauError("twist matrix is singular")
         self.tau = tau
-        self.tau_inv = la.mat_inverse(tau)
-        for g in W.generators:
-            conj = la.mat_mul(la.mat_mul(tau, g.mat), self.tau_inv)
-            if GroupElement(conj).key not in W.by_key:
-                raise TauError("twist does not normalize the group")
+        tau_inv = la.mat_inverse(tau)
+        images = [W.by_key.get(GroupElement(la.mat_mul(la.mat_mul(tau, g.mat), tau_inv)).key)
+                  for g in W.generators]
+        if None in images:
+            raise TauError("twist does not normalize the group")
+        self._tau_images = W.extend(images)     # tau g tau^-1 for every g, by id
         self.order = _matrix_order(tau, _finite_order_bound(W.dim, [tau]))
         if self.order is None:
             raise TauError("twist has infinite order")
@@ -93,7 +94,12 @@ class TauContext:
         return getattr(self, name)
 
     def _build_quotient(self):
-        self.setwise_keys = self.W.setwise_stabilizer_keys(self.v_tau)
+        # g V^tau = V^tau iff g tau(g)^-1 = g tau g^-1 tau^-1 fixes V^tau
+        # pointwise (then g^-1 V^tau lies in V^tau), i.e. lies in Z = W_(V^tau)
+        W = self.W
+        Z = W.pointwise_stabilizer(self.v_tau).element_keys
+        self.setwise_keys = frozenset(g.key for g in W.elements
+                                      if W.mul(g, W.inv(self.tau_conj(g))).key in Z)
         d = len(self.v_tau)
         if d == 0:
             bmat: Matrix = ()
@@ -119,12 +125,8 @@ class TauContext:
         self.section = {rk: self.W.by_key[min(ks)] for rk, ks in restricted.items()}
         self.restriction = {k: rk for rk, ks in restricted.items() for k in ks}
 
-    def restrict_key(self, key: str) -> str:
-        return self.restriction[key]
-
     def tau_conj(self, g: GroupElement) -> GroupElement:
-        m = la.mat_mul(la.mat_mul(self.tau, g.mat), self.tau_inv)
-        return self.W.by_key[GroupElement(m).key]
+        return self._tau_images[self.W.index(g)]
 
     def to_ambient(self, coords: Vector) -> Vector:
         v = la.zero_vector(self.W.dim)
@@ -149,7 +151,7 @@ class TauContext:
                 # must be the restriction of the part of P stabilizing V^tau
                 p_tau = self.w_tau.parabolic(self.w_tau.incidence(
                     [la.solve(self.basis_matrix, v) for v in s]))
-                if {self.restrict_key(k) for k in P.element_keys & self.setwise_keys} \
+                if {self.restriction[k] for k in P.element_keys & self.setwise_keys} \
                         != p_tau.element_keys:
                     raise TauError("restriction of a split parabolic is not parabolic")
                 out.append(SplitParabolic(P, p_tau, s))
@@ -165,7 +167,7 @@ class TauContext:
         sets under the hyperplane permutations of the section generators."""
         if self._split_orbits is None:
             splits = self.split_by_keys()
-            perms = [self.W.hyperplane_perm(self.section[g.key].mat)
+            perms = [self.W.hyperplane_perms[self.section[g.key].id]
                      for g in self.w_tau.generators]
             seen = set()
             orbits = []
@@ -354,16 +356,8 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
     ambient normalizer quotient; the image must be the tau-fixed part."""
     Nt = ctx.w_tau.normalizer(sp.p_tau)
     N = ctx.W.normalizer(sp.parabolic)
-    image = set()
-    for i in range(Nt.order):
-        r = Nt.rep(i)
-        w = ctx.section[r.key]
-        image.add(N.coset_of(w))
-    fixed = set()
-    for i in range(N.order):
-        u = N.rep(i)
-        if N.coset_of(ctx.tau_conj(u)) == i:
-            fixed.add(i)
+    image = {N.coset_of(ctx.section[Nt.rep(i).key]) for i in range(Nt.order)}
+    fixed = {i for i in range(N.order) if N.coset_of(ctx.tau_conj(N.rep(i))) == i}
     return {
         "quotient": Nt,
         "ambient": N,
@@ -374,11 +368,8 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
 
 
 def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
-    for k in ctx.setwise_keys:
-        g = ctx.W.by_key[k]
-        if ctx.restrict_key(ctx.tau_conj(g).key) != ctx.restrict_key(k):
-            return False
-    return True
+    return all(ctx.restriction[ctx.tau_conj(ctx.W.by_key[k]).key] == ctx.restriction[k]
+               for k in ctx.setwise_keys)
 
 
 def intersection_of_splits_is_split(ctx: TauContext) -> bool:

@@ -17,6 +17,7 @@ def catalog_pair_specs():
     specs.append(("D4", "t"))
     specs.append(("B3", "neg"))
     specs += [("G4", f"zeta4-w{i}") for i in range(3)]
+    specs.append(("B3", "zeta4-w0"))
     return specs
 
 

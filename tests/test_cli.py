@@ -1,5 +1,7 @@
 """Command-line interface: dispatch, formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import time
 
@@ -144,11 +146,36 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["catalog-D", "--n", "3000"],
     ["catalog-B", "--n", "100000", "--m", "0"],
     ["cherednik-check", "--group", "cyclic2", "--k", "1,0,0,5"],
+    ["reflections", "--group", "B2", "--cap", "0"],
+    ["reflections", "--group", "B2", "--output", "/nonexistent/dir/x.json"],
 ])
 def test_malformed_shapes_exit2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     _assert_one_line_error(err)
+
+
+def test_malformed_cap_env_exit2(capsys, monkeypatch):
+    monkeypatch.setenv("LEAFATLAS_CAP", "abc")
+    code, _, err = run_cli(capsys, "reflections", "--group", "B2")
+    assert code == 2
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reflections", "--group", "B2"],
+    ["parabolics", "--group", "B2"],
+    ["tau-split", "--group", "dihedral4", "--tau", "swap"],
+    ["leaves-zero", "--group", "B2", "--tau", "identity"],
+    ["catalog-B", "--n", "3"],
+    ["catalog-D", "--n", "4"],
+    ["verify", "--group", "B2"],
+])
+def test_csv_rows_parse_to_header_width(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
 
 
 @pytest.mark.parametrize("group", ["dihedral1000000", "B12"])
@@ -272,22 +299,22 @@ def test_verify_flag_reuses_the_group_and_twist(capsys, monkeypatch):
 def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch):
     # B3 neg is not full: the context of -1 is read only for its fullness,
     # and the setwise stabilizer of V^tau and W_tau are built once, for the
-    # adjusted twist (normalizers also scan setwise, so they are subtracted)
+    # adjusted twist, by the twisted-stabilizer filter and not by a scan
     from leafatlas import refgroup, tau
-    calls = {"setwise": 0, "normalizer": 0, "induced": 0}
+    calls = {"quotient": 0, "induced": 0, "setwise": 0}
 
     def counted(name, fn):
         def wrapper(*a, **kw):
             calls[name] += 1
             return fn(*a, **kw)
         return wrapper
+    monkeypatch.setattr(tau.TauContext, "_build_quotient",
+                        counted("quotient", tau.TauContext._build_quotient))
+    monkeypatch.setattr(tau, "group_from_elements",
+                        counted("induced", tau.group_from_elements))
     RG = refgroup.ReflectionGroup
     monkeypatch.setattr(RG, "setwise_stabilizer_keys",
                         counted("setwise", RG.setwise_stabilizer_keys))
-    monkeypatch.setattr(RG, "normalizer", counted("normalizer", RG.normalizer))
-    monkeypatch.setattr(tau, "group_from_elements",
-                        counted("induced", tau.group_from_elements))
     code, out, _ = run_cli(capsys, "leaves-zero", "--group", "B3", "--tau", "neg")
     assert code == 0 and json.loads(out)["tau_full_adjusted"]
-    assert calls["induced"] == 1
-    assert calls["setwise"] - calls["normalizer"] == 1
+    assert calls == {"quotient": 1, "induced": 1, "setwise": 0}

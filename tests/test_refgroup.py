@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from leafatlas import linalg as la
 from leafatlas.exactnum import as_cyc
 from leafatlas.refgroup import (
-    GroupError, ParameterK, _rank_one_shift, catalog, close_group,
+    GroupElement, GroupError, ParameterK, _rank_one_shift, catalog, close_group,
 )
 from leafatlas.verify import _reflection_closure_order, run_suite
 
@@ -311,6 +311,71 @@ def test_normalizer_b4_type_b1_is_b3():
     N = W.normalizer(P)
     assert len(N.subgroup_keys) // P.order == 48
     assert N.order == 48
+
+
+def _assert_normalizers_match_setwise_scan(W, name):
+    for P in W.parabolic_subgroups():
+        N = W.normalizer(P)
+        assert frozenset(N.subgroup_keys) == W.setwise_stabilizer_keys(P.fixed_space), name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
+def test_normalizer_filter_matches_setwise_scan(name):
+    _assert_normalizers_match_setwise_scan(catalog(name), name)
+
+
+def test_normalizer_filter_matches_setwise_scan_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_normalizers_match_setwise_scan(ctx.w_tau, name)
+
+
+def _word_table(W):
+    """Generator words by a breadth-first search over matrix products (the
+    table that the closure's tree paths replaced)."""
+    table = {W.identity.key: ""}
+    frontier = [(W.identity.mat, "")]
+    while frontier:
+        nxt = []
+        for m, word in frontier:
+            for i, h in enumerate(W.generators):
+                prod = la.mat_mul(m, h.mat)
+                key = GroupElement(prod).key
+                if key not in table:
+                    w2 = (word + f" g{i}").strip()
+                    table[key] = w2
+                    nxt.append((prod, w2))
+        frontier = nxt
+    return table
+
+
+def _assert_tables_match_matrices(W, name):
+    assert W.identity.mat == la.identity(W.dim), name
+    step = max(1, W.order // 16)
+    for g in W.elements:
+        assert W.inv(g).mat == la.mat_inverse(g.mat), name
+        for h in W.elements[::step]:
+            assert W.mul(g, h).mat == la.mat_mul(g.mat, h.mat), name
+    words = {g.key: " ".join(f"g{j}" for j in W.words[g.id]) for g in W.elements}
+    assert words == _word_table(W), name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_closure_tables_match_matrices(name):
+    _assert_tables_match_matrices(catalog(name), name)
+
+
+def test_closure_tables_match_matrices_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_tables_match_matrices(ctx.w_tau, name)
+
+
+def test_foreign_elements_raise():
+    W = catalog("B2")
+    g = W.elements[1]
+    for bad in (GroupElement(g.mat), catalog("B2").elements[1], catalog("B3").elements[-1]):
+        for op in (lambda: W.mul(g, bad), lambda: W.mul(bad, g), lambda: W.inv(bad)):
+            with pytest.raises(GroupError):
+                op()
 
 
 def test_parameter_k_residues():

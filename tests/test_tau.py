@@ -11,7 +11,7 @@ from leafatlas.tau import (
     make_full, normalizer_tau, orbit_coincidence_holds,
     tau_acts_trivially_on_quotient, tau_stabilizes_parameter,
 )
-from leafatlas.refgroup import ParameterK
+from leafatlas.refgroup import GroupElement, GroupError, ParameterK
 
 
 def _diag_flip(n):
@@ -106,6 +106,37 @@ def test_regularity_cases():
     for d in (3, 4):
         Wd = catalog(f"dihedral{d}")
         assert is_regular(build_tau(Wd, dihedral_tau(d)))
+
+
+def test_twisted_stabilizer_filter_matches_setwise_scan(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        assert ctx.setwise_keys == ctx.W.setwise_stabilizer_keys(ctx.v_tau), name
+    # the battery exercises the pointwise factor Z = W_(V^tau)
+    B3 = pair_contexts["B3:zeta4-w0"]
+    assert B3.W.pointwise_stabilizer(B3.v_tau).order == 2
+    assert len(B3.setwise_keys) == 8
+
+
+def test_twisted_stabilizer_needs_the_pointwise_factor():
+    # V^tau = 0, so all 24 elements stabilize it, but only 4 commute with tau:
+    # a filter that dropped Z would keep only those
+    W = catalog("G4")
+    z12 = root_of_unity(12)
+    ctx = build_tau(W, make_full(W, tuple(tuple(z12 * x for x in row)
+                                          for row in W.elements[1].mat)))
+    assert ctx.v_tau == ()
+    assert ctx.setwise_keys == W.setwise_stabilizer_keys(ctx.v_tau)
+    assert len(ctx.setwise_keys) == 24
+    assert sum(ctx.tau_conj(g) == g for g in W.elements) == 4
+
+
+def test_tau_conj_matches_matrices(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        tau_inv = la.mat_inverse(ctx.tau)
+        for g in ctx.W.elements:
+            assert ctx.tau_conj(g).mat == la.mat_mul(la.mat_mul(ctx.tau, g.mat), tau_inv), name
+        with pytest.raises(GroupError):
+            ctx.tau_conj(GroupElement(ctx.W.elements[-1].mat))
 
 
 def test_split_parabolics_bijective(pair_contexts):
