@@ -237,12 +237,12 @@ def _text_render(obj, indent: int = 0) -> str:
 class _Job:
     """One run's options; the group and the twist context are built at most once."""
 
-    def __init__(self, args, cap):
-        self.args, self.cap = args, cap
+    def __init__(self, args):
+        self.args = args
 
     @cached_property
     def group(self) -> ReflectionGroup:
-        return resolve_group(self.args.group, self.cap)
+        return resolve_group(self.args.group, self.args.cap)
 
     @cached_property
     def tau(self) -> tuple[TauContext, dict]:
@@ -414,7 +414,7 @@ def cmd_catalog_dihedral(job):
         record = dihedral_equal_parameter_record(args.d)
     except CatalogError as exc:
         raise SpecError(str(exc)) from exc
-    W = group_catalog(f"dihedral{args.d}", job.cap)
+    W = group_catalog(f"dihedral{args.d}", args.cap)
     ctx = build_tau(W, dihedral_tau(args.d))
     atlas = leaves_mod.leaf_report(ctx, W.name, "swap")
     report = {
@@ -425,7 +425,7 @@ def cmd_catalog_dihedral(job):
 
 
 def cmd_cherednik_check(job):
-    W = job.group if job.args.group else group_catalog("cyclic2", job.cap)
+    W = job.group if job.args.group else group_catalog("cyclic2", job.args.cap)
     k = resolve_parameter(W, job.args.k)
     try:
         rec = rank1_center_relation(k)
@@ -583,7 +583,7 @@ def resolve_args(argv) -> argparse.Namespace:
 def run(argv) -> int:
     try:
         args = resolve_args(argv)
-        job = _Job(args, args.cap)
+        job = _Job(args)
         report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK
         if args.verify and args.command != "verify" and args.group:
