@@ -219,24 +219,6 @@ def cross_check_normalizer_D_tau(n: int, r: int, order_cap: int = 10 ** 6) -> di
             "match": N.order == claimed}
 
 
-def smooth_fixed_points_report(group_label: str, zeta_order: int, w_label: str = "") -> dict:
-    """Statement-level record for scalar-times-group twists of a smooth
-    space: the fixed locus only sees the scalar part, and its leaves are its
-    connected components."""
-    if zeta_order < 1:
-        raise CatalogError("scalar order must be positive")
-    return {
-        "schema": 1,
-        "rule": "scalar-twist-fixed-points",
-        "group": group_label,
-        "w": w_label,
-        "scalar_order": zeta_order,
-        "fixed_locus_equals": "fixed points of the scalar cyclic group"
-        if zeta_order > 1 else "the whole space",
-        "smooth_case_leaves": "connected components",
-    }
-
-
 def dihedral_equal_parameter_record(d: int) -> dict:
     """Statement-level record for the twisted dihedral equal-parameter case;
     the twisted fixed locus is covered by the rank-one model list."""

@@ -18,6 +18,7 @@ result is cached per exponent pair.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from . import linalg as la
@@ -129,8 +130,8 @@ class Poly2:
         return all(k == (0, 0) for k in self.coeffs)
 
 
-# a monomial is (x-exponents, group element key, y-exponents)
-Monomial = tuple[tuple[int, ...], str, tuple[int, ...]]
+# a monomial is (x-exponents, group element id, y-exponents)
+Monomial = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 class CherElement:
@@ -206,14 +207,14 @@ class CherednikAlgebra:
         comm = [[{} for _ in range(n)] for _ in range(n)]
         for H in self.W.hyperplanes:
             pair_norm = la.dot(H.alpha, H.alpha_vee).inverse()
-            weights: dict[str, CycNum] = {}
+            weights: dict[int, CycNum] = {}
             for u in H.pointwise:
-                det_u = self.W.det_character[u.key]
+                det_u = self.W.det_character[u.id]
                 acc = CycNum.zero()
                 for l in range(H.e):
                     acc = acc + (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l)
                 if not acc.is_zero():
-                    weights[u.key] = acc
+                    weights[u.id] = acc
             for i in range(n):
                 ai = H.alpha[i]
                 if ai.is_zero():
@@ -223,25 +224,25 @@ class CherednikAlgebra:
                     if vj.is_zero():
                         continue
                     scalar = ai * vj * pair_norm
-                    for ukey, wt in weights.items():
-                        cur = comm[i][j].get(ukey, CycNum.zero()) + scalar * wt
+                    for u, wt in weights.items():
+                        cur = comm[i][j].get(u, CycNum.zero()) + scalar * wt
                         if cur.is_zero():
-                            comm[i][j].pop(ukey, None)
+                            comm[i][j].pop(u, None)
                         else:
-                            comm[i][j][ukey] = cur
+                            comm[i][j][u] = cur
         out = []
         for i in range(n):
             row = []
             for j in range(n):
-                entry: dict[str, Poly2] = {}
-                for ukey, c in comm[i][j].items():
+                entry: dict[int, Poly2] = {}
+                for u, c in comm[i][j].items():
                     if self.mode == "hbar2":
-                        entry[ukey] = Poly2({(0, 2): c})
+                        entry[u] = Poly2({(0, 2): c})
                     else:
-                        entry[ukey] = Poly2.const(c)
+                        entry[u] = Poly2.const(c)
                 if self.mode == "t" and i == j:
-                    entry[self.W.identity.key] = entry.get(
-                        self.W.identity.key, Poly2()) + Poly2.t()
+                    one = self.W.identity.id
+                    entry[one] = entry.get(one, Poly2()) + Poly2.t()
                 row.append(entry)
             out.append(row)
         return out
@@ -252,35 +253,33 @@ class CherednikAlgebra:
 
     def one(self) -> CherElement:
         z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.key, z): Poly2.const(1)})
-
-    def scalar(self, c) -> CherElement:
-        z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.key, z): Poly2.const(c)})
+        return CherElement(self, {(z, self.W.identity.id, z): Poly2.const(1)})
 
     def coeff(self, p: Poly2) -> CherElement:
         z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.key, z): p})
+        return CherElement(self, {(z, self.W.identity.id, z): p})
 
     def x(self, i: int, power: int = 1) -> CherElement:
         a = tuple(power if m == i else 0 for m in range(self.n))
         z = (0,) * self.n
-        return CherElement(self, {(a, self.W.identity.key, z): Poly2.const(1)})
+        return CherElement(self, {(a, self.W.identity.id, z): Poly2.const(1)})
 
     def y(self, i: int, power: int = 1) -> CherElement:
         b = tuple(power if m == i else 0 for m in range(self.n))
         z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.key, b): Poly2.const(1)})
+        return CherElement(self, {(z, self.W.identity.id, b): Poly2.const(1)})
 
     def w(self, g) -> CherElement:
-        key = g.key if isinstance(g, GroupElement) else g
-        if key not in self.W.by_key:
-            raise CherednikError("group element outside the group")
+        """The group element g, given as a GroupElement or as its key."""
         z = (0,) * self.n
-        return CherElement(self, {(z, key, z): Poly2.const(1)})
+        return self.monomial(z, g, z)
 
-    def monomial(self, a, key: str, b, coeff: Poly2 | None = None) -> CherElement:
-        return CherElement(self, {(tuple(a), key, tuple(b)): coeff or Poly2.const(1)})
+    def monomial(self, a, g, b, coeff: Poly2 | None = None) -> CherElement:
+        """x^a * g * y^b, with g a GroupElement or its key."""
+        h = self.W.by_key.get(g.key if isinstance(g, GroupElement) else g)
+        if h is None:
+            raise CherednikError("group element outside the group")
+        return CherElement(self, {(tuple(a), h.id, tuple(b)): coeff or Poly2.const(1)})
 
     # -- action expansions ----------------------------------------------------------
     def _poly_pow_linear(self, forms: list[list[CycNum]], exps) -> dict[tuple[int, ...], CycNum]:
@@ -303,27 +302,27 @@ class CherednikAlgebra:
                 acc = nxt
         return acc
 
-    def push_w_past_x(self, wkey: str, alpha) -> dict[tuple[int, ...], CycNum]:
-        """w x^alpha = (expansion in x) * w."""
-        if not any(alpha) or wkey == self.W.identity.key:
+    def push_w_past_x(self, w: int, alpha) -> dict[tuple[int, ...], CycNum]:
+        """w x^alpha = (expansion in x) * w, for the element of id w."""
+        if not any(alpha) or w == self.W.identity.id:
             return {alpha: _ONE}
-        key = (wkey, alpha)
+        key = (w, alpha)
         cached = self._wx_cache.get(key)
         if cached is None:
-            inv = self.W.inv(self.W.by_key[wkey]).mat
+            inv = self.W.inv(self.W.elements[w]).mat
             forms = [[inv[j][i] for i in range(self.n)] for j in range(self.n)]
             cached = self._poly_pow_linear(forms, alpha)
             self._wx_cache[key] = cached
         return cached
 
-    def pull_w_from_y(self, wkey: str, beta) -> dict[tuple[int, ...], CycNum]:
-        """y^beta w = w * (expansion in y)."""
-        if not any(beta) or wkey == self.W.identity.key:
+    def pull_w_from_y(self, w: int, beta) -> dict[tuple[int, ...], CycNum]:
+        """y^beta w = w * (expansion in y), for the element of id w."""
+        if not any(beta) or w == self.W.identity.id:
             return {beta: _ONE}
-        key = (wkey, beta)
+        key = (w, beta)
         cached = self._yw_cache.get(key)
         if cached is None:
-            inv = self.W.inv(self.W.by_key[wkey]).mat
+            inv = self.W.inv(self.W.elements[w]).mat
             forms = [[inv[i][m] for i in range(self.n)] for m in range(self.n)]
             cached = self._poly_pow_linear(forms, beta)
             self._yw_cache[key] = cached
@@ -336,7 +335,8 @@ class CherednikAlgebra:
         if cached is not None:
             return cached
         n = self.n
-        ident = self.W.identity.key
+        W = self.W
+        ident = W.identity.id
         if not any(b) or not any(a):
             result = {(a, ident, b): Poly2.const(1)}
             self._yx_cache[(b, a)] = result
@@ -357,25 +357,25 @@ class CherednikAlgebra:
         # term 1: x_j (y_i x^{a1}) with y^{b1} still on the left
         e_i = tuple(1 if m == i else 0 for m in range(n))
         inner = self.yx_product(e_i, a1)
-        for (gam, vkey, eps), c_in in inner.items():
-            gam2 = tuple(v + (1 if m == j else 0) for m, v in enumerate(gam))
+        for (gam, v, eps), c_in in inner.items():
+            gam2 = tuple(x + (1 if m == j else 0) for m, x in enumerate(gam))
             left = self.yx_product(b1, gam2)
-            for (mu, v2key, nu), c_left in left.items():
+            for (mu, v2, nu), c_left in left.items():
                 # (x^mu v2 y^nu) (v y^eps): move y^nu across v
-                v2v = self.W.mul(self.W.by_key[v2key], self.W.by_key[vkey]).key
-                spread = self.pull_w_from_y(vkey, nu)
+                v2v = W.mul(W.elements[v2], W.elements[v]).id
+                spread = self.pull_w_from_y(v, nu)
                 for delta, f in spread.items():
                     accumulate((mu, v2v, _exp_add(delta, eps)),
                                (c_in * c_left).scale(f))
 
         # term 2: y^{b1} C_{ij} x^{a1}
-        for ukey, cpoly in self._commutators[i][j].items():
-            spread = self.pull_w_from_y(ukey, b1)
+        for u, cpoly in self._commutators[i][j].items():
+            spread = self.pull_w_from_y(u, b1)
             for delta, f in spread.items():
                 inner2 = self.yx_product(delta, a1)
-                for (gam, vkey, eps), c_in in inner2.items():
-                    uv = self.W.mul(self.W.by_key[ukey], self.W.by_key[vkey]).key
-                    push = self.push_w_past_x(ukey, gam)
+                for (gam, v, eps), c_in in inner2.items():
+                    uv = W.mul(W.elements[u], W.elements[v]).id
+                    push = self.push_w_past_x(u, gam)
                     for gam2, d in push.items():
                         accumulate((gam2, uv, eps),
                                    (cpoly * c_in).scale(f * d))
@@ -388,11 +388,11 @@ class CherednikAlgebra:
         a2, w2, b2 = m2
         out: dict[Monomial, Poly2] = {}
         mid = self.yx_product(b1, a2)
-        for (alpha, ukey, beta), c in mid.items():
+        W = self.W
+        for (alpha, u, beta), c in mid.items():
             push = self.push_w_past_x(w1, alpha)
             pull = self.pull_w_from_y(w2, beta)
-            w1u = self.W.mul(self.W.by_key[w1], self.W.by_key[ukey])
-            w1uw2 = self.W.mul(w1u, self.W.by_key[w2]).key
+            w1uw2 = W.mul(W.mul(W.elements[w1], W.elements[u]), W.elements[w2]).id
             for gam, d in push.items():
                 xpart = _exp_add(a1, gam)
                 for delta, f in pull.items():
@@ -520,7 +520,7 @@ def _monomials(alg: CherednikAlgebra, z_degree: int, filt_bound: int):
         for a in comps(da, n):
             for b in comps(db, n):
                 for g in alg.W.elements:
-                    out.append((a, g.key, b))
+                    out.append((a, g.id, b))
     out.sort(key=lambda m: (-(sum(m[0]) + sum(m[2])), m[0], m[2], m[1]))
     return out
 
@@ -536,7 +536,7 @@ def central_elements_bounded(W: ReflectionGroup, k: ParameterK, z_degree: int,
         raise CherednikError("bound too large (configurable cap)")
     probes = [alg.x(i) for i in range(alg.n)] + [alg.y(i) for i in range(alg.n)]
     probes += [alg.w(g) for g in alg.W.generators]
-    col_elems = [alg.monomial(a, wk, b) for (a, wk, b) in monos]
+    col_elems = [CherElement(alg, {mono: Poly2.const(1)}) for mono in monos]
     rows: dict[tuple[int, Monomial], list[CycNum]] = {}
     for pi, probe in enumerate(probes):
         for ci, col in enumerate(col_elems):
@@ -581,7 +581,7 @@ def rank1_center_relation(k: ParameterK):
     if W.dim != 1 or W.order != 2:
         raise CherednikError("rank-1 relation needs the order-2 cyclic group")
     alg, basis = central_elements_bounded(W, k, 0, 2)
-    xy = ((1,), W.identity.key, (1,))
+    xy = ((1,), W.identity.id, (1,))
     zcands = [e for e in basis if xy in e.terms]
     if len(zcands) != 1:
         raise CherednikError("central degree-0 normalization failed")
@@ -591,7 +591,7 @@ def rank1_center_relation(k: ParameterK):
     X = alg.x(0, 2)
     Y = alg.y(0, 2)
     R = Z * Z - X * Y
-    ident = ((0,), W.identity.key, (0,))
+    ident = ((0,), W.identity.id, (0,))
     if any(m != ident for m in R.terms):
         raise CherednikError("relation defect is not a scalar (engine bug)")
     gamma = R.terms.get(ident, Poly2()).constant()
@@ -682,12 +682,17 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                     coeff = coeff * Poly2.const(cyc_parse(factor))
                 except ExactDomainError as exc:
                     raise CherednikError(str(exc)) from exc
+        # the product of two terms recurses once per unit of their combined
+        # degree, so each term may use a quarter of the interpreter's stack
+        if sum(a) + sum(b) > sys.getrecursionlimit() // 4:
+            raise CherednikError(f"term degree {sum(a) + sum(b)} exceeds "
+                                 f"{sys.getrecursionlimit() // 4}")
         # letters were accumulated in commuting blocks, so the order x / w / y
         # is imposed by multiplying the three normal-ordered pieces
         zero = (0,) * alg.n
-        xpart = alg.monomial(tuple(a), alg.W.identity.key, zero)
+        xpart = alg.monomial(tuple(a), alg.W.identity, zero)
         wpart = alg.w(g)
-        ypart = alg.monomial(zero, alg.W.identity.key, tuple(b))
+        ypart = alg.monomial(zero, alg.W.identity, tuple(b))
         term = alg.multiply(alg.multiply(xpart, wpart), ypart) * coeff
         total = total + term
     return total
@@ -706,7 +711,7 @@ def format_element(e: CherElement) -> str:
     W = e.algebra.W
     parts = []
     for mono in sorted(e.terms, key=lambda m: (-(sum(m[0]) + sum(m[2])), m[0], m[2], m[1])):
-        a, wk, b = mono
+        a, w, b = mono
         poly = e.terms[mono]
         for (it, ih) in sorted(poly.coeffs):
             c = poly.coeffs[(it, ih)]
@@ -718,10 +723,7 @@ def format_element(e: CherElement) -> str:
             for i, p in enumerate(a):
                 if p:
                     factors.append(f"x{i+1}" if p == 1 else f"x{i+1}^{p}")
-            g = W.by_key.get(wk)
-            if g is None:
-                raise CherednikError("group element has no generator word")
-            factors.append(f"w({' '.join(f'g{j}' for j in W.words[g.id]) or 'e'})")
+            factors.append(f"w({' '.join(f'g{j}' for j in W.words[w]) or 'e'})")
             for i, p in enumerate(b):
                 if p:
                     factors.append(f"y{i+1}" if p == 1 else f"y{i+1}^{p}")

@@ -31,7 +31,7 @@ class LeafLabel:
     split_orbit: int
     p_class: int                # conjugacy class of P in Parab(W)/W
     p_tau_class: int            # conjugacy class of P_tau in Parab(W_tau)/W_tau
-    twist_class_rep: str
+    twist_class_rep: int        # element id; the report prints its key
     dimension: int
     cuspidal_point: str
     model_space_dim: int
@@ -71,7 +71,7 @@ def tau_components(ctx: TauContext, cls: ParabolicClass):
         orbit = orbits[inverse[ci]]
         sp = orbit[0]
         out.append({
-            "twist_class_rep": tc.rep_key,
+            "twist_class_rep": tc.rep,
             "split_orbit": inverse[ci],
             "p_tau_class": ctx.w_tau.class_of(sp.p_tau).class_id,
             "dimension": sp.tau_rank,
@@ -94,8 +94,8 @@ def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
     if not inner:
         return True
     fixers = []
-    for k in sorted(P.element_keys & ctx.setwise_keys):
-        diff = la.mat_sub(W.by_key[k].mat, ident)
+    for i in sorted(ctx.setwise.intersection(P.ids)):
+        diff = la.mat_sub(W.elements[i].mat, ident)
         fixers.extend(diff)
     fixed = la.nullspace(tuple(fixers), W.dim)
     return len(la.intersect(inner, fixed, W.dim)) == 0
@@ -109,11 +109,11 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
         raise TauError("twist must be full")
     W = ctx.W
     wt = ctx.w_tau
-    twist_rep: dict[int, str] = {}
+    twist_rep: dict[int, int] = {}
     for cls in W.parabolic_classes():
         P, classes, mapping = ctx.class_components(cls)
         for oi, ci in mapping.items():
-            twist_rep[oi] = classes[ci].rep_key
+            twist_rep[oi] = classes[ci].rep
     out = []
     for oi, orbit in enumerate(ctx.split_orbits()):
         sp = orbit[0]
@@ -155,7 +155,7 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
     s_x = la.intersect(dual_fixed, la.left_fixed_space(wtau), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)
-    return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == P.element_keys
+    return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)
 
 
 def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
@@ -183,7 +183,7 @@ def leaf_report(ctx: TauContext, group_label: str, tau_label: str) -> dict:
             {
                 "p_class": l.p_class,
                 "p_tau_class": l.p_tau_class,
-                "twist_class": l.twist_class_rep,
+                "twist_class": ctx.W.elements[l.twist_class_rep].key,
                 "dim": l.dimension,
                 "cuspidal_point": l.cuspidal_point,
                 "conjB_model": {

@@ -38,7 +38,7 @@ class GroupElement:
         self.mat = mat
         self.key = f"{len(mat)}|" + ";".join(x.sort_key() for row in mat for x in row)
         self._hash = hash(self.key)
-        self.id = -1            # index in the closure of its group; -1 in none
+        self.id = -1            # index in its group's key-ordered elements; -1 in none
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.key == other.key
@@ -66,17 +66,17 @@ class Hyperplane:
 class Parabolic:
     """A parabolic subgroup with its fixed space and a witness point.  By
     Steinberg's theorem it is determined by `inc`, the indices of the
-    hyperplanes containing its fixed space; `key` only orders parabolics."""
+    hyperplanes containing its fixed space; `ids`, the sorted ids of its
+    elements, also orders parabolics."""
 
-    __slots__ = ("group", "elements", "element_keys", "fixed_space", "witness", "key", "inc")
+    __slots__ = ("group", "ids", "elements", "fixed_space", "witness", "inc")
 
-    def __init__(self, group, elements, fixed_space, witness, inc):
+    def __init__(self, group, ids, fixed_space, witness, inc):
         self.group = group
-        self.elements = tuple(sorted(elements, key=lambda g: g.key))
-        self.element_keys = frozenset(g.key for g in self.elements)
+        self.ids = tuple(sorted(ids))
+        self.elements = tuple(group.elements[i] for i in self.ids)
         self.fixed_space = fixed_space
         self.witness = witness
-        self.key = tuple(g.key for g in self.elements)
         self.inc = inc
 
     @property
@@ -119,9 +119,10 @@ def _rank_one_shift(m: Matrix) -> bool:
 
 class ReflectionGroup:
     """The group generated by finite-order matrices s_0..s_(n-1), enumerated
-    by one breadth-first closure.  An element's `id` is its discovery index,
-    and the closure is a tree: `_right[g*n + j]` is the id of g*s_j, and
-    `_steps[g] = p*n + j` when g was first met as p*s_j."""
+    by one breadth-first closure.  Elements are then numbered in key order,
+    so `elements[i].id == i` and sorting ids sorts keys.  The closure is a
+    tree: `_right[g*n + j]` is the id of g*s_j, `_tree[k]` is the id of the
+    k-th element met, and `_steps[k] = p*n + j` when it was met as p*s_j."""
 
     def __init__(self, dim: int, generators, order_cap: int = DEFAULT_ORDER_CAP,
                  name: str = ""):
@@ -131,24 +132,29 @@ class ReflectionGroup:
         self.identity = one = GroupElement(la.identity(dim))
         one.id = 0
         self.by_key = {one.key: one}
-        self._by_id = [one]
-        self._right, self._steps = array("l"), array("l", [-1])
-        for cur in self._by_id:
+        found = [one]
+        right, steps = array("l"), array("l", [-1])
+        for cur in found:
             for j, s in enumerate(generators):
                 g = GroupElement(la.mat_mul(cur.mat, s))
                 g = self.by_key.setdefault(g.key, g)
                 if g.id < 0:
-                    if len(self._by_id) >= order_cap:
+                    if len(found) >= order_cap:
                         raise CapExceededError("group too large or infinite")
-                    g.id = len(self._by_id)
-                    self._by_id.append(g)
-                    self._steps.append(cur.id * n + j)
-                self._right.append(g.id)
-        self.elements: tuple[GroupElement, ...] = tuple(sorted(self._by_id, key=lambda g: g.key))
-        self.generators = tuple(self._by_id[i] for i in self._right[:n])
+                    g.id = len(found)
+                    found.append(g)
+                    steps.append(cur.id * n + j)
+                right.append(g.id)
+        self.elements: tuple[GroupElement, ...] = tuple(sorted(found, key=lambda g: g.key))
+        old = [g.id for g in self.elements]     # per id, the discovery index
+        for i, g in enumerate(self.elements):
+            g.id = i
+        self._tree = array("l", [g.id for g in found])
+        self._right = array("l", [self._tree[right[o * n + j]] for o in old for j in range(n)])
+        self._steps = array("l", [-1] + [self._tree[s // n] * n + s % n for s in steps[1:]])
+        self.generators = tuple(found[i] for i in right[:n])
         self._reflections = None
         self._hyperplanes = None
-        self._det = None
         self._flats = None
         self._parabolics = None
         self._classes = None
@@ -160,9 +166,9 @@ class ReflectionGroup:
     # -- the closure tree ---------------------------------------------------------
     def _along_tree(self, first, step) -> list:
         """Per id: `first` at the identity and step(value at p, j) at p*s_j."""
-        n, out = len(self.generators), [first]
-        for s in self._steps[1:]:
-            out.append(step(out[s // n], s % n))
+        n, out = len(self.generators), [first] * self.order
+        for g, s in zip(self._tree[1:], self._steps[1:]):
+            out[g] = step(out[s // n], s % n)
         return out
 
     @cached_property
@@ -174,7 +180,7 @@ class ReflectionGroup:
     def _inverses(self) -> list[GroupElement]:
         # (p s_j)^-1 = s_j^-1 p^-1, and s_j^-1 is the one x with x s_j = 1
         n = len(self.generators)
-        s_inv = [self._by_id[self._right[j::n].index(0)] for j in range(n)]
+        s_inv = [self.elements[self._right[j::n].index(self.identity.id)] for j in range(n)]
         return self._along_tree(self.identity, lambda x, j: self.mul(s_inv[j], x))
 
     @cached_property
@@ -185,7 +191,7 @@ class ReflectionGroup:
 
     def index(self, g: GroupElement) -> int:
         """The id of g, which must be this group's own element."""
-        if 0 <= g.id < len(self._by_id) and self._by_id[g.id] is g:
+        if 0 <= g.id < len(self.elements) and self.elements[g.id] is g:
             return g.id
         raise GroupError("element is not in the enumerated group")
 
@@ -200,7 +206,7 @@ class ReflectionGroup:
         a, right, n = self.index(g), self._right, len(self.generators)
         for j in self.words[self.index(h)]:
             a = right[a * n + j]
-        return self._by_id[a]
+        return self.elements[a]
 
     def inv(self, g: GroupElement) -> GroupElement:
         return self._inverses[self.index(g)]
@@ -209,7 +215,7 @@ class ReflectionGroup:
         return self.mul(self.mul(by, g), self.inv(by))
 
     def element_order(self, g: GroupElement) -> int:
-        return len(_close_keys(self, [g]))
+        return len(_close(self, [g]))
 
     # -- reflections and hyperplanes --------------------------------------------
     def _compute_reflections(self):
@@ -234,10 +240,10 @@ class ReflectionGroup:
         # bucketed under H: the pointwise stabilizer is read off the list
         for H in ordered:
             H.pointwise = tuple(sorted([self.identity] + [g for g, K in refl if K is H],
-                                       key=lambda g: g.key))
+                                       key=lambda g: g.id))
             H.e = len(H.pointwise)
         self._hyperplanes = ordered
-        self._reflections = tuple(sorted(refl, key=lambda p: p[0].key))
+        self._reflections = tuple(refl)
         self._hyperplane_index = {H.key: i for i, H in enumerate(ordered)}
         self._generator_perms = tuple(self.hyperplane_perm(g.mat) for g in self.generators)
         # W-orbits of hyperplanes, numbered by their first hyperplane
@@ -275,11 +281,10 @@ class ReflectionGroup:
             tuple(x.sort_key() for x in _normalize_line(la.covec_mat(H.alpha, m_inv)))]
             for H in self.hyperplanes)
 
-    @property
-    def det_character(self) -> dict[str, CycNum]:
-        if self._det is None:
-            self._det = {g.key: la.det(g.mat) for g in self.elements}
-        return self._det
+    @cached_property
+    def det_character(self) -> list[CycNum]:
+        """Per id, the element's determinant."""
+        return [la.det(g.mat) for g in self.elements]
 
     def generated_by_reflections(self) -> bool:
         """True iff W is generated by its reflections.  When the generators
@@ -287,10 +292,10 @@ class ReflectionGroup:
         no closure runs; otherwise W is closed under all of its reflections.
         `verify` always runs that closure, as the oracle."""
         refl = [s for s, _ in self.reflections]
-        keys = {s.key for s in refl}
-        if self.generators and all(g.key in keys for g in self.generators):
+        ids = {s.id for s in refl}
+        if self.generators and all(g.id in ids for g in self.generators):
             return True
-        return len(_close_keys(self, refl)) == self.order
+        return len(_close(self, refl)) == self.order
 
     # -- witness points ----------------------------------------------------------
     def witness_point(self, basis) -> Vector:
@@ -312,15 +317,13 @@ class ReflectionGroup:
         return frozenset(i for i, H in enumerate(self.hyperplanes)
                          if all(la.dot(H.alpha, b).is_zero() for b in basis))
 
-    def stabilizer_keys(self, v: Vector) -> frozenset[str]:
-        """Whole-group scan for the stabilizer of v (the reference oracle)."""
-        return frozenset(g.key for g in self.elements if la.mat_vec(g.mat, v) == v)
+    def stabilizer_keys(self, v: Vector) -> frozenset[int]:
+        """Whole-group scan for the ids of the stabilizer of v (the reference
+        oracle)."""
+        return frozenset(g.id for g in self.elements if la.mat_vec(g.mat, v) == v)
 
-    def dual_stabilizer_keys(self, c: Vector) -> frozenset[str]:
-        return frozenset(g.key for g in self.elements if la.covec_mat(c, g.mat) == c)
-
-    def stabilizer(self, v: Vector) -> Parabolic:
-        return self.pointwise_stabilizer((v,))
+    def dual_stabilizer_keys(self, c: Vector) -> frozenset[int]:
+        return frozenset(g.id for g in self.elements if la.covec_mat(c, g.mat) == c)
 
     def pointwise_stabilizer(self, basis) -> Parabolic:
         """The pointwise stabilizer of span(basis)."""
@@ -331,21 +334,18 @@ class ReflectionGroup:
         `inc`, which must be all the hyperplanes containing that flat.  By
         Steinberg's theorem it is generated by their reflections; this needs
         W to be generated by its reflections, which close_group enforces."""
-        keys = _close_keys(self, [s for s, H in self.reflections
-                                  if self._hyperplane_index[H.key] in inc])
+        ids = _close(self, [s for s, H in self.reflections
+                            if self._hyperplane_index[H.key] in inc])
         fixed = la.nullspace(tuple(self.hyperplanes[i].alpha for i in sorted(inc)), self.dim)
-        return Parabolic(self, [self.by_key[k] for k in keys], fixed,
-                         self.witness_point(fixed), inc)
+        return Parabolic(self, ids, fixed, self.witness_point(fixed), inc)
 
-    def setwise_stabilizer_keys(self, basis) -> frozenset[str]:
+    def setwise_stabilizer_keys(self, basis) -> frozenset[int]:
+        """Whole-group scan for the ids of the setwise stabilizer of
+        span(basis) (the reference oracle)."""
         if not basis:
-            return frozenset(self.by_key)
-        out = []
-        for g in self.elements:
-            moved = la.span([la.mat_vec(g.mat, b) for b in basis])
-            if moved == basis:
-                out.append(g.key)
-        return frozenset(out)
+            return frozenset(range(self.order))
+        return frozenset(g.id for g in self.elements
+                         if la.span([la.mat_vec(g.mat, b) for b in basis]) == basis)
 
     # -- intersection lattice and parabolic subgroups --------------------------------
     def flats(self) -> tuple[frozenset[int], ...]:
@@ -377,7 +377,7 @@ class ReflectionGroup:
         """Every parabolic subgroup (one per intersection-lattice flat)."""
         if self._parabolics is None:
             out = [self._parabolic_of(inc) for inc in self.flats()]
-            out.sort(key=lambda P: (-len(P.fixed_space), P.key))
+            out.sort(key=lambda P: (-len(P.fixed_space), P.ids))
             self._parabolics = tuple(out)
             self._parabolic_by_inc = {P.inc: P for P in out}
         return self._parabolics
@@ -399,13 +399,13 @@ class ReflectionGroup:
             for P in self.parabolic_subgroups():
                 if P.inc in self._class_by_inc:
                     continue
-                # P is the first member met in (fixed dim, key) order: the minimum
+                # P is the first member met in (fixed dim, ids) order: the minimum
                 conjugators = {}
                 for inc, step in _orbit(P.inc, self._generator_perms).items():
                     conjugators[inc] = self.identity if step is None else \
                         self.mul(self.generators[step[1]], conjugators[step[0]])
                 members = tuple(sorted((self.parabolic(i) for i in conjugators),
-                                       key=lambda Q: Q.key))
+                                       key=lambda Q: Q.ids))
                 c = ParabolicClass(P, members, conjugators)
                 classes.append(c)
                 self._class_by_inc.update(dict.fromkeys(conjugators, c))
@@ -425,8 +425,8 @@ class ReflectionGroup:
         """N_W(P): the g with g V^P = V^P, that is (Steinberg's theorem) the g
         whose hyperplane permutation maps P.inc onto itself."""
         inc = P.inc
-        return CosetQuotient(self, sorted(g.key for g, q in zip(self._by_id, self.hyperplane_perms)
-                                          if all(q[i] in inc for i in inc)), P)
+        return CosetQuotient(self, [g for g, q in enumerate(self.hyperplane_perms)
+                                    if all(q[i] in inc for i in inc)], P)
 
 
 class ParabolicClass:
@@ -442,47 +442,48 @@ class ParabolicClass:
 
 
 class CosetQuotient:
-    """N_W(P)/P as explicit cosets with deterministic representatives."""
+    """N_W(P)/P as explicit cosets of element ids, numbered by their least
+    id, which is also the coset's representative."""
 
-    def __init__(self, group: ReflectionGroup, subgroup_keys, P: Parabolic):
+    def __init__(self, group: ReflectionGroup, subgroup, P: Parabolic):
         self.group = group
         self.P = P
-        self.subgroup_keys = tuple(sorted(subgroup_keys))
-        assigned: dict[str, int] = {}
+        self.subgroup = tuple(sorted(subgroup))
+        self._coset: dict[int, int] = {}
         cosets = []
-        for k in self.subgroup_keys:
-            if k in assigned:
+        for i in self.subgroup:
+            if i in self._coset:
                 continue
-            g = group.by_key[k]
-            keys = sorted(group.mul(g, p).key for p in P.elements)
-            assigned.update(dict.fromkeys(keys, len(cosets)))
-            cosets.append((group.by_key[keys[0]], frozenset(keys)))
+            g = group.elements[i]
+            ids = frozenset(group.mul(g, p).id for p in P.elements)
+            self._coset.update(dict.fromkeys(ids, len(cosets)))
+            cosets.append((min(ids), ids))
         self.cosets = tuple(cosets)
-        self.key_to_coset = assigned
 
     @property
     def order(self) -> int:
         return len(self.cosets)
 
     def rep(self, idx: int) -> GroupElement:
-        return self.cosets[idx][0]
+        return self.group.elements[self.cosets[idx][0]]
 
     def coset_of(self, g: GroupElement) -> int:
-        return self.key_to_coset[g.key]
+        return self._coset[self.group.index(g)]
 
 
 # ---------------------------------------------------------------------------
 # closure
 
-def _close_keys(group: ReflectionGroup, gens) -> frozenset[str]:
-    found = {group.identity.key}
+def _close(group: ReflectionGroup, gens) -> frozenset[int]:
+    """The ids of the subgroup generated by gens."""
+    found = {group.identity.id}
     queue = [group.identity]
     while queue:
         g = queue.pop()
         for h in gens:
             prod = group.mul(g, h)
-            if prod.key not in found:
-                found.add(prod.key)
+            if prod.id not in found:
+                found.add(prod.id)
                 queue.append(prod)
     return frozenset(found)
 

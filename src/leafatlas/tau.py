@@ -48,14 +48,15 @@ class SplitParabolic:
 
 
 class TwistClass:
-    """One orbit of twist cosets acting with fixed points on a stratum."""
+    """One orbit of twist cosets acting with fixed points on a stratum; `rep`
+    is the least element id in its cosets."""
 
-    __slots__ = ("parabolic", "coset_indices", "rep_key")
+    __slots__ = ("parabolic", "coset_indices", "rep")
 
-    def __init__(self, parabolic: Parabolic, coset_indices, rep_key: str):
+    def __init__(self, parabolic: Parabolic, coset_indices, rep: int):
         self.parabolic = parabolic
         self.coset_indices = tuple(sorted(coset_indices))
-        self.rep_key = rep_key
+        self.rep = rep
 
 
 class TauContext:
@@ -83,7 +84,7 @@ class TauContext:
         self._twists: dict = {}
 
     # -- the reflection group on V^tau ---------------------------------------
-    _QUOTIENT = frozenset({"setwise_keys", "basis_matrix", "w_tau", "section", "restriction"})
+    _QUOTIENT = frozenset({"setwise", "basis_matrix", "w_tau", "section", "restriction"})
 
     def __getattr__(self, name):
         # the setwise stabilizer of V^tau and the induced group are built on
@@ -97,19 +98,19 @@ class TauContext:
         # g V^tau = V^tau iff g tau(g)^-1 = g tau g^-1 tau^-1 fixes V^tau
         # pointwise (then g^-1 V^tau lies in V^tau), i.e. lies in Z = W_(V^tau)
         W = self.W
-        Z = W.pointwise_stabilizer(self.v_tau).element_keys
-        self.setwise_keys = frozenset(g.key for g in W.elements
-                                      if W.mul(g, W.inv(self.tau_conj(g))).key in Z)
+        Z = frozenset(W.pointwise_stabilizer(self.v_tau).ids)
+        self.setwise = frozenset(g.id for g in W.elements
+                                 if W.mul(g, W.inv(self.tau_conj(g))).id in Z)
         d = len(self.v_tau)
         if d == 0:
             bmat: Matrix = ()
         else:
             bmat = tuple(tuple(self.v_tau[j][i] for j in range(d)) for i in range(self.W.dim))
         self.basis_matrix = bmat
-        restricted: dict[str, list[str]] = {}
+        restricted: dict[str, list[int]] = {}     # setwise ids by their restriction's key
         mats: dict[str, Matrix] = {}
-        for k in sorted(self.setwise_keys):
-            g = self.W.by_key[k]
+        for i in sorted(self.setwise):
+            g = W.elements[i]
             cols = []
             for j in range(d):
                 img = la.mat_vec(g.mat, self.v_tau[j])
@@ -120,10 +121,11 @@ class TauContext:
             rmat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
             rkey = GroupElement(rmat).key
             mats[rkey] = rmat
-            restricted.setdefault(rkey, []).append(k)
-        self.w_tau = group_from_elements(d, mats.values(), name=f"{self.W.name or 'W'}_tau")
-        self.section = {rk: self.W.by_key[min(ks)] for rk, ks in restricted.items()}
-        self.restriction = {k: rk for rk, ks in restricted.items() for k in ks}
+            restricted.setdefault(rkey, []).append(i)
+        self.w_tau = group_from_elements(d, mats.values(), name=f"{W.name or 'W'}_tau")
+        fibres = [restricted[r.key] for r in self.w_tau.elements]
+        self.section = tuple(ids[0] for ids in fibres)      # per W_tau id, the least W id
+        self.restriction = {i: r for r, ids in enumerate(fibres) for i in ids}
 
     def tau_conj(self, g: GroupElement) -> GroupElement:
         return self._tau_images[self.W.index(g)]
@@ -151,14 +153,14 @@ class TauContext:
                 # must be the restriction of the part of P stabilizing V^tau
                 p_tau = self.w_tau.parabolic(self.w_tau.incidence(
                     [la.solve(self.basis_matrix, v) for v in s]))
-                if {self.restriction[k] for k in P.element_keys & self.setwise_keys} \
-                        != p_tau.element_keys:
+                if {self.restriction[i] for i in self.setwise.intersection(P.ids)} \
+                        != set(p_tau.ids):
                     raise TauError("restriction of a split parabolic is not parabolic")
                 out.append(SplitParabolic(P, p_tau, s))
             self._splits = tuple(out)
         return self._splits
 
-    def split_by_keys(self) -> dict[frozenset[int], SplitParabolic]:
+    def split_by_inc(self) -> dict[frozenset[int], SplitParabolic]:
         """The split parabolics by incidence set."""
         return {sp.parabolic.inc: sp for sp in self.split_parabolics()}
 
@@ -166,9 +168,8 @@ class TauContext:
         """W_tau-orbits of tau-split parabolic subgroups: orbits of incidence
         sets under the hyperplane permutations of the section generators."""
         if self._split_orbits is None:
-            splits = self.split_by_keys()
-            perms = [self.W.hyperplane_perms[self.section[g.key].id]
-                     for g in self.w_tau.generators]
+            splits = self.split_by_inc()
+            perms = [self.W.hyperplane_perms[self.section[g.id]] for g in self.w_tau.generators]
             seen = set()
             orbits = []
             for sp in self.split_parabolics():
@@ -177,8 +178,8 @@ class TauContext:
                 orbit = _orbit(sp.parabolic.inc, perms)
                 seen |= set(orbit)
                 orbits.append(tuple(sorted((splits[inc] for inc in orbit),
-                                           key=lambda sp: sp.parabolic.key)))
-            orbits.sort(key=lambda o: o[0].parabolic.key)
+                                           key=lambda sp: sp.parabolic.ids)))
+            orbits.sort(key=lambda o: o[0].parabolic.ids)
             self._split_orbits = tuple(orbits)
         return self._split_orbits
 
@@ -225,8 +226,8 @@ class TauContext:
             if not orbit <= member_set:
                 raise TauError("twist-coset orbit left the member set")
             seen |= orbit
-            classes.append(TwistClass(P, orbit, min(N.rep(i).key for i in orbit)))
-        classes.sort(key=lambda c: c.rep_key)
+            classes.append(TwistClass(P, orbit, min(N.rep(i).id for i in orbit)))
+        classes.sort(key=lambda c: c.rep)
         result = (N, tuple(classes))
         self._twists[P.inc] = result
         return result
@@ -236,7 +237,7 @@ class TauContext:
         of P and twist classes over P, as an index map.  P must be split.
         Any x with x P x^-1 = Q serves: changing x by n in N_W(P) twists
         x^-1 tau(x) by n, which leaves its twist class unchanged."""
-        if P.inc not in self.split_by_keys():
+        if P.inc not in self.split_by_inc():
             raise TauError("dictionary base point must be a split parabolic")
         N, classes = self.twist_classes(P)
         conjugators = self.W.class_of(P).conjugators
@@ -256,7 +257,7 @@ class TauContext:
     def class_components(self, cls):
         """Twist-class data for one conjugacy class of parabolics, computed
         from its minimal split member (empty when none is split)."""
-        splits = self.split_by_keys()
+        splits = self.split_by_inc()
         split_members = [m for m in cls.members if m.inc in splits]
         if not split_members:
             return None, (), {}
@@ -341,8 +342,8 @@ def orbit_coincidence_holds(ctx: TauContext) -> bool:
         v = ctx.W.witness_point(sp.tau_fixed)
         if la.mat_vec(tau, v) != v:
             return False
-        setwise_orbit = {tuple(x.sort_key() for x in la.mat_vec(ctx.W.by_key[k].mat, v))
-                         for k in ctx.setwise_keys}
+        setwise_orbit = {tuple(x.sort_key() for x in la.mat_vec(ctx.W.elements[i].mat, v))
+                         for i in ctx.setwise}
         for g in ctx.W.elements:
             u = la.mat_vec(g.mat, v)
             if la.mat_vec(tau, u) == u:
@@ -356,7 +357,7 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
     ambient normalizer quotient; the image must be the tau-fixed part."""
     Nt = ctx.w_tau.normalizer(sp.p_tau)
     N = ctx.W.normalizer(sp.parabolic)
-    image = {N.coset_of(ctx.section[Nt.rep(i).key]) for i in range(Nt.order)}
+    image = {N.coset_of(ctx.W.elements[ctx.section[Nt.rep(i).id]]) for i in range(Nt.order)}
     fixed = {i for i in range(N.order) if N.coset_of(ctx.tau_conj(N.rep(i))) == i}
     return {
         "quotient": Nt,
@@ -368,13 +369,13 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
 
 
 def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
-    return all(ctx.restriction[ctx.tau_conj(ctx.W.by_key[k]).key] == ctx.restriction[k]
-               for k in ctx.setwise_keys)
+    return all(ctx.restriction[ctx.tau_conj(ctx.W.elements[i]).id] == ctx.restriction[i]
+               for i in ctx.setwise)
 
 
 def intersection_of_splits_is_split(ctx: TauContext) -> bool:
     """Pointwise stabilizer of a union of split fixed spaces is split again."""
-    splits = ctx.split_by_keys()
+    splits = ctx.split_by_inc()
     return all(ctx.W.incidence(la.span(list(a.tau_fixed) + list(b.tau_fixed))) in splits
                for a in splits.values() for b in splits.values())
 

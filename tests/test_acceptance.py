@@ -59,7 +59,7 @@ def test_criterion_3_split_bijection(pair_contexts):
     for name, ctx in pair_contexts.items():
         splits = ctx.split_parabolics()
         assert len(splits) == len(ctx.w_tau.parabolic_subgroups()), name
-        assert len({sp.p_tau.element_keys for sp in splits}) == len(splits), name
+        assert len({sp.p_tau.ids for sp in splits}) == len(splits), name
         for sp in splits:
             assert ctx.ambient_span(sp.p_tau.fixed_space) == sp.tau_fixed, name
     _report(3, f"{len(pair_contexts)} pairs, bijection and subspace equality exact")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from leafatlas.catalog import (
     CatalogError, cross_check_normalizer_D_tau, cross_check_normalizers_B,
     dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t,
-    smooth_B, smooth_fixed_points_report,
+    smooth_B,
 )
 from leafatlas.exactnum import root_of_unity
 from leafatlas.refgroup import catalog as group_catalog
@@ -107,14 +107,6 @@ def test_cross_check_d_twist_normalizer():
 def test_cross_check_rank_gate():
     with pytest.raises(CatalogError):
         cross_check_normalizers_B(5, 0)
-
-
-def test_smooth_fixed_points_report():
-    rep = smooth_fixed_points_report("B2", 1)
-    assert rep["fixed_locus_equals"] == "the whole space"
-    rep3 = smooth_fixed_points_report("G4", 3, "w")
-    assert rep3["scalar_order"] == 3
-    assert rep3["smooth_case_leaves"] == "connected components"
 
 
 def test_dihedral_record():

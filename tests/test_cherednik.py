@@ -76,11 +76,11 @@ def test_graded_leading(mu2, mu2_k):
     s = _sign_element(mu2)
     yx = alg.multiply(alg.y(0), alg.x(0))
     lead = associated_graded_leading(yx)
-    assert list(lead.terms) == [((1,), mu2.identity.key, (1,))]
+    assert list(lead.terms) == [((1,), mu2.identity.id, (1,))]
     w_only = associated_graded_leading(alg.w(s))
-    assert list(w_only.terms) == [((0,), s.key, (0,))]
+    assert list(w_only.terms) == [((0,), s.id, (0,))]
     mixed = alg.multiply(alg.x(0), alg.y(0)) + alg.w(s)
-    assert list(associated_graded_leading(mixed).terms) == [((1,), mu2.identity.key, (1,))]
+    assert list(associated_graded_leading(mixed).terms) == [((1,), mu2.identity.id, (1,))]
 
 
 def test_poisson_antisymmetry_and_triviality(mu2):
@@ -114,19 +114,19 @@ def test_is_central_examples(mu2, mu2_k):
 def test_central_elements_bounded_mu2(mu2, mu2_k):
     _alg, basis = central_elements_bounded(mu2, mu2_k, 0, 2)
     assert len(basis) == 2
-    xy = ((1,), mu2.identity.key, (1,))
+    xy = ((1,), mu2.identity.id, (1,))
     led = [e for e in basis if xy in e.terms]
     assert len(led) == 1
-    ident_mono = ((0,), mu2.identity.key, (0,))
+    ident_mono = ((0,), mu2.identity.id, (0,))
     assert ident_mono not in led[0].terms
     _alg2, basis2 = central_elements_bounded(mu2, mu2_k, 2, 2)
     assert len(basis2) == 1
-    assert list(basis2[0].terms) == [((2,), mu2.identity.key, (0,))]
+    assert list(basis2[0].terms) == [((2,), mu2.identity.id, (0,))]
 
 
 def test_central_elements_degenerate_bounds(mu2, mu2_k):
     _alg, basis = central_elements_bounded(mu2, mu2_k, 0, 0)
-    assert len(basis) == 1 and list(basis[0].terms) == [((0,), mu2.identity.key, (0,))]
+    assert len(basis) == 1 and list(basis[0].terms) == [((0,), mu2.identity.id, (0,))]
     _alg2, basis2 = central_elements_bounded(mu2, mu2_k, 5, 0)
     assert basis2 == []
 

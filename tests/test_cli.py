@@ -148,6 +148,8 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["cherednik-check", "--group", "cyclic2", "--k", "1,0,0,5"],
     ["reflections", "--group", "B2", "--cap", "0"],
     ["reflections", "--group", "B2", "--output", "/nonexistent/dir/x.json"],
+    ["poisson", "--group", "cyclic2", "--z1", "x1^2000", "--z2", "y1"],
+    ["poisson", "--group", "cyclic2", "--z1", "x1^99999999", "--z2", "y1"],
 ])
 def test_malformed_shapes_exit2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -268,6 +270,29 @@ def test_byte_determinism_across_threads(tmp_path):
 def test_verify_check_reports_any_error_as_failure():
     assert Check("x", lambda: 1 / 0).run() == {
         "id": "x", "status": "fail", "detail": "ZeroDivisionError: division by zero"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "G4", "--tau", '{"word":[0],"zeta":"4/1"}', "--k", "0,1,2"],
+    ["verify", "--group", "cyclic12", "--k", "0,1"],
+])
+def test_verify_gates_rewriting_checks_by_order(capsys, argv):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    assert not [r for r in json.loads(out)["invariants"] if r["id"].startswith("cherednik.")]
+
+
+def test_deep_verify_schedules_rewriting_checks(monkeypatch):
+    from leafatlas.refgroup import ParameterK, catalog
+    from leafatlas.verify import run_suite
+    monkeypatch.setattr(Check, "run", lambda self: {"id": self.check_id})
+    W = catalog("G4")
+    k = ParameterK.from_lists(W, [[0, 1, 2]])
+    for deep in (False, True):
+        ids = [r["id"] for r in run_suite(W, k=k, deep=deep)]
+        assert any(i.startswith("cherednik.") for i in ids) == deep
 
 
 def test_verify_flag_appends_invariants(capsys):

@@ -81,10 +81,10 @@ def test_partition_of_components(pair_contexts):
 def test_component_empty_iff_no_split_member():
     W = catalog("dihedral4")
     ctx = build_tau(W, dihedral_tau(4))
-    splits = {sp.parabolic.element_keys for sp in ctx.split_parabolics()}
+    splits = {sp.parabolic.ids for sp in ctx.split_parabolics()}
     for cls in W.parabolic_classes():
         comps = tau_components(ctx, cls)
-        has_split = any(m.element_keys in splits for m in cls.members)
+        has_split = any(m.ids in splits for m in cls.members)
         assert bool(comps) == has_split
 
 

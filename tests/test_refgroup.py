@@ -87,16 +87,16 @@ def test_verify_hyperplane_check_scans_the_group():
 
 
 def _conjugate(W, P, x):
-    return frozenset(W.conj(p, x).key for p in P.elements)
+    return frozenset(W.conj(p, x).id for p in P.elements)
 
 
 def _assert_classes_match_conjugation(W, name):
-    # the oracle: orbits of element-key sets under element-wise conjugation
+    # the oracle: orbits of element-id sets under element-wise conjugation
     # by the generators, the algorithm the incidence-set orbits replaced
-    by_keys = {P.element_keys: P for P in W.parabolic_subgroups()}
+    by_ids = {frozenset(P.ids): P for P in W.parabolic_subgroups()}
     expected = set()
     for P in W.parabolic_subgroups():
-        orbit = {P.element_keys}
+        orbit = {frozenset(P.ids)}
         queue = [P]
         while queue:
             cur = queue.pop()
@@ -104,18 +104,18 @@ def _assert_classes_match_conjugation(W, name):
                 moved = _conjugate(W, cur, g)
                 if moved not in orbit:
                     orbit.add(moved)
-                    queue.append(by_keys[moved])
+                    queue.append(by_ids[moved])
         expected.add(frozenset(orbit))
     classes = W.parabolic_classes()
-    assert {frozenset(Q.element_keys for Q in c.members) for c in classes} == expected, name
-    order = [(-c.fixed_dim, c.representative.key) for c in classes]
+    assert {frozenset(frozenset(Q.ids) for Q in c.members) for c in classes} == expected, name
+    order = [(-c.fixed_dim, c.representative.ids) for c in classes]
     assert order == sorted(order), name
     for c in classes:
-        assert c.representative.key == min(Q.key for Q in c.members), name
+        assert c.representative.ids == min(Q.ids for Q in c.members), name
         assert set(c.conjugators) == {Q.inc for Q in c.members}, name
         for Q in c.members:
             assert W.class_of(Q) is c, name
-            assert _conjugate(W, c.representative, c.conjugators[Q.inc]) == Q.element_keys, name
+            assert _conjugate(W, c.representative, c.conjugators[Q.inc]) == set(Q.ids), name
 
 
 @pytest.mark.parametrize("name", ORACLE_BATTERY)
@@ -230,9 +230,9 @@ def test_flats_match_intersection_walk_on_twists(pair_contexts):
 def test_stabilizer_examples():
     W = catalog("G(2,1,2)")
     generic = la.vec([2, 3])
-    assert W.stabilizer(generic).order == 1
-    assert W.stabilizer(la.vec([0, 0])).order == W.order
-    P = W.stabilizer(la.vec([0, 1]))
+    assert W.pointwise_stabilizer((generic,)).order == 1
+    assert W.pointwise_stabilizer((la.vec([0, 0]),)).order == W.order
+    P = W.pointwise_stabilizer((la.vec([0, 1]),))
     assert P.order == 2
     t = next(g for g in P.elements if g != W.identity)
     assert t.mat == la.mat([[-1, 0], [0, 1]])
@@ -261,8 +261,8 @@ def test_parabolic_classes_generator_order_independent():
     W1 = catalog("B2")
     gens = [g.mat for g in W1.generators][::-1]
     W2 = close_group(gens)
-    k1 = [c.representative.key for c in W1.parabolic_classes()]
-    k2 = [c.representative.key for c in W2.parabolic_classes()]
+    k1 = [[g.key for g in c.representative.elements] for c in W1.parabolic_classes()]
+    k2 = [[g.key for g in c.representative.elements] for c in W2.parabolic_classes()]
     assert k1 == k2
 
 
@@ -270,7 +270,7 @@ def test_witness_has_exact_stabilizer():
     for name in ("B2", "B3", "G4", "dihedral4"):
         W = catalog(name)
         for P in W.parabolic_subgroups():
-            assert W.stabilizer_keys(P.witness) == P.element_keys
+            assert W.stabilizer_keys(P.witness) == set(P.ids)
 
 
 @given(st.sampled_from(["B2", "dihedral3", "G4"]),
@@ -280,7 +280,7 @@ def test_stabilizer_equals_pointwise_on_span(name, coords):
     W = catalog(name)
     v = la.vec(coords)
     basis = la.span([v])
-    assert W.stabilizer_keys(v) == W.pointwise_stabilizer(basis).element_keys
+    assert W.stabilizer_keys(v) == set(W.pointwise_stabilizer(basis).ids)
 
 
 def test_steinberg_consistency():
@@ -292,7 +292,7 @@ def test_steinberg_consistency():
     inter = la.intersect(P.fixed_space, Q.fixed_space, W.dim)
     v = W.witness_point(inter)
     stab = W.stabilizer_keys(v)
-    assert P.element_keys <= stab and Q.element_keys <= stab
+    assert set(P.ids) <= stab and set(Q.ids) <= stab
 
 
 def test_normalizer_examples():
@@ -309,14 +309,14 @@ def test_normalizer_b4_type_b1_is_b3():
     P = W.pointwise_stabilizer(basis)
     assert P.order == 2
     N = W.normalizer(P)
-    assert len(N.subgroup_keys) // P.order == 48
+    assert len(N.subgroup) // P.order == 48
     assert N.order == 48
 
 
 def _assert_normalizers_match_setwise_scan(W, name):
     for P in W.parabolic_subgroups():
         N = W.normalizer(P)
-        assert frozenset(N.subgroup_keys) == W.setwise_stabilizer_keys(P.fixed_space), name
+        assert frozenset(N.subgroup) == W.setwise_stabilizer_keys(P.fixed_space), name
 
 
 @pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
@@ -349,7 +349,13 @@ def _word_table(W):
 
 
 def _assert_tables_match_matrices(W, name):
+    # ids follow key order, so sorted ids and sorted keys agree
+    assert [g.id for g in W.elements] == list(range(W.order)), name
+    assert [g.key for g in W.elements] == sorted(g.key for g in W.elements), name
+    assert W.identity is W.elements[W.identity.id], name
     assert W.identity.mat == la.identity(W.dim), name
+    with pytest.raises(GroupError):
+        W.index(GroupElement(W.elements[-1].mat))
     step = max(1, W.order // 16)
     for g in W.elements:
         assert W.inv(g).mat == la.mat_inverse(g.mat), name
@@ -359,7 +365,7 @@ def _assert_tables_match_matrices(W, name):
     assert words == _word_table(W), name
 
 
-@pytest.mark.parametrize("name", ORACLE_BATTERY)
+@pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
 def test_closure_tables_match_matrices(name):
     _assert_tables_match_matrices(catalog(name), name)
 

@@ -110,11 +110,11 @@ def test_regularity_cases():
 
 def test_twisted_stabilizer_filter_matches_setwise_scan(pair_contexts):
     for name, ctx in pair_contexts.items():
-        assert ctx.setwise_keys == ctx.W.setwise_stabilizer_keys(ctx.v_tau), name
+        assert ctx.setwise == ctx.W.setwise_stabilizer_keys(ctx.v_tau), name
     # the battery exercises the pointwise factor Z = W_(V^tau)
     B3 = pair_contexts["B3:zeta4-w0"]
     assert B3.W.pointwise_stabilizer(B3.v_tau).order == 2
-    assert len(B3.setwise_keys) == 8
+    assert len(B3.setwise) == 8
 
 
 def test_twisted_stabilizer_needs_the_pointwise_factor():
@@ -125,8 +125,8 @@ def test_twisted_stabilizer_needs_the_pointwise_factor():
     ctx = build_tau(W, make_full(W, tuple(tuple(z12 * x for x in row)
                                           for row in W.elements[1].mat)))
     assert ctx.v_tau == ()
-    assert ctx.setwise_keys == W.setwise_stabilizer_keys(ctx.v_tau)
-    assert len(ctx.setwise_keys) == 24
+    assert ctx.setwise == W.setwise_stabilizer_keys(ctx.v_tau)
+    assert len(ctx.setwise) == 24
     assert sum(ctx.tau_conj(g) == g for g in W.elements) == 4
 
 
@@ -144,7 +144,7 @@ def test_split_parabolics_bijective(pair_contexts):
         splits = ctx.split_parabolics()
         subs = ctx.w_tau.parabolic_subgroups()
         assert len(splits) == len(subs), name
-        images = {sp.p_tau.element_keys for sp in splits}
+        images = {sp.p_tau.ids for sp in splits}
         assert len(images) == len(splits), name
 
 
@@ -158,8 +158,8 @@ def test_fixed_space_equality(pair_contexts):
 def test_top_split_is_pointwise_stabilizer():
     W = catalog("dihedral4")
     ctx = build_tau(W, dihedral_tau(4))
-    splits = {sp.parabolic.element_keys for sp in ctx.split_parabolics()}
-    assert W.pointwise_stabilizer(ctx.v_tau).element_keys in splits
+    splits = {sp.parabolic.ids for sp in ctx.split_parabolics()}
+    assert W.pointwise_stabilizer(ctx.v_tau).ids in splits
 
 
 def test_incidence_agrees_with_whole_group_scans(pair_contexts):
@@ -169,19 +169,19 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
         W = ctx.W
 
         def scan(basis):
-            return frozenset(g.key for g in W.elements
+            return frozenset(g.id for g in W.elements
                              if all(la.mat_vec(g.mat, b) == b for b in basis))
 
         for X in [P.fixed_space for P in W.parabolic_subgroups()] + [ctx.v_tau]:
             assert W.incidence(X) == {i for i, H in enumerate(W.hyperplanes)
                                       if la.subspace_leq(X, H.basis)}, name
-            assert W.pointwise_stabilizer(X).element_keys == scan(X), name
+            assert set(W.pointwise_stabilizer(X).ids) == scan(X), name
         for H in W.hyperplanes:
-            assert [g.key for g in H.pointwise] == sorted(scan(H.basis)), name
-        splits = ctx.split_by_keys()
+            assert [g.id for g in H.pointwise] == sorted(scan(H.basis)), name
+        splits = ctx.split_by_inc()
         for P in W.parabolic_subgroups():
             s = la.intersect(P.fixed_space, ctx.v_tau, W.dim)
-            assert (P.inc in splits) == (scan(s) == P.element_keys), name
+            assert (P.inc in splits) == (scan(s) == set(P.ids)), name
         for cls in W.parabolic_classes():
             P = cls.representative
             N = W.normalizer(P)
@@ -189,7 +189,7 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
                 u = N.rep(idx)
                 s = la.intersect(P.fixed_space,
                                  la.fixed_space(la.mat_mul(u.mat, ctx.tau)), W.dim)
-                expected = W.stabilizer_keys(W.witness_point(s)) == P.element_keys
+                expected = W.stabilizer_keys(W.witness_point(s)) == set(P.ids)
                 assert ctx.meets_stratum(P, u) == expected, name
 
 
@@ -233,14 +233,14 @@ def test_split_data_matches_elementwise_conjugation(pair_contexts):
     for name, ctx in pair_contexts.items():
         W = ctx.W
 
-        def conjugate(keys, x):
-            return frozenset(W.conj(W.by_key[k], x).key for k in keys)
+        def conjugate(ids, x):
+            return frozenset(W.conj(W.elements[i], x).id for i in ids)
 
-        gens = [ctx.section[g.key] for g in ctx.w_tau.generators]
+        gens = [W.elements[ctx.section[g.id]] for g in ctx.w_tau.generators]
         expected = set()
         for sp in ctx.split_parabolics():
-            orbit = {sp.parabolic.element_keys}
-            queue = [sp.parabolic.element_keys]
+            orbit = {frozenset(sp.parabolic.ids)}
+            queue = [sp.parabolic.ids]
             while queue:
                 cur = queue.pop()
                 for g in gens:
@@ -250,21 +250,21 @@ def test_split_data_matches_elementwise_conjugation(pair_contexts):
                         queue.append(moved)
             expected.add(frozenset(orbit))
         orbits = ctx.split_orbits()
-        assert {frozenset(sp.parabolic.element_keys for sp in o) for o in orbits} == expected, name
+        assert {frozenset(frozenset(sp.parabolic.ids) for sp in o) for o in orbits} == expected, name
         for P in W.parabolic_subgroups():
-            stable = frozenset(ctx.tau_conj(g).key for g in P.elements) == P.element_keys
+            stable = {ctx.tau_conj(g).id for g in P.elements} == set(P.ids)
             assert ctx.normalizes(P) == stable, name
         for cls in W.parabolic_classes():
             P, classes, mapping = ctx.class_components(cls)
             if P is None:
                 continue
             N, _ = ctx.twist_classes(P)
-            member_keys = {m.element_keys for m in cls.members}
+            member_ids = {m.ids for m in cls.members}
             assert set(mapping) == {oi for oi, o in enumerate(orbits)
-                                    if o[0].parabolic.element_keys in member_keys}, name
+                                    if o[0].parabolic.ids in member_ids}, name
             for oi, ci in mapping.items():
                 Q = orbits[oi][0].parabolic
-                x = next(g for g in W.elements if conjugate(P.element_keys, g) == Q.element_keys)
+                x = next(g for g in W.elements if conjugate(P.ids, g) == set(Q.ids))
                 w = W.mul(W.inv(x), ctx.tau_conj(x))
                 assert N.coset_of(w) in classes[ci].coset_indices, name
 
@@ -295,8 +295,8 @@ def test_twist_classes_match_queue_orbits(pair_contexts):
                 assert orbit <= members, name
                 expected.add(frozenset(orbit))
             assert {frozenset(c.coset_indices) for c in classes} == expected, name
-            assert [c.rep_key for c in classes] == sorted(
-                min(N.rep(i).key for i in orbit) for orbit in expected), name
+            assert [c.rep for c in classes] == sorted(
+                min(N.rep(i).id for i in orbit) for orbit in expected), name
 
 
 def test_normalizer_identification():
@@ -317,11 +317,11 @@ def test_twist_classes_identity():
     W = catalog("dihedral4")
     ctx = build_tau(W, la.identity(2))
     P1 = next(P for P in W.parabolic_subgroups() if P.order == 1)
-    _N, classes = ctx.twist_classes(P1)
+    N, classes = ctx.twist_classes(P1)
     assert len(classes) == 1
-    assert ctx.W.identity.key in {ctx.W.by_key[k].key
-                                  for c in classes for k in [c.rep_key]} or True
-    assert 0 in classes[0].coset_indices or len(classes[0].coset_indices) >= 1
+    # only the identity fixes a regular point
+    assert classes[0].rep == W.identity.id
+    assert classes[0].coset_indices == (N.coset_of(W.identity),)
 
 
 def test_twist_classes_empty_when_fixed_space_vanishes():
