@@ -209,12 +209,12 @@ class CherednikAlgebra:
             pair_norm = la.dot(H.alpha, H.alpha_vee).inverse()
             weights: dict[int, CycNum] = {}
             for u in H.pointwise:
-                det_u = self.W.det_character[u.id]
+                det_u = self.W.det_character[u]
                 acc = CycNum.zero()
                 for l in range(H.e):
                     acc = acc + (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l)
                 if not acc.is_zero():
-                    weights[u.id] = acc
+                    weights[u] = acc
             for i in range(n):
                 ai = H.alpha[i]
                 if ai.is_zero():
@@ -241,7 +241,7 @@ class CherednikAlgebra:
                     else:
                         entry[u] = Poly2.const(c)
                 if self.mode == "t" and i == j:
-                    one = self.W.identity.id
+                    one = self.W.identity
                     entry[one] = entry.get(one, Poly2()) + Poly2.t()
                 row.append(entry)
             out.append(row)
@@ -251,23 +251,24 @@ class CherednikAlgebra:
     def zero(self) -> CherElement:
         return CherElement(self, {})
 
+    def _term(self, a, g: int, b, coeff: Poly2 | None = None) -> CherElement:
+        """x^a * g * y^b for the element of id g."""
+        return CherElement(self, {(tuple(a), g, tuple(b)): coeff or Poly2.const(1)})
+
     def one(self) -> CherElement:
-        z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.id, z): Poly2.const(1)})
+        return self.coeff(Poly2.const(1))
 
     def coeff(self, p: Poly2) -> CherElement:
         z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.id, z): p})
+        return self._term(z, self.W.identity, z, p)
 
     def x(self, i: int, power: int = 1) -> CherElement:
         a = tuple(power if m == i else 0 for m in range(self.n))
-        z = (0,) * self.n
-        return CherElement(self, {(a, self.W.identity.id, z): Poly2.const(1)})
+        return self._term(a, self.W.identity, (0,) * self.n)
 
     def y(self, i: int, power: int = 1) -> CherElement:
         b = tuple(power if m == i else 0 for m in range(self.n))
-        z = (0,) * self.n
-        return CherElement(self, {(z, self.W.identity.id, b): Poly2.const(1)})
+        return self._term((0,) * self.n, self.W.identity, b)
 
     def w(self, g) -> CherElement:
         """The group element g, given as a GroupElement or as its key."""
@@ -276,10 +277,10 @@ class CherednikAlgebra:
 
     def monomial(self, a, g, b, coeff: Poly2 | None = None) -> CherElement:
         """x^a * g * y^b, with g a GroupElement or its key."""
-        h = self.W.by_key.get(g.key if isinstance(g, GroupElement) else g)
-        if h is None:
+        i = self.W.by_key.get(g.key if isinstance(g, GroupElement) else g)
+        if i is None:
             raise CherednikError("group element outside the group")
-        return CherElement(self, {(tuple(a), h.id, tuple(b)): coeff or Poly2.const(1)})
+        return self._term(a, i, b, coeff)
 
     # -- action expansions ----------------------------------------------------------
     def _poly_pow_linear(self, forms: list[list[CycNum]], exps) -> dict[tuple[int, ...], CycNum]:
@@ -304,12 +305,12 @@ class CherednikAlgebra:
 
     def push_w_past_x(self, w: int, alpha) -> dict[tuple[int, ...], CycNum]:
         """w x^alpha = (expansion in x) * w, for the element of id w."""
-        if not any(alpha) or w == self.W.identity.id:
+        if not any(alpha) or w == self.W.identity:
             return {alpha: _ONE}
         key = (w, alpha)
         cached = self._wx_cache.get(key)
         if cached is None:
-            inv = self.W.inv(self.W.elements[w]).mat
+            inv = self.W.elements[self.W.inv(w)].mat
             forms = [[inv[j][i] for i in range(self.n)] for j in range(self.n)]
             cached = self._poly_pow_linear(forms, alpha)
             self._wx_cache[key] = cached
@@ -317,12 +318,12 @@ class CherednikAlgebra:
 
     def pull_w_from_y(self, w: int, beta) -> dict[tuple[int, ...], CycNum]:
         """y^beta w = w * (expansion in y), for the element of id w."""
-        if not any(beta) or w == self.W.identity.id:
+        if not any(beta) or w == self.W.identity:
             return {beta: _ONE}
         key = (w, beta)
         cached = self._yw_cache.get(key)
         if cached is None:
-            inv = self.W.inv(self.W.elements[w]).mat
+            inv = self.W.elements[self.W.inv(w)].mat
             forms = [[inv[i][m] for i in range(self.n)] for m in range(self.n)]
             cached = self._poly_pow_linear(forms, beta)
             self._yw_cache[key] = cached
@@ -336,7 +337,7 @@ class CherednikAlgebra:
             return cached
         n = self.n
         W = self.W
-        ident = W.identity.id
+        ident = W.identity
         if not any(b) or not any(a):
             result = {(a, ident, b): Poly2.const(1)}
             self._yx_cache[(b, a)] = result
@@ -362,7 +363,7 @@ class CherednikAlgebra:
             left = self.yx_product(b1, gam2)
             for (mu, v2, nu), c_left in left.items():
                 # (x^mu v2 y^nu) (v y^eps): move y^nu across v
-                v2v = W.mul(W.elements[v2], W.elements[v]).id
+                v2v = W.mul(v2, v)
                 spread = self.pull_w_from_y(v, nu)
                 for delta, f in spread.items():
                     accumulate((mu, v2v, _exp_add(delta, eps)),
@@ -374,7 +375,7 @@ class CherednikAlgebra:
             for delta, f in spread.items():
                 inner2 = self.yx_product(delta, a1)
                 for (gam, v, eps), c_in in inner2.items():
-                    uv = W.mul(W.elements[u], W.elements[v]).id
+                    uv = W.mul(u, v)
                     push = self.push_w_past_x(u, gam)
                     for gam2, d in push.items():
                         accumulate((gam2, uv, eps),
@@ -392,7 +393,7 @@ class CherednikAlgebra:
         for (alpha, u, beta), c in mid.items():
             push = self.push_w_past_x(w1, alpha)
             pull = self.pull_w_from_y(w2, beta)
-            w1uw2 = W.mul(W.mul(W.elements[w1], W.elements[u]), W.elements[w2]).id
+            w1uw2 = W.mul(W.mul(w1, u), w2)
             for gam, d in push.items():
                 xpart = _exp_add(a1, gam)
                 for delta, f in pull.items():
@@ -492,13 +493,18 @@ def poisson_bracket(z1: CherElement, z2: CherElement,
 # ---------------------------------------------------------------------------
 # centrality
 
+def _probes(alg: CherednikAlgebra) -> list[CherElement]:
+    """Generators of the algebra: the letters x_i and y_i and the group's generators."""
+    z = (0,) * alg.n
+    return [alg.x(i) for i in range(alg.n)] + [alg.y(i) for i in range(alg.n)] + \
+        [alg._term(z, g, z) for g in alg.W.generators]
+
+
 def is_central(e: CherElement) -> bool:
     alg = e.algebra
     if alg.mode != "t0":
         raise CherednikError("centrality is an undeformed-mode question")
-    probes = [alg.x(i) for i in range(alg.n)] + [alg.y(i) for i in range(alg.n)]
-    probes += [alg.w(g) for g in alg.W.generators]
-    return all(alg.commutator(e, p).is_zero() for p in probes)
+    return all(alg.commutator(e, p).is_zero() for p in _probes(alg))
 
 
 def _monomials(alg: CherednikAlgebra, z_degree: int, filt_bound: int):
@@ -519,8 +525,8 @@ def _monomials(alg: CherednikAlgebra, z_degree: int, filt_bound: int):
             continue
         for a in comps(da, n):
             for b in comps(db, n):
-                for g in alg.W.elements:
-                    out.append((a, g.id, b))
+                for g in range(alg.W.order):
+                    out.append((a, g, b))
     out.sort(key=lambda m: (-(sum(m[0]) + sum(m[2])), m[0], m[2], m[1]))
     return out
 
@@ -534,8 +540,7 @@ def central_elements_bounded(W: ReflectionGroup, k: ParameterK, z_degree: int,
         return alg, []
     if len(monos) > monomial_cap:
         raise CherednikError("bound too large (configurable cap)")
-    probes = [alg.x(i) for i in range(alg.n)] + [alg.y(i) for i in range(alg.n)]
-    probes += [alg.w(g) for g in alg.W.generators]
+    probes = _probes(alg)
     col_elems = [CherElement(alg, {mono: Poly2.const(1)}) for mono in monos]
     rows: dict[tuple[int, Monomial], list[CycNum]] = {}
     for pi, probe in enumerate(probes):
@@ -581,7 +586,7 @@ def rank1_center_relation(k: ParameterK):
     if W.dim != 1 or W.order != 2:
         raise CherednikError("rank-1 relation needs the order-2 cyclic group")
     alg, basis = central_elements_bounded(W, k, 0, 2)
-    xy = ((1,), W.identity.id, (1,))
+    xy = ((1,), W.identity, (1,))
     zcands = [e for e in basis if xy in e.terms]
     if len(zcands) != 1:
         raise CherednikError("central degree-0 normalization failed")
@@ -591,7 +596,7 @@ def rank1_center_relation(k: ParameterK):
     X = alg.x(0, 2)
     Y = alg.y(0, 2)
     R = Z * Z - X * Y
-    ident = ((0,), W.identity.id, (0,))
+    ident = ((0,), W.identity, (0,))
     if any(m != ident for m in R.terms):
         raise CherednikError("relation defect is not a scalar (engine bug)")
     gamma = R.terms.get(ident, Poly2()).constant()
@@ -653,48 +658,46 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
             m = _TOKEN.fullmatch(factor)
             if not m:
                 raise CherednikError(f"bad factor {factor!r}")
-            if m.group(1) is not None or m.group(2) is not None:
-                coeff = coeff * Poly2.const(Fraction(m.group(1) or m.group(2)))
-            elif m.group(3) is not None:
-                idx = int(m.group(4)) - 1
-                if not 0 <= idx < alg.n:
-                    raise CherednikError(f"letter index out of range in {factor!r}")
-                power = int(m.group(5) or 1)
-                if m.group(3) == "x":
-                    a[idx] += power
+            try:
+                if m.group(1) is not None or m.group(2) is not None:
+                    coeff = coeff * Poly2.const(Fraction(m.group(1) or m.group(2)))
+                elif m.group(3) is not None:
+                    idx = int(m.group(4)) - 1
+                    if not 0 <= idx < alg.n:
+                        raise CherednikError(f"letter index out of range in {factor!r}")
+                    power = int(m.group(5) or 1)
+                    if m.group(3) == "x":
+                        a[idx] += power
+                    else:
+                        b[idx] += power
+                elif m.group(6) is not None:
+                    body = m.group(6).strip()
+                    if body not in ("", "e"):
+                        for tok in body.split():
+                            if not re.fullmatch(r"g\d+", tok):
+                                raise CherednikError(f"bad generator token {tok!r}")
+                            gi = int(tok[1:])
+                            if gi >= len(alg.W.generators):
+                                raise CherednikError(f"generator index {gi} out of range")
+                            g = alg.W.mul(g, alg.W.generators[gi])
+                elif m.group(7) is not None:
+                    power = int(m.group(8) or 1)
+                    coeff = coeff * (Poly2.t(power) if m.group(7) == "t" else Poly2.h(power))
                 else:
-                    b[idx] += power
-            elif m.group(6) is not None:
-                body = m.group(6).strip()
-                if body not in ("", "e"):
-                    for tok in body.split():
-                        if not re.fullmatch(r"g\d+", tok):
-                            raise CherednikError(f"bad generator token {tok!r}")
-                        gi = int(tok[1:])
-                        if gi >= len(alg.W.generators):
-                            raise CherednikError(f"generator index {gi} out of range")
-                        g = alg.W.mul(g, alg.W.generators[gi])
-            elif m.group(7) is not None:
-                power = int(m.group(8) or 1)
-                coeff = coeff * (Poly2.t(power) if m.group(7) == "t" else Poly2.h(power))
-            else:
-                try:
                     coeff = coeff * Poly2.const(cyc_parse(factor))
-                except ExactDomainError as exc:
-                    raise CherednikError(str(exc)) from exc
+            except ExactDomainError as exc:
+                raise CherednikError(str(exc)) from exc
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CherednikError("bad number in element literal: too many digits "
+                                     "or a zero denominator") from exc
         # the product of two terms recurses once per unit of their combined
         # degree, so each term may use a quarter of the interpreter's stack
         if sum(a) + sum(b) > sys.getrecursionlimit() // 4:
             raise CherednikError(f"term degree {sum(a) + sum(b)} exceeds "
                                  f"{sys.getrecursionlimit() // 4}")
-        # letters were accumulated in commuting blocks, so the order x / w / y
-        # is imposed by multiplying the three normal-ordered pieces
-        zero = (0,) * alg.n
-        xpart = alg.monomial(tuple(a), alg.W.identity, zero)
-        wpart = alg.w(g)
-        ypart = alg.monomial(zero, alg.W.identity, tuple(b))
-        term = alg.multiply(alg.multiply(xpart, wpart), ypart) * coeff
-        total = total + term
+        # letters were accumulated in commuting blocks, so the term is the
+        # normal-ordered monomial x^a * g * y^b
+        total = total + alg._term(a, g, b, coeff)
     return total
 
 

@@ -53,18 +53,19 @@ class SpecError(Exception):
 # ---------------------------------------------------------------------------
 # spec parsing
 
-def _load_json_maybe_file(text: str):
-    if text.startswith("@"):
-        path = text[1:]
-        if not os.path.exists(path):
-            raise SpecError(f"file not found: {path}")
+def _read_text(path: str) -> str:
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    else:
-        raw = text
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:   # missing, a directory, not UTF-8
+        raise SpecError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json_maybe_file(text: str):
+    raw = _read_text(text[1:]) if text.startswith("@") else text
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or an integer past the digit limit
         raise SpecError(f"bad JSON spec: {exc}") from exc
 
 
@@ -106,7 +107,11 @@ def resolve_group(spec: str, cap: int) -> ReflectionGroup:
 def _zeta_from_str(s: str) -> CycNum:
     m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
     if m:
-        return root_of_unity(int(m.group(1)), int(m.group(2)))
+        try:
+            n, e = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:       # past the interpreter's digit limit
+            raise SpecError("integer too long in root-of-unity spec") from exc
+        return root_of_unity(n, e)
     if s.strip() == "1":
         return as_cyc(1)
     raise SpecError(f"bad root-of-unity spec {s!r} (want 'N/e')")
@@ -503,18 +508,15 @@ COMMANDS = {
 # option resolution
 
 def _read_config(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise SpecError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SpecError(f"bad config line {lineno}: {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SpecError(f"bad config line {lineno}: {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

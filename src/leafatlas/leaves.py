@@ -86,9 +86,8 @@ def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
     P = sp.parabolic
     cols = []
     ident = la.identity(W.dim)
-    for g in P.elements:
-        diff = la.mat_sub(g.mat, ident)
-        cols.extend(la.transpose(diff))
+    for g in P.ids:
+        cols.extend(la.transpose(la.mat_sub(W.elements[g].mat, ident)))
     v_p = la.span(cols)                       # the P-stable complement of V^P
     inner = la.intersect(v_p, ctx.v_tau, W.dim)
     if not inner:
@@ -143,15 +142,15 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
     return tuple(out)
 
 
-def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep) -> bool:
+def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool:
     """Emptiness test for the doubled stratum: a twisted-fixed generic pair
     (point, covector) whose stabilizers intersect exactly in P."""
     W = ctx.W
-    wtau = la.mat_mul(coset_rep.mat, ctx.tau)
+    wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
     s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), W.dim)
     dual_fixed = la.nullspace(
-        tuple(r for g in P.elements for r in la.transpose(
-            la.mat_sub(g.mat, la.identity(W.dim)))), W.dim)
+        tuple(r for g in P.ids for r in la.transpose(
+            la.mat_sub(W.elements[g].mat, la.identity(W.dim)))), W.dim)
     s_x = la.intersect(dual_fixed, la.left_fixed_space(wtau), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)

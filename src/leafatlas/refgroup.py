@@ -10,6 +10,7 @@ and the rank-two group generated by order-3 reflections on 4 hyperplanes.
 
 from __future__ import annotations
 
+import re
 from array import array
 from fractions import Fraction
 from functools import cached_property
@@ -32,19 +33,14 @@ class CapExceededError(GroupError):
 
 
 class GroupElement:
-    __slots__ = ("mat", "key", "_hash", "id")
+    """A matrix with its canonical key string.  Groups hand out elements only
+    for their geometry; group operations work on ids."""
+
+    __slots__ = ("mat", "key")
 
     def __init__(self, mat: Matrix):
         self.mat = mat
         self.key = f"{len(mat)}|" + ";".join(x.sort_key() for row in mat for x in row)
-        self._hash = hash(self.key)
-        self.id = -1            # index in its group's key-ordered elements; -1 in none
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"GroupElement({self.key})"
@@ -60,7 +56,7 @@ class Hyperplane:
         self.key = tuple(x.sort_key() for x in alpha)
         self.e = 0
         self.orbit_id = -1
-        self.pointwise: tuple[GroupElement, ...] = ()
+        self.pointwise: tuple[int, ...] = ()     # ids, the identity included
 
 
 class Parabolic:
@@ -69,19 +65,18 @@ class Parabolic:
     hyperplanes containing its fixed space; `ids`, the sorted ids of its
     elements, also orders parabolics."""
 
-    __slots__ = ("group", "ids", "elements", "fixed_space", "witness", "inc")
+    __slots__ = ("group", "ids", "fixed_space", "witness", "inc")
 
     def __init__(self, group, ids, fixed_space, witness, inc):
         self.group = group
         self.ids = tuple(sorted(ids))
-        self.elements = tuple(group.elements[i] for i in self.ids)
         self.fixed_space = fixed_space
         self.witness = witness
         self.inc = inc
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
     def __eq__(self, other):
         return isinstance(other, Parabolic) and self.group is other.group \
@@ -119,40 +114,41 @@ def _rank_one_shift(m: Matrix) -> bool:
 
 class ReflectionGroup:
     """The group generated by finite-order matrices s_0..s_(n-1), enumerated
-    by one breadth-first closure.  Elements are then numbered in key order,
-    so `elements[i].id == i` and sorting ids sorts keys.  The closure is a
-    tree: `_right[g*n + j]` is the id of g*s_j, `_tree[k]` is the id of the
-    k-th element met, and `_steps[k] = p*n + j` when it was met as p*s_j."""
+    by one breadth-first closure.  An element is its id: its index in
+    `elements`, which are in key order, so sorting ids sorts keys, and
+    `by_key` maps a key to its id.  Operations take and return ids.  The
+    closure is a tree: `_right[g*n + j]` is the id of g*s_j, `_tree[k]` is
+    the id of the k-th element met, and `_steps[k] = p*n + j` when it was met
+    as p*s_j."""
 
     def __init__(self, dim: int, generators, order_cap: int = DEFAULT_ORDER_CAP,
                  name: str = ""):
         self.dim = dim
         self.name = name
         n = len(generators)
-        self.identity = one = GroupElement(la.identity(dim))
-        one.id = 0
-        self.by_key = {one.key: one}
-        found = [one]
+        found = [GroupElement(la.identity(dim))]
+        self.by_key = {found[0].key: 0}         # discovery indices until renumbered
         right, steps = array("l"), array("l", [-1])
-        for cur in found:
+        for p, cur in enumerate(found):
             for j, s in enumerate(generators):
                 g = GroupElement(la.mat_mul(cur.mat, s))
-                g = self.by_key.setdefault(g.key, g)
-                if g.id < 0:
-                    if len(found) >= order_cap:
+                o = self.by_key.setdefault(g.key, len(found))
+                if o == len(found):
+                    if o >= order_cap:
                         raise CapExceededError("group too large or infinite")
-                    g.id = len(found)
                     found.append(g)
-                    steps.append(cur.id * n + j)
-                right.append(g.id)
-        self.elements: tuple[GroupElement, ...] = tuple(sorted(found, key=lambda g: g.key))
-        old = [g.id for g in self.elements]     # per id, the discovery index
-        for i, g in enumerate(self.elements):
-            g.id = i
-        self._tree = array("l", [g.id for g in found])
+                    steps.append(p * n + j)
+                right.append(o)
+        old = sorted(range(len(found)), key=lambda o: found[o].key)   # per id, when met
+        self.elements: tuple[GroupElement, ...] = tuple(found[o] for o in old)
+        self._tree = array("l", [0]) * len(old)
+        for i, o in enumerate(old):
+            self._tree[o] = i
+            self.by_key[found[o].key] = i
         self._right = array("l", [self._tree[right[o * n + j]] for o in old for j in range(n)])
         self._steps = array("l", [-1] + [self._tree[s // n] * n + s % n for s in steps[1:]])
-        self.generators = tuple(found[i] for i in right[:n])
+        self.identity = self._tree[0]
+        self.generators = tuple(self._tree[o] for o in right[:n])
         self._reflections = None
         self._hyperplanes = None
         self._flats = None
@@ -177,10 +173,10 @@ class ReflectionGroup:
         return self._along_tree((), lambda w, j: w + (j,))
 
     @cached_property
-    def _inverses(self) -> list[GroupElement]:
+    def _inverses(self) -> list[int]:
         # (p s_j)^-1 = s_j^-1 p^-1, and s_j^-1 is the one x with x s_j = 1
         n = len(self.generators)
-        s_inv = [self.elements[self._right[j::n].index(self.identity.id)] for j in range(n)]
+        s_inv = [self._right[j::n].index(self.identity) for j in range(n)]
         return self._along_tree(self.identity, lambda x, j: self.mul(s_inv[j], x))
 
     @cached_property
@@ -189,32 +185,27 @@ class ReflectionGroup:
         start = tuple(range(len(self.hyperplanes)))
         return self._along_tree(start, lambda q, j: tuple(q[i] for i in self._generator_perms[j]))
 
-    def index(self, g: GroupElement) -> int:
-        """The id of g, which must be this group's own element."""
-        if 0 <= g.id < len(self.elements) and self.elements[g.id] is g:
-            return g.id
-        raise GroupError("element is not in the enumerated group")
-
-    def extend(self, images) -> list[GroupElement]:
-        """Per id, the image of the element under the endomorphism of W sending
-        generator j to images[j] (conjugation by a normalizing matrix, say)."""
+    def extend(self, images) -> list[int]:
+        """Per id, the id of the element's image under the endomorphism of W
+        sending generator j to images[j] (conjugation by a normalizing
+        matrix, say)."""
         return self._along_tree(self.identity, lambda x, j: self.mul(x, images[j]))
 
     # -- basic group operations ------------------------------------------------
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """g*h: g's id moved along h's word through the table of g*s_j."""
-        a, right, n = self.index(g), self._right, len(self.generators)
-        for j in self.words[self.index(h)]:
-            a = right[a * n + j]
-        return self.elements[a]
+    def mul(self, g: int, h: int) -> int:
+        """g*h: g moved along h's word through the table of g*s_j."""
+        right, n = self._right, len(self.generators)
+        for j in self.words[h]:
+            g = right[g * n + j]
+        return g
 
-    def inv(self, g: GroupElement) -> GroupElement:
-        return self._inverses[self.index(g)]
+    def inv(self, g: int) -> int:
+        return self._inverses[g]
 
-    def conj(self, g: GroupElement, by: GroupElement) -> GroupElement:
+    def conj(self, g: int, by: int) -> int:
         return self.mul(self.mul(by, g), self.inv(by))
 
-    def element_order(self, g: GroupElement) -> int:
+    def element_order(self, g: int) -> int:
         return len(_close(self, [g]))
 
     # -- reflections and hyperplanes --------------------------------------------
@@ -222,10 +213,10 @@ class ReflectionGroup:
         refl = []
         hyps: dict[tuple, Hyperplane] = {}
         ident = la.identity(self.dim)
-        for g in self.elements:
-            if not _rank_one_shift(g.mat):
+        for g, elt in enumerate(self.elements):
+            if not _rank_one_shift(elt.mat):
                 continue
-            diff = la.mat_sub(g.mat, ident)
+            diff = la.mat_sub(elt.mat, ident)
             alpha = _normalize_line(next(r for r in diff if any(not x.is_zero() for x in r)))
             cols = la.transpose(diff)
             avee = _normalize_line(next(c for c in cols if any(not x.is_zero() for x in c)))
@@ -239,13 +230,13 @@ class ReflectionGroup:
         # g != 1 fixing H pointwise has rank(g - 1) = 1, so it is a reflection
         # bucketed under H: the pointwise stabilizer is read off the list
         for H in ordered:
-            H.pointwise = tuple(sorted([self.identity] + [g for g, K in refl if K is H],
-                                       key=lambda g: g.id))
+            H.pointwise = tuple(sorted([self.identity] + [g for g, K in refl if K is H]))
             H.e = len(H.pointwise)
         self._hyperplanes = ordered
         self._reflections = tuple(refl)
         self._hyperplane_index = {H.key: i for i, H in enumerate(ordered)}
-        self._generator_perms = tuple(self.hyperplane_perm(g.mat) for g in self.generators)
+        self._generator_perms = tuple(self.hyperplane_perm(self.elements[g].mat)
+                                      for g in self.generators)
         # W-orbits of hyperplanes, numbered by their first hyperplane
         count = 0
         for i, H in enumerate(ordered):
@@ -292,8 +283,7 @@ class ReflectionGroup:
         no closure runs; otherwise W is closed under all of its reflections.
         `verify` always runs that closure, as the oracle."""
         refl = [s for s, _ in self.reflections]
-        ids = {s.id for s in refl}
-        if self.generators and all(g.id in ids for g in self.generators):
+        if self.generators and set(self.generators) <= set(refl):
             return True
         return len(_close(self, refl)) == self.order
 
@@ -320,10 +310,10 @@ class ReflectionGroup:
     def stabilizer_keys(self, v: Vector) -> frozenset[int]:
         """Whole-group scan for the ids of the stabilizer of v (the reference
         oracle)."""
-        return frozenset(g.id for g in self.elements if la.mat_vec(g.mat, v) == v)
+        return frozenset(i for i, g in enumerate(self.elements) if la.mat_vec(g.mat, v) == v)
 
     def dual_stabilizer_keys(self, c: Vector) -> frozenset[int]:
-        return frozenset(g.id for g in self.elements if la.covec_mat(c, g.mat) == c)
+        return frozenset(i for i, g in enumerate(self.elements) if la.covec_mat(c, g.mat) == c)
 
     def pointwise_stabilizer(self, basis) -> Parabolic:
         """The pointwise stabilizer of span(basis)."""
@@ -344,7 +334,7 @@ class ReflectionGroup:
         span(basis) (the reference oracle)."""
         if not basis:
             return frozenset(range(self.order))
-        return frozenset(g.id for g in self.elements
+        return frozenset(i for i, g in enumerate(self.elements)
                          if la.span([la.mat_vec(g.mat, b) for b in basis]) == basis)
 
     # -- intersection lattice and parabolic subgroups --------------------------------
@@ -433,7 +423,7 @@ class ParabolicClass:
     def __init__(self, representative: Parabolic, members, conjugators):
         self.representative = representative
         self.members = members
-        self.conjugators: dict[frozenset[int], GroupElement] = conjugators
+        self.conjugators: dict[frozenset[int], int] = conjugators
         self.class_id = -1
 
     @property
@@ -454,8 +444,7 @@ class CosetQuotient:
         for i in self.subgroup:
             if i in self._coset:
                 continue
-            g = group.elements[i]
-            ids = frozenset(group.mul(g, p).id for p in P.elements)
+            ids = frozenset(group.mul(i, p) for p in P.ids)
             self._coset.update(dict.fromkeys(ids, len(cosets)))
             cosets.append((min(ids), ids))
         self.cosets = tuple(cosets)
@@ -464,11 +453,11 @@ class CosetQuotient:
     def order(self) -> int:
         return len(self.cosets)
 
-    def rep(self, idx: int) -> GroupElement:
-        return self.group.elements[self.cosets[idx][0]]
+    def rep(self, idx: int) -> int:
+        return self.cosets[idx][0]
 
-    def coset_of(self, g: GroupElement) -> int:
-        return self._coset[self.group.index(g)]
+    def coset_of(self, g: int) -> int:
+        return self._coset[g]
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +465,14 @@ class CosetQuotient:
 
 def _close(group: ReflectionGroup, gens) -> frozenset[int]:
     """The ids of the subgroup generated by gens."""
-    found = {group.identity.id}
+    found = {group.identity}
     queue = [group.identity]
     while queue:
         g = queue.pop()
         for h in gens:
             prod = group.mul(g, h)
-            if prod.id not in found:
-                found.add(prod.id)
+            if prod not in found:
+                found.add(prod)
                 queue.append(prod)
     return frozenset(found)
 
@@ -735,41 +724,51 @@ def _g4_generators() -> list[Matrix]:
     return [s, t]
 
 
+def _catalog_match(pattern: str, s: str, flags=0) -> tuple[int, ...] | None:
+    """The integers of a catalog name matching pattern, or None."""
+    m = re.fullmatch(pattern, s, flags)
+    if m is None:
+        return None
+    try:
+        return tuple(map(int, m.groups()))
+    except ValueError as exc:       # past the interpreter's digit limit
+        raise GroupError("integer too long in group name") from exc
+
+
 def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
     """Build a named group: B(n), D(n), G4, dihedral(d), cyclic(e), G(de,e,n).
     Each order has a closed form, checked against the cap before any closure."""
-    import re as _re
     s = name.strip().replace(" ", "")
-    m = _re.fullmatch(r"[Bb]\(?(\d+)\)?", s)
+    m = _catalog_match(r"[Bb]\(?(\d+)\)?", s)
     if m:
-        n = int(m.group(1))
+        n, = m
         if n < 1:
             raise GroupError("B(n) needs n >= 1")
         return close_group(_gdeen_generators(2, 1, n, order_cap), order_cap, name=f"B{n}")
-    m = _re.fullmatch(r"[Dd]\(?(\d+)\)?", s)
+    m = _catalog_match(r"[Dd]\(?(\d+)\)?", s)
     if m:
-        n = int(m.group(1))
+        n, = m
         if n < 2:
             raise GroupError("D(n) needs n >= 2")
         return close_group(_gdeen_generators(2, 2, n, order_cap), order_cap, name=f"D{n}")
-    m = _re.fullmatch(r"(?:dihedral|dih)\(?(\d+)\)?", s, _re.IGNORECASE)
+    m = _catalog_match(r"(?:dihedral|dih)\(?(\d+)\)?", s, re.IGNORECASE)
     if m:
-        d = int(m.group(1))
+        d, = m
         if d < 2:
             raise GroupError("dihedral(d) needs d >= 2")
         _check_order([2 * d], 1, order_cap)
         return close_group(_dihedral_generators(d), order_cap, name=f"dihedral{d}")
-    m = _re.fullmatch(r"(?:cyclic|mu)\(?(\d+)\)?", s, _re.IGNORECASE)
+    m = _catalog_match(r"(?:cyclic|mu)\(?(\d+)\)?", s, re.IGNORECASE)
     if m:
-        e = int(m.group(1))
+        e, = m
         _check_order([e], 1, order_cap)
         return close_group([_diag([root_of_unity(e)])], order_cap, name=f"cyclic{e}")
     if s.upper() == "G4":
         _check_order([24], 1, order_cap)
         return close_group(_g4_generators(), order_cap, name="G4")
-    m = _re.fullmatch(r"[Gg]\((\d+),(\d+),(\d+)\)", s)
+    m = _catalog_match(r"[Gg]\((\d+),(\d+),(\d+)\)", s)
     if m:
-        de, e, n = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        de, e, n = m
         return close_group(_gdeen_generators(de, e, n, order_cap), order_cap,
                            name=f"G({de},{e},{n})")
     raise GroupError(f"unknown group name: {name!r}")

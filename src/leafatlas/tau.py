@@ -14,8 +14,8 @@ from . import linalg as la
 from .exactnum import CycNum, as_cyc
 from .linalg import Matrix, Vector
 from .refgroup import (
-    GroupElement, Parabolic, ParameterK, ReflectionGroup, _finite_order_bound, _matrix_order,
-    _orbit, group_from_elements,
+    GroupElement, Parabolic, ReflectionGroup, _finite_order_bound, _matrix_order, _orbit,
+    group_from_elements,
 )
 
 
@@ -30,9 +30,10 @@ def tau_from_word(W: ReflectionGroup, word: list[int], zeta: CycNum | None = Non
         if not 0 <= idx < len(W.generators):
             raise TauError(f"generator index {idx} out of range")
         g = W.mul(g, W.generators[idx])
+    mat = W.elements[g].mat
     if zeta is not None and not (zeta == as_cyc(1)):
-        return tuple(tuple(zeta * x for x in row) for row in g.mat)
-    return g.mat
+        return tuple(tuple(zeta * x for x in row) for row in mat)
+    return mat
 
 
 class SplitParabolic:
@@ -67,11 +68,12 @@ class TauContext:
             raise TauError("twist matrix is singular")
         self.tau = tau
         tau_inv = la.mat_inverse(tau)
-        images = [W.by_key.get(GroupElement(la.mat_mul(la.mat_mul(tau, g.mat), tau_inv)).key)
+        images = [W.by_key.get(GroupElement(la.mat_mul(la.mat_mul(tau, W.elements[g].mat),
+                                                       tau_inv)).key)
                   for g in W.generators]
         if None in images:
             raise TauError("twist does not normalize the group")
-        self._tau_images = W.extend(images)     # tau g tau^-1 for every g, by id
+        self._tau_images = W.extend(images)     # per id, the id of tau g tau^-1
         self.order = _matrix_order(tau, _finite_order_bound(W.dim, [tau]))
         if self.order is None:
             raise TauError("twist has infinite order")
@@ -99,8 +101,8 @@ class TauContext:
         # pointwise (then g^-1 V^tau lies in V^tau), i.e. lies in Z = W_(V^tau)
         W = self.W
         Z = frozenset(W.pointwise_stabilizer(self.v_tau).ids)
-        self.setwise = frozenset(g.id for g in W.elements
-                                 if W.mul(g, W.inv(self.tau_conj(g))).id in Z)
+        self.setwise = frozenset(g for g in range(W.order)
+                                 if W.mul(g, W.inv(self.tau_conj(g))) in Z)
         d = len(self.v_tau)
         if d == 0:
             bmat: Matrix = ()
@@ -127,8 +129,8 @@ class TauContext:
         self.section = tuple(ids[0] for ids in fibres)      # per W_tau id, the least W id
         self.restriction = {i: r for r, ids in enumerate(fibres) for i in ids}
 
-    def tau_conj(self, g: GroupElement) -> GroupElement:
-        return self._tau_images[self.W.index(g)]
+    def tau_conj(self, g: int) -> int:
+        return self._tau_images[g]
 
     def to_ambient(self, coords: Vector) -> Vector:
         v = la.zero_vector(self.W.dim)
@@ -169,7 +171,7 @@ class TauContext:
         sets under the hyperplane permutations of the section generators."""
         if self._split_orbits is None:
             splits = self.split_by_inc()
-            perms = [self.W.hyperplane_perms[self.section[g.id]] for g in self.w_tau.generators]
+            perms = [self.W.hyperplane_perms[self.section[g]] for g in self.w_tau.generators]
             seen = set()
             orbits = []
             for sp in self.split_parabolics():
@@ -187,12 +189,12 @@ class TauContext:
         """True iff tau P tau^-1 = P, that is, tau permutes P's hyperplanes."""
         return frozenset(self.tau_perm[i] for i in P.inc) == P.inc
 
-    def meets_stratum(self, P: Parabolic, u: GroupElement) -> bool:
+    def meets_stratum(self, P: Parabolic, u: int) -> bool:
         """True iff the fixed points of u*tau meet the open stratum of P: the
         part of V^P fixed by u*tau lies in no hyperplane beyond those
         containing V^P, so its pointwise stabilizer is exactly P."""
-        s = la.intersect(P.fixed_space, la.fixed_space(la.mat_mul(u.mat, self.tau)),
-                         self.W.dim)
+        s = la.intersect(P.fixed_space,
+                         la.fixed_space(la.mat_mul(self.W.elements[u].mat, self.tau)), self.W.dim)
         return self.W.incidence(s) == P.inc
 
     # -- twist classes ------------------------------------------------------------
@@ -211,22 +213,23 @@ class TauContext:
             result = (N, ())
             self._twists[P.inc] = result
             return result
+        W = self.W
         members = [idx for idx in range(N.order) if self.meets_stratum(P, N.rep(idx))]
         member_set = set(members)
         # N/P acts on the cosets by a.u = a u tau(a)^-1, so the orbit of u is
         # its image under every coset representative a
-        action = [(a, self.W.inv(self.tau_conj(a))) for a in map(N.rep, range(N.order))]
+        action = [(a, W.inv(self.tau_conj(a))) for a in map(N.rep, range(N.order))]
         classes = []
         seen: set[int] = set()
         for idx in members:
             if idx in seen:
                 continue
             u = N.rep(idx)
-            orbit = {N.coset_of(self.W.mul(self.W.mul(a, u), b)) for a, b in action}
+            orbit = {N.coset_of(W.mul(W.mul(a, u), b)) for a, b in action}
             if not orbit <= member_set:
                 raise TauError("twist-coset orbit left the member set")
             seen |= orbit
-            classes.append(TwistClass(P, orbit, min(N.rep(i).id for i in orbit)))
+            classes.append(TwistClass(P, orbit, min(map(N.rep, orbit))))
         classes.sort(key=lambda c: c.rep)
         result = (N, tuple(classes))
         self._twists[P.inc] = result
@@ -270,11 +273,9 @@ class TauContext:
 # module-level operations
 
 def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
-    """tau_spec: a matrix, a GroupElement, or {"word": [...], "zeta": CycNum}."""
+    """tau_spec: a matrix or {"word": [...], "zeta": CycNum}."""
     if isinstance(tau_spec, TauContext):
         return tau_spec
-    if isinstance(tau_spec, GroupElement):
-        return TauContext(W, tau_spec.mat)
     if isinstance(tau_spec, dict):
         return TauContext(W, tau_from_word(W, list(tau_spec.get("word", [])),
                                            tau_spec.get("zeta")))
@@ -357,7 +358,7 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
     ambient normalizer quotient; the image must be the tau-fixed part."""
     Nt = ctx.w_tau.normalizer(sp.p_tau)
     N = ctx.W.normalizer(sp.parabolic)
-    image = {N.coset_of(ctx.W.elements[ctx.section[Nt.rep(i).id]]) for i in range(Nt.order)}
+    image = {N.coset_of(ctx.section[Nt.rep(i)]) for i in range(Nt.order)}
     fixed = {i for i in range(N.order) if N.coset_of(ctx.tau_conj(N.rep(i))) == i}
     return {
         "quotient": Nt,
@@ -369,8 +370,7 @@ def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
 
 
 def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
-    return all(ctx.restriction[ctx.tau_conj(ctx.W.elements[i]).id] == ctx.restriction[i]
-               for i in ctx.setwise)
+    return all(ctx.restriction[ctx.tau_conj(i)] == ctx.restriction[i] for i in ctx.setwise)
 
 
 def intersection_of_splits_is_split(ctx: TauContext) -> bool:
@@ -379,8 +379,3 @@ def intersection_of_splits_is_split(ctx: TauContext) -> bool:
     return all(ctx.W.incidence(la.span(list(a.tau_fixed) + list(b.tau_fixed))) in splits
                for a in splits.values() for b in splits.values())
 
-
-def tau_stabilizes_parameter(ctx: TauContext, k: ParameterK) -> bool:
-    hyps = ctx.W.hyperplanes
-    return all(k.k_H(hyps[ctx.tau_perm[i]], j) == k.k_H(H, j)
-               for i, H in enumerate(hyps) for j in range(H.e))

@@ -81,9 +81,9 @@ def _group_checks(W: ReflectionGroup) -> list[Check]:
 
 def _hyperplane_orders(W):
     for H in W.hyperplanes:
-        fixing = {g.id for g in W.elements
+        fixing = {i for i, g in enumerate(W.elements)
                   if all(la.mat_vec(g.mat, b) == b for b in H.basis)}
-        assert {g.id for g in H.pointwise} == fixing, "pointwise stabilizer"
+        assert set(H.pointwise) == fixing, "pointwise stabilizer"
         orders = [W.element_order(g) for g in H.pointwise]
         assert max(orders, default=1) == H.e, "cyclic stabilizer"
     return f"{len(W.hyperplanes)} hyperplanes"
@@ -101,7 +101,7 @@ def _class_conjugators(W):
     for c in W.parabolic_classes():
         for Q in c.members:
             x = c.conjugators[Q.inc]
-            moved = {W.conj(p, x).id for p in c.representative.elements}
+            moved = {W.conj(p, x) for p in c.representative.ids}
             assert moved == set(Q.ids), f"class {c.class_id} conjugator"
     return f"{sum(len(c.members) for c in W.parabolic_classes())} conjugators"
 

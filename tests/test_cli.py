@@ -111,6 +111,9 @@ def test_corrupt_group_file_exit2(tmp_path, capsys):
     assert "error" in err
 
 
+BIG = "9" * 5000
+
+
 def _assert_one_line_error(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -150,8 +153,26 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["reflections", "--group", "B2", "--output", "/nonexistent/dir/x.json"],
     ["poisson", "--group", "cyclic2", "--z1", "x1^2000", "--z2", "y1"],
     ["poisson", "--group", "cyclic2", "--z1", "x1^99999999", "--z2", "y1"],
+    # integers past the interpreter's 4300-digit limit for str -> int
+    ["poisson", "--group", "cyclic2", "--z1", f"x1^{BIG}", "--z2", "y1"],
+    ["poisson", "--group", "cyclic2", "--z1", f"({BIG})*x1", "--z2", "y1"],
+    ["poisson", "--group", "cyclic2", "--z1", f"x{BIG}", "--z2", "y1"],
+    ["leaves-zero", "--group", "B2", "--tau", f'{{"word":[0],"zeta":"{BIG}/1"}}'],
+    ["leaves-zero", "--group", "B2", "--tau", f'{{"word":[{BIG}]}}'],
+    ["reflections", "--group", f"G({BIG},1,1)"],
+    ["poisson", "--group", "cyclic2", "--z1", "(1/0)*x1", "--z2", "y1"],
+    # spec files that cannot be read: a directory, or bytes that are not UTF-8
+    ["reflections", "--group", "@{dir}"],
+    ["leaves-zero", "--group", "B2", "--tau", "@{dir}"],
+    ["reflections", "--config", "{dir}"],
+    ["reflections", "--group", "@{latin1}"],
+    ["leaves-zero", "--group", "B2", "--tau", "@{latin1}"],
+    ["reflections", "--config", "{latin1}"],
 ])
-def test_malformed_shapes_exit2(capsys, argv):
+def test_malformed_shapes_exit2(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "B2", "note": "\u00e9"}'.encode("latin-1"))
+    argv = [a.replace("{dir}", str(tmp_path)).replace("{latin1}", str(latin1)) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     _assert_one_line_error(err)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafatlas import linalg as la
+from leafatlas.cherednik import CherednikAlgebra, CherednikError
 from leafatlas.exactnum import as_cyc
 from leafatlas.refgroup import (
     GroupElement, GroupError, ParameterK, _rank_one_shift, catalog, close_group,
@@ -87,7 +88,7 @@ def test_verify_hyperplane_check_scans_the_group():
 
 
 def _conjugate(W, P, x):
-    return frozenset(W.conj(p, x).id for p in P.elements)
+    return frozenset(W.conj(p, x) for p in P.ids)
 
 
 def _assert_classes_match_conjugation(W, name):
@@ -234,8 +235,8 @@ def test_stabilizer_examples():
     assert W.pointwise_stabilizer((la.vec([0, 0]),)).order == W.order
     P = W.pointwise_stabilizer((la.vec([0, 1]),))
     assert P.order == 2
-    t = next(g for g in P.elements if g != W.identity)
-    assert t.mat == la.mat([[-1, 0], [0, 1]])
+    t = next(g for g in P.ids if g != W.identity)
+    assert W.elements[t].mat == la.mat([[-1, 0], [0, 1]])
 
 
 def test_pointwise_stabilizer_examples():
@@ -259,10 +260,10 @@ def test_parabolic_classes_counts():
 
 def test_parabolic_classes_generator_order_independent():
     W1 = catalog("B2")
-    gens = [g.mat for g in W1.generators][::-1]
+    gens = [W1.elements[g].mat for g in W1.generators][::-1]
     W2 = close_group(gens)
-    k1 = [[g.key for g in c.representative.elements] for c in W1.parabolic_classes()]
-    k2 = [[g.key for g in c.representative.elements] for c in W2.parabolic_classes()]
+    k1 = [[W1.elements[i].key for i in c.representative.ids] for c in W1.parabolic_classes()]
+    k2 = [[W2.elements[i].key for i in c.representative.ids] for c in W2.parabolic_classes()]
     assert k1 == k2
 
 
@@ -332,13 +333,14 @@ def test_normalizer_filter_matches_setwise_scan_on_twists(pair_contexts):
 def _word_table(W):
     """Generator words by a breadth-first search over matrix products (the
     table that the closure's tree paths replaced)."""
-    table = {W.identity.key: ""}
-    frontier = [(W.identity.mat, "")]
+    one = W.elements[W.identity]
+    table = {one.key: ""}
+    frontier = [(one.mat, "")]
     while frontier:
         nxt = []
         for m, word in frontier:
             for i, h in enumerate(W.generators):
-                prod = la.mat_mul(m, h.mat)
+                prod = la.mat_mul(m, W.elements[h].mat)
                 key = GroupElement(prod).key
                 if key not in table:
                     w2 = (word + f" g{i}").strip()
@@ -350,18 +352,23 @@ def _word_table(W):
 
 def _assert_tables_match_matrices(W, name):
     # ids follow key order, so sorted ids and sorted keys agree
-    assert [g.id for g in W.elements] == list(range(W.order)), name
+    mats = [g.mat for g in W.elements]
+    assert [W.by_key[g.key] for g in W.elements] == list(range(W.order)), name
     assert [g.key for g in W.elements] == sorted(g.key for g in W.elements), name
-    assert W.identity is W.elements[W.identity.id], name
-    assert W.identity.mat == la.identity(W.dim), name
-    with pytest.raises(GroupError):
-        W.index(GroupElement(W.elements[-1].mat))
+    assert mats[W.identity] == la.identity(W.dim), name
+    inverses = [la.mat_inverse(m) for m in mats]
     step = max(1, W.order // 16)
-    for g in W.elements:
-        assert W.inv(g).mat == la.mat_inverse(g.mat), name
-        for h in W.elements[::step]:
-            assert W.mul(g, h).mat == la.mat_mul(g.mat, h.mat), name
-    words = {g.key: " ".join(f"g{j}" for j in W.words[g.id]) for g in W.elements}
+    for g in range(W.order):
+        assert mats[W.inv(g)] == inverses[g], name
+        for h in range(0, W.order, step):
+            assert mats[W.mul(g, h)] == la.mat_mul(mats[g], mats[h]), name
+            assert mats[W.conj(g, h)] == la.mat_mul(la.mat_mul(mats[h], mats[g]), inverses[h]), name
+    # extend: the endomorphism sending s_j to x s_j x^-1 is conjugation by x
+    x = W.order - 1
+    images = W.extend([W.conj(s, x) for s in W.generators])
+    assert [mats[i] for i in images] == \
+        [la.mat_mul(la.mat_mul(mats[x], m), inverses[x]) for m in mats], name
+    words = {g.key: " ".join(f"g{j}" for j in W.words[i]) for i, g in enumerate(W.elements)}
     assert words == _word_table(W), name
 
 
@@ -376,12 +383,17 @@ def test_closure_tables_match_matrices_on_twists(pair_contexts):
 
 
 def test_foreign_elements_raise():
+    # group operations take ids; the edges that accept an element or its key
+    # reject one outside the group, and they take no id
     W = catalog("B2")
-    g = W.elements[1]
-    for bad in (GroupElement(g.mat), catalog("B2").elements[1], catalog("B3").elements[-1]):
-        for op in (lambda: W.mul(g, bad), lambda: W.mul(bad, g), lambda: W.inv(bad)):
-            with pytest.raises(GroupError):
-                op()
+    alg = CherednikAlgebra(W)
+    foreign = catalog("B3").elements[-1]
+    assert alg.w(GroupElement(W.elements[1].mat)) == alg.w(W.elements[1].key)
+    for bad in (foreign, foreign.key, GroupElement(la.mat([[2, 0], [0, 1]])), 1):
+        with pytest.raises(CherednikError):
+            alg.w(bad)
+        with pytest.raises(CherednikError):
+            alg.monomial((1, 0), bad, (0, 1))
 
 
 def test_parameter_k_residues():

@@ -1,0 +1,49 @@
+"""Report bytes: the SHA-256 of the JSON report of fixed CLI jobs.
+
+Reports are byte-stable, so a digest that moves means a report changed.  The
+digests were recorded before group operations moved from element objects to
+integer ids; a refactor that keeps every report must keep them.
+"""
+
+import hashlib
+
+import pytest
+
+from leafatlas.cli import run
+
+REPORT_DIGESTS = [
+    (["parabolics", "--group", "D4"],
+     "c8239c5305bba86ed21ddc426a38c3d5b1d31a195a1caec0a999c739a52530d3"),
+    (["parabolics", "--group", "G(4,2,3)"],
+     "219fb273a00e10045ccaf1d59b59ed78eb7824138bce057ceca681cf7502a5b5"),
+    (["tau-split", "--group", "B3", "--tau", "neg"],
+     "43524cc66e50d7caef1668a922106c556d983889160168c5e1544ba52c13f30a"),
+    (["lehrer-springer", "--group", "G4", "--tau", '{"word":[0],"zeta":"4/1"}'],
+     "f4ead4e602d83345653fd293d7344497fab91226e1688607f925486b6ee0d8d1"),
+    (["leaves-zero", "--group", "D4", "--tau", "diag-flip"],
+     "66e1e22a1b3ce45f47d72ed96eb2eca6d89726a12b8ddb8065a0d27311855f8b"),
+    (["leaves-zero", "--group", "B3", "--tau", "neg"],
+     "60daf7781d6d08f6faf68240d565e2d16e71afff6af2011acd7ed62bf4ea215b"),
+    (["leaves-zero", "--group", "dihedral4", "--tau", "swap", "--verify"],
+     "0b7f45e9a70d20fc52c53df959f69e279126bb56eb867ed5e3f952ae4b1cae23"),
+    (["verify", "--group", "dihedral3", "--tau", "swap", "--k", "0,1"],
+     "32d9218b9517163f41de2e37b733a47ce9a5045f438b58f1fa625722350b0e7f"),
+    (["verify", "--group", "B3", "--tau", "neg"],
+     "b3b63539f3e28196119023235c3c4d955cbd5b2f4b3e8e42f7f3e385e85c67fc"),
+    (["poisson", "--group", "cyclic2", "--z1", "x1^2", "--z2", "y1^2"],
+     "eefe0d26aa1115cbd4c536a51fda1f51c48f63ab93b94e329d04bc1ede73b7de"),
+    (["catalog-dihedral", "--d", "5"],
+     "828f2ba06a1398bba74d6619c9ca521733a78331ff8e356daecf8041a5561045"),
+    (["cherednik-check", "--k", "0,1"],
+     "74a563309a3b76d70798a5331fc4e8d77d41a861709d3c7d4e100bbe11581f5c"),
+    (["reflections", "--group", "D4"],
+     "6b51848ae9747b01b64dff6d9ac3683638928001bf03099f50feabd5cba7a72c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in REPORT_DIGESTS])
+def test_report_digest(tmp_path, argv, digest):
+    path = tmp_path / "report.json"
+    assert run(argv + ["--format", "json", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
