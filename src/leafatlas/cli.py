@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from . import leaves as leaves_mod
 from . import linalg as la
@@ -104,21 +105,24 @@ def resolve_group(spec: str, cap: int) -> ReflectionGroup:
     return group_catalog(spec, cap)
 
 
-def _zeta_from_str(s: str) -> CycNum:
+def _zeta_from_str(s: str, cap: int) -> CycNum:
     m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
     if m:
         try:
             n, e = int(m.group(1)), int(m.group(2))
         except ValueError as exc:       # past the interpreter's digit limit
             raise SpecError("integer too long in root-of-unity spec") from exc
+        # zeta_n^e has order n/gcd(n, e), and Q(zeta) arithmetic grows with it
+        if n and n // gcd(n, e) > cap:
+            raise CapExceededError("twist root of unity has order above the order cap")
         return root_of_unity(n, e)
     if s.strip() == "1":
         return as_cyc(1)
     raise SpecError(f"bad root-of-unity spec {s!r} (want 'N/e')")
 
 
-def resolve_tau(W: ReflectionGroup, spec: str):
-    """Returns (matrix, human label)."""
+def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
+    """Returns (matrix, human label); cap bounds the order of a root of unity."""
     if spec is None or spec == "identity":
         return la.identity(W.dim), "identity"
     if spec == "neg":
@@ -146,7 +150,7 @@ def resolve_tau(W: ReflectionGroup, spec: str):
                 raise SpecError(f"twist matrix must be {W.dim}x{W.dim}")
             return mat, "matrix"
         if "word" in data or "zeta" in data:
-            zeta = _zeta_from_str(str(data["zeta"])) if "zeta" in data else None
+            zeta = _zeta_from_str(str(data["zeta"]), cap) if "zeta" in data else None
             word = data.get("word", [])
             if not isinstance(word, list) or not all(
                     isinstance(i, int) and not isinstance(i, bool) for i in word):
@@ -262,7 +266,7 @@ class _Job:
 
 
 def _tau_context(args, W) -> tuple[TauContext, dict]:
-    mat, label = resolve_tau(W, args.tau)
+    mat, label = resolve_tau(W, args.tau, args.cap)
     adjusted = False
     try:
         ctx = build_tau(W, mat)

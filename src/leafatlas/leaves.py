@@ -84,14 +84,12 @@ def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
     no invariants, which pins the unique zero-dimensional leaf at the origin."""
     W = ctx.W
     P = sp.parabolic
-    cols = []
-    ident = la.identity(W.dim)
-    for g in P.ids:
-        cols.extend(la.transpose(la.mat_sub(W.elements[g].mat, ident)))
-    v_p = la.span(cols)                       # the P-stable complement of V^P
+    # the P-stable complement of V^P, spanned by the coroots of P's reflections
+    v_p = la.span([W.hyperplanes[i].alpha_vee for i in P.inc])
     inner = la.intersect(v_p, ctx.v_tau, W.dim)
     if not inner:
         return True
+    ident = la.identity(W.dim)
     fixers = []
     for i in sorted(ctx.setwise.intersection(P.ids)):
         diff = la.mat_sub(W.elements[i].mat, ident)
@@ -148,9 +146,8 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool
     W = ctx.W
     wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
     s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), W.dim)
-    dual_fixed = la.nullspace(
-        tuple(r for g in P.ids for r in la.transpose(
-            la.mat_sub(W.elements[g].mat, la.identity(W.dim)))), W.dim)
+    # covectors fixed by P: those vanishing on the coroots of its reflections
+    dual_fixed = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc)), W.dim)
     s_x = la.intersect(dual_fixed, la.left_fixed_space(wtau), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)

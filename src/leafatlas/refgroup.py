@@ -185,11 +185,13 @@ class ReflectionGroup:
         start = tuple(range(len(self.hyperplanes)))
         return self._along_tree(start, lambda q, j: tuple(q[i] for i in self._generator_perms[j]))
 
-    def extend(self, images) -> list[int]:
-        """Per id, the id of the element's image under the endomorphism of W
-        sending generator j to images[j] (conjugation by a normalizing
-        matrix, say)."""
-        return self._along_tree(self.identity, lambda x, j: self.mul(x, images[j]))
+    def extend(self, images, target: "ReflectionGroup | None" = None) -> list[int]:
+        """Per id, the id in target (W itself by default) of the product of
+        images along the element's tree word, where images[j] stands for
+        generator j.  For a homomorphism, such as conjugation by a normalizing
+        matrix, this is the image of every element."""
+        target = target or self
+        return self._along_tree(target.identity, lambda x, j: target.mul(x, images[j]))
 
     # -- basic group operations ------------------------------------------------
     def mul(self, g: int, h: int) -> int:
@@ -568,18 +570,6 @@ def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
     W = ReflectionGroup(dim, gens, order_cap, name=name)
     if not W.generated_by_reflections():
         raise GroupError("group is not generated by its reflections")
-    return W
-
-
-def group_from_elements(dim: int, matrices, name: str = "") -> ReflectionGroup:
-    """The group of an already-closed set of matrices (used for restricted
-    actions), closed from its reflections when they generate it and from all
-    of its elements otherwise."""
-    given = {GroupElement(m).key: m for m in map(la.mat, matrices)}
-    mats = [given[k] for k in sorted(given)]
-    W = ReflectionGroup(dim, [m for m in mats if _rank_one_shift(m)], len(mats), name=name)
-    if W.order != len(mats):
-        W = ReflectionGroup(dim, mats, len(mats), name=name)
     return W
 
 

@@ -14,8 +14,8 @@ from . import linalg as la
 from .exactnum import CycNum, as_cyc
 from .linalg import Matrix, Vector
 from .refgroup import (
-    GroupElement, Parabolic, ReflectionGroup, _finite_order_bound, _matrix_order, _orbit,
-    group_from_elements,
+    GroupElement, Parabolic, ReflectionGroup, _close, _finite_order_bound, _matrix_order,
+    _orbit,
 )
 
 
@@ -100,33 +100,38 @@ class TauContext:
         # g V^tau = V^tau iff g tau(g)^-1 = g tau g^-1 tau^-1 fixes V^tau
         # pointwise (then g^-1 V^tau lies in V^tau), i.e. lies in Z = W_(V^tau)
         W = self.W
-        Z = frozenset(W.pointwise_stabilizer(self.v_tau).ids)
+        pointwise = W.pointwise_stabilizer(self.v_tau)
+        Z = frozenset(pointwise.ids)
         self.setwise = frozenset(g for g in range(W.order)
                                  if W.mul(g, W.inv(self.tau_conj(g))) in Z)
+        # generators of N = setwise modulo Z, least ids first: each one at
+        # least doubles the group it generates with Z's reflections
+        z_gens = [s for i in pointwise.inc for s in W.hyperplanes[i].pointwise
+                  if s != W.identity]
+        gens, reached = [], Z
+        for g in sorted(self.setwise):
+            if g not in reached:
+                gens.append(g)
+                reached = _close(W, z_gens + gens)
         d = len(self.v_tau)
         if d == 0:
             bmat: Matrix = ()
         else:
             bmat = tuple(tuple(self.v_tau[j][i] for j in range(d)) for i in range(self.W.dim))
         self.basis_matrix = bmat
-        restricted: dict[str, list[int]] = {}     # setwise ids by their restriction's key
-        mats: dict[str, Matrix] = {}
-        for i in sorted(self.setwise):
-            g = W.elements[i]
+        mats = []                                   # the generators restricted to V^tau
+        for g in gens:
             cols = []
-            for j in range(d):
-                img = la.mat_vec(g.mat, self.v_tau[j])
-                x = la.solve(bmat, img)
+            for b in self.v_tau:
+                x = la.solve(bmat, la.mat_vec(W.elements[g].mat, b))
                 if x is None:
                     raise TauError("setwise stabilizer left the fixed space")
                 cols.append(x)
-            rmat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-            rkey = GroupElement(rmat).key
-            mats[rkey] = rmat
-            restricted.setdefault(rkey, []).append(i)
-        self.w_tau = group_from_elements(d, mats.values(), name=f"{W.name or 'W'}_tau")
-        fibres = [restricted[r.key] for r in self.w_tau.elements]
-        self.section = tuple(ids[0] for ids in fibres)      # per W_tau id, the least W id
+            mats.append(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+        self.w_tau = ReflectionGroup(d, mats, len(self.setwise), name=f"{W.name or 'W'}_tau")
+        # the lift of a W_tau id restricts to it, so its fibre in N is lift*Z
+        fibres = [[W.mul(lift, z) for z in Z] for lift in self.w_tau.extend(gens, W)]
+        self.section = tuple(map(min, fibres))     # per W_tau id, the least W id
         self.restriction = {i: r for r, ids in enumerate(fibres) for i in ids}
 
     def tau_conj(self, g: int) -> int:

@@ -210,6 +210,16 @@ def test_oversized_catalog_group_exit3_quickly(capsys, group):
     _assert_one_line_error(err)
 
 
+@pytest.mark.parametrize("zeta", ["9" * 4000 + "/1", "9999991/1"])
+def test_oversized_twist_root_of_unity_exit3_quickly(capsys, zeta):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "leaves-zero", "--group", "B2",
+                           "--tau", f'{{"word":[0],"zeta":"{zeta}"}}')
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    _assert_one_line_error(err)
+
+
 def test_missing_group_exit2(capsys):
     code, _, err = run_cli(capsys, "reflections", "--group", "nonsense99")
     assert code == 2
@@ -356,8 +366,7 @@ def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch):
         return wrapper
     monkeypatch.setattr(tau.TauContext, "_build_quotient",
                         counted("quotient", tau.TauContext._build_quotient))
-    monkeypatch.setattr(tau, "group_from_elements",
-                        counted("induced", tau.group_from_elements))
+    monkeypatch.setattr(tau, "ReflectionGroup", counted("induced", tau.ReflectionGroup))
     RG = refgroup.ReflectionGroup
     monkeypatch.setattr(RG, "setwise_stabilizer_keys",
                         counted("setwise", RG.setwise_stabilizer_keys))

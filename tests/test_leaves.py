@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
@@ -10,6 +12,7 @@ from leafatlas.leaves import (
 )
 from leafatlas.refgroup import catalog, dihedral_tau
 from leafatlas.tau import build_tau
+from test_refgroup import ORACLE_BATTERY
 
 
 def _diag_flip(n):
@@ -127,3 +130,17 @@ def test_leaf_report_schema():
         assert set(leaf) == {"p_class", "p_tau_class", "twist_class", "dim",
                              "cuspidal_point", "conjB_model"}
         assert leaf["conjB_model"]["parameter"] == "0"
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_parabolic_subspaces_from_coroots_match_elements(name):
+    # the oracle: V_P spanned by the columns of g - 1 over every g in P, and
+    # the covectors fixed by P as the nullspace of those columns
+    W = catalog(name)
+    ident = la.identity(W.dim)
+    for P in W.parabolic_subgroups():
+        cols = tuple(c for g in P.ids
+                     for c in la.transpose(la.mat_sub(W.elements[g].mat, ident)))
+        coroots = tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc))
+        assert la.span(coroots) == la.span(cols)
+        assert la.nullspace(coroots, W.dim) == la.nullspace(cols, W.dim)

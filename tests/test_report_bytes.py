@@ -1,8 +1,10 @@
 """Report bytes: the SHA-256 of the JSON report of fixed CLI jobs.
 
 Reports are byte-stable, so a digest that moves means a report changed.  The
-digests were recorded before group operations moved from element objects to
-integer ids; a refactor that keeps every report must keep them.
+first 13 digests were recorded before group operations moved from element
+objects to integer ids, and the last four before W_tau was built from
+restricted generators of the setwise stabilizer; a refactor that keeps every
+report must keep them.
 """
 
 import hashlib
@@ -38,6 +40,16 @@ REPORT_DIGESTS = [
      "74a563309a3b76d70798a5331fc4e8d77d41a861709d3c7d4e100bbe11581f5c"),
     (["reflections", "--group", "D4"],
      "6b51848ae9747b01b64dff6d9ac3683638928001bf03099f50feabd5cba7a72c"),
+    # a pointwise stabilizer Z = W_(V^tau) of order 2
+    (["leaves-zero", "--group", "B3", "--tau", '{"zeta":"4/1"}'],
+     "b5ba73f89717da31d8a64ef9f3eb563d6b6ef40fc88c8ad88e832c6564ae4b8d"),
+    (["leaves-zero", "--group", "G(4,2,3)", "--tau", '{"zeta":"4/1"}'],
+     "3a9050e4b0997221d177e4fae2b36eed98a7f2f3b9c492402412b85857b5d431"),
+    # V^tau = 0, and W_tau = W
+    (["lehrer-springer", "--group", "B2", "--tau", '{"zeta":"3/1"}'],
+     "0f2190b71b74fbcee8967b70bf9d558b6993b01e7a746df987226b53d5be5c24"),
+    (["lehrer-springer", "--group", "G(4,2,3)", "--tau", "identity"],
+     "fddf34e01c704de9bf594d93a60dd1e36b0445305cd1c345061bda9f176e1616"),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
-from leafatlas.refgroup import catalog, dihedral_tau
+from leafatlas.refgroup import GroupElement, catalog, dihedral_tau
 from leafatlas.tau import (
     TauError, build_tau, hyperplane_restriction_matches,
     intersection_of_splits_is_split, is_regular, lehrer_springer_group,
@@ -127,6 +127,53 @@ def test_twisted_stabilizer_needs_the_pointwise_factor():
     assert ctx.setwise == W.setwise_stabilizer_keys(ctx.v_tau)
     assert len(ctx.setwise) == 24
     assert sum(ctx.tau_conj(g) == g for g in range(W.order)) == 4
+
+
+def _restricted_fibres(ctx):
+    """The oracle for W_tau: every element of the setwise stabilizer
+    restricted to V^tau by solving, its ids grouped by the restriction's key."""
+    W, d = ctx.W, len(ctx.v_tau)
+    fibres: dict[str, list[int]] = {}
+    for i in sorted(ctx.setwise):
+        cols = [la.solve(ctx.basis_matrix, la.mat_vec(W.elements[i].mat, b)) for b in ctx.v_tau]
+        key = GroupElement(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))).key
+        fibres.setdefault(key, []).append(i)
+    return fibres
+
+
+def _scalar_twist(W, zeta):
+    return la.mat([[zeta if i == j else 0 for j in range(W.dim)] for i in range(W.dim)])
+
+
+@pytest.fixture(scope="module")
+def w_tau_contexts(pair_contexts):
+    W = catalog("G(4,2,3)")
+    zeta4 = build_tau(W, make_full(W, _scalar_twist(W, root_of_unity(4))))
+    assert W.pointwise_stabilizer(zeta4.v_tau).order == 2
+    return {**pair_contexts, "G(4,2,3):identity": build_tau(W, la.identity(W.dim)),
+            "G(4,2,3):zeta4": zeta4}
+
+
+def test_w_tau_matches_restriction_of_every_element(w_tau_contexts):
+    for name, ctx in w_tau_contexts.items():
+        fibres = _restricted_fibres(ctx)
+        keys = [g.key for g in ctx.w_tau.elements]
+        assert keys == sorted(fibres), name
+        assert ctx.section == tuple(fibres[k][0] for k in keys), name
+        assert ctx.restriction == {i: t for t, k in enumerate(keys) for i in fibres[k]}, name
+
+
+def test_w_tau_solves_only_for_generators(monkeypatch):
+    W = catalog("B4")
+    ctx = build_tau(W, la.identity(W.dim))
+    calls = []
+    solve = la.solve
+    monkeypatch.setattr(la, "solve", lambda a, b: calls.append(b) or solve(a, b))
+    gens = ctx.w_tau.generators
+    assert 0 < len(calls) <= len(ctx.v_tau) * len(gens)
+    # each generator at least doubles the group, so there are at most log2 |N/Z|
+    quotient = len(ctx.setwise) // W.pointwise_stabilizer(ctx.v_tau).order
+    assert 2 ** len(gens) <= quotient == ctx.w_tau.order == 384
 
 
 def test_tau_conj_matches_matrices(pair_contexts):
