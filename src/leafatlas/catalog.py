@@ -175,8 +175,8 @@ def leaves_D_tau_t(n: int) -> dict:
 
 def cross_check_normalizers_B(n: int, m: int, order_cap: int = 10 ** 6) -> dict:
     """Compare the claimed normalizer orders against enumeration (small n)."""
-    if n > 4:
-        raise CatalogError("cross-checks are desk-scale: rank <= 4")
+    if n > 5:
+        raise CatalogError("cross-checks are desk-scale: rank <= 5")
     W = group_catalog(f"B{n}", order_cap)
     rows = []
     ok = True
@@ -201,8 +201,8 @@ def cross_check_normalizer_D_tau(n: int, r: int, order_cap: int = 10 ** 6) -> di
     """The twisted normalizer claim: inside the rank n-1 hyperoctahedral
     group, the coordinate parabolic of rank r^2-1 has normalizer quotient of
     hyperoctahedral type on the corank."""
-    if n > 4:
-        raise CatalogError("cross-checks are desk-scale: rank <= 4")
+    if n > 5:
+        raise CatalogError("cross-checks are desk-scale: rank <= 5")
     if r < 1 or r * r > n:
         raise CatalogError("inadmissible twist row")
     W = group_catalog(f"B{n - 1}", order_cap)

@@ -3,6 +3,10 @@
 Vectors are tuples of CycNum, matrices tuples of row tuples.  Subspaces are
 always carried as reduced-row-echelon bases, so equal subspaces have equal
 bases.  Everything is pure and deterministic.
+
+A product a @ b runs through b's column plan: each column's nonzero entries
+as (row, scalar) pairs, entries equal to one added without a multiplication.
+A caller that multiplies by the same b many times plans it once.
 """
 
 from __future__ import annotations
@@ -32,24 +36,34 @@ def zero_vector(n: int) -> Vector:
     return tuple(_ZERO for _ in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0]) if b else 0
-    k = len(b)
+def column_plan(b: Matrix) -> tuple:
+    """Per column of b, its nonzero entries as (row, scalar) pairs, with None
+    for a scalar equal to one, so a product adds that term unmultiplied."""
+    return tuple(tuple((l, None if row[j] == _ONE else row[j])
+                       for l, row in enumerate(b) if not row[j].is_zero())
+                 for j in range(len(b[0]) if b else 0))
+
+
+def mat_mul_planned(a: Matrix, plan) -> Matrix:
+    """a @ b from b's `column_plan`: zero terms and products by one skipped,
+    the terms summed in row order."""
     out = []
-    for i in range(n):
+    for ai in a:
         row = []
-        ai = a[i]
-        for j in range(m):
-            s = _ZERO
-            for l in range(k):
+        for col in plan:
+            s = None
+            for l, y in col:
                 x = ai[l]
                 if not x.is_zero():
-                    y = b[l][j]
-                    if not y.is_zero():
-                        s = s + x * y
-            row.append(s)
+                    t = x if y is None else x * y
+                    s = t if s is None else s + t
+            row.append(_ZERO if s is None else s)
         out.append(tuple(row))
     return tuple(out)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return mat_mul_planned(a, column_plan(b))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

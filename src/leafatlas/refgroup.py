@@ -1,11 +1,12 @@
 """Finite complex reflection groups as explicit matrix groups over Q(zeta).
 
 Groups are fully enumerated (breadth-first closure with a configurable order
-cap) and every query below is exact: reflections and their hyperplanes, the
-intersection lattice, parabolic subgroups with deterministic witness points,
-conjugacy classes of parabolics, normalizers with their coset quotients, and
-a catalog of standard groups G(de,e,n), Coxeter types B/D, dihedral groups
-and the rank-two group generated by order-3 reflections on 4 hyperplanes.
+cap, each generator's column plan made once for the products) and every query
+below is exact: reflections and their hyperplanes, the intersection lattice,
+parabolic subgroups with deterministic witness points, conjugacy classes of
+parabolics, normalizers with their coset quotients, and a catalog of standard
+groups G(de,e,n), Coxeter types B/D, dihedral groups and the rank-two group
+generated by order-3 reflections on 4 hyperplanes.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ class ReflectionGroup:
         found = [GroupElement(la.identity(dim))]
         self.by_key = {found[0].key: 0}         # discovery indices until renumbered
         right, steps = array("l"), array("l", [-1])
+        plans = [la.column_plan(s) for s in generators]
         for p, cur in enumerate(found):
-            for j, s in enumerate(generators):
-                g = GroupElement(la.mat_mul(cur.mat, s))
+            for j, plan in enumerate(plans):
+                g = GroupElement(la.mat_mul_planned(cur.mat, plan))
                 o = self.by_key.setdefault(g.key, len(found))
                 if o == len(found):
                     if o >= order_cap:

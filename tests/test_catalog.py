@@ -102,11 +102,24 @@ def test_cross_check_d_twist_normalizer():
     assert rep["match"] and rep["computed_order"] == 1
     rep2 = cross_check_normalizer_D_tau(4, 1)
     assert rep2["match"] and rep2["computed_order"] == 48
+    rep3 = cross_check_normalizer_D_tau(5, 1)
+    assert rep3["match"] and rep3["computed_order"] == 384
+    rep4 = cross_check_normalizer_D_tau(5, 2)
+    assert rep4["match"] and rep4["computed_order"] == 2
+
+
+def test_cross_check_normalizers_b5():
+    rep = cross_check_normalizers_B(5, 0)
+    assert rep["all_match"]
+    by_rank = {row["support_rank"]: row["computed_order"] for row in rep["rows"]}
+    assert by_rank == {0: 3840, 1: 384, 4: 2}
 
 
 def test_cross_check_rank_gate():
     with pytest.raises(CatalogError):
-        cross_check_normalizers_B(5, 0)
+        cross_check_normalizers_B(6, 0)
+    with pytest.raises(CatalogError):
+        cross_check_normalizer_D_tau(6, 1)
 
 
 def test_dihedral_record():

@@ -1,13 +1,17 @@
 """Reflection-group machinery: closure, reflections, parabolics, normalizers."""
 
+from fractions import Fraction
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafatlas import linalg as la
 from leafatlas.cherednik import CherednikAlgebra, CherednikError
-from leafatlas.exactnum import as_cyc
+from leafatlas.exactnum import CycNum, as_cyc, root_of_unity
 from leafatlas.refgroup import (
-    GroupElement, GroupError, ParameterK, _rank_one_shift, catalog, close_group,
+    GroupElement, GroupError, ParameterK, ReflectionGroup, _gdeen_generators, _rank_one_shift,
+    catalog, close_group,
 )
 from leafatlas.verify import _reflection_closure_order, run_suite
 
@@ -330,6 +334,24 @@ def test_normalizer_filter_matches_setwise_scan_on_twists(pair_contexts):
         _assert_normalizers_match_setwise_scan(ctx.w_tau, name)
 
 
+def _dense_mat_mul(a, b):
+    """The triple-loop product that the column plan replaced: the oracle."""
+    zero = as_cyc(0)
+    out = []
+    for ai in a:
+        row = []
+        for j in range(len(b[0]) if b else 0):
+            s = zero
+            for l, x in enumerate(ai):
+                if not x.is_zero():
+                    y = b[l][j]
+                    if not y.is_zero():
+                        s = s + x * y
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _word_table(W):
     """Generator words by a breadth-first search over matrix products (the
     table that the closure's tree paths replaced)."""
@@ -356,6 +378,13 @@ def _assert_tables_match_matrices(W, name):
     assert [W.by_key[g.key] for g in W.elements] == list(range(W.order)), name
     assert [g.key for g in W.elements] == sorted(g.key for g in W.elements), name
     assert mats[W.identity] == la.identity(W.dim), name
+    gens = [mats[s] for s in W.generators]
+    for s in gens:
+        for t in gens:
+            assert la.mat_mul(s, t) == _dense_mat_mul(s, t), name
+    for g in range(W.order):
+        for s, m in zip(W.generators, gens):
+            assert mats[W.mul(g, s)] == _dense_mat_mul(mats[g], m), name
     inverses = [la.mat_inverse(m) for m in mats]
     step = max(1, W.order // 16)
     for g in range(W.order):
@@ -380,6 +409,60 @@ def test_closure_tables_match_matrices(name):
 def test_closure_tables_match_matrices_on_twists(pair_contexts):
     for name, ctx in pair_contexts.items():
         _assert_tables_match_matrices(ctx.w_tau, name)
+
+
+def _random_entry(rng, conductor):
+    kind = rng.randrange(5)
+    if kind < 3:
+        return as_cyc((0, 1, -1)[kind])
+    if kind == 3 or conductor == 1:
+        return as_cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return sum((as_cyc(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) * root_of_unity(conductor, e)
+                for e in range(conductor)), as_cyc(0))
+
+
+@pytest.mark.parametrize("conductor", (1, 3, 4, 5, 8, 12))
+def test_planned_mat_mul_matches_dense_oracle(conductor):
+    rng = Random(1100 + conductor)
+    for trial in range(12):
+        n = trial % 5
+        a, b = ([[_random_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        if n and trial % 3 == 0:
+            for row in b:
+                row[0] = as_cyc(0)              # an all-zero column
+        a, b = la.mat(a), la.mat(b)
+        assert la.mat_mul(a, b) == _dense_mat_mul(a, b), (conductor, trial)
+    assert la.mat_mul((), ()) == () == _dense_mat_mul((), ())
+
+
+def _count_multiplications(run):
+    """run()'s value and how many CycNum products it made."""
+    calls = [0]
+    mul = CycNum.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CycNum, "__mul__", counted)
+        out = run()
+    return out, calls[0]
+
+
+def test_closure_multiplies_only_by_scalars_other_than_one():
+    # B4's generators are a sign change and permutations: only the sign's -1
+    # is multiplied, once per element (the dense product made 6144)
+    gens = _gdeen_generators(2, 1, 4, 10 ** 6)
+    W, calls = _count_multiplications(lambda: ReflectionGroup(4, gens))
+    assert W.order == 384 and calls <= W.order
+    # G4's generators are dense: at most the oracle's products, and some
+    G4 = catalog("G4")
+    gens = [G4.elements[s].mat for s in G4.generators]
+    W, calls = _count_multiplications(lambda: ReflectionGroup(2, gens))
+    _, dense = _count_multiplications(
+        lambda: [_dense_mat_mul(g.mat, m) for g in W.elements for m in gens])
+    assert W.order == 24 and 0 < calls <= dense
 
 
 def test_foreign_elements_raise():
