@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg as la
-from .refgroup import Parabolic, ParabolicClass, ReflectionGroup
+from .refgroup import Parabolic, ParabolicClass, ReflectionGroup, _generators
 from .tau import TauContext, TauError
 
 
@@ -89,11 +89,11 @@ def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
     inner = la.intersect(v_p, ctx.v_tau, W.dim)
     if not inner:
         return True
+    # the points fixed by the part of P stabilizing V^tau, from its generators
     ident = la.identity(W.dim)
     fixers = []
-    for i in sorted(ctx.setwise.intersection(P.ids)):
-        diff = la.mat_sub(W.elements[i].mat, ident)
-        fixers.extend(diff)
+    for i in _generators(W, ctx.setwise.intersection(P.ids)):
+        fixers.extend(la.mat_sub(W.elements[i].mat, ident))
     fixed = la.nullspace(tuple(fixers), W.dim)
     return len(la.intersect(inner, fixed, W.dim)) == 0
 
@@ -106,11 +106,8 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
         raise TauError("twist must be full")
     W = ctx.W
     wt = ctx.w_tau
-    twist_rep: dict[int, int] = {}
-    for cls in W.parabolic_classes():
-        P, classes, mapping = ctx.class_components(cls)
-        for oi, ci in mapping.items():
-            twist_rep[oi] = classes[ci].rep
+    twist_rep = {c["split_orbit"]: c["twist_class_rep"]
+                 for cls in W.parabolic_classes() for c in tau_components(ctx, cls)}
     out = []
     for oi, orbit in enumerate(ctx.split_orbits()):
         sp = orbit[0]

@@ -481,6 +481,18 @@ def _close(group: ReflectionGroup, gens) -> frozenset[int]:
     return frozenset(found)
 
 
+def _generators(group: ReflectionGroup, ids, gens=()) -> list[int]:
+    """Ids that generate the subgroup `ids` together with `gens` (inside it):
+    greedily the least id not yet reached, so each pick at least doubles the
+    group reached, and there are at most log2 |ids| of them."""
+    picked, reached = [], _close(group, gens)
+    for g in sorted(ids):
+        if g not in reached:
+            picked.append(g)
+            reached = _close(group, [*gens, *picked])
+    return picked
+
+
 def _orbit(start: frozenset[int], perms) -> dict:
     """The orbit of a set of hyperplane indices under index permutations, as
     {member: (parent, j)} in breadth-first order, where member is the image of

@@ -14,7 +14,7 @@ from . import linalg as la
 from .exactnum import CycNum, as_cyc
 from .linalg import Matrix, Vector
 from .refgroup import (
-    GroupElement, Parabolic, ReflectionGroup, _close, _finite_order_bound, _matrix_order,
+    GroupElement, Parabolic, ReflectionGroup, _finite_order_bound, _generators, _matrix_order,
     _orbit,
 )
 
@@ -52,10 +52,9 @@ class TwistClass:
     """One orbit of twist cosets acting with fixed points on a stratum; `rep`
     is the least element id in its cosets."""
 
-    __slots__ = ("parabolic", "coset_indices", "rep")
+    __slots__ = ("coset_indices", "rep")
 
-    def __init__(self, parabolic: Parabolic, coset_indices, rep: int):
-        self.parabolic = parabolic
+    def __init__(self, coset_indices, rep: int):
         self.coset_indices = tuple(sorted(coset_indices))
         self.rep = rep
 
@@ -79,11 +78,39 @@ class TauContext:
             raise TauError("twist has infinite order")
         self.tau_perm = W.hyperplane_perm(tau)
         self.v_tau = la.fixed_space(tau)
-        self.full_tau, self.delta = _max_fixed_twist(W, tau)
+        self.full_tau, self.delta = self._full_twist()
         self.is_full = self.delta == len(self.v_tau)
         self._splits = None
         self._split_orbits = None
         self._twists: dict = {}
+
+    def _twisted_orbits(self, reps, rep_of):
+        """(least, orbit) for each orbit of a.u = a u tau(a)^-1, a in reps, on
+        the indices rep_of(u), u in reps, by increasing least index: on W's ids,
+        or on a normalizer quotient's cosets by their representatives."""
+        W = self.W
+        action = [(a, W.inv(self.tau_conj(a))) for a in reps]
+        seen: set[int] = set()
+        for u in reps:
+            least = rep_of(u)
+            if least not in seen:
+                orbit = {rep_of(W.mul(W.mul(a, u), b)) for a, b in action}
+                seen |= orbit
+                yield least, orbit
+
+    def _full_twist(self) -> tuple[Matrix, int]:
+        """(w*tau, delta): delta is the largest dim V^(w tau), w the least id
+        reaching it.  As (a w tau(a)^-1) tau = a (w tau) a^-1, the dimension is
+        constant on twisted classes: one fixed space per class, at its least id."""
+        best, best_dim = None, -1
+        for g, _ in self._twisted_orbits(range(self.W.order), lambda g: g):
+            cand = la.mat_mul(self.W.elements[g].mat, self.tau)
+            dim = len(la.fixed_space(cand))
+            if dim > best_dim:
+                best, best_dim = cand, dim
+                if dim == self.W.dim:
+                    break
+        return best, best_dim
 
     # -- the reflection group on V^tau ---------------------------------------
     _QUOTIENT = frozenset({"setwise", "basis_matrix", "w_tau", "section", "restriction"})
@@ -104,21 +131,12 @@ class TauContext:
         Z = frozenset(pointwise.ids)
         self.setwise = frozenset(g for g in range(W.order)
                                  if W.mul(g, W.inv(self.tau_conj(g))) in Z)
-        # generators of N = setwise modulo Z, least ids first: each one at
-        # least doubles the group it generates with Z's reflections
+        # generators of N = setwise modulo Z, on top of Z's reflections
         z_gens = [s for i in pointwise.inc for s in W.hyperplanes[i].pointwise
                   if s != W.identity]
-        gens, reached = [], Z
-        for g in sorted(self.setwise):
-            if g not in reached:
-                gens.append(g)
-                reached = _close(W, z_gens + gens)
+        gens = _generators(W, self.setwise, z_gens)
         d = len(self.v_tau)
-        if d == 0:
-            bmat: Matrix = ()
-        else:
-            bmat = tuple(tuple(self.v_tau[j][i] for j in range(d)) for i in range(self.W.dim))
-        self.basis_matrix = bmat
+        self.basis_matrix = bmat = la.transpose(self.v_tau)
         mats = []                                   # the generators restricted to V^tau
         for g in gens:
             cols = []
@@ -127,7 +145,7 @@ class TauContext:
                 if x is None:
                     raise TauError("setwise stabilizer left the fixed space")
                 cols.append(x)
-            mats.append(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+            mats.append(la.transpose(cols))
         self.w_tau = ReflectionGroup(d, mats, len(self.setwise), name=f"{W.name or 'W'}_tau")
         # the lift of a W_tau id restricts to it, so its fibre in N is lift*Z
         fibres = [[W.mul(lift, z) for z in Z] for lift in self.w_tau.extend(gens, W)]
@@ -137,14 +155,8 @@ class TauContext:
     def tau_conj(self, g: int) -> int:
         return self._tau_images[g]
 
-    def to_ambient(self, coords: Vector) -> Vector:
-        v = la.zero_vector(self.W.dim)
-        for c, b in zip(coords, self.v_tau):
-            v = la.add_vec(v, la.scale_vec(c, b))
-        return v
-
     def ambient_span(self, rows) -> tuple[Vector, ...]:
-        return la.span([self.to_ambient(r) for r in rows])
+        return la.span([la.covec_mat(r, self.v_tau) for r in rows])
 
     # -- split parabolic subgroups ----------------------------------------------
     def split_parabolics(self) -> tuple[SplitParabolic, ...]:
@@ -205,7 +217,9 @@ class TauContext:
     # -- twist classes ------------------------------------------------------------
     def twist_classes(self, P: Parabolic):
         """Orbits, under the normalizer quotient, of cosets w with
-        fixed points of w*tau meeting the open stratum of P."""
+        fixed points of w*tau meeting the open stratum of P, sorted by rep.
+        Meeting it is constant on an orbit ((a.u) tau = a (u tau) a^-1), so
+        each orbit is tested once, at its least coset; `verify` checks all."""
         if not self.is_full:
             raise TauError("twist must be full")
         cached = self._twists.get(P.inc)
@@ -218,25 +232,12 @@ class TauContext:
             result = (N, ())
             self._twists[P.inc] = result
             return result
-        W = self.W
-        members = [idx for idx in range(N.order) if self.meets_stratum(P, N.rep(idx))]
-        member_set = set(members)
-        # N/P acts on the cosets by a.u = a u tau(a)^-1, so the orbit of u is
-        # its image under every coset representative a
-        action = [(a, W.inv(self.tau_conj(a))) for a in map(N.rep, range(N.order))]
-        classes = []
-        seen: set[int] = set()
-        for idx in members:
-            if idx in seen:
-                continue
-            u = N.rep(idx)
-            orbit = {N.coset_of(W.mul(W.mul(a, u), b)) for a, b in action}
-            if not orbit <= member_set:
-                raise TauError("twist-coset orbit left the member set")
-            seen |= orbit
-            classes.append(TwistClass(P, orbit, min(map(N.rep, orbit))))
-        classes.sort(key=lambda c: c.rep)
-        result = (N, tuple(classes))
+        # N/P acts on the cosets by a.u = a u tau(a)^-1; cosets are numbered
+        # by their least id, so an orbit's least coset holds its least id
+        reps = [N.rep(idx) for idx in range(N.order)]
+        result = (N, tuple(TwistClass(orbit, reps[least])
+                           for least, orbit in self._twisted_orbits(reps, N.coset_of)
+                           if self.meets_stratum(P, reps[least])))
         self._twists[P.inc] = result
         return result
 
@@ -279,8 +280,6 @@ class TauContext:
 
 def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
     """tau_spec: a matrix or {"word": [...], "zeta": CycNum}."""
-    if isinstance(tau_spec, TauContext):
-        return tau_spec
     if isinstance(tau_spec, dict):
         return TauContext(W, tau_from_word(W, list(tau_spec.get("word", [])),
                                            tau_spec.get("zeta")))
@@ -288,23 +287,10 @@ def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
 
 
 def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
-    """First w (in element order) with dim V^(w tau) maximal; returns w*tau."""
-    return _max_fixed_twist(W, la.mat(tau))[0]
-
-
-def _max_fixed_twist(W: ReflectionGroup, tau: Matrix) -> tuple[Matrix, int]:
-    """(w*tau, delta): delta is the largest dim V^(g tau) over g in W, and w
-    the first element (in element order) reaching it.  One scan of W, which
-    stops at a full-dimensional fixed space."""
-    best, best_dim = None, -1
-    for g in W.elements:
-        cand = la.mat_mul(g.mat, tau)
-        dim = len(la.fixed_space(cand))
-        if dim > best_dim:
-            best, best_dim = cand, dim
-            if dim == W.dim:
-                break
-    return best, best_dim
+    """w*tau for the first w (in id order) with dim V^(w tau) maximal: the
+    context's `full_tau`, found with one fixed space per twisted class.  tau
+    must be a valid twist (invertible, of finite order, normalizing W)."""
+    return TauContext(W, tau).full_tau
 
 
 def is_regular(ctx: TauContext) -> bool:
@@ -325,9 +311,6 @@ def lehrer_springer_group(ctx: TauContext) -> ReflectionGroup:
 
 def hyperplane_restriction_matches(ctx: TauContext) -> bool:
     """Hyperplanes of the induced group == restrictions of ambient ones."""
-    d = len(ctx.v_tau)
-    if d == 0:
-        return len(ctx.w_tau.hyperplanes) == 0
     expected = set()
     for H in ctx.W.hyperplanes:
         coords = tuple(la.dot(H.alpha, b) for b in ctx.v_tau)

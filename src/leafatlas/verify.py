@@ -183,6 +183,12 @@ def _leaf_partition(ctx):
         seen = {c["split_orbit"] for c in comps}
         assert len(seen) == len(comps), "component labels collide"
         total += len(comps)
+        P = ctx.class_components(cls)[0]    # twist classes must cover exactly
+        if P is not None:                   # the cosets meeting P's stratum
+            N, classes = ctx.twist_classes(P)
+            assert {i for c in classes for i in c.coset_indices} == \
+                {i for i in range(N.order) if ctx.meets_stratum(P, N.rep(i))}, \
+                f"twist classes of class {cls.class_id} miss or add a coset"
     expected = len(ctx.w_tau.parabolic_classes())
     assert total == expected, f"{total} components vs {expected} classes"
     return f"{total} components"

@@ -2,9 +2,10 @@
 
 Reports are byte-stable, so a digest that moves means a report changed.  The
 first 13 digests were recorded before group operations moved from element
-objects to integer ids, and the last four before W_tau was built from
-restricted generators of the setwise stabilizer; a refactor that keeps every
-report must keep them.
+objects to integer ids, the next four before W_tau was built from
+restricted generators of the setwise stabilizer, and the last two before the
+full-twist search took one fixed space per twisted class; a refactor that
+keeps every report must keep them.
 """
 
 import hashlib
@@ -50,6 +51,11 @@ REPORT_DIGESTS = [
      "0f2190b71b74fbcee8967b70bf9d558b6993b01e7a746df987226b53d5be5c24"),
     (["lehrer-springer", "--group", "G(4,2,3)", "--tau", "identity"],
      "fddf34e01c704de9bf594d93a60dd1e36b0445305cd1c345061bda9f176e1616"),
+    # not full: the CLI replaces tau by the context's full twist
+    (["leaves-zero", "--group", "D3", "--tau", "neg"],
+     "c6223e2a6a60069419336167bd62467aa1d0ca5e739a3cdb795045d1066f0a9f"),
+    (["leaves-zero", "--group", "G(4,4,3)", "--tau", "neg"],
+     "739413dccacbd00517e5b426d0bb08b44fbfd4ee4e26a9d9e5da95cb98a223af"),
 ]
 
 

@@ -6,7 +6,7 @@ from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
 from leafatlas.refgroup import GroupElement, catalog, dihedral_tau
 from leafatlas.tau import (
-    TauError, build_tau, hyperplane_restriction_matches,
+    TauContext, TauError, build_tau, hyperplane_restriction_matches,
     intersection_of_splits_is_split, is_regular, lehrer_springer_group,
     make_full, normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
 )
@@ -94,6 +94,23 @@ def test_make_full_is_first_maximal_in_one_scan(group, twist, monkeypatch):
     monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
     assert make_full(W, tau) == expect
     assert len(calls) <= W.order
+
+
+@pytest.mark.parametrize("group,twist", [("D4", "diag-flip"), ("B4", "identity")])
+def test_context_takes_one_fixed_space_per_twisted_class(group, twist, monkeypatch):
+    W = catalog(group)
+    tau = _diag_flip(W.dim) if twist == "diag-flip" else la.identity(W.dim)
+    calls = []
+    fixed_space = la.fixed_space
+    monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
+    ctx = build_tau(W, tau)
+    monkeypatch.undo()
+    assert ctx.is_full
+    # brute force: the class of g is its image under a.g = a g tau(a)^-1 for
+    # every a in W
+    classes = {frozenset(W.mul(W.mul(a, g), W.inv(ctx.tau_conj(a))) for a in range(W.order))
+               for g in range(W.order)}
+    assert 0 < len(calls) <= 1 + len(classes)
 
 
 def test_regularity_cases():
@@ -314,20 +331,27 @@ def test_split_data_matches_elementwise_conjugation(pair_contexts):
                 assert N.coset_of(w) in classes[ci].coset_indices, name
 
 
-def test_twist_classes_match_queue_orbits(pair_contexts):
-    # the one-pass orbits against orbits closed by a queue that applies every
-    # coset representative to every member found
+def test_twist_classes_match_queue_orbits(pair_contexts, monkeypatch):
+    # the one-pass orbits against orbits of all cosets closed by a queue that
+    # applies every coset representative to every coset found; twist_classes
+    # may test the stratum only once per orbit
+    calls = []
+    meets_stratum = TauContext.meets_stratum
+    monkeypatch.setattr(TauContext, "meets_stratum",
+                        lambda self, P, u: calls.append(u) or meets_stratum(self, P, u))
     for name, ctx in pair_contexts.items():
         W = ctx.W
         for P in W.parabolic_subgroups():
+            ctx._twists.pop(P.inc, None)        # recompute, and count the tests
+            calls.clear()
             N, classes = ctx.twist_classes(P)
+            made = len(calls)
             if not ctx.normalizes(P):
-                assert classes == (), name
+                assert classes == () and made == 0, name
                 continue
-            members = {idx for idx in range(N.order) if ctx.meets_stratum(P, N.rep(idx))}
-            expected = set()
-            while members - set().union(*expected):
-                start = min(members - set().union(*expected))
+            orbits = set()
+            while set(range(N.order)) - set().union(*orbits):
+                start = min(set(range(N.order)) - set().union(*orbits))
                 orbit, queue = {start}, [start]
                 while queue:
                     u = N.rep(queue.pop())
@@ -337,8 +361,11 @@ def test_twist_classes_match_queue_orbits(pair_contexts):
                         if moved not in orbit:
                             orbit.add(moved)
                             queue.append(moved)
-                assert orbit <= members, name
-                expected.add(frozenset(orbit))
+                orbits.add(frozenset(orbit))
+            assert made <= len(orbits), name
+            members = {idx for idx in range(N.order) if ctx.meets_stratum(P, N.rep(idx))}
+            expected = {orbit for orbit in orbits if orbit & members}
+            assert all(orbit <= members for orbit in expected), name
             assert {frozenset(c.coset_indices) for c in classes} == expected, name
             assert [c.rep for c in classes] == sorted(
                 min(N.rep(i) for i in orbit) for orbit in expected), name
