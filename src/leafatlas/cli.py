@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from . import leaves as leaves_mod
 from . import linalg as la
@@ -31,7 +31,8 @@ from .cherednik import (
     rank1_center_relation,
 )
 from .exactnum import (
-    CycNum, ExactDomainError, _frac_str, as_cyc, cyc_parse, cyc_to_str, root_of_unity,
+    CycNum, ExactDomainError, _frac_str, _prime_factors, as_cyc, cyc_parse, cyc_to_str,
+    root_of_unity,
 )
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup,
@@ -70,9 +71,32 @@ def _load_json_maybe_file(text: str):
         raise SpecError(f"bad JSON spec: {exc}") from exc
 
 
-def _scalar_from_str(s: str) -> CycNum:
+def _check_field(n: int, cap: int) -> None:
+    """Refuse Q(zeta_n) when phi(n)^2 is above the cap: an element has phi(n)
+    coefficients and a product costs about phi(n)^2 operations.  Since
+    phi(n)^2 >= n/2, an n above 2*cap is refused before it is factored."""
+    phi = n
+    if n <= 2 * cap:
+        for p in _prime_factors(n):
+            phi = phi // p * (p - 1)
+    if phi * phi > cap:
+        raise CapExceededError("cyclotomic field degree squared is above the cap")
+
+
+def _check_literal_fields(text: str, cap: int) -> None:
+    """_check_field for each Q(z_N) of a literal, before it is parsed."""
+    for m in re.finditer(r"Q\(z_(\d+)\)", text):
+        try:
+            n = int(m.group(1))
+        except ValueError as exc:       # past the interpreter's digit limit
+            raise SpecError("integer too long in cyclotomic literal") from exc
+        _check_field(n, cap)
+
+
+def _scalar_from_str(s: str, cap: int) -> CycNum:
     s = s.strip()
     if s.startswith("Q("):
+        _check_literal_fields(s, cap)
         try:
             return cyc_parse(s)
         except ExactDomainError as exc:
@@ -96,7 +120,7 @@ def resolve_group(spec: str, cap: int) -> ReflectionGroup:
             gens = []
             try:
                 for mat in data["generators"]:
-                    gens.append(la.mat([[_scalar_from_str(str(x)) for x in row]
+                    gens.append(la.mat([[_scalar_from_str(str(x), cap) for x in row]
                                         for row in mat]))
             except (TypeError, KeyError) as exc:
                 raise SpecError(f"bad generator matrix: {exc}") from exc
@@ -115,6 +139,8 @@ def _zeta_from_str(s: str, cap: int) -> CycNum:
         # zeta_n^e has order n/gcd(n, e), and Q(zeta) arithmetic grows with it
         if n and n // gcd(n, e) > cap:
             raise CapExceededError("twist root of unity has order above the order cap")
+        if n:
+            _check_field(n // gcd(n, e), cap)
         return root_of_unity(n, e)
     if s.strip() == "1":
         return as_cyc(1)
@@ -142,7 +168,7 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
             raise SpecError("twist spec must be an object")
         if "matrix" in data:
             try:
-                mat = la.mat([[_scalar_from_str(str(x)) for x in row]
+                mat = la.mat([[_scalar_from_str(str(x), cap) for x in row]
                               for row in data["matrix"]])
             except TypeError as exc:
                 raise SpecError(f"bad twist matrix: {exc}") from exc
@@ -164,7 +190,7 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
     raise SpecError(f"unknown twist spec {spec!r}")
 
 
-def resolve_parameter(W: ReflectionGroup, spec: str) -> ParameterK:
+def resolve_parameter(W: ReflectionGroup, spec: str, cap: int = DEFAULT_CAP) -> ParameterK:
     if spec is None or spec == "zero":
         return ParameterK.zero(W)
     if spec.startswith("@") or spec.lstrip().startswith("{"):
@@ -172,9 +198,9 @@ def resolve_parameter(W: ReflectionGroup, spec: str) -> ParameterK:
         lists = data.get("orbits") if isinstance(data, dict) else None
         if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
             raise SpecError("parameter spec needs an 'orbits' list of value lists")
-        per_orbit = [[_scalar_from_str(str(v)) for v in lst] for lst in lists]
+        per_orbit = [[_scalar_from_str(str(v), cap) for v in lst] for lst in lists]
     else:
-        per_orbit = [[_scalar_from_str(v) for v in chunk.split(",")]
+        per_orbit = [[_scalar_from_str(v, cap) for v in chunk.split(",")]
                      for chunk in spec.split(";")]
     try:
         return ParameterK.from_lists(W, per_orbit)
@@ -261,7 +287,7 @@ class _Job:
         """The invariant suite on the group, and the twist and parameter if given."""
         args = self.args
         ctx = self.tau[0] if args.tau is not None else None
-        k = resolve_parameter(self.group, args.k) if args.k is not None else None
+        k = resolve_parameter(self.group, args.k, args.cap) if args.k is not None else None
         return verify_mod.run_suite(self.group, ctx, k, deep=args.deep)
 
 
@@ -383,7 +409,7 @@ def cmd_catalog_b(job):
         "smoothness_rule": "eq:B-lisse", "n": args.n,
     }
     if args.ratio is not None:
-        ratio = _scalar_from_str(args.ratio)
+        ratio = _scalar_from_str(args.ratio, args.cap)
         report["ratio"] = _scalar_str(ratio)
         try:
             report["smooth"] = smooth_B(args.n, ratio)
@@ -435,7 +461,7 @@ def cmd_catalog_dihedral(job):
 
 def cmd_cherednik_check(job):
     W = job.group if job.args.group else group_catalog("cyclic2", job.args.cap)
-    k = resolve_parameter(W, job.args.k)
+    k = resolve_parameter(W, job.args.k, job.args.cap)
     try:
         rec = rank1_center_relation(k)
     except CherednikError as exc:
@@ -452,16 +478,31 @@ def cmd_cherednik_check(job):
     return report, None
 
 
+def _rewrite_work(z1, z2, order: int) -> int:
+    """An estimate of the rewriting work in [z1, z2]: over ordered pairs of
+    terms, in both orders, the product's y^b x^a (b the first term's
+    y-exponent, a the second's x-exponent, both nonzero) expands through the
+    normal forms of y^b' x^a' for b' <= b and a' <= a, each with up to
+    min(|b|, |a|) + 1 degrees and |W| group parts."""
+    return sum(prod((i + 1) * (j + 1) for i, j in zip(b, a)) * (min(sum(b), sum(a)) + 1) * order
+               for A, B in ((z1, z2), (z2, z1)) for _, _, b in A.terms for a, _, _ in B.terms
+               if any(b) and any(a))
+
+
 def cmd_poisson(job):
     args = job.args
     W = job.group
-    k = resolve_parameter(W, args.k)
+    k = resolve_parameter(W, args.k, args.cap)
     if args.z1 is None or args.z2 is None:
         raise SpecError("poisson needs --z1 and --z2")
+    _check_literal_fields(args.z1, args.cap)
+    _check_literal_fields(args.z2, args.cap)
     alg = CherednikAlgebra(W, k, "t0")
     try:
         z1 = parse_element(alg, args.z1)
         z2 = parse_element(alg, args.z2)
+        if _rewrite_work(z1, z2, W.order) > args.cap:
+            raise CapExceededError("poisson rewriting estimate is above the cap")
         bracket = poisson_bracket(z1, z2)
     except (PoissonCompatibilityError, CherednikError) as exc:
         raise SpecError(str(exc)) from exc

@@ -2,11 +2,11 @@
 
 Groups are fully enumerated (breadth-first closure with a configurable order
 cap, each generator's column plan made once for the products) and every query
-below is exact: reflections and their hyperplanes, the intersection lattice,
-parabolic subgroups with deterministic witness points, conjugacy classes of
-parabolics, normalizers with their coset quotients, and a catalog of standard
-groups G(de,e,n), Coxeter types B/D, dihedral groups and the rank-two group
-generated by order-3 reflections on 4 hyperplanes.
+below is exact: reflections and their hyperplanes, the intersection lattice
+with its parabolic subgroups and their classes (one orbit walk and one closure
+per class), witness points, normalizers with their coset quotients, and a
+catalog of standard groups G(de,e,n), Coxeter types B/D, dihedral groups and
+the rank-two group generated by order-3 reflections on 4 hyperplanes.
 """
 
 from __future__ import annotations
@@ -61,19 +61,20 @@ class Hyperplane:
 
 
 class Parabolic:
-    """A parabolic subgroup with its fixed space and a witness point.  By
-    Steinberg's theorem it is determined by `inc`, the indices of the
-    hyperplanes containing its fixed space; `ids`, the sorted ids of its
+    """A parabolic subgroup.  By Steinberg's theorem it is determined by
+    `inc`, the indices of the hyperplanes containing its fixed space (which
+    is derived from `inc` on first use); `ids`, the sorted ids of its
     elements, also orders parabolics."""
 
-    __slots__ = ("group", "ids", "fixed_space", "witness", "inc")
-
-    def __init__(self, group, ids, fixed_space, witness, inc):
+    def __init__(self, group, ids, inc):
         self.group = group
         self.ids = tuple(sorted(ids))
-        self.fixed_space = fixed_space
-        self.witness = witness
         self.inc = inc
+
+    @cached_property
+    def fixed_space(self):
+        W = self.group
+        return la.nullspace(tuple(W.hyperplanes[i].alpha for i in sorted(self.inc)), W.dim)
 
     @property
     def order(self) -> int:
@@ -153,8 +154,6 @@ class ReflectionGroup:
         self.generators = tuple(self._tree[o] for o in right[:n])
         self._reflections = None
         self._hyperplanes = None
-        self._flats = None
-        self._parabolics = None
         self._classes = None
 
     @property
@@ -328,10 +327,8 @@ class ReflectionGroup:
         `inc`, which must be all the hyperplanes containing that flat.  By
         Steinberg's theorem it is generated by their reflections; this needs
         W to be generated by its reflections, which close_group enforces."""
-        ids = _close(self, [s for s, H in self.reflections
-                            if self._hyperplane_index[H.key] in inc])
-        fixed = la.nullspace(tuple(self.hyperplanes[i].alpha for i in sorted(inc)), self.dim)
-        return Parabolic(self, ids, fixed, self.witness_point(fixed), inc)
+        return Parabolic(self, _close(self, [s for s, H in self.reflections
+                                             if self._hyperplane_index[H.key] in inc]), inc)
 
     def setwise_stabilizer_keys(self, basis) -> frozenset[int]:
         """Whole-group scan for the ids of the setwise stabilizer of
@@ -344,68 +341,70 @@ class ReflectionGroup:
     # -- intersection lattice and parabolic subgroups --------------------------------
     def flats(self) -> tuple[frozenset[int], ...]:
         """The intersection lattice, each flat given by the indices of the
-        hyperplanes containing it.  It is grown from one representative per
-        W-orbit: for a representative I and a hyperplane j outside it, the
-        incidence set of the flat cut out by I and j is computed; one not met
-        before brings in its whole orbit under the generators' hyperplane
-        permutations and becomes a representative."""
-        if self._flats is None:
-            roots = [H.alpha for H in self.hyperplanes]
-            found = {frozenset()}
-            reps = [frozenset()]
-            for rep in reps:
-                covered = set(rep)
-                for j in range(len(roots)):
-                    if j in covered:
-                        continue
-                    inc = self.incidence(la.nullspace(
-                        tuple(roots[i] for i in sorted(rep | {j})), self.dim))
-                    covered |= inc
-                    if inc not in found:
-                        found.update(_orbit(inc, self._generator_perms))
-                        reps.append(inc)
-            self._flats = tuple(sorted(found, key=sorted))
-        return self._flats
+        hyperplanes containing it, as met by `parabolic_classes`."""
+        self.parabolic_classes()
+        return tuple(sorted(self._parabolic_by_inc, key=sorted))
 
     def parabolic_subgroups(self) -> tuple[Parabolic, ...]:
-        """Every parabolic subgroup (one per intersection-lattice flat)."""
-        if self._parabolics is None:
-            out = [self._parabolic_of(inc) for inc in self.flats()]
-            out.sort(key=lambda P: (-len(P.fixed_space), P.ids))
-            self._parabolics = tuple(out)
-            self._parabolic_by_inc = {P.inc: P for P in out}
+        """Every parabolic subgroup (one per flat), by (-fixed dim, ids)."""
+        self.parabolic_classes()
         return self._parabolics
 
     def parabolic(self, inc: frozenset[int]) -> Parabolic:
         """The parabolic subgroup whose fixed space lies in exactly the
         hyperplanes of `inc`."""
-        self.parabolic_subgroups()
+        self.parabolic_classes()
         return self._parabolic_by_inc[inc]
 
     def parabolic_classes(self) -> tuple["ParabolicClass", ...]:
-        """Conjugacy classes of parabolics: orbits of incidence sets under the
-        generators' hyperplane permutations.  Each member Q carries the
-        conjugator x (a product of generators) with x P x^-1 = Q, P the
-        representative."""
+        """Conjugacy classes of parabolics, and the lattice, in one walk over
+        the W-orbits of flats (incidence sets).  The flat cut out by an
+        orbit's first flat R and a hyperplane outside it, if new, starts an
+        orbit, walked once under the generators' hyperplane permutations with
+        a conjugator x (a product of generators) per member taking R to it.
+        Only R is closed from its reflections; a member's ids are x R x^-1.
+        The representative P is the member with the least ids, each member Q
+        carries an x with x P x^-1 = Q, and classes go by (-fixed dim, P.ids)."""
         if self._classes is None:
-            classes = []
-            self._class_by_inc = {}
-            for P in self.parabolic_subgroups():
-                if P.inc in self._class_by_inc:
-                    continue
-                # P is the first member met in (fixed dim, ids) order: the minimum
-                conjugators = {}
-                for inc, step in _orbit(P.inc, self._generator_perms).items():
-                    conjugators[inc] = self.identity if step is None else \
-                        self.mul(self.generators[step[1]], conjugators[step[0]])
-                members = tuple(sorted((self.parabolic(i) for i in conjugators),
-                                       key=lambda Q: Q.ids))
-                c = ParabolicClass(P, members, conjugators)
+            roots = [H.alpha for H in self.hyperplanes]
+            classes, starts = [], []
+            self._class_by_inc, self._parabolic_by_inc = {}, {}
+
+            def walk(start):
+                conj = {}
+                for inc, step in (_orbit(start, self._generator_perms) if start
+                                  else {start: None}).items():
+                    conj[inc] = self.identity if step is None else \
+                        self.mul(self.generators[step[1]], conj[step[0]])
+                R = self._parabolic_of(start)
+                members = sorted([R] + [Parabolic(self, (self.conj(p, x) for p in R.ids), inc)
+                                        for inc, x in conj.items() if inc != start],
+                                 key=lambda Q: Q.ids)
+                back = self.inv(conj[members[0].inc])
+                c = ParabolicClass(members[0], tuple(members),
+                                   {inc: self.mul(x, back) for inc, x in conj.items()},
+                                   len(R.fixed_space))
                 classes.append(c)
-                self._class_by_inc.update(dict.fromkeys(conjugators, c))
+                starts.append(start)
+                self._class_by_inc.update(dict.fromkeys(conj, c))
+                self._parabolic_by_inc.update((Q.inc, Q) for Q in members)
+
+            walk(frozenset())
+            for start in starts:
+                covered = set(start)
+                for j in range(len(roots)):
+                    if j not in covered:
+                        inc = self.incidence(la.nullspace(
+                            tuple(roots[i] for i in sorted(start | {j})), self.dim))
+                        covered |= inc
+                        if inc not in self._class_by_inc:
+                            walk(inc)
+            classes.sort(key=lambda c: (-c.fixed_dim, c.representative.ids))
             for i, c in enumerate(classes):
                 c.class_id = i
             self._classes = tuple(classes)
+            self._parabolics = tuple(sorted(self._parabolic_by_inc.values(), key=lambda Q: (
+                -self._class_by_inc[Q.inc].fixed_dim, Q.ids)))
         return self._classes
 
     def class_of(self, P: Parabolic) -> "ParabolicClass":
@@ -424,15 +423,12 @@ class ReflectionGroup:
 
 
 class ParabolicClass:
-    def __init__(self, representative: Parabolic, members, conjugators):
+    def __init__(self, representative: Parabolic, members, conjugators, fixed_dim: int):
         self.representative = representative
         self.members = members
         self.conjugators: dict[frozenset[int], int] = conjugators
+        self.fixed_dim = fixed_dim
         self.class_id = -1
-
-    @property
-    def fixed_dim(self) -> int:
-        return len(self.representative.fixed_space)
 
 
 class CosetQuotient:

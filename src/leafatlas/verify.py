@@ -91,18 +91,21 @@ def _hyperplane_orders(W):
 
 def _witness_check(W):
     for P in W.parabolic_subgroups():
-        assert W.stabilizer_keys(P.witness) == set(P.ids), "witness stabilizer"
+        assert W.stabilizer_keys(W.witness_point(P.fixed_space)) == set(P.ids), \
+            "witness stabilizer"
     return f"{len(W.parabolic_subgroups())} parabolic subgroups"
 
 
 def _class_conjugators(W):
-    """Conjugating each class representative element by element by a
-    member's recorded conjugator gives that member."""
+    """Each member is its class representative conjugated by the member's
+    recorded conjugator, and the closure of its hyperplanes' reflections."""
     for c in W.parabolic_classes():
         for Q in c.members:
             x = c.conjugators[Q.inc]
             moved = {W.conj(p, x) for p in c.representative.ids}
             assert moved == set(Q.ids), f"class {c.class_id} conjugator"
+            assert _close(W, [g for i in Q.inc for g in W.hyperplanes[i].pointwise]) == \
+                set(Q.ids), f"class {c.class_id} member is not its reflection closure"
     return f"{sum(len(c.members) for c in W.parabolic_classes())} conjugators"
 
 

@@ -160,6 +160,7 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["leaves-zero", "--group", "B2", "--tau", f'{{"word":[0],"zeta":"{BIG}/1"}}'],
     ["leaves-zero", "--group", "B2", "--tau", f'{{"word":[{BIG}]}}'],
     ["reflections", "--group", f"G({BIG},1,1)"],
+    ["reflections", "--group", f'{{"generators":[[["Q(z_{BIG}): 1"]]]}}'],
     ["poisson", "--group", "cyclic2", "--z1", "(1/0)*x1", "--z2", "y1"],
     # spec files that cannot be read: a directory, or bytes that are not UTF-8
     ["reflections", "--group", "@{dir}"],
@@ -210,7 +211,9 @@ def test_oversized_catalog_group_exit3_quickly(capsys, group):
     _assert_one_line_error(err)
 
 
-@pytest.mark.parametrize("zeta", ["9" * 4000 + "/1", "9999991/1"])
+# the last five pass the order cap, but phi(N)^2 is above it
+@pytest.mark.parametrize("zeta", ["9" * 4000 + "/1", "9999991/1", "1009/1", "3001/1",
+                                  "10007/1", "65536/1", "720720/1"])
 def test_oversized_twist_root_of_unity_exit3_quickly(capsys, zeta):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "leaves-zero", "--group", "B2",
@@ -218,6 +221,36 @@ def test_oversized_twist_root_of_unity_exit3_quickly(capsys, zeta):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     _assert_one_line_error(err)
+
+
+def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
+    # phi(211)^2 = 44100 is under the default cap
+    code, out, _ = run_cli(capsys, "leaves-zero", "--group", "B2",
+                           "--tau", '{"word":[0],"zeta":"211/1"}')
+    assert code == 0 and json.loads(out)["leaves"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["Q(z_65536): 1*z^1","0"],["0","1"]]}'],
+    ["reflections", "--group", '{"generators":[[["Q(z_10007): 1*z^1"]]]}'],
+    ["cherednik-check", "--group", "cyclic2", "--k", "Q(z_65536): 1*z^1,0"],
+    ["poisson", "--group", "cyclic2", "--z1", "(Q(z_65536): 1*z^1) * x1", "--z2", "y1"],
+    ["poisson", "--group", "cyclic2", "--z1", "x1^250", "--z2", "y1^250"],
+    ["poisson", "--group", "cyclic2", "--z1", "y1^250 + x1", "--z2", "x1^250"],
+])
+def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    _assert_one_line_error(err)
+
+
+def test_poisson_inside_the_rewrite_bound_runs(capsys):
+    # the estimate is 2 * 26^3 = 35152 on cyclic2, under the default cap
+    code, out, _ = run_cli(capsys, "poisson", "--group", "cyclic2",
+                           "--z1", "x1^25", "--z2", "y1^25")
+    assert code == 0 and json.loads(out)["euler_degree"] == 0
 
 
 def test_missing_group_exit2(capsys):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from leafatlas import linalg as la
 from leafatlas.cherednik import CherednikAlgebra, CherednikError
 from leafatlas.exactnum import CycNum, as_cyc, root_of_unity
+from leafatlas import refgroup
 from leafatlas.refgroup import (
-    GroupElement, GroupError, ParameterK, ReflectionGroup, _gdeen_generators, _rank_one_shift,
-    catalog, close_group,
+    GroupElement, GroupError, ParameterK, ReflectionGroup, _close, _gdeen_generators,
+    _rank_one_shift, catalog, close_group,
 )
 from leafatlas.verify import _reflection_closure_order, run_suite
 
@@ -141,6 +142,65 @@ def test_verify_class_conjugator_check_conjugates_elementwise():
     c.conjugators[c.members[-1].inc] = W.identity
     status = {r["id"]: r["status"] for r in run_suite(W)}
     assert status["group.class-conjugators"] == "fail"
+
+
+def test_verify_class_conjugator_check_closes_each_member():
+    # swapping two members' ids together with their conjugators keeps every
+    # conjugation consistent; only the reflection closure of each member's
+    # hyperplanes notices
+    W = catalog("B3")
+    c = next(c for c in W.parabolic_classes() if len(c.members) > 2)
+    Q1, Q2 = c.members[-2:]
+    Q1.ids, Q2.ids = Q2.ids, Q1.ids
+    c.conjugators[Q1.inc], c.conjugators[Q2.inc] = c.conjugators[Q2.inc], c.conjugators[Q1.inc]
+    status = {r["id"]: r["status"] for r in run_suite(W)}
+    assert status["group.class-conjugators"] == "fail"
+
+
+def _lattice_calls(W):
+    """How often the lattice, built on W, closes a parabolic, takes a witness
+    point and walks an orbit."""
+    calls = {"closures": 0, "witnesses": 0, "orbits": 0}
+
+    def counted(key, fn):
+        def run(*args):
+            calls[key] += 1
+            return fn(*args)
+        return run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReflectionGroup, "_parabolic_of",
+                   counted("closures", ReflectionGroup._parabolic_of))
+        mp.setattr(ReflectionGroup, "witness_point",
+                   counted("witnesses", ReflectionGroup.witness_point))
+        mp.setattr(refgroup, "_orbit", counted("orbits", refgroup._orbit))
+        classes = W.parabolic_classes()
+    return classes, calls
+
+
+@pytest.mark.parametrize("name,class_count,flat_count", [("B3", 7, 24), ("B4", 12, 116)])
+def test_lattice_walks_and_closes_once_per_class(name, class_count, flat_count):
+    # closing every flat would take 24 closures on B3 and 116 on B4; the
+    # trivial class needs no orbit walk
+    classes, calls = _lattice_calls(catalog(name))
+    assert len(classes) == class_count
+    assert sum(len(c.members) for c in classes) == flat_count
+    assert calls == {"closures": class_count, "witnesses": 0, "orbits": class_count - 1}
+
+
+def _assert_parabolics_are_reflection_closures(W, name):
+    for P in W.parabolic_subgroups():
+        refl = [s for s, H in W.reflections if W.hyperplanes.index(H) in P.inc]
+        assert set(P.ids) == _close(W, refl), name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_parabolics_are_reflection_closures(name):
+    _assert_parabolics_are_reflection_closures(catalog(name), name)
+
+
+def test_parabolics_are_reflection_closures_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_parabolics_are_reflection_closures(ctx.w_tau, name)
 
 
 def test_order_cap_error():
@@ -275,7 +335,7 @@ def test_witness_has_exact_stabilizer():
     for name in ("B2", "B3", "G4", "dihedral4"):
         W = catalog(name)
         for P in W.parabolic_subgroups():
-            assert W.stabilizer_keys(P.witness) == set(P.ids)
+            assert W.stabilizer_keys(W.witness_point(P.fixed_space)) == set(P.ids)
 
 
 @given(st.sampled_from(["B2", "dihedral3", "G4"]),
