@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import comb, gcd
 
 from . import leaves as leaves_mod
 from . import linalg as la
@@ -136,10 +136,7 @@ def _zeta_from_str(s: str, cap: int) -> CycNum:
             n, e = int(m.group(1)), int(m.group(2))
         except ValueError as exc:       # past the interpreter's digit limit
             raise SpecError("integer too long in root-of-unity spec") from exc
-        # zeta_n^e has order n/gcd(n, e), and Q(zeta) arithmetic grows with it
-        if n and n // gcd(n, e) > cap:
-            raise CapExceededError("twist root of unity has order above the order cap")
-        if n:
+        if n:                           # zeta_n^e has order n/gcd(n, e)
             _check_field(n // gcd(n, e), cap)
         return root_of_unity(n, e)
     if s.strip() == "1":
@@ -148,7 +145,7 @@ def _zeta_from_str(s: str, cap: int) -> CycNum:
 
 
 def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
-    """Returns (matrix, human label); cap bounds the order of a root of unity."""
+    """Returns (matrix, human label); cap bounds the field of a root of unity."""
     if spec is None or spec == "identity":
         return la.identity(W.dim), "identity"
     if spec == "neg":
@@ -478,15 +475,23 @@ def cmd_cherednik_check(job):
     return report, None
 
 
-def _rewrite_work(z1, z2, order: int) -> int:
-    """An estimate of the rewriting work in [z1, z2]: over ordered pairs of
-    terms, in both orders, the product's y^b x^a (b the first term's
-    y-exponent, a the second's x-exponent, both nonzero) expands through the
-    normal forms of y^b' x^a' for b' <= b and a' <= a, each with up to
-    min(|b|, |a|) + 1 degrees and |W| group parts."""
-    return sum(prod((i + 1) * (j + 1) for i, j in zip(b, a)) * (min(sum(b), sum(a)) + 1) * order
-               for A, B in ((z1, z2), (z2, z1)) for _, _, b in A.terms for a, _, _ in B.terms
-               if any(b) and any(a))
+def _rewrite_work(z1, z2, W: ReflectionGroup, k: ParameterK) -> int:
+    """An estimate of the rewriting work in [z1, z2], summed over both orders
+    of the product.  With B the largest y-degree of the left factor and A the
+    largest x-degree of the right one, rewriting (cached per exponent pair)
+    reaches y^b x^a for any |b| <= B and |a| <= A: C(B+n, n) C(A+n, n) pairs,
+    each a normal form of up to m + 1 degrees (m = min(B, A)) whose group
+    parts are products of at most m of the r reflections the commutators
+    carry (r = 0 when k is zero), and at most |W| of them."""
+    n, r = W.dim, 0 if k.is_zero() else len(W.reflections)
+    work = 0
+    for A, B in ((z1, z2), (z2, z1)):
+        ydeg = max((sum(b) for _, _, b in A.terms), default=0)
+        xdeg = max((sum(a) for a, _, _ in B.terms), default=0)
+        m = min(ydeg, xdeg)
+        if m:
+            work += comb(ydeg + n, n) * comb(xdeg + n, n) * (m + 1) * min(W.order, (r + 1) ** m)
+    return work
 
 
 def cmd_poisson(job):
@@ -501,7 +506,7 @@ def cmd_poisson(job):
     try:
         z1 = parse_element(alg, args.z1)
         z2 = parse_element(alg, args.z2)
-        if _rewrite_work(z1, z2, W.order) > args.cap:
+        if _rewrite_work(z1, z2, W, k) > args.cap:
             raise CapExceededError("poisson rewriting estimate is above the cap")
         bracket = poisson_bracket(z1, z2)
     except (PoissonCompatibilityError, CherednikError) as exc:

@@ -372,8 +372,7 @@ class ReflectionGroup:
 
             def walk(start):
                 conj = {}
-                for inc, step in (_orbit(start, self._generator_perms) if start
-                                  else {start: None}).items():
+                for inc, step in _orbit(start, self._generator_perms).items():
                     conj[inc] = self.identity if step is None else \
                         self.mul(self.generators[step[1]], conj[step[0]])
                 R = self._parabolic_of(start)

@@ -237,6 +237,11 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
     ["poisson", "--group", "cyclic2", "--z1", "(Q(z_65536): 1*z^1) * x1", "--z2", "y1"],
     ["poisson", "--group", "cyclic2", "--z1", "x1^250", "--z2", "y1^250"],
     ["poisson", "--group", "cyclic2", "--z1", "y1^250 + x1", "--z2", "x1^250"],
+    # a transposition moves degree between coordinates, so this slow bracket
+    # reaches exponent pairs outside each term's own box; a bound over the
+    # boxes let it run
+    ["poisson", "--group", "B3", "--k", "1;1",
+     "--z1", "x1^6+x2^6+x3^6", "--z2", "y1^6+y2^6+y3^6"],
 ])
 def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     start = time.perf_counter()
@@ -246,10 +251,17 @@ def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     _assert_one_line_error(err)
 
 
-def test_poisson_inside_the_rewrite_bound_runs(capsys):
-    # the estimate is 2 * 26^3 = 35152 on cyclic2, under the default cap
-    code, out, _ = run_cli(capsys, "poisson", "--group", "cyclic2",
-                           "--z1", "x1^25", "--z2", "y1^25")
+@pytest.mark.parametrize("argv", [
+    # the estimate is 26^3 = 17576: with k zero the normal forms carry no group part
+    ["--group", "cyclic2", "--z1", "x1^25", "--z2", "y1^25"],
+    # C(7,5)^2 * 3 * 26^2 = 894348 and C(7,5)^2 * 3 * 21^2 = 583443
+    ["--group", "B5", "--k", "1;1", "--z1", "x1^2+x2^2+x3^2+x4^2+x5^2",
+     "--z2", "y1^2+y2^2+y3^2+y4^2+y5^2"],
+    ["--group", "D5", "--k", "1", "--z1", "x1^2+x2^2+x3^2+x4^2+x5^2",
+     "--z2", "y1^2+y2^2+y3^2+y4^2+y5^2"],
+])
+def test_poisson_inside_the_rewrite_bound_runs(capsys, argv):
+    code, out, _ = run_cli(capsys, "poisson", *argv)
     assert code == 0 and json.loads(out)["euler_degree"] == 0
 
 

@@ -179,12 +179,11 @@ def _lattice_calls(W):
 
 @pytest.mark.parametrize("name,class_count,flat_count", [("B3", 7, 24), ("B4", 12, 116)])
 def test_lattice_walks_and_closes_once_per_class(name, class_count, flat_count):
-    # closing every flat would take 24 closures on B3 and 116 on B4; the
-    # trivial class needs no orbit walk
+    # closing every flat would take 24 closures on B3 and 116 on B4
     classes, calls = _lattice_calls(catalog(name))
     assert len(classes) == class_count
     assert sum(len(c.members) for c in classes) == flat_count
-    assert calls == {"closures": class_count, "witnesses": 0, "orbits": class_count - 1}
+    assert calls == {"closures": class_count, "witnesses": 0, "orbits": class_count}
 
 
 def _assert_parabolics_are_reflection_closures(W, name):
