@@ -13,6 +13,15 @@ is the semidirect-product action.  Three modes share the engine:
 The normal form is reached by resolving the innermost leftmost inversion
 first; the inversion count strictly drops, so rewriting terminates, and the
 result is cached per exponent pair.
+
+Every coefficient is summed through one path.  `_add_into` adds a scalar
+into a sparse map and drops the key when the sum is zero; `Poly2` does not
+filter zeros again, and an element drops only a monomial whose polynomial
+is empty.  `multiply` and `yx_product` each sum scalars into one
+flat map keyed by (monomial, (t power, h power)), and `_collect` groups it
+into polynomials once per call.  Moving a group element past x^a or y^b
+expands through the rows or the columns of its inverse matrix, cached per
+(element, exponents, side) in `_w_expansion`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg as la
-from .exactnum import CycNum, ExactDomainError, _frac_str, as_cyc, cyc_parse, cyc_to_str
+from .exactnum import CycNum, ExactDomainError, as_cyc, cyc_parse, num_str
 from .refgroup import GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
@@ -38,19 +47,30 @@ class PoissonCompatibilityError(CherednikError):
     """Inputs not Poisson-compatible (not central at the undeformed point)."""
 
 
+def _add_into(out: dict, key, val) -> None:
+    """out[key] += val, dropping the key when the sum is zero."""
+    s = out[key] + val if key in out else val
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 # ---------------------------------------------------------------------------
 # coefficients: polynomials in t and h over Q(zeta)
 
 class Poly2:
+    """A sparse map (t power, h power) -> nonzero CycNum.  The constructor
+    takes the map as given: the sums that build one drop zeros."""
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[tuple[int, int], CycNum] | None = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
+        self.coeffs = coeffs if coeffs is not None else {}
 
     @staticmethod
     def const(c) -> "Poly2":
         c = as_cyc(c)
-        return Poly2({(0, 0): c})
+        return Poly2({} if c.is_zero() else {(0, 0): c})
 
     @staticmethod
     def t(power: int = 1) -> "Poly2":
@@ -66,11 +86,7 @@ class Poly2:
     def __add__(self, other: "Poly2") -> "Poly2":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, CycNum.zero()) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _add_into(out, k, v)
         return Poly2(out)
 
     def __neg__(self) -> "Poly2":
@@ -83,12 +99,7 @@ class Poly2:
         out: dict[tuple[int, int], CycNum] = {}
         for (i1, j1), v1 in self.coeffs.items():
             for (i2, j2), v2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, CycNum.zero()) + v1 * v2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                _add_into(out, (i1 + i2, j1 + j2), v1 * v2)
         return Poly2(out)
 
     def scale(self, c: CycNum) -> "Poly2":
@@ -98,9 +109,6 @@ class Poly2:
 
     def __eq__(self, other):
         return isinstance(other, Poly2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.coeffs.items())))
 
     def divisible_by_t(self) -> bool:
         return all(i > 0 for (i, _j) in self.coeffs)
@@ -116,11 +124,7 @@ class Poly2:
     def subs_h(self, lam: CycNum) -> "Poly2":
         out: dict[tuple[int, int], CycNum] = {}
         for (i, j), v in self.coeffs.items():
-            s = out.get((i, 0), CycNum.zero()) + v * (lam ** j)
-            if s.is_zero():
-                out.pop((i, 0), None)
-            else:
-                out[(i, 0)] = s
+            _add_into(out, (i, 0), v * (lam ** j))
         return Poly2(out)
 
     def constant(self) -> CycNum:
@@ -148,7 +152,7 @@ class CherElement:
         self._check(other)
         out = dict(self.terms)
         for m, p in other.terms.items():
-            out[m] = out.get(m, Poly2()) + p
+            _add_into(out, m, p)
         return CherElement(self.algebra, out)
 
     def __neg__(self) -> "CherElement":
@@ -186,6 +190,17 @@ def _exp_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _collect(flat: dict[tuple[Monomial, tuple[int, int]], CycNum]) -> dict[Monomial, Poly2]:
+    """Group a flat {(monomial, (t power, h power)): scalar} sum by monomial."""
+    out: dict[Monomial, Poly2] = {}
+    for (mono, th), c in flat.items():
+        poly = out.get(mono)
+        if poly is None:
+            poly = out[mono] = Poly2()
+        poly.coeffs[th] = c
+    return out
+
+
 class CherednikAlgebra:
     def __init__(self, W: ReflectionGroup, k: ParameterK | None = None, mode: str = "t0"):
         if mode not in MODES:
@@ -198,8 +213,7 @@ class CherednikAlgebra:
         self.mode = mode
         self._commutators = self._build_commutators()
         self._yx_cache: dict = {}
-        self._wx_cache: dict = {}
-        self._yw_cache: dict = {}
+        self._w_cache: dict = {}
 
     # -- relation data -----------------------------------------------------------
     def _build_commutators(self):
@@ -210,11 +224,9 @@ class CherednikAlgebra:
             weights: dict[int, CycNum] = {}
             for u in H.pointwise:
                 det_u = self.W.det_character[u]
-                acc = CycNum.zero()
                 for l in range(H.e):
-                    acc = acc + (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l)
-                if not acc.is_zero():
-                    weights[u] = acc
+                    _add_into(weights, u,
+                              (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l))
             for i in range(n):
                 ai = H.alpha[i]
                 if ai.is_zero():
@@ -225,11 +237,7 @@ class CherednikAlgebra:
                         continue
                     scalar = ai * vj * pair_norm
                     for u, wt in weights.items():
-                        cur = comm[i][j].get(u, CycNum.zero()) + scalar * wt
-                        if cur.is_zero():
-                            comm[i][j].pop(u, None)
-                        else:
-                            comm[i][j][u] = cur
+                        _add_into(comm[i][j], u, scalar * wt)
         out = []
         for i in range(n):
             row = []
@@ -241,8 +249,7 @@ class CherednikAlgebra:
                     else:
                         entry[u] = Poly2.const(c)
                 if self.mode == "t" and i == j:
-                    one = self.W.identity
-                    entry[one] = entry.get(one, Poly2()) + Poly2.t()
+                    _add_into(entry, self.W.identity, Poly2.t())
                 row.append(entry)
             out.append(row)
         return out
@@ -295,38 +302,22 @@ class CherednikAlgebra:
                         if f.is_zero():
                             continue
                         key = tuple(v + (1 if idx == i else 0) for idx, v in enumerate(mono))
-                        s = nxt.get(key, CycNum.zero()) + c * f
-                        if s.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
+                        _add_into(nxt, key, c * f)
                 acc = nxt
         return acc
 
-    def push_w_past_x(self, w: int, alpha) -> dict[tuple[int, ...], CycNum]:
-        """w x^alpha = (expansion in x) * w, for the element of id w."""
-        if not any(alpha) or w == self.W.identity:
-            return {alpha: _ONE}
-        key = (w, alpha)
-        cached = self._wx_cache.get(key)
+    def _w_expansion(self, w: int, exps, dual: bool) -> dict[tuple[int, ...], CycNum]:
+        """For the element of id w: w x^exps = (expansion in x) w, or, with
+        dual set, y^exps w = w (expansion in y).  The letters expand through
+        the rows of w^-1, or through its columns when dual is set."""
+        if not any(exps) or w == self.W.identity:
+            return {exps: _ONE}
+        key = (w, exps, dual)
+        cached = self._w_cache.get(key)
         if cached is None:
             inv = self.W.elements[self.W.inv(w)].mat
-            forms = [[inv[j][i] for i in range(self.n)] for j in range(self.n)]
-            cached = self._poly_pow_linear(forms, alpha)
-            self._wx_cache[key] = cached
-        return cached
-
-    def pull_w_from_y(self, w: int, beta) -> dict[tuple[int, ...], CycNum]:
-        """y^beta w = w * (expansion in y), for the element of id w."""
-        if not any(beta) or w == self.W.identity:
-            return {beta: _ONE}
-        key = (w, beta)
-        cached = self._yw_cache.get(key)
-        if cached is None:
-            inv = self.W.elements[self.W.inv(w)].mat
-            forms = [[inv[i][m] for i in range(self.n)] for m in range(self.n)]
-            cached = self._poly_pow_linear(forms, beta)
-            self._yw_cache[key] = cached
+            cached = self._poly_pow_linear(list(zip(*inv)) if dual else inv, exps)
+            self._w_cache[key] = cached
         return cached
 
     # -- the rewriting kernel ----------------------------------------------------------
@@ -346,77 +337,55 @@ class CherednikAlgebra:
         j = next(m for m in range(n) if a[m])
         b1 = tuple(v - (1 if m == i else 0) for m, v in enumerate(b))
         a1 = tuple(v - (1 if m == j else 0) for m, v in enumerate(a))
-        result: dict[Monomial, Poly2] = {}
-
-        def accumulate(mono: Monomial, poly: Poly2):
-            cur = result.get(mono, Poly2()) + poly
-            if cur.is_zero():
-                result.pop(mono, None)
-            else:
-                result[mono] = cur
+        flat: dict[tuple[Monomial, tuple[int, int]], CycNum] = {}
 
         # term 1: x_j (y_i x^{a1}) with y^{b1} still on the left
         e_i = tuple(1 if m == i else 0 for m in range(n))
-        inner = self.yx_product(e_i, a1)
-        for (gam, v, eps), c_in in inner.items():
+        for (gam, v, eps), c_in in self.yx_product(e_i, a1).items():
             gam2 = tuple(x + (1 if m == j else 0) for m, x in enumerate(gam))
-            left = self.yx_product(b1, gam2)
-            for (mu, v2, nu), c_left in left.items():
+            for (mu, v2, nu), c_left in self.yx_product(b1, gam2).items():
                 # (x^mu v2 y^nu) (v y^eps): move y^nu across v
                 v2v = W.mul(v2, v)
-                spread = self.pull_w_from_y(v, nu)
-                for delta, f in spread.items():
-                    accumulate((mu, v2v, _exp_add(delta, eps)),
-                               (c_in * c_left).scale(f))
+                coeffs = (c_in * c_left).coeffs.items()
+                for delta, f in self._w_expansion(v, nu, True).items():
+                    mono = (mu, v2v, _exp_add(delta, eps))
+                    for th, c in coeffs:
+                        _add_into(flat, (mono, th), c * f)
 
         # term 2: y^{b1} C_{ij} x^{a1}
         for u, cpoly in self._commutators[i][j].items():
-            spread = self.pull_w_from_y(u, b1)
-            for delta, f in spread.items():
-                inner2 = self.yx_product(delta, a1)
-                for (gam, v, eps), c_in in inner2.items():
+            for delta, f in self._w_expansion(u, b1, True).items():
+                for (gam, v, eps), c_in in self.yx_product(delta, a1).items():
                     uv = W.mul(u, v)
-                    push = self.push_w_past_x(u, gam)
-                    for gam2, d in push.items():
-                        accumulate((gam2, uv, eps),
-                                   (cpoly * c_in).scale(f * d))
+                    coeffs = (cpoly * c_in).coeffs.items()
+                    for gam2, d in self._w_expansion(u, gam, False).items():
+                        fd = f * d
+                        for th, c in coeffs:
+                            _add_into(flat, ((gam2, uv, eps), th), c * fd)
 
+        result = _collect(flat)
         self._yx_cache[(b, a)] = result
         return result
 
-    def _mono_mul(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Poly2]:
-        a1, w1, b1 = m1
-        a2, w2, b2 = m2
-        out: dict[Monomial, Poly2] = {}
-        mid = self.yx_product(b1, a2)
-        W = self.W
-        for (alpha, u, beta), c in mid.items():
-            push = self.push_w_past_x(w1, alpha)
-            pull = self.pull_w_from_y(w2, beta)
-            w1uw2 = W.mul(W.mul(w1, u), w2)
-            for gam, d in push.items():
-                xpart = _exp_add(a1, gam)
-                for delta, f in pull.items():
-                    mono = (xpart, w1uw2, _exp_add(delta, b2))
-                    cur = out.get(mono, Poly2()) + c.scale(d * f)
-                    if cur.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = cur
-        return out
-
     def multiply(self, A: CherElement, B: CherElement) -> CherElement:
-        out: dict[Monomial, Poly2] = {}
-        for m1, p1 in A.terms.items():
-            for m2, p2 in B.terms.items():
+        W = self.W
+        flat: dict[tuple[Monomial, tuple[int, int]], CycNum] = {}
+        for (a1, w1, b1), p1 in A.terms.items():
+            for (a2, w2, b2), p2 in B.terms.items():
                 scale = p1 * p2
-                for mono, p in self._mono_mul(m1, m2).items():
-                    cur = out.get(mono, Poly2()) + p * scale
-                    if cur.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = cur
-        return CherElement(self, out)
+                # x^a1 w1 (y^b1 x^a2) w2 y^b2: push w1 right past x, pull w2 left past y
+                for (alpha, u, beta), c in self.yx_product(b1, a2).items():
+                    w1uw2 = W.mul(W.mul(w1, u), w2)
+                    coeffs = (c * scale).coeffs.items()
+                    pull = self._w_expansion(w2, beta, True)
+                    for gam, d in self._w_expansion(w1, alpha, False).items():
+                        xpart = _exp_add(a1, gam)
+                        for delta, f in pull.items():
+                            mono = (xpart, w1uw2, _exp_add(delta, b2))
+                            df = d * f
+                            for th, v in coeffs:
+                                _add_into(flat, (mono, th), v * df)
+        return CherElement(self, _collect(flat))
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:
         return self.multiply(A, B) - self.multiply(B, A)
@@ -454,13 +423,8 @@ def associated_graded_leading(e: CherElement, commutative: CherednikAlgebra | No
     if e.is_zero():
         return commutative.zero()
     top = filtration_degree(e)
-    out = {}
-    for (a, w, b), p in e.terms.items():
-        if sum(a) + sum(b) == top:
-            p0 = p.at_t0()
-            if not p0.is_zero():
-                out[(a, w, b)] = p0
-    return CherElement(commutative, out)
+    return CherElement(commutative, {(a, w, b): p.at_t0() for (a, w, b), p in e.terms.items()
+                                     if sum(a) + sum(b) == top})
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +448,7 @@ def poisson_bracket(z1: CherElement, z2: CherElement,
         if not p.divisible_by_t():
             raise PoissonCompatibilityError(
                 "inputs not Poisson-compatible (not central at the undeformed point)")
-        q = p.div_t().at_t0()
-        if not q.is_zero():
-            out[mono] = q
+        out[mono] = p.div_t().at_t0()
     return CherElement(base, out)
 
 
@@ -625,12 +587,7 @@ def rees_specialize(e: CherElement, lam) -> CherElement:
         raise CherednikError("specialization starts from the h^2 mode")
     lam = as_cyc(lam)
     target = CherednikAlgebra(alg.W, alg.k.scaled(lam * lam), "t0")
-    out = {}
-    for mono, p in e.terms.items():
-        q = p.subs_h(lam)
-        if not q.is_zero():
-            out[mono] = q
-    return CherElement(target, out)
+    return CherElement(target, {mono: p.subs_h(lam) for mono, p in e.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +658,6 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
     return total
 
 
-def _coeff_str(c: CycNum) -> str:
-    if c.is_rational():
-        return f"({_frac_str(c.as_fraction())})"
-    return f"({cyc_to_str(c)})"
-
-
 def format_element(e: CherElement) -> str:
     """Canonical literal form; group elements print as their generator words."""
     if e.is_zero():
@@ -718,7 +669,7 @@ def format_element(e: CherElement) -> str:
         poly = e.terms[mono]
         for (it, ih) in sorted(poly.coeffs):
             c = poly.coeffs[(it, ih)]
-            factors = [_coeff_str(c)]
+            factors = [f"({num_str(c)})"]
             if it:
                 factors.append("t" if it == 1 else f"t^{it}")
             if ih:

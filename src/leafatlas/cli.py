@@ -31,11 +31,10 @@ from .cherednik import (
     rank1_center_relation,
 )
 from .exactnum import (
-    CycNum, ExactDomainError, _frac_str, _prime_factors, as_cyc, cyc_parse, cyc_to_str,
-    root_of_unity,
+    CycNum, ExactDomainError, as_cyc, cyc_parse, num_str, root_of_unity,
 )
 from .refgroup import (
-    CapExceededError, GroupError, ParameterK, ReflectionGroup,
+    CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field,
     catalog as group_catalog, close_group, dihedral_tau,
 )
 from .tau import TauContext, TauError, build_tau, is_regular, tau_from_word
@@ -69,18 +68,6 @@ def _load_json_maybe_file(text: str):
         return json.loads(raw)
     except ValueError as exc:       # JSONDecodeError, or an integer past the digit limit
         raise SpecError(f"bad JSON spec: {exc}") from exc
-
-
-def _check_field(n: int, cap: int) -> None:
-    """Refuse Q(zeta_n) when phi(n)^2 is above the cap: an element has phi(n)
-    coefficients and a product costs about phi(n)^2 operations.  Since
-    phi(n)^2 >= n/2, an n above 2*cap is refused before it is factored."""
-    phi = n
-    if n <= 2 * cap:
-        for p in _prime_factors(n):
-            phi = phi // p * (p - 1)
-    if phi * phi > cap:
-        raise CapExceededError("cyclotomic field degree squared is above the cap")
 
 
 def _check_literal_fields(text: str, cap: int) -> None:
@@ -208,14 +195,6 @@ def resolve_parameter(W: ReflectionGroup, spec: str, cap: int = DEFAULT_CAP) -> 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _scalar_str(x) -> str:
-    if isinstance(x, CycNum):
-        return _frac_str(x.as_fraction()) if x.is_rational() else cyc_to_str(x)
-    if isinstance(x, Fraction):
-        return _frac_str(x)
-    return str(x)
-
-
 def emit(report: dict, fmt: str, rows_key: str | None = None) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
@@ -310,7 +289,7 @@ def cmd_reflections(job):
     rows = []
     for H in W.hyperplanes:
         rows.append({
-            "alpha": [_scalar_str(x) for x in H.alpha],
+            "alpha": [num_str(x) for x in H.alpha],
             "e": H.e,
             "orbit": H.orbit_id,
         })
@@ -407,7 +386,7 @@ def cmd_catalog_b(job):
     }
     if args.ratio is not None:
         ratio = _scalar_from_str(args.ratio, args.cap)
-        report["ratio"] = _scalar_str(ratio)
+        report["ratio"] = num_str(ratio)
         try:
             report["smooth"] = smooth_B(args.n, ratio)
         except CatalogError as exc:
@@ -466,10 +445,10 @@ def cmd_cherednik_check(job):
     report = {
         "schema": 1, "command": "cherednik-check", "group": W.name or "custom",
         "rule": "rank1-quadric",
-        "gamma": _scalar_str(rec["gamma"]),
-        "difference": _scalar_str(rec["difference"]),
-        "b": _scalar_str(rec["b"]) if rec["b"] is not None else None,
-        "b_over_difference": _scalar_str(rec["b_over_difference"])
+        "gamma": num_str(rec["gamma"]),
+        "difference": num_str(rec["difference"]),
+        "b": num_str(rec["b"]) if rec["b"] is not None else None,
+        "b_over_difference": num_str(rec["b_over_difference"])
         if rec["b_over_difference"] is not None else None,
     }
     return report, None

@@ -510,6 +510,11 @@ def cyc_to_str(x: CycNum) -> str:
     return f"Q(z_{x.conductor}): " + " + ".join(parts)
 
 
+def num_str(x: CycNum) -> str:
+    """The report form of a scalar: p/q when rational, else cyc_to_str."""
+    return _frac_str(x.as_fraction()) if x.is_rational() else cyc_to_str(x)
+
+
 def cyc_parse(s: str) -> CycNum:
     m = re.match(r"^\s*Q\(z_(\d+)\)\s*:\s*(.*?)\s*$", s)
     if not m:

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, isqrt
 
-from .exactnum import CycNum, _phi_degree, as_cyc, root_of_unity, primes
+from .exactnum import CycNum, _phi_degree, _prime_factors, as_cyc, root_of_unity, primes
 from . import linalg as la
 from .linalg import Matrix, Vector
 
@@ -667,9 +667,21 @@ def _check_order(factors, divisor: int, order_cap: int) -> None:
             raise CapExceededError("group too large or infinite")
 
 
+def _check_field(n: int, cap: int) -> None:
+    """Refuse Q(zeta_n) when phi(n)^2 is above the cap: an element has phi(n)
+    coefficients and a product costs about phi(n)^2 operations.  Since
+    phi(n)^2 >= n/2, an n above 2*cap is refused before it is factored."""
+    phi = n
+    if n <= 2 * cap:
+        for p in _prime_factors(n):
+            phi = phi // p * (p - 1)
+    if phi * phi > cap:
+        raise CapExceededError("cyclotomic field degree squared is above the cap")
+
+
 def _gdeen_generators(de: int, e: int, n: int, order_cap: int) -> list[Matrix]:
-    """Generators of G(de,e,n), after checking its order (de)^n n!/e against
-    the cap."""
+    """Generators of G(de,e,n), after checking its order (de)^n n!/e and its
+    field Q(zeta_de) against the cap."""
     if min(de, e, n) < 1:
         raise GroupError("G(de,e,n) needs de, e, n >= 1")
     if de % e:
@@ -677,6 +689,7 @@ def _gdeen_generators(de: int, e: int, n: int, order_cap: int) -> list[Matrix]:
     if e > 1 and n < 2:
         raise GroupError("G(de,e,1) needs e = 1 form; use cyclic(d)")
     _check_order(chain(repeat(de, n), range(2, n + 1)), e, order_cap)
+    _check_field(de, order_cap)
     d = de // e
     gens: list[Matrix] = []
     for j in range(n - 1):
@@ -736,7 +749,8 @@ def _catalog_match(pattern: str, s: str, flags=0) -> tuple[int, ...] | None:
 
 def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
     """Build a named group: B(n), D(n), G4, dihedral(d), cyclic(e), G(de,e,n).
-    Each order has a closed form, checked against the cap before any closure."""
+    Each order and each field's conductor has a closed form, checked against
+    the cap before any closure."""
     s = name.strip().replace(" ", "")
     m = _catalog_match(r"[Bb]\(?(\d+)\)?", s)
     if m:
@@ -756,14 +770,17 @@ def catalog(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> ReflectionGroup:
         if d < 2:
             raise GroupError("dihedral(d) needs d >= 2")
         _check_order([2 * d], 1, order_cap)
+        _check_field(2 * d, order_cap)
         return close_group(_dihedral_generators(d), order_cap, name=f"dihedral{d}")
     m = _catalog_match(r"(?:cyclic|mu)\(?(\d+)\)?", s, re.IGNORECASE)
     if m:
         e, = m
         _check_order([e], 1, order_cap)
+        _check_field(e, order_cap)
         return close_group([_diag([root_of_unity(e)])], order_cap, name=f"cyclic{e}")
     if s.upper() == "G4":
         _check_order([24], 1, order_cap)
+        _check_field(12, order_cap)
         return close_group(_g4_generators(), order_cap, name="G4")
     m = _catalog_match(r"[Gg]\((\d+),(\d+),(\d+)\)", s)
     if m:

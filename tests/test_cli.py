@@ -202,7 +202,9 @@ def test_csv_rows_parse_to_header_width(capsys, argv):
     assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
 
 
-@pytest.mark.parametrize("group", ["dihedral1000000", "B12"])
+# the last three pass the order cap, but phi(N)^2 is above it
+@pytest.mark.parametrize("group", ["dihedral1000000", "B12", "cyclic1009", "dihedral1009",
+                                   "G(3001,1,1)"])
 def test_oversized_catalog_group_exit3_quickly(capsys, group):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "reflections", "--group", group)

@@ -9,10 +9,14 @@ keeps every report must keep them.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from leafatlas.cli import run
+from leafatlas.cherednik import CherednikAlgebra, format_element, parse_element, poisson_bracket
+from leafatlas.cli import resolve_parameter, run
+from leafatlas.refgroup import catalog
+from leafatlas.verify import _random_elem
 
 REPORT_DIGESTS = [
     (["parabolics", "--group", "D4"],
@@ -65,3 +69,29 @@ def test_report_digest(tmp_path, argv, digest):
     path = tmp_path / "report.json"
     assert run(argv + ["--format", "json", "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# seeded products multiply(multiply(A, B), C) per (group, k, mode), and one
+# Poisson bracket of quartic invariants; recorded before the engine summed
+# every coefficient through one accumulator
+PRODUCT_CONFIGS = [("dihedral3", "0,1"), ("B2", "0,1;0,1")]
+PRODUCT_DIGEST = "d008708fc60a06338ab666bdb447ac718ddb5079a92a896c35f138f27a420366"
+
+
+def test_product_digest():
+    lines = []
+    for name, k in PRODUCT_CONFIGS:
+        W = catalog(name)
+        for mode in ("t", "hbar2", "t0"):
+            alg = CherednikAlgebra(W, resolve_parameter(W, k), mode)
+            rng = random.Random(11)
+            for _ in range(4):
+                A, B, C = (_random_elem(alg, rng) for _ in range(3))
+                lines.append(format_element(alg.multiply(alg.multiply(A, B), C)))
+    W = catalog("B2")
+    alg = CherednikAlgebra(W, resolve_parameter(W, "0,1;0,1"), "t0")
+    z1 = parse_element(alg, "x1^4 + x2^4 + x1^2 * x2^2")
+    z2 = parse_element(alg, "y1^4 + y2^4")
+    lines.append(format_element(poisson_bracket(z1, z2)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_DIGEST
