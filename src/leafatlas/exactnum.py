@@ -1,27 +1,33 @@
 """Exact arithmetic over the rationals and cyclotomic fields Q(zeta_N).
 
-A CycNum stores a value of some Q(zeta_N) as a sparse polynomial in
-zeta_N reduced modulo the N-th cyclotomic polynomial, at the *minimal*
-conductor containing the value (never N = 2 mod 4, where we rewrite into
-the odd conductor).  Two CycNums are equal as values iff their stored
-(conductor, coefficient map) agree, so they hash and sort canonically.
+A CycNum stores a value of some Q(zeta_N) as the triple (conductor, coeffs,
+den): integer numerators over the power basis of zeta_N, reduced modulo the
+N-th cyclotomic polynomial, as sorted (exponent, int) pairs, over one positive
+denominator that shares no factor with all of them.  The conductor is the
+*minimal* one containing the value (never N = 2 mod 4, where we rewrite into
+the odd conductor); a rational is the case N = 1, and zero is (1, (), 1).
+Two CycNums are equal as values iff their triples agree, so they hash and
+sort canonically.
 
 Canonicalization reduces modulo Phi_N through a cache of reduced monomials
 and then descends one prime p of N at a time.  When p^2 | N the power basis
 of zeta_N is the tower basis over Q(zeta_(N/p)), so descent is read off the
 exponents (all divisible by p); when N = p it is the test "support is {0}".
 Only for p || N with N != p does descent run the Galois fixed-point test
-and a linear solver.
+and a linear solver, cached as integer rows over one denominator.  Last, the
+gcd of the denominator and the numerators is divided out.
 
-Rationals are fractions.Fraction throughout; no floating point enters any
-computation.
+Canonicalization, sums, products and rational scaling all run on Python
+ints, and no floating point enters any computation.  fractions.Fraction is
+met only at the edges: parsing, as_fraction, a Fraction coefficient map
+given to the constructor, and inside the rare cyclotomic inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 import re
 
 
@@ -92,27 +98,24 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce_mod_phi(coeffs: dict[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Reduce a zeta_n-polynomial to the power basis 1..zeta^(phi(n)-1).
+def _reduce_mod_phi(coeffs: dict[int, int], n: int) -> dict[int, int]:
+    """Reduce an integer zeta_n-polynomial to the power basis 1..zeta^(phi(n)-1).
 
     Exponents below phi(n) are added in directly; every other one is
     expanded through the cached reduced monomial.
     """
     deg = _phi_degree(n)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
+    get = out.get
     for e, c in coeffs.items():
         if not c:
             continue
-        if isinstance(c, int):
-            c = Fraction(c)
         e %= n
         if e < deg:
-            prev = out.get(e)
-            out[e] = c if prev is None else prev + c
+            out[e] = get(e, 0) + c
             continue
         for e2, f in _reduced_monomial(n, e):
-            prev = out.get(e2)
-            out[e2] = c * f if prev is None else prev + c * f
+            out[e2] = get(e2, 0) + c * f
     return {e: c for e, c in out.items() if c}
 
 
@@ -135,16 +138,15 @@ def _reduced_monomial(n: int, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k, c) for k, c in work.items() if c))
 
 
-def _apply_galois(coeffs: dict[int, Fraction], n: int, j: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _apply_galois(coeffs: dict[int, int], n: int, j: int) -> dict[int, int]:
+    out: dict[int, int] = {}
     for e, c in coeffs.items():
         for e2, f in _reduced_monomial(n, (j * e) % n):
-            prev = out.get(e2)
-            out[e2] = c * f if prev is None else prev + c * f
+            out[e2] = out.get(e2, 0) + c * f
     return {e: c for e, c in out.items() if c}
 
 
-def _galois_fixed(coeffs: dict[int, Fraction], n: int, m: int) -> bool:
+def _galois_fixed(coeffs: dict[int, int], n: int, m: int) -> bool:
     """True iff Gal(Q(zeta_n)/Q(zeta_m)), m | n, fixes the reduced element.
 
     That is, iff the element lies in Q(zeta_m).
@@ -157,87 +159,72 @@ def _galois_fixed(coeffs: dict[int, Fraction], n: int, m: int) -> bool:
 def _descent_solver(n: int, m: int):
     """Solver for rewriting an invariant element of Q(zeta_n) over Q(zeta_m).
 
-    Returns (pivot_rows, inv) such that, for the column vector c of an
-    element known to lie in Q(zeta_m), the coordinates over the power basis
-    of zeta_m are inv @ c[pivot_rows].
+    Returns (pivot_rows, rows, den) such that, for the integer column vector
+    c of an element known to lie in Q(zeta_m), its coordinates over the power
+    basis of zeta_m are rows @ c[pivot_rows] / den.
     """
     dn, dm = _phi_degree(n), _phi_degree(m)
     step = n // m
-    cols = []
+    # [M | I], M[e][f] = coordinate e of zeta_m^f; fraction-free Gauss-Jordan
+    # leaves the pivot row of column f as (d_f * unit_f | a_f) with a_f . M = d_f * unit_f
+    aug = [[0] * dm + [int(r == s) for s in range(dn)] for r in range(dn)]
     for f in range(dm):
-        vec = [Fraction(0)] * dn
         for e, c in _reduced_monomial(n, (f * step) % n):
-            vec[e] = c
-        cols.append(vec)
-    # Gaussian elimination to locate dm independent rows
-    mat = [[cols[f][r] for f in range(dm)] for r in range(dn)]
+            aug[e][f] = c
     pivot_rows: list[int] = []
-    used = [False] * dn
-    reduced = [row[:] for row in mat]
-    for col in range(dm):
-        pr = next(r for r in range(dn) if not used[r] and reduced[r][col])
-        used[pr] = True
+    for f in range(dm):
+        pr = next(r for r in range(dn) if r not in pivot_rows and aug[r][f])
         pivot_rows.append(pr)
-        inv = Fraction(1) / reduced[pr][col]
-        reduced[pr] = [v * inv for v in reduced[pr]]
+        piv = aug[pr]
         for r in range(dn):
-            if r != pr and reduced[r][col]:
-                f = reduced[r][col]
-                reduced[r] = [a - f * b for a, b in zip(reduced[r], reduced[pr])]
-    # invert the square submatrix on the pivot rows
-    sub = [[mat[r][f] for f in range(dm)] for r in pivot_rows]
-    aug = [row[:] + [Fraction(int(i == k)) for k in range(dm)] for i, row in enumerate(sub)]
-    for col in range(dm):
-        pr = next(r for r in range(col, dm) if aug[r][col])
-        aug[col], aug[pr] = aug[pr], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(dm):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv_rows = tuple(tuple(row[dm:]) for row in aug)
-    return tuple(pivot_rows), inv_rows
+            b = aug[r][f]
+            if r != pr and b:
+                row = [piv[f] * x - b * y for x, y in zip(aug[r], piv)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    # only pivot rows are ever added into pivot rows, so a_f lives on them
+    den = lcm(*(aug[pr][f] for f, pr in enumerate(pivot_rows)))
+    rows = tuple(tuple(aug[pr][dm + s] * den // aug[pr][f] for s in pivot_rows)
+                 for f, pr in enumerate(pivot_rows))
+    return tuple(pivot_rows), rows, den
 
 
-def _descend(coeffs: dict[int, Fraction], n: int, m: int) -> dict[int, Fraction]:
-    """Coordinates over the power basis of zeta_m of an element of Q(zeta_m)."""
-    pivot_rows, inv = _descent_solver(n, m)
-    cvec = [coeffs.get(r, Fraction(0)) for r in pivot_rows]
+def _descend(coeffs: dict[int, int], n: int, m: int) -> tuple[dict[int, int], int]:
+    """Coordinates over the power basis of zeta_m of an element of Q(zeta_m),
+    as integer numerators and the solver's denominator."""
+    pivot_rows, rows, den = _descent_solver(n, m)
+    cvec = [coeffs.get(r, 0) for r in pivot_rows]
     new = {}
-    for f, row in enumerate(inv):
-        val = sum((a * b for a, b in zip(row, cvec)), Fraction(0))
+    for f, row in enumerate(rows):
+        val = sum(a * b for a, b in zip(row, cvec))
         if val:
             new[f] = val
-    return new
+    return new, den
 
 
-def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Minimal-conductor canonical form (n never left = 2 mod 4, except n=1).
+def _canonicalize(n: int, coeffs: dict[int, int], den: int = 1):
+    """Minimal-conductor canonical triple (n, coeffs, den) of coeffs / den.
 
-    Descent by a prime p of n is read off the power basis where it can be:
-    if p^2 | n, then Phi_n(x) = Phi_(n/p)(x^p), so the basis zeta_n^e
-    (e < phi(n)) is the tower basis zeta_(n/p)^j zeta_n^r (r < p) and the
-    element lies in Q(zeta_(n/p)) iff every exponent is divisible by p, with
-    coordinates {e // p: c}; if n = p, it is rational iff its support is {0}.
-    Only for p || n with n != p does descent run the Galois fixed-point test
-    and the linear solver.
+    n is never left = 2 mod 4, except n = 1.  Descent by a prime p of n is
+    read off the power basis where it can be: if p^2 | n, then
+    Phi_n(x) = Phi_(n/p)(x^p), so the basis zeta_n^e (e < phi(n)) is the tower
+    basis zeta_(n/p)^j zeta_n^r (r < p) and the element lies in Q(zeta_(n/p))
+    iff every exponent is divisible by p, with coordinates {e // p: c}; if
+    n = p, it is rational iff its support is {0}.  Only for p || n with n != p
+    does descent run the Galois fixed-point test and the linear solver.
     """
     coeffs = _reduce_mod_phi(coeffs, n)
     if not coeffs:
-        return 1, coeffs
+        return 1, (), 1
     while n > 1:
         if n % 4 == 2:
             # zeta_n = -zeta_m^((m+1)/2) for odd m = n/2
             m = n // 2
             half = (m + 1) // 2
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int] = {}
             for e, c in coeffs.items():
-                if e % 2 == 1:
-                    c = -c
                 e2 = (e * half) % m
-                prev = nxt.get(e2)
-                nxt[e2] = c if prev is None else prev + c
+                nxt[e2] = nxt.get(e2, 0) + (-c if e % 2 else c)
             n, coeffs = m, _reduce_mod_phi(nxt, m)
             continue
         for p in _prime_factors(n):
@@ -251,18 +238,22 @@ def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, F
                     n = 1
                     break
             elif _galois_fixed(coeffs, n, m):
-                n, coeffs = m, _descend(coeffs, n, m)
+                coeffs, d = _descend(coeffs, n, m)
+                n, den = m, den * d
                 break
         else:
             break
-    return n, coeffs
+    g = gcd(den, *coeffs.values())
+    if g > 1:
+        return n, tuple(sorted((e, c // g) for e, c in coeffs.items())), den // g
+    return n, tuple(sorted(coeffs.items())), den
 
 
-def _poly_ext_inverse(coeffs: dict[int, Fraction], n: int) -> dict[int, Fraction]:
+def _poly_ext_inverse(coeffs: dict[int, int], n: int) -> dict[int, Fraction]:
     # inverse modulo Phi_n via extended euclid over Q[x]
     deg = _phi_degree(n)
     a = [Fraction(c) for c in cyclotomic_poly(n)]
-    b = [coeffs.get(e, Fraction(0)) for e in range(deg)]
+    b = [Fraction(coeffs.get(e, 0)) for e in range(deg)]
     # invariants: s*phi + t*orig = r  (we only track t)
     t_prev: list[Fraction] = [Fraction(0)]
     t_cur: list[Fraction] = [Fraction(1)]
@@ -304,34 +295,32 @@ def _poly_ext_inverse(coeffs: dict[int, Fraction], n: int) -> dict[int, Fraction
 class CycNum:
     """An element of Q(zeta_N), immutable and canonical."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_key")
+    __slots__ = ("conductor", "coeffs", "den", "_hash", "_key")
 
-    def __init__(self, conductor: int = 1, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, conductor: int = 1, coeffs: dict | None = None, den: int = 1):
+        """The canonical form of sum(c * zeta_conductor^e) / den over coeffs.
+
+        coeffs maps exponents to ints, or to Fractions, which are folded into den.
+        """
         if conductor < 1:
             raise ExactDomainError("conductor must be positive")
-        n, cf = _canonicalize(conductor, dict(coeffs or {}))
-        object.__setattr__(self, "conductor", n)
-        object.__setattr__(self, "coeffs", tuple(sorted(cf.items())))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)
+        coeffs = coeffs or {}
+        if any(type(c) is not int for c in coeffs.values()):
+            coeffs = {e: Fraction(c) for e, c in coeffs.items()}
+            fold = lcm(*(c.denominator for c in coeffs.values()))
+            coeffs = {e: c.numerator * (fold // c.denominator) for e, c in coeffs.items()}
+            den *= fold
+        n, cf, d = _canonicalize(conductor, coeffs, den)
+        _set_conductor(self, n)
+        _set_coeffs(self, cf)
+        _set_den(self, d)
+        _set_hash(self, None)
+        _set_key(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
 
     # -- constructors -------------------------------------------------------
-    @staticmethod
-    def _make_rational(q: Fraction) -> "CycNum":
-        out = CycNum.__new__(CycNum)
-        object.__setattr__(out, "conductor", 1)
-        object.__setattr__(out, "coeffs", ((0, q),) if q else ())
-        object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_key", None)
-        return out
-
-    @staticmethod
-    def from_rational(q) -> "CycNum":
-        return CycNum._make_rational(Fraction(q))
-
     @staticmethod
     def zero() -> "CycNum":
         return _ZERO
@@ -350,34 +339,41 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if self.conductor != 1:
             raise ExactDomainError("not a rational number")
-        return self.coeffs[0][1] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0][1], self.den) if self.coeffs else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------------
-    def _promoted(self, n: int) -> dict[int, Fraction]:
-        step = n // self.conductor
-        return {e * step: c for e, c in self.coeffs}
-
     def __add__(self, other) -> "CycNum":
-        other = as_cyc(other)
-        if self.conductor == 1 and other.conductor == 1:
-            return CycNum._make_rational(self.as_fraction() + other.as_fraction())
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a, b = self._promoted(n), other._promoted(n)
-        for e, c in b.items():
-            prev = a.get(e)
-            a[e] = c if prev is None else prev + c
-        return CycNum(n, a)
+        if type(other) is not CycNum:
+            other = as_cyc(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        n1, n2 = self.conductor, other.conductor
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        if n1 == 1 and n2 == 1:
+            # Fraction's sum: only gcd(t, g) can divide the numerator t
+            s = d1 // g
+            t = self.coeffs[0][1] * (d2 // g) + other.coeffs[0][1] * s
+            if not t:
+                return _ZERO
+            g2 = gcd(t, g)
+            return _raw(1, ((0, t // g2),), s * (d2 // g2))
+        s1, s2 = d2 // g, d1 // g
+        n = n1 * n2 // gcd(n1, n2)
+        t1, t2 = n // n1, n // n2
+        acc = {e * t1: c * s1 for e, c in self.coeffs}
+        for e, c in other.coeffs:
+            e *= t2
+            acc[e] = acc.get(e, 0) + c * s2
+        return CycNum(n, acc, s1 * d1)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "CycNum":
-        out = CycNum.__new__(CycNum)
-        object.__setattr__(out, "conductor", self.conductor)
-        object.__setattr__(out, "coeffs", tuple((e, -c) for e, c in self.coeffs))
-        object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_key", None)
-        return out
+        return _raw(self.conductor, tuple((e, -c) for e, c in self.coeffs), self.den)
 
     def __sub__(self, other):
         return self.__add__(-as_cyc(other))
@@ -385,34 +381,33 @@ class CycNum:
     def __rsub__(self, other):
         return as_cyc(other).__add__(-self)
 
-    @staticmethod
-    def _scale(x: "CycNum", q: Fraction) -> "CycNum":
-        if not q:
-            return _ZERO
-        out = CycNum.__new__(CycNum)
-        object.__setattr__(out, "conductor", x.conductor)
-        object.__setattr__(out, "coeffs", tuple((e, c * q) for e, c in x.coeffs))
-        object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_key", None)
-        return out
-
     def __mul__(self, other) -> "CycNum":
-        other = as_cyc(other)
-        if self.conductor == 1 and other.conductor == 1:
-            return CycNum._make_rational(self.as_fraction() * other.as_fraction())
-        if self.conductor == 1:
-            return CycNum._scale(other, self.as_fraction())
-        if other.conductor == 1:
-            return CycNum._scale(self, other.as_fraction())
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a, b = self._promoted(n), other._promoted(n)
-        prod: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        if type(other) is not CycNum:
+            other = as_cyc(other)
+        if not self.coeffs or not other.coeffs:
+            return _ZERO
+        n1, n2 = self.conductor, other.conductor
+        if n1 == 1:
+            p, q = self.coeffs[0][1], self.den
+            if n2 == 1:
+                # Fraction's product: cancel across before multiplying
+                p2, q2 = other.coeffs[0][1], other.den
+                g1, g2 = gcd(p, q2), gcd(p2, q)
+                return _raw(1, ((0, (p // g1) * (p2 // g2)),), (q // g2) * (q2 // g1))
+            return _scale(other, p, q)
+        if n2 == 1:
+            return _scale(self, other.coeffs[0][1], other.den)
+        n = n1 * n2 // gcd(n1, n2)
+        t1, t2 = n // n1, n // n2
+        b = [(e * t2, c) for e, c in other.coeffs]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e1, c1 in self.coeffs:
+            e1 *= t1
+            for e2, c2 in b:
                 e = (e1 + e2) % n
-                prev = prod.get(e)
-                prod[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return CycNum(n, prod)
+                acc[e] = get(e, 0) + c1 * c2
+        return CycNum(n, acc, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -421,8 +416,10 @@ class CycNum:
         if self.is_zero():
             raise ExactDomainError("division by zero in Q(zeta)")
         if self.conductor == 1:
-            return CycNum._make_rational(1 / self.as_fraction())
-        return CycNum(self.conductor, _poly_ext_inverse(dict(self.coeffs), self.conductor))
+            p = self.coeffs[0][1]
+            return _raw(1, ((0, self.den if p > 0 else -self.den),), abs(p))
+        inv = _poly_ext_inverse(dict(self.coeffs), self.conductor)
+        return CycNum(self.conductor, {e: c * self.den for e, c in inv.items()})
 
     def __truediv__(self, other):
         return self.__mul__(as_cyc(other).inverse())
@@ -448,16 +445,17 @@ class CycNum:
                 other = as_cyc(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor == other.conductor and self.coeffs == other.coeffs
+                and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.conductor, self.coeffs)))
+            _set_hash(self, hash((self.conductor, self.coeffs, self.den)))
         return self._hash
 
     def sort_key(self) -> str:
         if self._key is None:
-            object.__setattr__(self, "_key", cyc_to_str(self))
+            _set_key(self, cyc_to_str(self))
         return self._key
 
     # -- output ---------------------------------------------------------------
@@ -468,8 +466,42 @@ class CycNum:
         return cyc_to_str(self)
 
 
-_ZERO = CycNum(1, {})
-_ONE = CycNum(1, {0: Fraction(1)})
+# the slots' own setters: CycNum.__setattr__ refuses every assignment
+_set_conductor, _set_coeffs, _set_den, _set_hash, _set_key = (
+    CycNum.__dict__[name].__set__ for name in CycNum.__slots__)
+
+
+def _raw(n: int, coeffs: tuple, den: int) -> CycNum:
+    """A CycNum from a triple that is already canonical."""
+    out = CycNum.__new__(CycNum)
+    _set_conductor(out, n)
+    _set_coeffs(out, coeffs)
+    _set_den(out, den)
+    _set_hash(out, None)
+    _set_key(out, None)
+    return out
+
+
+def _scale(x: CycNum, p: int, q: int) -> CycNum:
+    """x * p/q for a reduced nonzero rational p/q, q > 0.
+
+    As in Fraction's product, gcd(p, x.den) and gcd(q, content of x) are
+    divided out first, so the result needs no further reduction."""
+    if p == q:
+        return x
+    den = x.den
+    g = gcd(p, den)
+    if g > 1:
+        p, den = p // g, den // g
+    g = gcd(q, *(c for _, c in x.coeffs))
+    if g > 1:
+        q = q // g
+        return _raw(x.conductor, tuple((e, c // g * p) for e, c in x.coeffs), den * q)
+    return _raw(x.conductor, tuple((e, c * p) for e, c in x.coeffs), den * q)
+
+
+_ZERO = _raw(1, (), 1)
+_ONE = _raw(1, ((0, 1),), 1)
 
 
 def as_cyc(x) -> CycNum:
@@ -477,7 +509,7 @@ def as_cyc(x) -> CycNum:
     if isinstance(x, CycNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycNum.from_rational(x)
+        return _raw(1, ((0, x.numerator),), x.denominator) if x else _ZERO
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
 
 
@@ -487,7 +519,7 @@ def root_of_unity(n: int, e: int = 1) -> CycNum:
         raise ExactDomainError("order must be positive")
     e %= n
     g = gcd(e, n) if e else n
-    return CycNum(n // g, {e // g: Fraction(1)})
+    return CycNum(n // g, {e // g: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +529,26 @@ _FRAC_RE = r"-?\d+(?:/\d+)?"
 _TERM_RE = re.compile(rf"^({_FRAC_RE})(?:\*z\^(\d+))?$|^z\^(\d+)$")
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio_str(c: int, den: int) -> str:
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def cyc_to_str(x: CycNum) -> str:
     if x.is_zero():
         return "Q(z_1): 0"
+    den = x.den
     parts = []
     for e, c in x.coeffs:
-        parts.append(_frac_str(c) if e == 0 else f"{_frac_str(c)}*z^{e}")
+        parts.append(_ratio_str(c, den) if e == 0 else f"{_ratio_str(c, den)}*z^{e}")
     return f"Q(z_{x.conductor}): " + " + ".join(parts)
 
 
 def num_str(x: CycNum) -> str:
     """The report form of a scalar: p/q when rational, else cyc_to_str."""
-    return _frac_str(x.as_fraction()) if x.is_rational() else cyc_to_str(x)
+    if x.conductor != 1:
+        return cyc_to_str(x)
+    return _ratio_str(x.coeffs[0][1], x.den) if x.coeffs else "0"
 
 
 def cyc_parse(s: str) -> CycNum:

@@ -7,9 +7,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafatlas import exactnum
 from leafatlas.exactnum import (
-    CycNum, ExactDomainError, _apply_galois, _canonicalize, _descend, _galois_fixed,
-    _prime_factors, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly, root_of_unity,
+    CycNum, ExactDomainError, _apply_galois, _canonicalize, _galois_fixed, _phi_degree,
+    _prime_factors, _reduced_monomial, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly,
+    root_of_unity,
 )
 
 
@@ -45,11 +47,31 @@ def test_root_of_unity_examples(n, e, expect):
         assert r * r == as_cyc(-1)
 
 
-def test_integer_coefficients_are_stored_as_fractions():
+def _assert_canonical_triple(x):
+    # integer numerators over one positive denominator with no common factor
+    assert all(type(c) is int and c for _, c in x.coeffs)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *(c for _, c in x.coeffs)) == 1
+    exps = [e for e, _ in x.coeffs]
+    assert exps == sorted(set(exps)) and all(0 <= e < _phi_degree(x.conductor) for e in exps)
+    assert x.conductor % 4 != 2 or x.conductor == 1
+    if x.is_zero():
+        assert (x.conductor, x.coeffs, x.den) == (1, (), 1)
+
+
+def test_numerators_are_ints_over_one_reduced_denominator():
     x = CycNum(4, {0: 2, 1: 3, 2: 1})
-    assert all(type(c) is Fraction for _, c in x.coeffs)
+    assert (x.conductor, x.coeffs, x.den) == (4, ((0, 1), (1, 3)), 1)
+    y = CycNum(12, {1: Fraction(1, 2), 3: Fraction(1, 3)})
+    assert (y.coeffs, y.den) == (((1, 3), (3, 2)), 6)
+    assert cyc_to_str(y) == "Q(z_12): 1/2*z^1 + 1/3*z^3"
+    assert (y * 6).coeffs == ((1, 3), (3, 2)) and (y * 6).den == 1
+    zero = y - y
+    assert (zero.conductor, zero.coeffs, zero.den) == (1, (), 1)
     assert CycNum(1, {0: 2}).inverse().as_fraction() == Fraction(1, 2)
     assert type(CycNum(1, {0: 2}).inverse().as_fraction()) is Fraction
+    for v in (x, y, zero, y * 6, CycNum(1, {0: 2}).inverse()):
+        _assert_canonical_triple(v)
 
 
 def test_division_by_zero_is_domain_error():
@@ -86,6 +108,17 @@ def test_field_axioms(triple):
         assert a * a.inverse() == as_cyc(1)
 
 
+@given(cyc_triples(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_results_keep_the_integer_invariant(triple, k):
+    a, b, c = triple
+    results = [a, a + b, a - b, a * b, (a + c) * b, a * Fraction(-3, 4), a - a]
+    if not a.is_zero():
+        results += [a.inverse(), a ** k, b / a]
+    for v in results:
+        _assert_canonical_triple(v)
+
+
 @given(cyc_triples())
 @settings(max_examples=40, deadline=None)
 def test_serialization_round_trip(triple):
@@ -119,7 +152,60 @@ def test_cyclotomic_polys_against_sympy():
         assert ours == theirs
 
 
-# -- differential test of the canonical form ------------------------------------
+# -- the Fraction reference: differential tests of the canonical form ------------
+#
+# _fraction_reduce_mod_phi and _fraction_descend are the Fraction reduction and
+# Galois descent that the integer triples replaced; with the long division
+# _reference_reduce they are the oracle for the integer pipeline.
+
+def _fraction_reduce_mod_phi(coeffs, n):
+    deg = _phi_degree(n)
+    out = {}
+    for e, c in coeffs.items():
+        e %= n
+        if e < deg:
+            out[e] = out.get(e, Fraction(0)) + c
+            continue
+        for e2, f in _reduced_monomial(n, e):
+            out[e2] = out.get(e2, Fraction(0)) + c * f
+    return {e: c for e, c in out.items() if c}
+
+
+def _fraction_descent_solver(n, m):
+    # (pivot_rows, inv) with coordinates over the basis of zeta_m = inv @ c[pivot_rows]
+    dn, dm = _phi_degree(n), _phi_degree(m)
+    mat = [[Fraction(0)] * dm for _ in range(dn)]
+    for f in range(dm):
+        for e, c in _reduced_monomial(n, (f * (n // m)) % n):
+            mat[e][f] = Fraction(c)
+    pivot_rows, reduced = [], [row[:] for row in mat]
+    for col in range(dm):
+        pr = next(r for r in range(dn) if r not in pivot_rows and reduced[r][col])
+        pivot_rows.append(pr)
+        reduced[pr] = [v / reduced[pr][col] for v in reduced[pr]]
+        for r in range(dn):
+            if r != pr and reduced[r][col]:
+                f = reduced[r][col]
+                reduced[r] = [a - f * b for a, b in zip(reduced[r], reduced[pr])]
+    aug = [[mat[r][f] for f in range(dm)] + [Fraction(int(i == k)) for k in range(dm)]
+           for i, r in enumerate(pivot_rows)]
+    for col in range(dm):
+        pr = next(r for r in range(col, dm) if aug[r][col])
+        aug[col], aug[pr] = aug[pr], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(dm):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return pivot_rows, [row[dm:] for row in aug]
+
+
+def _fraction_descend(coeffs, n, m):
+    pivot_rows, inv = _fraction_descent_solver(n, m)
+    cvec = [coeffs.get(r, Fraction(0)) for r in pivot_rows]
+    new = {f: sum((a * b for a, b in zip(row, cvec)), Fraction(0)) for f, row in enumerate(inv)}
+    return {f: c for f, c in new.items() if c}
+
 
 def _reference_reduce(coeffs, n):
     # long division by Phi_n, highest degree first
@@ -145,7 +231,7 @@ def _reference_canonicalize(n, coeffs):
         descended = False
         for p in _prime_factors(n):
             if _galois_fixed(coeffs, n, n // p):
-                n, coeffs = n // p, _descend(coeffs, n, n // p)
+                n, coeffs = n // p, _fraction_descend(coeffs, n, n // p)
                 descended = True
                 break
     return n, coeffs
@@ -161,7 +247,34 @@ def _relative_trace(coeffs, n, m):
     return out
 
 
+def _as_triple(n, coeffs):
+    # the integer triple of a Fraction coefficient map: numerators over the lcm
+    den = 1
+    for c in coeffs.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return n, tuple(sorted((e, int(c * den)) for e, c in coeffs.items())), den
+
+
+def _reference_str(n, coeffs):
+    if not coeffs:
+        return "Q(z_1): 0"
+    parts = []
+    for e, c in sorted(coeffs.items()):
+        s = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        parts.append(s if e == 0 else f"{s}*z^{e}")
+    return f"Q(z_{n}): " + " + ".join(parts)
+
+
 DIFFERENTIAL_CONDUCTORS = (1, 3, 4, 5, 8, 9, 12, 15, 16, 24, 25, 27, 40, 120)
+
+
+def _random_fraction_map(rng, n):
+    coeffs = {rng.randrange(2 * n): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+              for _ in range(rng.randrange(5))}
+    if rng.randrange(3) and n > 1:
+        m = rng.choice([d for d in range(1, n) if n % d == 0])
+        coeffs = _relative_trace(coeffs, n, m)
+    return coeffs
 
 
 def test_canonical_form_matches_galois_descent():
@@ -174,7 +287,65 @@ def test_canonical_form_matches_galois_descent():
             if trial % 3 and n > 1:
                 m = rng.choice([d for d in range(1, n) if n % d == 0])
                 coeffs = _relative_trace(coeffs, n, m)
-            got = _canonicalize(n, dict(coeffs))
-            assert got == _reference_canonicalize(n, dict(coeffs)), (n, coeffs)
+            ref = _reference_canonicalize(n, dict(coeffs))
+            _, nums, den = _as_triple(n, coeffs)
+            got = _canonicalize(n, dict(nums), den)
+            assert got == _as_triple(*ref), (n, coeffs)
+            assert _fraction_reduce_mod_phi(coeffs, n) == _reference_reduce(coeffs, n)
             descended += got[0] < n
     assert descended >= 300
+
+
+def _reference_mul(a, b, n):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[(e1 + e2) % n] = out.get((e1 + e2) % n, Fraction(0)) + c1 * c2
+    return _reference_reduce(out, n)
+
+
+def _reference_inverse(a, n):
+    # x^-1 = (product of the other Galois conjugates of x) / N(x), N(x) rational
+    conj = {0: Fraction(1)}
+    for j in range(2, n):
+        if gcd(j, n) == 1:
+            conj = _reference_mul(conj, {j * e % n: c for e, c in a.items()}, n)
+    norm = _reference_mul(conj, a, n)
+    assert set(norm) == {0}
+    return {e: c / norm[0] for e, c in conj.items()}
+
+
+def test_arithmetic_matches_fraction_reference(monkeypatch):
+    # sums, products and inverses of CycNums at mixed conductors against
+    # Fraction arithmetic at the common conductor and the reference canonical form
+    solved = []
+    solver = exactnum._descent_solver
+
+    def spy(n, m):
+        solved.append(n)
+        return solver(n, m)
+    monkeypatch.setattr(exactnum, "_descent_solver", spy)
+    rng = random.Random(20261)
+    descended = 0
+    for n in DIFFERENTIAL_CONDUCTORS:
+        for trial in range(12):
+            m = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            fa, fb = _random_fraction_map(rng, n), _random_fraction_map(rng, m)
+            fb = {e * (n // m): c for e, c in fb.items()}    # b in Q(zeta_m), at conductor n
+            if trial % 4 == 0:
+                # b = (element of a subfield) - a, so that a + b descends
+                fb = {e: c - fa.get(e, 0) for e, c in _random_fraction_map(rng, n).items()}
+                fb.update({e: -c for e, c in fa.items() if e not in fb})
+            a, b = CycNum(n, fa), CycNum(n, fb)
+            refs = [(a + b, {e: fa.get(e, 0) + fb.get(e, 0) for e in set(fa) | set(fb)}),
+                    (a * b, _reference_mul(_reference_reduce(fa, n), _reference_reduce(fb, n), n))]
+            if not a.is_zero():
+                refs.append((a.inverse(), _reference_inverse(_reference_reduce(fa, n), n)))
+            for got, ref in refs:
+                ref = _reference_canonicalize(n, {e: c for e, c in ref.items() if c})
+                assert cyc_to_str(got) == _reference_str(*ref), (n, fa, fb)
+                assert (got.conductor, got.coeffs, got.den) == _as_triple(*ref), (n, fa, fb)
+                descended += got.conductor < n
+    assert descended >= 250
+    # N = 2 mod 4 is rewritten into the odd conductor, never solved for
+    assert solved and not any(n % 4 == 2 for n in solved)

@@ -4,8 +4,10 @@ Reports are byte-stable, so a digest that moves means a report changed.  The
 first 13 digests were recorded before group operations moved from element
 objects to integer ids, the next four before W_tau was built from
 restricted generators of the setwise stabilizer, and the last two before the
-full-twist search took one fixed space per twisted class; a refactor that
-keeps every report must keep them.
+full-twist search took one fixed space per twisted class, and the last eight,
+which are the benchmark's `atlas` and `enumerate` digests, before scalars
+became integer numerators over one denominator; a refactor that keeps every
+report must keep them.
 """
 
 import hashlib
@@ -60,6 +62,21 @@ REPORT_DIGESTS = [
      "c6223e2a6a60069419336167bd62467aa1d0ca5e739a3cdb795045d1066f0a9f"),
     (["leaves-zero", "--group", "G(4,4,3)", "--tau", "neg"],
      "739413dccacbd00517e5b426d0bb08b44fbfd4ee4e26a9d9e5da95cb98a223af"),
+    # conductor 12: the only descent by a prime p || N, N != p, among these jobs
+    (["leaves-zero", "--group", "G4", "--tau", '{"word":[0],"zeta":"4/1"}'],
+     "deafa63e5f49e3bb19bf747e98d69664d0d86fa2586b2a5194a7ca7c75fcbd71"),
+    (["leaves-zero", "--group", "G(4,2,3)", "--tau", "identity"],
+     "290ce14b4818a47bac6bdefc3f6bf8f5a4a0d8cf7beaf087c98bb68f64d33d84"),
+    (["leaves-zero", "--group", "dihedral5", "--tau", "swap"],
+     "b2642cf193bd37279d6f8c41c0cadda4201540c45c29dd6e20543031bf558f10"),
+    (["leaves-zero", "--group", "dihedral8", "--tau", "swap"],
+     "ab630c8d4f405b602b66ef35ba2067d3254662be0e4cfd3e9630d0481154dd8a"),
+    (["tau-split", "--group", "dihedral6", "--tau", "swap"],
+     "0335ea056af802cce6fc06cc5a8cdb46dd07b5470e04ca5cababbebaf5b684cc"),
+    (["lehrer-springer", "--group", "dihedral5", "--tau", "swap"],
+     "c01e6ee385ba54d754e7dc9e8d94ae669602babccfc3bc8fdcfb9b07da7a26f8"),
+    (["reflections", "--group", "D5"],
+     "3970b549888a0b5417d375d6f1c99ff9e6f04941f37928eda1526d710097d93d"),
 ]
 
 
@@ -95,3 +112,22 @@ def test_product_digest():
     lines.append(format_element(poisson_bracket(z1, z2)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_DIGEST
+
+
+# seeded products on G4 (k 0,1,0, mode t): their scalars lie in Q(z_12), Q(z_3)
+# and Q(z_4), so this pins the Galois descent through the rewriting engine;
+# recorded before scalars became integer numerators over one denominator
+G4_PRODUCT_DIGEST = "d62e014260506ab6db53011250223437b475b42ab85eef5a60f713c1dcd967ed"
+
+
+def test_g4_product_digest():
+    W = catalog("G4")
+    alg = CherednikAlgebra(W, resolve_parameter(W, "0,1,0"), "t")
+    rng = random.Random(11)
+    lines = []
+    for _ in range(2):
+        A, B, C = (_random_elem(alg, rng, 1) for _ in range(3))
+        lines.append(format_element(alg.multiply(alg.multiply(A, B), C)))
+    text = "\n".join(lines)
+    assert all(f"Q(z_{n})" in text for n in (12, 3, 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == G4_PRODUCT_DIGEST
