@@ -17,11 +17,17 @@ result is cached per exponent pair.
 Every coefficient is summed through one path.  `_add_into` adds a scalar
 into a sparse map and drops the key when the sum is zero; `Poly2` does not
 filter zeros again, and an element drops only a monomial whose polynomial
-is empty.  `multiply` and `yx_product` each sum scalars into one
-flat map keyed by (monomial, (t power, h power)), and `_collect` groups it
-into polynomials once per call.  Moving a group element past x^a or y^b
+is empty.  The kernel packs monomials into ints: a 16-bit field for each of
+t, h, x_1..x_n and y_1..y_n, and the group element's id above them, so
+multiplying monomials is adding ints.  `multiply` and `yx_product` each sum
+scalars into one flat map keyed by that int, and normal forms are cached as
+packed terms (x, w, y, ((t/h power, scalar), ...)).  `multiply` packs its
+factors on entry and unpacks the product through a per-algebra memo, so
+`CherElement.terms` keeps tuple monomials.  No field of a product exceeds
+the factors' largest degree plus t/h power, summed, and `multiply` refuses
+a pair whose sum passes 65535.  Moving a group element past x^a or y^b
 expands through the rows or the columns of its inverse matrix, cached per
-(element, exponents, side) in `_w_expansion`.
+(element, exponents) in `_w_expansion`.
 """
 
 from __future__ import annotations
@@ -186,21 +192,6 @@ class CherElement:
             raise CherednikError("elements belong to different algebra contexts")
 
 
-def _exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _collect(flat: dict[tuple[Monomial, tuple[int, int]], CycNum]) -> dict[Monomial, Poly2]:
-    """Group a flat {(monomial, (t power, h power)): scalar} sum by monomial."""
-    out: dict[Monomial, Poly2] = {}
-    for (mono, th), c in flat.items():
-        poly = out.get(mono)
-        if poly is None:
-            poly = out[mono] = Poly2()
-        poly.coeffs[th] = c
-    return out
-
-
 class CherednikAlgebra:
     def __init__(self, W: ReflectionGroup, k: ParameterK | None = None, mode: str = "t0"):
         if mode not in MODES:
@@ -211,9 +202,14 @@ class CherednikAlgebra:
         if self.k.W is not W:
             raise CherednikError("parameter belongs to a different group")
         self.mode = mode
+        # packed monomials: fields t, h, x_1..x_n, y_1..y_n, then the group id
+        self._gshift = 16 * (2 + 2 * self.n)
+        self._xmask = (1 << 16 * (2 + self.n)) - (1 << 32)
+        self._ymask = (1 << self._gshift) - (1 << 16 * (2 + self.n))
         self._commutators = self._build_commutators()
         self._yx_cache: dict = {}
         self._w_cache: dict = {}
+        self._monos: dict[int, Monomial] = {}     # packed monomial -> tuple form
 
     # -- relation data -----------------------------------------------------------
     def _build_commutators(self):
@@ -238,20 +234,15 @@ class CherednikAlgebra:
                     scalar = ai * vj * pair_norm
                     for u, wt in weights.items():
                         _add_into(comm[i][j], u, scalar * wt)
-        out = []
+        # keyed by y_i x_j packed; each value is ((packed t/h power, scalar), ...)
+        th = 2 << 16 if self.mode == "hbar2" else 0
+        out = {}
         for i in range(n):
-            row = []
             for j in range(n):
-                entry: dict[int, Poly2] = {}
-                for u, c in comm[i][j].items():
-                    if self.mode == "hbar2":
-                        entry[u] = Poly2({(0, 2): c})
-                    else:
-                        entry[u] = Poly2.const(c)
+                entry = {u: ((th, c),) for u, c in comm[i][j].items()}
                 if self.mode == "t" and i == j:
-                    _add_into(entry, self.W.identity, Poly2.t())
-                row.append(entry)
-            out.append(row)
+                    entry[self.W.identity] = entry.get(self.W.identity, ()) + ((1, _ONE),)
+                out[1 << 16 * (2 + n + i) | 1 << 16 * (2 + j)] = entry
         return out
 
     # -- element builders ----------------------------------------------------------
@@ -289,103 +280,142 @@ class CherednikAlgebra:
             raise CherednikError("group element outside the group")
         return self._term(a, i, b, coeff)
 
+    # -- packed monomials ----------------------------------------------------------
+    def _pack(self, exps, first: int) -> int:
+        """Exponents as one int: letter m in the 16-bit field first + m."""
+        return sum(e << 16 * (first + m) for m, e in enumerate(exps))
+
+    def _unpack(self, packed: int, first: int) -> tuple[int, ...]:
+        return tuple(packed >> 16 * (first + m) & 0xFFFF for m in range(self.n))
+
+    def _packed(self, A: CherElement, B: CherElement) -> list[list[tuple]]:
+        """The terms of A and of B, packed as (x, w, y, ((t/h power, scalar), ...)),
+        or CherednikError when A B could overflow a field."""
+        width, out = 0, []
+        for e in (A, B):
+            top, terms = 0, []
+            for (a, w, b), p in e.terms.items():
+                top = max(top, sum(a) + sum(b) + max(max(th) for th in p.coeffs))
+                terms.append((self._pack(a, 2), w, self._pack(b, 2 + self.n),
+                              tuple((i | j << 16, c) for (i, j), c in p.coeffs.items())))
+            width += top
+            out.append(terms)
+        if width > 0xFFFF:
+            raise CherednikError(f"product out of range: degrees plus t/h powers sum to "
+                                 f"{width}, above 65535")
+        return out
+
+    def _by_monomial(self, flat: dict[int, CycNum]) -> dict[int, list]:
+        out: dict[int, list] = {}       # monomial -> [(t/h power, scalar), ...]
+        for key, c in flat.items():
+            th = key & 0xFFFFFFFF
+            out.setdefault(key ^ th, []).append((th, c))
+        return out
+
     # -- action expansions ----------------------------------------------------------
-    def _poly_pow_linear(self, forms: list[list[CycNum]], exps) -> dict[tuple[int, ...], CycNum]:
-        """Expand prod_m (sum_i forms[m][i] letter_i)^exps[m] over commuting letters."""
-        n = self.n
-        acc: dict[tuple[int, ...], CycNum] = {(0,) * n: as_cyc(1)}
-        for m, e in enumerate(exps):
-            for _ in range(e):
-                nxt: dict[tuple[int, ...], CycNum] = {}
+    def _poly_pow_linear(self, forms, exps: int, first: int) -> dict[int, CycNum]:
+        """Expand prod_m (sum_i forms[m][i] letter_i)^e_m over commuting letters,
+        e_m and the result packed from field `first`."""
+        acc: dict[int, CycNum] = {0: _ONE}
+        for m, form in enumerate(forms):
+            for _ in range(exps >> 16 * (first + m) & 0xFFFF):
+                nxt: dict[int, CycNum] = {}
                 for mono, c in acc.items():
-                    for i, f in enumerate(forms[m]):
-                        if f.is_zero():
-                            continue
-                        key = tuple(v + (1 if idx == i else 0) for idx, v in enumerate(mono))
-                        _add_into(nxt, key, c * f)
+                    for i, f in enumerate(form):
+                        if not f.is_zero():
+                            _add_into(nxt, mono + (1 << 16 * (first + i)), c * f)
                 acc = nxt
         return acc
 
-    def _w_expansion(self, w: int, exps, dual: bool) -> dict[tuple[int, ...], CycNum]:
+    def _w_expansion(self, w: int, exps: int, dual: bool) -> tuple:
         """For the element of id w: w x^exps = (expansion in x) w, or, with
-        dual set, y^exps w = w (expansion in y).  The letters expand through
-        the rows of w^-1, or through its columns when dual is set."""
-        if not any(exps) or w == self.W.identity:
-            return {exps: _ONE}
-        key = (w, exps, dual)
+        dual set, y^exps w = w (expansion in y), as ((exponents, scalar), ...)
+        packed like exps.  The letters expand through the rows of w^-1, or
+        through its columns when dual is set."""
+        if not exps or w == self.W.identity:
+            return ((exps, _ONE),)
+        key = exps | w << self._gshift
         cached = self._w_cache.get(key)
         if cached is None:
             inv = self.W.elements[self.W.inv(w)].mat
-            cached = self._poly_pow_linear(list(zip(*inv)) if dual else inv, exps)
+            flat = self._poly_pow_linear(list(zip(*inv)) if dual else inv, exps,
+                                         2 + self.n if dual else 2)
+            # a unit coefficient is the shared _ONE, which the kernel never multiplies by
+            cached = tuple((m, _ONE if c == _ONE else c) for m, c in flat.items())
             self._w_cache[key] = cached
         return cached
 
     # -- the rewriting kernel ----------------------------------------------------------
-    def yx_product(self, b: tuple[int, ...], a: tuple[int, ...]) -> dict[Monomial, Poly2]:
-        """Normal form of y^b x^a."""
-        cached = self._yx_cache.get((b, a))
+    def yx_product(self, b: int, a: int) -> tuple:
+        """Normal form of y^b x^a, with b and a packed in the y and the x
+        fields, as packed terms (x, w, y, ((t/h power, scalar), ...))."""
+        cached = self._yx_cache.get(b | a)
         if cached is not None:
             return cached
-        n = self.n
-        W = self.W
-        ident = W.identity
-        if not any(b) or not any(a):
-            result = {(a, ident, b): Poly2.const(1)}
-            self._yx_cache[(b, a)] = result
-            return result
-        i = next(m for m in range(n) if b[m])
-        j = next(m for m in range(n) if a[m])
-        b1 = tuple(v - (1 if m == i else 0) for m, v in enumerate(b))
-        a1 = tuple(v - (1 if m == j else 0) for m, v in enumerate(a))
-        flat: dict[tuple[Monomial, tuple[int, int]], CycNum] = {}
+        W, gs = self.W, self._gshift
+        if not b or not a:
+            return self._yx_cache.setdefault(b | a, ((a, W.identity, b, ((0, _ONE),)),))
+        # the first letters y_i and x_j, from the lowest set bit's field
+        ey = 1 << ((b & -b).bit_length() - 1 & -16)
+        ex = 1 << ((a & -a).bit_length() - 1 & -16)
+        b1, a1 = b - ey, a - ex
+        flat: dict[int, CycNum] = {}
 
         # term 1: x_j (y_i x^{a1}) with y^{b1} still on the left
-        e_i = tuple(1 if m == i else 0 for m in range(n))
-        for (gam, v, eps), c_in in self.yx_product(e_i, a1).items():
-            gam2 = tuple(x + (1 if m == j else 0) for m, x in enumerate(gam))
-            for (mu, v2, nu), c_left in self.yx_product(b1, gam2).items():
+        for gam, v, eps, c_in in self.yx_product(ey, a1):
+            for mu, v2, nu, c_left in self.yx_product(b1, gam + ex):
                 # (x^mu v2 y^nu) (v y^eps): move y^nu across v
-                v2v = W.mul(v2, v)
-                coeffs = (c_in * c_left).coeffs.items()
-                for delta, f in self._w_expansion(v, nu, True).items():
-                    mono = (mu, v2v, _exp_add(delta, eps))
-                    for th, c in coeffs:
-                        _add_into(flat, (mono, th), c * f)
+                base = mu + eps + (W.mul(v2, v) << gs)
+                for delta, f in self._w_expansion(v, nu, True):
+                    for th1, c1 in c_in:
+                        c1 = c1 if f is _ONE else c1 * f
+                        for th2, c2 in c_left:
+                            _add_into(flat, base + delta + th1 + th2, c1 * c2)
 
         # term 2: y^{b1} C_{ij} x^{a1}
-        for u, cpoly in self._commutators[i][j].items():
-            for delta, f in self._w_expansion(u, b1, True).items():
-                for (gam, v, eps), c_in in self.yx_product(delta, a1).items():
-                    uv = W.mul(u, v)
-                    coeffs = (cpoly * c_in).coeffs.items()
-                    for gam2, d in self._w_expansion(u, gam, False).items():
-                        fd = f * d
-                        for th, c in coeffs:
-                            _add_into(flat, ((gam2, uv, eps), th), c * fd)
+        for u, comm in self._commutators[ey | ex].items():
+            for delta, f in self._w_expansion(u, b1, True):
+                for gam, v, eps, c_in in self.yx_product(delta, a1):
+                    base = eps + (W.mul(u, v) << gs)
+                    for gam2, d in self._w_expansion(u, gam, False):
+                        fd = f if d is _ONE else d if f is _ONE else f * d
+                        for th1, c1 in comm:
+                            c1 = c1 if fd is _ONE else c1 * fd
+                            for th2, c2 in c_in:
+                                _add_into(flat, base + gam2 + th1 + th2, c1 * c2)
 
-        result = _collect(flat)
-        self._yx_cache[(b, a)] = result
+        self._yx_cache[b | a] = result = tuple((m & self._xmask, m >> gs, m & self._ymask, tuple(p))
+                                               for m, p in self._by_monomial(flat).items())
         return result
 
     def multiply(self, A: CherElement, B: CherElement) -> CherElement:
-        W = self.W
-        flat: dict[tuple[Monomial, tuple[int, int]], CycNum] = {}
-        for (a1, w1, b1), p1 in A.terms.items():
-            for (a2, w2, b2), p2 in B.terms.items():
-                scale = p1 * p2
+        pa, pb = self._packed(A, B)
+        mul, gs = self.W.mul, self._gshift
+        flat: dict[int, CycNum] = {}
+        for a1, w1, b1, p1 in pa:
+            for a2, w2, b2, p2 in pb:
+                scale = [(s1 + s2, c1 * c2) for s1, c1 in p1 for s2, c2 in p2]
+                group = {}      # u -> w1 u w2, shifted into the group field
                 # x^a1 w1 (y^b1 x^a2) w2 y^b2: push w1 right past x, pull w2 left past y
-                for (alpha, u, beta), c in self.yx_product(b1, a2).items():
-                    w1uw2 = W.mul(W.mul(w1, u), w2)
-                    coeffs = (c * scale).coeffs.items()
+                for alpha, u, beta, coeffs in self.yx_product(b1, a2):
+                    g = group.get(u)
+                    if g is None:
+                        g = group[u] = mul(mul(w1, u), w2) << gs
+                    base = a1 + b2 + g
                     pull = self._w_expansion(w2, beta, True)
-                    for gam, d in self._w_expansion(w1, alpha, False).items():
-                        xpart = _exp_add(a1, gam)
-                        for delta, f in pull.items():
-                            mono = (xpart, w1uw2, _exp_add(delta, b2))
-                            df = d * f
-                            for th, v in coeffs:
-                                _add_into(flat, (mono, th), v * df)
-        return CherElement(self, _collect(flat))
+                    for gam, d in self._w_expansion(w1, alpha, False):
+                        for delta, f in pull:
+                            df = f if d is _ONE else d if f is _ONE else d * f
+                            for th2, s in scale:
+                                s = s if df is _ONE else s * df
+                                for th1, c in coeffs:
+                                    _add_into(flat, base + gam + delta + th1 + th2, c * s)
+        terms, monos = {}, self._monos
+        for m, p in self._by_monomial(flat).items():
+            mono = monos.get(m) or monos.setdefault(
+                m, (self._unpack(m, 2), m >> gs, self._unpack(m, 2 + self.n)))
+            terms[mono] = Poly2({(th & 0xFFFF, th >> 16): c for th, c in p})
+        return CherElement(self, terms)
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:
         return self.multiply(A, B) - self.multiply(B, A)

@@ -142,10 +142,6 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in work[:r])
 
 
-def mat_rank(a: Matrix) -> int:
-    return len(rref(a))
-
-
 def nullspace(a: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
     """RREF basis of {v : a @ v = 0} (column vectors returned as tuples)."""
     if ncols is None:

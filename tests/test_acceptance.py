@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 from leafatlas import linalg as la
-from leafatlas.catalog import cross_check_normalizers_B, leaves_B, leaves_D, smooth_B
+from leafatlas.catalog import leaves_B, leaves_D, smooth_B
 from leafatlas.cherednik import (
     CherednikAlgebra, associated_graded_leading, euler_degree, filtration_degree,
     is_central, central_elements_bounded, poisson_bracket, rank1_center_relation,
@@ -17,6 +17,7 @@ from leafatlas.exactnum import as_cyc
 from leafatlas.leaves import leaves_zero_tau, strata_double
 from leafatlas.refgroup import ParameterK, catalog
 from leafatlas.tau import build_tau, hyperplane_restriction_matches, orbit_coincidence_holds
+from test_catalog import cross_check_normalizers_B
 
 
 def _report(criterion, detail):

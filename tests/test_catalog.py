@@ -5,13 +5,61 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafatlas import linalg as la
 from leafatlas.catalog import (
-    CatalogError, cross_check_normalizer_D_tau, cross_check_normalizers_B,
-    dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t,
-    smooth_B,
+    CatalogError, _b_order, dihedral_equal_parameter_record, leaves_B, leaves_D,
+    leaves_D_tau_t, smooth_B,
 )
 from leafatlas.exactnum import root_of_unity
 from leafatlas.refgroup import catalog as group_catalog
+
+
+# Oracles: the closed-form normalizer orders against enumeration, for small ranks.
+
+def cross_check_normalizers_B(n: int, m: int, order_cap: int = 10 ** 6) -> dict:
+    """Compare the claimed normalizer orders against enumeration (small n)."""
+    if n > 5:
+        raise CatalogError("cross-checks are desk-scale: rank <= 5")
+    W = group_catalog(f"B{n}", order_cap)
+    rows = []
+    ok = True
+    for rec in leaves_B(n, m):
+        s = rec.support_rank
+        basis = la.rref([la.vec([1 if c == i else 0 for c in range(n)])
+                         for i in range(s, n)]) if s < n else ()
+        P = W.pointwise_stabilizer(basis)
+        if P.order != _b_order(s):
+            raise CatalogError("coordinate parabolic has unexpected order")
+        N = W.normalizer(P)
+        match = N.order == rec.normalizer_order
+        ok = ok and match
+        rows.append({"r": rec.r, "support_rank": s,
+                     "claimed_order": rec.normalizer_order,
+                     "computed_order": N.order, "match": match})
+    return {"schema": 1, "rule": "type-B-normalizer-crosscheck",
+            "group": f"B{n}", "m": m, "rows": rows, "all_match": ok}
+
+
+def cross_check_normalizer_D_tau(n: int, r: int, order_cap: int = 10 ** 6) -> dict:
+    """The twisted normalizer claim: inside the rank n-1 hyperoctahedral
+    group, the coordinate parabolic of rank r^2-1 has normalizer quotient of
+    hyperoctahedral type on the corank."""
+    if n > 5:
+        raise CatalogError("cross-checks are desk-scale: rank <= 5")
+    if r < 1 or r * r > n:
+        raise CatalogError("inadmissible twist row")
+    W = group_catalog(f"B{n - 1}", order_cap)
+    s = r * r - 1
+    dim = n - 1
+    basis = la.rref([la.vec([1 if c == i else 0 for c in range(dim)])
+                     for i in range(s, dim)]) if s < dim else ()
+    P = W.pointwise_stabilizer(basis)
+    N = W.normalizer(P)
+    claimed = _b_order(n - r * r)
+    return {"schema": 1, "rule": "type-D-twist-normalizer-crosscheck",
+            "group": f"B{n-1}", "support_rank": s,
+            "claimed_order": claimed, "computed_order": N.order,
+            "match": N.order == claimed}
 
 
 @pytest.mark.parametrize("n,ratio,expect", [

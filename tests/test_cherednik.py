@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from leafatlas import linalg as la
 from leafatlas.cherednik import (
-    CherednikAlgebra, CherednikError, Poly2, PoissonCompatibilityError,
-    associated_graded_leading, central_elements_bounded, euler_degree,
+    CherednikAlgebra, CherednikError, CherElement, Poly2, PoissonCompatibilityError,
+    _add_into, associated_graded_leading, central_elements_bounded, euler_degree,
     filtration_degree, format_element, is_central, parse_element,
     poisson_bracket, rank1_center_relation, rees_specialize,
 )
+from leafatlas.cli import resolve_parameter
 from leafatlas.exactnum import as_cyc
 from leafatlas.refgroup import ParameterK, catalog
 
@@ -306,3 +308,180 @@ def test_normal_order_fixes_ordered_monomials(mu2, mu2_k):
     mono = alg.monomial((2,), s.key, (1,))
     rebuilt = alg.multiply(alg.multiply(alg.x(0, 2), alg.w(s)), alg.y(0))
     assert rebuilt == mono
+
+
+# ---------------------------------------------------------------------------
+# oracle: the rewriting kernel on tuple monomials, as it stood before the
+# monomials were packed into ints, with caches of its own
+
+def _exp_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _collect(flat):
+    out = {}
+    for (mono, th), c in flat.items():
+        out.setdefault(mono, Poly2()).coeffs[th] = c
+    return out
+
+
+class _TupleKernel:
+    def __init__(self, W, k, mode):
+        self.W, self.n, self.k, self.mode = W, W.dim, k, mode
+        self._commutators = self._build_commutators()
+        self._yx_cache = {}
+
+    def _build_commutators(self):
+        n = self.n
+        comm = [[{} for _ in range(n)] for _ in range(n)]
+        for H in self.W.hyperplanes:
+            pair_norm = la.dot(H.alpha, H.alpha_vee).inverse()
+            weights = {}
+            for u in H.pointwise:
+                det_u = self.W.det_character[u]
+                for l in range(H.e):
+                    _add_into(weights, u,
+                              (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l))
+            for i in range(n):
+                for j in range(n):
+                    if H.alpha[i].is_zero() or H.alpha_vee[j].is_zero():
+                        continue
+                    scalar = H.alpha[i] * H.alpha_vee[j] * pair_norm
+                    for u, wt in weights.items():
+                        _add_into(comm[i][j], u, scalar * wt)
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                entry = {u: Poly2({(0, 2): c}) if self.mode == "hbar2" else Poly2.const(c)
+                         for u, c in comm[i][j].items()}
+                if self.mode == "t" and i == j:
+                    _add_into(entry, self.W.identity, Poly2.t())
+                row.append(entry)
+            out.append(row)
+        return out
+
+    def _w_expansion(self, w, exps, dual):
+        if not any(exps) or w == self.W.identity:
+            return {exps: as_cyc(1)}
+        inv = self.W.elements[self.W.inv(w)].mat
+        forms = list(zip(*inv)) if dual else inv
+        acc = {(0,) * self.n: as_cyc(1)}
+        for m, e in enumerate(exps):
+            for _ in range(e):
+                nxt = {}
+                for mono, c in acc.items():
+                    for i, f in enumerate(forms[m]):
+                        if not f.is_zero():
+                            key = tuple(v + (idx == i) for idx, v in enumerate(mono))
+                            _add_into(nxt, key, c * f)
+                acc = nxt
+        return acc
+
+    def yx_product(self, b, a):
+        if (b, a) in self._yx_cache:
+            return self._yx_cache[(b, a)]
+        n, W = self.n, self.W
+        if not any(b) or not any(a):
+            result = {(a, W.identity, b): Poly2.const(1)}
+            self._yx_cache[(b, a)] = result
+            return result
+        i = next(m for m in range(n) if b[m])
+        j = next(m for m in range(n) if a[m])
+        b1 = tuple(v - (m == i) for m, v in enumerate(b))
+        a1 = tuple(v - (m == j) for m, v in enumerate(a))
+        flat = {}
+        e_i = tuple(int(m == i) for m in range(n))
+        for (gam, v, eps), c_in in self.yx_product(e_i, a1).items():
+            gam2 = tuple(x + (m == j) for m, x in enumerate(gam))
+            for (mu, v2, nu), c_left in self.yx_product(b1, gam2).items():
+                v2v = W.mul(v2, v)
+                coeffs = (c_in * c_left).coeffs.items()
+                for delta, f in self._w_expansion(v, nu, True).items():
+                    mono = (mu, v2v, _exp_add(delta, eps))
+                    for th, c in coeffs:
+                        _add_into(flat, (mono, th), c * f)
+        for u, cpoly in self._commutators[i][j].items():
+            for delta, f in self._w_expansion(u, b1, True).items():
+                for (gam, v, eps), c_in in self.yx_product(delta, a1).items():
+                    uv = W.mul(u, v)
+                    coeffs = (cpoly * c_in).coeffs.items()
+                    for gam2, d in self._w_expansion(u, gam, False).items():
+                        for th, c in coeffs:
+                            _add_into(flat, ((gam2, uv, eps), th), c * (f * d))
+        result = _collect(flat)
+        self._yx_cache[(b, a)] = result
+        return result
+
+    def multiply(self, A, B):
+        W = self.W
+        flat = {}
+        for (a1, w1, b1), p1 in A.terms.items():
+            for (a2, w2, b2), p2 in B.terms.items():
+                scale = p1 * p2
+                for (alpha, u, beta), c in self.yx_product(b1, a2).items():
+                    w1uw2 = W.mul(W.mul(w1, u), w2)
+                    coeffs = (c * scale).coeffs.items()
+                    pull = self._w_expansion(w2, beta, True)
+                    for gam, d in self._w_expansion(w1, alpha, False).items():
+                        for delta, f in pull.items():
+                            mono = (_exp_add(a1, gam), w1uw2, _exp_add(delta, b2))
+                            for th, v in coeffs:
+                                _add_into(flat, (mono, th), v * (d * f))
+        return _collect(flat)
+
+
+# G4 is the one catalog group acting by non-monomial matrices, so only its
+# expansions across a group element have more than one term
+@pytest.mark.parametrize("name,k,dmax", [
+    ("dihedral3", "0,1", 2), ("B2", "0,1;0,1", 2), ("G4", "0,1,0", 1)])
+@pytest.mark.parametrize("mode", ["t", "hbar2", "t0"])
+def test_packed_kernel_matches_tuple_oracle(name, k, dmax, mode):
+    W = catalog(name)
+    kk = resolve_parameter(W, k)
+    alg = CherednikAlgebra(W, kk, mode)
+    ref = _TupleKernel(W, kk, mode)
+    rng = random.Random(23)
+    for _ in range(3):
+        A, B, C = (_random_elem(alg, rng, dmax) for _ in range(3))
+        AB = alg.multiply(A, B)
+        assert AB.terms == ref.multiply(A, B)
+        assert alg.multiply(AB, C).terms == ref.multiply(AB, C)
+        assert alg.multiply(C, A).terms == ref.multiply(C, A)
+
+
+def test_packed_poisson_bracket_matches_tuple_oracle():
+    W = catalog("B2")
+    k = resolve_parameter(W, "1;2")
+    alg = CherednikAlgebra(W, k, "t0")
+    z1 = parse_element(alg, "x1^4 + x2^4 + x1^2 * x2^2")
+    z2 = parse_element(alg, "y1^2 + y2^2")
+    t_alg = CherednikAlgebra(W, k, "t")
+    ref = _TupleKernel(W, k, "t")
+    comm = CherElement(t_alg, ref.multiply(z1, z2)) - CherElement(t_alg, ref.multiply(z2, z1))
+    expect = CherElement(alg, {m: p.div_t().at_t0() for m, p in comm.terms.items()})
+    assert expect.terms and poisson_bracket(z1, z2).terms == expect.terms
+
+
+# ---------------------------------------------------------------------------
+# packed fields are 16 bits wide: a product that could overflow one is refused
+
+def test_product_refuses_a_coefficient_power_past_the_field(mu2, mu2_k):
+    alg = CherednikAlgebra(mu2, mu2_k, "t")
+    big = parse_element(alg, "t^70000 * y1")
+    with pytest.raises(CherednikError, match="65535"):
+        alg.multiply(big, alg.x(0))
+    with pytest.raises(CherednikError):
+        alg.multiply(alg.x(0), big)
+
+
+def test_product_refuses_a_degree_past_the_field(mu2, mu2_k):
+    alg = CherednikAlgebra(mu2, mu2_k, "t0")
+    e = parse_element(alg, "x1^200")
+    while 2 * filtration_degree(e) <= 0xFFFF:
+        e = alg.multiply(e, e)
+        assert list(e.terms) == [((filtration_degree(e),), mu2.identity, (0,))]
+    assert filtration_degree(e) == 51200
+    with pytest.raises(CherednikError) as exc:
+        alg.multiply(e, e)
+    assert "\n" not in str(exc.value)

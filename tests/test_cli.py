@@ -254,17 +254,41 @@ def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # the estimate is 26^3 = 17576: with k zero the normal forms carry no group part
+    # the dry runs count 8801, 2950, 2640 and 152680 accumulations; the last
+    # bracket does 123452, and a closed-form estimate put it at 9408000
     ["--group", "cyclic2", "--z1", "x1^25", "--z2", "y1^25"],
-    # C(7,5)^2 * 3 * 26^2 = 894348 and C(7,5)^2 * 3 * 21^2 = 583443
     ["--group", "B5", "--k", "1;1", "--z1", "x1^2+x2^2+x3^2+x4^2+x5^2",
      "--z2", "y1^2+y2^2+y3^2+y4^2+y5^2"],
     ["--group", "D5", "--k", "1", "--z1", "x1^2+x2^2+x3^2+x4^2+x5^2",
      "--z2", "y1^2+y2^2+y3^2+y4^2+y5^2"],
+    ["--group", "B4", "--k", "1;1", "--z1", "x1^4+x2^4+x3^4+x4^4",
+     "--z2", "y1^4+y2^4+y3^4+y4^4"],
 ])
 def test_poisson_inside_the_rewrite_bound_runs(capsys, argv):
     code, out, _ = run_cli(capsys, "poisson", *argv)
     assert code == 0 and json.loads(out)["euler_degree"] == 0
+
+
+@pytest.mark.parametrize("argv,degrees", [
+    (["--group", "B3", "--k", "1;1", "--z1", "x1^6+x2^6+x3^6", "--z2", "y1^6+y2^6+y3^6"],
+     "y-degree 6 against x-degree 6"),
+    (["--group", "cyclic2", "--z1", "y1^250 + x1", "--z2", "x1^250"],
+     "y-degree 250 against x-degree 250"),
+    # B4's bracket passes a cap below its dry-run count of 152680
+    (["--group", "B4", "--k", "1;1", "--z1", "x1^4+x2^4+x3^4+x4^4",
+      "--z2", "y1^3+y2^4+y3^4+y4^4", "--cap", "100000"], "y-degree 4 against x-degree 4"),
+])
+def test_poisson_cap_message_names_the_degrees(capsys, argv, degrees):
+    code, _, err = run_cli(capsys, "poisson", *argv)
+    assert code == 3 and degrees in err
+    _assert_one_line_error(err)
+
+
+def test_poisson_width_guard_exit2(capsys):
+    code, _, err = run_cli(capsys, "poisson", "--group", "cyclic2", "--z1", "t^70000 * x1",
+                           "--z2", "y1")
+    assert code == 2 and "65535" in err
+    _assert_one_line_error(err)
 
 
 def test_missing_group_exit2(capsys):
