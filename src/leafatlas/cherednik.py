@@ -27,7 +27,9 @@ factors on entry and unpacks the product through a per-algebra memo, so
 the factors' largest degree plus t/h power, summed, and `multiply` refuses
 a pair whose sum passes 65535.  Moving a group element past x^a or y^b
 expands through the rows or the columns of its inverse matrix, cached per
-(element, exponents) in `_w_expansion`.
+(element, exponents) in `_w_expansion`.  `check_rewrite_work` bounds the
+work of a bracket by a scalar-free dry run of the same packed recursion, so
+the packed layout is known to this module only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .exactnum import CycNum, ExactDomainError, as_cyc, cyc_parse, num_str
-from .refgroup import GroupElement, ParameterK, ReflectionGroup
+from .refgroup import CapExceededError, GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
 
@@ -419,6 +421,87 @@ class CherednikAlgebra:
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:
         return self.multiply(A, B) - self.multiply(B, A)
+
+    def check_rewrite_work(self, z1: CherElement, z2: CherElement, cap: int) -> None:
+        """Raise CapExceededError when rewriting the bracket [z1, z2] could
+        pass the cap.
+
+        A dry run of both products through the packed `yx_product` recursion
+        with every scalar dropped: a normal form becomes the set of its packed
+        keys (monomial and t/h power).  Nothing cancels there, so each set
+        contains the true support, and the count of accumulations is an upper
+        bound on the real products' count.  The run stops as soon as the
+        count passes the cap."""
+        W, gs, xm, ym, th = self.W, self._gshift, self._xmask, self._ymask, 0xFFFFFFFF
+        ident, expand, supports = W.identity, self._w_expansion, {}
+        moves: dict[tuple, dict] = {}    # (v, dual) -> {w y^nu or w x^gam: keys moved across v}
+        shifted: dict[tuple, list] = {}  # (exponent pair, v) -> its support moved across v
+        work, degrees = 0, None
+
+        def check():
+            if work > cap:
+                raise CapExceededError(f"poisson rewriting of y-degree {degrees[0]} against "
+                                       f"x-degree {degrees[1]} passes the cap")
+
+        def move(memo, hi, v, dual):
+            """The keys of w y^nu v, for hi = w y^nu, when dual; else of v x^gam w."""
+            if dual:
+                g, terms = W.mul(hi >> gs, v), expand(v, hi & ym, True)
+            else:
+                g, terms = W.mul(v, hi >> gs), expand(v, hi & xm, False)
+            memo[hi] = out = [(g << gs) + e for e, _ in terms]
+            return out
+
+        def moved(keys, v, dual):
+            memo, keep = moves.setdefault((v, dual), {}), (xm if dual else ym) | th
+            get, drop = memo.get, ~keep
+            return [(k & keep) + m for k in keys
+                    for m in get(k & drop) or move(memo, k & drop, v, dual)]
+
+        def support(b, a):
+            """The packed keys of y^b x^a's normal form, cancellation ignored."""
+            nonlocal work
+            out = supports.get(b | a)
+            if out is not None:
+                return out
+            out = {a | b | ident << gs}
+            if b and a:
+                out = set()
+                ey = 1 << ((b & -b).bit_length() - 1 & -16)
+                ex = 1 << ((a & -a).bit_length() - 1 & -16)
+                # term 1: y^{b1} x^{gam + e_j} from each key x^gam v y^eps of y_i x^{a1}
+                for k1 in support(ey, a - ex):
+                    v, a2 = k1 >> gs, (k1 & xm) + ex
+                    keys = support(b - ey, a2)
+                    if v != ident:
+                        keys = shifted.get((b - ey | a2, v)) or \
+                            shifted.setdefault((b - ey | a2, v), moved(keys, v, True))
+                    out.update(map(((k1 & ym) + (k1 & th)).__add__, keys))
+                    work += len(keys)
+                    check()
+                # term 2: y^{b1} C_{ij} x^{a1}
+                for u, comm in self._commutators[ey | ex].items():
+                    for delta, _ in expand(u, b - ey, True):
+                        keys = support(delta, a - ex)
+                        if u != ident:
+                            keys = moved(keys, u, False)
+                        for t, _ in comm:
+                            out.update(map(t.__add__, keys))
+                        work += len(keys) * len(comm)
+                        check()
+            supports[b | a] = out
+            return out
+
+        for left, right in ((z1, z2), (z2, z1)):
+            degrees = (max((sum(b) for _, _, b in left.terms), default=0),
+                       max((sum(a) for a, _, _ in right.terms), default=0))
+            pa, pb = self._packed(left, right)
+            for _, w1, b1, p1 in pa:
+                for a2, w2, _, p2 in pb:
+                    for k in support(b1, a2):
+                        work += len(p1) * len(p2) * len(expand(w1, k & xm, False)) \
+                            * len(expand(w2, k & ym, True))
+                    check()
 
     def lift(self, e: CherElement, target: "CherednikAlgebra") -> CherElement:
         """Reinterpret the normal-ordered monomials in another context."""

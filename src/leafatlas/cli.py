@@ -454,86 +454,6 @@ def cmd_cherednik_check(job):
     return report, None
 
 
-def _rewrite_work(alg: CherednikAlgebra, z1, z2, cap: int) -> None:
-    """Refuse the bracket [z1, z2] in alg when rewriting it could pass the cap.
-
-    A dry run of both products through the packed `yx_product` recursion with
-    every scalar dropped: a normal form becomes the set of its packed keys
-    (monomial and t/h power).  Nothing cancels there, so each set contains the
-    true support, and the count of accumulations is an upper bound on the
-    real products' count.  The run stops as soon as the count passes the cap."""
-    W, gs, xm, ym, th = alg.W, alg._gshift, alg._xmask, alg._ymask, 0xFFFFFFFF
-    ident, expand, supports = W.identity, alg._w_expansion, {}
-    moves: dict[tuple, dict] = {}    # (v, dual) -> {w y^nu or w x^gam: keys moved across v}
-    shifted: dict[tuple, list] = {}  # (exponent pair, v) -> its support moved across v
-    work, degrees = 0, None
-
-    def check():
-        if work > cap:
-            raise CapExceededError(f"poisson rewriting of y-degree {degrees[0]} against "
-                                   f"x-degree {degrees[1]} passes the cap")
-
-    def move(memo, hi, v, dual):
-        """The keys of w y^nu v, for hi = w y^nu, when dual; else of v x^gam w."""
-        if dual:
-            g, terms = W.mul(hi >> gs, v), expand(v, hi & ym, True)
-        else:
-            g, terms = W.mul(v, hi >> gs), expand(v, hi & xm, False)
-        memo[hi] = out = [(g << gs) + e for e, _ in terms]
-        return out
-
-    def moved(keys, v, dual):
-        memo, keep = moves.setdefault((v, dual), {}), (xm if dual else ym) | th
-        get, drop = memo.get, ~keep
-        return [(k & keep) + m for k in keys
-                for m in get(k & drop) or move(memo, k & drop, v, dual)]
-
-    def support(b, a):
-        """The packed keys of y^b x^a's normal form, cancellation ignored."""
-        nonlocal work
-        out = supports.get(b | a)
-        if out is not None:
-            return out
-        out = {a | b | ident << gs}
-        if b and a:
-            out = set()
-            ey = 1 << ((b & -b).bit_length() - 1 & -16)
-            ex = 1 << ((a & -a).bit_length() - 1 & -16)
-            # term 1: y^{b1} x^{gam + e_j} from each key x^gam v y^eps of y_i x^{a1}
-            for k1 in support(ey, a - ex):
-                v, a2 = k1 >> gs, (k1 & xm) + ex
-                keys = support(b - ey, a2)
-                if v != ident:
-                    keys = shifted.get((b - ey | a2, v)) or \
-                        shifted.setdefault((b - ey | a2, v), moved(keys, v, True))
-                out.update(map(((k1 & ym) + (k1 & th)).__add__, keys))
-                work += len(keys)
-                check()
-            # term 2: y^{b1} C_{ij} x^{a1}
-            for u, comm in alg._commutators[ey | ex].items():
-                for delta, _ in expand(u, b - ey, True):
-                    keys = support(delta, a - ex)
-                    if u != ident:
-                        keys = moved(keys, u, False)
-                    for t, _ in comm:
-                        out.update(map(t.__add__, keys))
-                    work += len(keys) * len(comm)
-                    check()
-        supports[b | a] = out
-        return out
-
-    for left, right in ((z1, z2), (z2, z1)):
-        degrees = (max((sum(b) for _, _, b in left.terms), default=0),
-                   max((sum(a) for a, _, _ in right.terms), default=0))
-        pa, pb = alg._packed(left, right)
-        for _, w1, b1, p1 in pa:
-            for a2, w2, _, p2 in pb:
-                for k in support(b1, a2):
-                    work += len(p1) * len(p2) * len(expand(w1, k & xm, False)) \
-                        * len(expand(w2, k & ym, True))
-                check()
-
-
 def cmd_poisson(job):
     args = job.args
     W = job.group
@@ -547,7 +467,7 @@ def cmd_poisson(job):
     try:
         z1 = parse_element(alg, args.z1)
         z2 = parse_element(alg, args.z2)
-        _rewrite_work(t_alg, z1, z2, args.cap)
+        t_alg.check_rewrite_work(z1, z2, args.cap)
         bracket = poisson_bracket(z1, z2, t_alg)
     except (PoissonCompatibilityError, CherednikError) as exc:
         raise SpecError(str(exc)) from exc

@@ -4,9 +4,9 @@ Vectors are tuples of CycNum, matrices tuples of row tuples.  Subspaces are
 always carried as reduced-row-echelon bases, so equal subspaces have equal
 bases.  Everything is pure and deterministic.
 
-A product a @ b runs through b's column plan: each column's nonzero entries
-as (row, scalar) pairs, entries equal to one added without a multiplication.
-A caller that multiplies by the same b many times plans it once.
+A product a @ b walks each column of b over its nonzero entries only, and
+adds an entry equal to one without a multiplication.  Group closure does not
+come here: it multiplies on integer coordinates (see `refgroup`).
 """
 
 from __future__ import annotations
@@ -36,21 +36,15 @@ def zero_vector(n: int) -> Vector:
     return tuple(_ZERO for _ in range(n))
 
 
-def column_plan(b: Matrix) -> tuple:
-    """Per column of b, its nonzero entries as (row, scalar) pairs, with None
-    for a scalar equal to one, so a product adds that term unmultiplied."""
-    return tuple(tuple((l, None if row[j] == _ONE else row[j])
-                       for l, row in enumerate(b) if not row[j].is_zero())
-                 for j in range(len(b[0]) if b else 0))
-
-
-def mat_mul_planned(a: Matrix, plan) -> Matrix:
-    """a @ b from b's `column_plan`: zero terms and products by one skipped,
-    the terms summed in row order."""
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b, column by column over b's nonzero entries: zero terms and
+    products by one are skipped, and the terms are summed in row order."""
+    cols = [[(l, None if row[j] == _ONE else row[j]) for l, row in enumerate(b)
+             if not row[j].is_zero()] for j in range(len(b[0]) if b else 0)]
     out = []
     for ai in a:
         row = []
-        for col in plan:
+        for col in cols:
             s = None
             for l, y in col:
                 x = ai[l]
@@ -60,10 +54,6 @@ def mat_mul_planned(a: Matrix, plan) -> Matrix:
             row.append(_ZERO if s is None else s)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return mat_mul_planned(a, column_plan(b))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

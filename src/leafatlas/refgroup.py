@@ -1,12 +1,18 @@
 """Finite complex reflection groups as explicit matrix groups over Q(zeta).
 
-Groups are fully enumerated (breadth-first closure with a configurable order
-cap, each generator's column plan made once for the products) and every query
-below is exact: reflections and their hyperplanes, the intersection lattice
-with its parabolic subgroups and their classes (one orbit walk and one closure
-per class), witness points, normalizers with their coset quotients, and a
-catalog of standard groups G(de,e,n), Coxeter types B/D, dihedral groups and
-the rank-two group generated by order-3 reflections on 4 hyperplanes.
+Groups are fully enumerated by a breadth-first closure with a configurable
+order cap.  The closure runs on ints over one field Q(zeta_N), N the lcm of
+the generators' conductors: a candidate g*s is a flat tuple of power-basis
+coordinates with one denominator, formed from a plan of s made once, and only
+an accepted element becomes a CycNum matrix and a key string, through a
+per-closure cache that converts each distinct column and entry once.
+
+Every query below is exact: reflections and their hyperplanes, the
+intersection lattice with its parabolic subgroups and their classes (one
+orbit walk and one closure per class), witness points, normalizers with
+their coset quotients, and a catalog of standard groups G(de,e,n), Coxeter
+types B/D, dihedral groups and the rank-two group generated by order-3
+reflections on 4 hyperplanes.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from array import array
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import itemgetter
 
-from .exactnum import CycNum, _phi_degree, _prime_factors, as_cyc, root_of_unity, primes
+from .exactnum import (CycNum, _phi_degree, _prime_factors, _reduce_mod_phi, as_cyc,
+                       root_of_unity, primes)
 from . import linalg as la
 from .linalg import Matrix, Vector
 
@@ -39,9 +47,9 @@ class GroupElement:
 
     __slots__ = ("mat", "key")
 
-    def __init__(self, mat: Matrix):
+    def __init__(self, mat: Matrix, key: str | None = None):
         self.mat = mat
-        self.key = f"{len(mat)}|" + ";".join(x.sort_key() for row in mat for x in row)
+        self.key = key or f"{len(mat)}|" + ";".join(x.sort_key() for row in mat for x in row)
 
     def __repr__(self):
         return f"GroupElement({self.key})"
@@ -128,26 +136,34 @@ class ReflectionGroup:
         self.dim = dim
         self.name = name
         n = len(generators)
-        found = [GroupElement(la.identity(dim))]
-        self.by_key = {found[0].key: 0}         # discovery indices until renumbered
+        field = _conductor(generators)
+        phi = _phi_degree(field)
+        plans = [_plan(s, field, phi) for s in generators]
+        one = [0] * (dim * dim * phi) + [1]
+        for i in range(dim):
+            one[(i * dim + i) * phi] = 1
+        found = [tuple(one)]
+        index = {found[0]: 0}                   # discovery indices
         right, steps = array("l"), array("l", [-1])
-        plans = [la.column_plan(s) for s in generators]
         for p, cur in enumerate(found):
             for j, plan in enumerate(plans):
-                g = GroupElement(la.mat_mul_planned(cur.mat, plan))
-                o = self.by_key.setdefault(g.key, len(found))
+                g = _times(cur, plan, dim * phi, phi)
+                o = index.setdefault(g, len(found))
                 if o == len(found):
                     if o >= order_cap:
                         raise CapExceededError("group too large or infinite")
                     found.append(g)
                     steps.append(p * n + j)
                 right.append(o)
-        old = sorted(range(len(found)), key=lambda o: found[o].key)   # per id, when met
-        self.elements: tuple[GroupElement, ...] = tuple(found[o] for o in old)
+        del index
+        met = list(map(_decoder(dim, field, phi), found))
+        del found
+        old = sorted(range(len(met)), key=lambda o: met[o].key)   # per id, when met
+        self.elements: tuple[GroupElement, ...] = tuple(met[o] for o in old)
+        self.by_key = {g.key: i for i, g in enumerate(self.elements)}
         self._tree = array("l", [0]) * len(old)
         for i, o in enumerate(old):
             self._tree[o] = i
-            self.by_key[found[o].key] = i
         self._right = array("l", [self._tree[right[o * n + j]] for o in old for j in range(n)])
         self._steps = array("l", [-1] + [self._tree[s // n] * n + s % n for s in steps[1:]])
         self.identity = self._tree[0]
@@ -462,6 +478,110 @@ class CosetQuotient:
 # ---------------------------------------------------------------------------
 # closure
 
+def _conductor(mats) -> int:
+    """The lcm N of the entries' conductors: every entry lies in Q(zeta_N)."""
+    return lcm(1, *(x.conductor for m in mats for row in m for x in row))
+
+
+def _multiplier(x: CycNum, field: int, phi: int, den: int) -> tuple:
+    """Multiplication by den * x on Q(zeta_field) over the power basis, as the
+    nonzero (a, b, c) of its phi x phi integer matrix: c is coordinate a of
+    den * x * zeta^b.  den must be a multiple of x.den."""
+    step, scale = field // x.conductor, den // x.den
+    out = []
+    for b in range(phi):
+        image = _reduce_mod_phi({e * step + b: c * scale for e, c in x.coeffs}, field)
+        out += [(a, b, c) for a, c in sorted(image.items())]
+    return tuple(out)
+
+
+def _plan(s: Matrix, field: int, phi: int) -> tuple:
+    """How the closure forms g*s on flat coordinates (see `_times`), as
+    (D, take, negs, columns) with D the common denominator of s.
+
+    Column j of g*s is the sum over the nonzero s[l][j] of g's column l, each
+    entry multiplied by s[l][j]; columns holds, per j, the terms (start of
+    g's column l, `_multiplier` of s[l][j]).  When D = 1 and this moves every
+    coordinate of g to one place, up to sign (s is monomial and each
+    multiplier a signed permutation of the power basis), take picks the
+    coordinates of g*s and its denominator in one call and negs lists the
+    places to negate; otherwise take is None."""
+    dim, m = len(s), len(s) * phi
+    D = lcm(*(x.den for row in s for x in row))
+    columns = [tuple((l * m, _multiplier(s[l][j], field, phi, D))
+                     for l in range(dim) if not s[l][j].is_zero()) for j in range(dim)]
+    if D == 1 and dim and all(len(terms) == 1 and len(terms[0][1]) == phi and
+                              all(c * c == 1 for _, _, c in terms[0][1]) for terms in columns):
+        # each block has phi entries +-1 and is invertible: a signed permutation
+        src, negs = [0] * (dim * m), []
+        for j, ((start, block),) in enumerate(columns):
+            for i in range(0, m, phi):
+                for a, b, c in block:
+                    src[j * m + i + a] = start + i + b
+                    if c < 0:
+                        negs.append(j * m + i + a)
+        return D, itemgetter(*src, dim * m), tuple(negs), columns
+    return D, None, (), columns
+
+
+def _times(t: tuple, plan, m: int, phi: int) -> tuple:
+    """g*s from g's flat coordinates t for s's `_plan`.  Coordinates are
+    column-major, phi ints per entry over the power basis (m = dim * phi per
+    column), with the denominator last; no factor divides all of them."""
+    D, take, negs, columns = plan
+    if take is not None:
+        if not negs:
+            return take(t)
+        out = list(take(t))
+        for k in negs:
+            out[k] = -out[k]
+        return tuple(out)
+    out = []
+    for terms in columns:
+        acc = [0] * m
+        for start, block in terms:
+            for i in range(0, m, phi):
+                for a, b, c in block:
+                    acc[i + a] += c * t[start + i + b]
+        out += acc
+    d = t[-1] * D
+    out.append(d)
+    if d > 1:
+        g = gcd(*out)
+        if g > 1:
+            return tuple(c // g for c in out)
+    return tuple(out)
+
+
+def _decoder(dim: int, field: int, phi: int):
+    """decode(t): the GroupElement of flat coordinates t (see `_times`).  A
+    column of t, with the denominator, is converted once, and so is an entry;
+    entries equal as values share one CycNum, whose key string is formatted
+    once."""
+    m = dim * phi
+    starts, prefix = range(0, m * dim, m or 1), f"{dim}|"
+    columns, entries, values = {}, {}, {}
+
+    def column(seg, den):
+        xs = []
+        for i in range(0, m, phi):
+            key = (seg[i:i + phi], den)
+            x = entries.get(key)
+            if x is None:
+                x = CycNum(field, dict(enumerate(key[0])), den)
+                x = entries[key] = values.setdefault(x, x)
+            xs.append(x)
+        out = columns[seg, den] = (xs, [x.sort_key() for x in xs])
+        return out
+
+    def decode(t):
+        den = t[-1]
+        hits = [columns.get((t[k:k + m], den)) or column(t[k:k + m], den) for k in starts]
+        return GroupElement(tuple(zip(*[xs for xs, _ in hits])),
+                            prefix + ";".join(chain.from_iterable(zip(*[ks for _, ks in hits]))))
+    return decode
+
+
 def _close(group: ReflectionGroup, gens) -> frozenset[int]:
     """The ids of the subgroup generated by gens."""
     found = {group.identity}
@@ -537,12 +657,7 @@ def _finite_order_bound(dim: int, mats) -> int:
     phi(d) <= dim * phi(N), and the element's order divides L.  Since
     phi(p^a) divides phi(d) when p^a divides d, L is the product over primes
     p of the largest p^a with phi(p^a) <= dim * phi(N)."""
-    n = 1
-    for m in mats:
-        for row in m:
-            for x in row:
-                n = n * x.conductor // gcd(n, x.conductor)
-    budget = dim * _phi_degree(n)
+    budget = dim * _phi_degree(_conductor(mats))
     out = 1
     for p in range(2, budget + 2):
         if any(p % q == 0 for q in range(2, isqrt(p) + 1)):

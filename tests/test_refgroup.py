@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from leafatlas import linalg as la
 from leafatlas.cherednik import CherednikAlgebra, CherednikError
+from leafatlas import exactnum, refgroup
 from leafatlas.exactnum import CycNum, as_cyc, root_of_unity
-from leafatlas import refgroup
 from leafatlas.refgroup import (
-    GroupElement, GroupError, ParameterK, ReflectionGroup, _close, _gdeen_generators,
-    _rank_one_shift, catalog, close_group,
+    DEFAULT_ORDER_CAP, CapExceededError, GroupElement, GroupError, ParameterK,
+    ReflectionGroup, _close, _gdeen_generators, _rank_one_shift, catalog, close_group,
 )
 from leafatlas.verify import _reflection_closure_order, run_suite
 
@@ -495,33 +495,117 @@ def test_planned_mat_mul_matches_dense_oracle(conductor):
     assert la.mat_mul((), ()) == () == _dense_mat_mul((), ())
 
 
-def _count_multiplications(run):
-    """run()'s value and how many CycNum products it made."""
+def _count_calls(owner, attr, run):
+    """run()'s value and how many times it called owner.attr."""
     calls = [0]
-    mul = CycNum.__mul__
+    orig = getattr(owner, attr)
 
-    def counted(self, other):
+    def counted(*args):
         calls[0] += 1
-        return mul(self, other)
+        return orig(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CycNum, "__mul__", counted)
+        mp.setattr(owner, attr, counted)
         out = run()
     return out, calls[0]
 
 
-def test_closure_multiplies_only_by_scalars_other_than_one():
-    # B4's generators are a sign change and permutations: only the sign's -1
-    # is multiplied, once per element (the dense product made 6144)
-    gens = _gdeen_generators(2, 1, 4, 10 ** 6)
-    W, calls = _count_multiplications(lambda: ReflectionGroup(4, gens))
-    assert W.order == 384 and calls <= W.order
-    # G4's generators are dense: at most the oracle's products, and some
+def test_closure_formats_each_value_once_and_multiplies_only_in_its_plans():
+    # candidates are int tuples: a key string is made only for an accepted
+    # element, from one CycNum per distinct value, and no CycNum product is
+    # formed per element (the per-entry closure built a 16-entry key for each
+    # of B4's 1536 candidates and made one product per element)
     G4 = catalog("G4")
-    gens = [G4.elements[s].mat for s in G4.generators]
-    W, calls = _count_multiplications(lambda: ReflectionGroup(2, gens))
-    _, dense = _count_multiplications(
-        lambda: [_dense_mat_mul(g.mat, m) for g in W.elements for m in gens])
-    assert W.order == 24 and 0 < calls <= dense
+    for dim, gens, order in ((4, _gdeen_generators(2, 1, 4, 10 ** 6), 384),
+                             (2, [G4.elements[s].mat for s in G4.generators], 24),
+                             # one entry value under several matrix denominators
+                             (*_conjugated("B3", _UNIPOTENT), 48)):
+        W, formatted = _count_calls(exactnum, "cyc_to_str", lambda: ReflectionGroup(dim, gens))
+        values = {x for g in W.elements for row in g.mat for x in row}
+        assert W.order == order and 0 < formatted <= len(values)
+        W, products = _count_calls(CycNum, "__mul__", lambda: ReflectionGroup(dim, gens))
+        planned = sum(not x.is_zero() for s in gens for row in s for x in row)
+        assert W.order == order and products <= planned
+
+
+def _entrywise_closure(dim, generators, order_cap=DEFAULT_ORDER_CAP):
+    """The closure that `ReflectionGroup` ran before it moved to integer
+    coordinates, kept as the oracle: every candidate g*s_j is a CycNum matrix
+    with its key string, formed before it is known to be new.  Returns the
+    keys and matrices in id order, `_right`, `_steps`, the generators' ids
+    and the identity's id."""
+    n = len(generators)
+    found = [GroupElement(la.identity(dim))]
+    by_key = {found[0].key: 0}
+    right, steps = [], [-1]
+    for p, cur in enumerate(found):
+        for j, s in enumerate(generators):
+            g = GroupElement(la.mat_mul(cur.mat, s))
+            o = by_key.setdefault(g.key, len(found))
+            if o == len(found):
+                if o >= order_cap:
+                    raise CapExceededError("group too large or infinite")
+                found.append(g)
+                steps.append(p * n + j)
+            right.append(o)
+    old = sorted(range(len(found)), key=lambda o: found[o].key)
+    tree = [0] * len(old)
+    for i, o in enumerate(old):
+        tree[o] = i
+    return ([found[o].key for o in old], [found[o].mat for o in old],
+            [tree[right[o * n + j]] for o in old for j in range(n)],
+            [-1] + [tree[s // n] * n + s % n for s in steps[1:]],
+            tuple(tree[o] for o in right[:n]), tree[0])
+
+
+_UNIPOTENT = la.mat([[1, Fraction(1, 2), 0], [0, 1, Fraction(-2, 3)], [0, 0, 1]])
+
+
+def _conjugated(name, x):
+    """The generators of a catalog group conjugated by the matrix x."""
+    W = catalog(name)
+    x_inv = la.mat_inverse(x)
+    return W.dim, [la.mat_mul(la.mat_mul(x, W.elements[s].mat), x_inv) for s in W.generators]
+
+
+# the closure battery, with the field Q(zeta_N) each closure runs over
+CLOSURE_CASES = (("B3", 1), ("D4", 1), ("G(4,2,3)", 4), ("G(6,2,3)", 3), ("G4", 12),
+                 ("dihedral5", 5), ("dihedral8", 8), ("B3-unipotent", 1),
+                 ("dihedral5-zeta3", 15))
+
+
+def _closure_case(name):
+    if name == "B3-unipotent":
+        # entries, and so coordinates, with denominators
+        return _conjugated("B3", _UNIPOTENT)
+    if name == "dihedral5-zeta3":
+        # Q(zeta_5) and Q(zeta_3) together
+        return _conjugated("dihedral5", la.mat([[1, 0], [0, root_of_unity(3)]]))
+    W = catalog(name)
+    return W.dim, [W.elements[s].mat for s in W.generators]
+
+
+@pytest.mark.parametrize("name,field", CLOSURE_CASES)
+def test_integer_closure_matches_entrywise_oracle(name, field):
+    dim, gens = _closure_case(name)
+    keys, mats, right, steps, generators, identity = _entrywise_closure(dim, gens)
+    W = ReflectionGroup(dim, gens)
+    assert [g.key for g in W.elements] == keys, name
+    assert [g.mat for g in W.elements] == mats, name
+    assert list(W._right) == right and list(W._steps) == steps, name
+    assert W.generators == generators and W.identity == identity, name
+    assert refgroup._conductor(gens) == field, name
+    if name == "B3-unipotent":
+        assert any(x.den > 1 for m in mats for row in m for x in row)
+    # the cap stops both closures at the same order
+    for cap in (1, 2, W.order - 1, W.order):
+        stopped = []
+        for close in (_entrywise_closure, ReflectionGroup):
+            try:
+                close(dim, gens, cap)
+                stopped.append(False)
+            except CapExceededError:
+                stopped.append(True)
+        assert stopped == [cap < W.order] * 2, (name, cap)
 
 
 def test_foreign_elements_raise():

@@ -3,10 +3,11 @@
 Reports are byte-stable, so a digest that moves means a report changed.  The
 first 13 digests were recorded before group operations moved from element
 objects to integer ids, the next four before W_tau was built from
-restricted generators of the setwise stabilizer, and the last two before the
-full-twist search took one fixed space per twisted class, and the last eight,
+restricted generators of the setwise stabilizer, the next two before the
+full-twist search took one fixed space per twisted class, the next eight,
 which are the benchmark's `atlas` and `enumerate` digests, before scalars
-became integer numerators over one denominator; a refactor that keeps every
+became integer numerators over one denominator, and the last three before
+group closure moved to integer coordinates; a refactor that keeps every
 report must keep them.
 """
 
@@ -77,6 +78,14 @@ REPORT_DIGESTS = [
      "c01e6ee385ba54d754e7dc9e8d94ae669602babccfc3bc8fdcfb9b07da7a26f8"),
     (["reflections", "--group", "D5"],
      "3970b549888a0b5417d375d6f1c99ff9e6f04941f37928eda1526d710097d93d"),
+    # closures on every path: a signed-permutation B5, a cyclotomic G(4,2,3)
+    # and a non-monomial G4 over Q(z_12)
+    (["reflections", "--group", "B5"],
+     "30b35120d368cacc9af5ae9c295fe13d98f7c20150384df44bb1c5f68e11ce4c"),
+    (["reflections", "--group", "G4"],
+     "1de518f2264723ff0c75b54507dd065a99e63ba0685cb945bd6f9ec9044aff7d"),
+    (["reflections", "--group", "G(4,2,3)"],
+     "f0b0df659f733caa840441cea7693e57f0268565e27a66551b5cb67c638e1891"),
 ]
 
 
