@@ -104,10 +104,15 @@ def _normalize_line(v: Vector) -> Vector:
     return tuple(inv * x for x in v)
 
 
+def _proportional(r: Vector, lead: Vector, c: int) -> bool:
+    """True iff r is a multiple of lead, whose entry c is nonzero, by
+    cross-multiplication (no field inverse)."""
+    return all(x * lead[c] == r[c] * y for x, y in zip(r, lead))
+
+
 def _rank_one_shift(m: Matrix) -> bool:
     """True iff rank(m - 1) == 1: every row of m - 1 is a multiple of its
-    first nonzero row.  Rows are compared by cross-multiplication (no field
-    inverse) and the scan stops at the first row that is not a multiple."""
+    first nonzero row.  The scan stops at the first row that is not."""
     one = CycNum.one()
     lead = None
     for i, row in enumerate(m):
@@ -117,7 +122,7 @@ def _rank_one_shift(m: Matrix) -> bool:
             if c is not None:
                 lead = r
             continue
-        if any(x * lead[c] != r[c] * y for x, y in zip(r, lead)):
+        if not _proportional(r, lead, c):
             return False
     return lead is not None
 
@@ -156,6 +161,8 @@ class ReflectionGroup:
                     steps.append(p * n + j)
                 right.append(o)
         del index
+        passes = _trace_test(dim, field, phi)
+        candidates = [o for o, t in enumerate(found) if passes(t)]
         met = list(map(_decoder(dim, field, phi), found))
         del found
         old = sorted(range(len(met)), key=lambda o: met[o].key)   # per id, when met
@@ -168,6 +175,7 @@ class ReflectionGroup:
         self._steps = array("l", [-1] + [self._tree[s // n] * n + s % n for s in steps[1:]])
         self.identity = self._tree[0]
         self.generators = tuple(self._tree[o] for o in right[:n])
+        self._candidates = sorted(self._tree[o] for o in candidates)
         self._reflections = None
         self._hyperplanes = None
         self._classes = None
@@ -229,23 +237,32 @@ class ReflectionGroup:
 
     # -- reflections and hyperplanes --------------------------------------------
     def _compute_reflections(self):
+        """The reflections, in id order, and their hyperplanes.  Only the
+        closure's `_candidates` (see `_trace_test`) are tested.  A
+        reflection's first nonzero row of g - 1 is matched against the
+        hyperplanes with its support; only a new hyperplane normalizes alpha
+        and alpha_vee and takes a null space.  `verify` keeps the whole-group
+        scan as the oracle."""
         refl = []
-        hyps: dict[tuple, Hyperplane] = {}
+        hyps: dict[tuple, list[Hyperplane]] = {}    # by the support of alpha
         ident = la.identity(self.dim)
-        for g, elt in enumerate(self.elements):
-            if not _rank_one_shift(elt.mat):
+        for g in self._candidates:
+            m = self.elements[g].mat
+            if not _rank_one_shift(m):
                 continue
-            diff = la.mat_sub(elt.mat, ident)
-            alpha = _normalize_line(next(r for r in diff if any(not x.is_zero() for x in r)))
-            cols = la.transpose(diff)
-            avee = _normalize_line(next(c for c in cols if any(not x.is_zero() for x in c)))
-            key = tuple(x.sort_key() for x in alpha)
-            H = hyps.get(key)
+            diff = la.mat_sub(m, ident)
+            r = next(r for r in diff if any(not x.is_zero() for x in r))
+            support = tuple(j for j, x in enumerate(r) if not x.is_zero())
+            bucket = hyps.setdefault(support, [])
+            H = next((H for H in bucket if _proportional(r, H.alpha, support[0])), None)
             if H is None:
+                alpha = _normalize_line(r)
+                avee = _normalize_line(next(c for c in la.transpose(diff)
+                                            if any(not x.is_zero() for x in c)))
                 H = Hyperplane(alpha, avee, la.nullspace((alpha,), self.dim))
-                hyps[key] = H
+                bucket.append(H)
             refl.append((g, H))
-        ordered = tuple(sorted(hyps.values(), key=lambda H: H.key))
+        ordered = tuple(sorted(chain.from_iterable(hyps.values()), key=lambda H: H.key))
         # g != 1 fixing H pointwise has rank(g - 1) = 1, so it is a reflection
         # bucketed under H: the pointwise stabilizer is read off the list
         for H in ordered:
@@ -553,6 +570,24 @@ def _times(t: tuple, plan, m: int, phi: int) -> tuple:
     return tuple(out)
 
 
+def _trace_test(dim: int, field: int, phi: int):
+    """passes(t): whether the element of flat coordinates t (see `_times`)
+    has trace dim - 1 + zeta, zeta a root of unity other than 1, that is one
+    of the +-zeta_field^k.  Every reflection passes (its eigenvalues are 1,
+    ..., 1, zeta); some other elements do too."""
+    roots = {tuple(c.get(a, 0) for a in range(phi))
+             for c in (_reduce_mod_phi({k: s}, field) for k in range(field) for s in (1, -1))}
+    roots.discard((1,) + (0,) * (phi - 1))
+    step, shift = (dim + 1) * phi, dim - 1
+
+    def passes(t):
+        d = t[-1]
+        tr = [sum(t[a:-1:step]) for a in range(phi)]     # the diagonal's coordinates
+        tr[0] -= shift * d
+        return not any(c % d for c in tr) and tuple(c // d for c in tr) in roots
+    return passes
+
+
 def _decoder(dim: int, field: int, phi: int):
     """decode(t): the GroupElement of flat coordinates t (see `_times`).  A
     column of t, with the denominator, is converted once, and so is an entry;
@@ -677,14 +712,14 @@ def close_group(generators: list[Matrix], order_cap: int = DEFAULT_ORDER_CAP,
     dim = len(generators[0])
     if dim < 1:
         raise GroupError("generator 0 is an empty matrix")
-    gens = []
     for i, m in enumerate(generators):
         if len(m) != dim or any(len(row) != dim for row in m):
             raise GroupError(f"generator {i} is not a {dim}x{dim} matrix")
-        m = la.mat(m)
+    gens = [la.mat(m) for m in generators]
+    _check_field(_conductor(gens), order_cap)
+    for i, m in enumerate(gens):
         if la.det(m).is_zero():
             raise GroupError(f"generator {i} is singular")
-        gens.append(m)
     bound = _finite_order_bound(dim, gens)
     for i, g in enumerate(gens):
         if _matrix_order(g, min(bound, order_cap)) is None:

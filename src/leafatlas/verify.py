@@ -18,7 +18,7 @@ from .cherednik import (
     CherednikAlgebra, euler_degree, filtration_degree, poisson_bracket,
 )
 from .exactnum import CycNum, as_cyc
-from .refgroup import ParameterK, ReflectionGroup, _close
+from .refgroup import ParameterK, ReflectionGroup, _close, _rank_one_shift
 from .tau import (
     TauContext, hyperplane_restriction_matches, intersection_of_splits_is_split,
     normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
@@ -80,6 +80,8 @@ def _group_checks(W: ReflectionGroup) -> list[Check]:
 
 
 def _hyperplane_orders(W):
+    assert [g for g, _ in W.reflections] == \
+        [g for g, e in enumerate(W.elements) if _rank_one_shift(e.mat)], "reflection scan"
     for H in W.hyperplanes:
         fixing = {i for i, g in enumerate(W.elements)
                   if all(la.mat_vec(g.mat, b) == b for b in H.basis)}

@@ -235,6 +235,8 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
 @pytest.mark.parametrize("argv", [
     ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["Q(z_65536): 1*z^1","0"],["0","1"]]}'],
     ["reflections", "--group", '{"generators":[[["Q(z_10007): 1*z^1"]]]}'],
+    # each literal's field passes, but the generators' field Q(z_1147) does not
+    ["reflections", "--group", '{"generators":[[["Q(z_31): z^1"]],[["Q(z_37): z^1"]]]}'],
     ["cherednik-check", "--group", "cyclic2", "--k", "Q(z_65536): 1*z^1,0"],
     ["poisson", "--group", "cyclic2", "--z1", "(Q(z_65536): 1*z^1) * x1", "--z2", "y1"],
     ["poisson", "--group", "cyclic2", "--z1", "x1^250", "--z2", "y1^250"],

@@ -92,6 +92,15 @@ def test_verify_hyperplane_check_scans_the_group():
     assert status["group.hyperplane-orders"] == "fail"
 
 
+def test_verify_hyperplane_check_matches_the_whole_group_scan():
+    # a reflection missing from the list, with every pointwise stabilizer
+    # intact: only the whole-group rank scan notices
+    W = catalog("B2")
+    W._reflections = W.reflections[:-1]
+    result = {r["id"]: r for r in run_suite(W)}["group.hyperplane-orders"]
+    assert result["status"] == "fail" and result["detail"] == "reflection scan"
+
+
 def _conjugate(W, P, x):
     return frozenset(W.conj(p, x) for p in P.ids)
 
@@ -606,6 +615,69 @@ def test_integer_closure_matches_entrywise_oracle(name, field):
             except CapExceededError:
                 stopped.append(True)
         assert stopped == [cap < W.order] * 2, (name, cap)
+
+
+def _whole_group_scan(W):
+    """The reflection scan that `_compute_reflections` ran before the trace
+    filter, kept as the oracle: every element is tested, and every reflection
+    normalizes its own alpha and alpha_vee.  Returns the (id, alpha) pairs in
+    id order and, per hyperplane in key order, (alpha, alpha_vee, pointwise
+    ids)."""
+    ident = la.identity(W.dim)
+    refl, hyps = [], {}
+    for g, elt in enumerate(W.elements):
+        if not _rank_one_shift(elt.mat):
+            continue
+        diff = la.mat_sub(elt.mat, ident)
+        alpha, avee = (refgroup._normalize_line(next(v for v in rows if
+                                                     any(not x.is_zero() for x in v)))
+                       for rows in (diff, la.transpose(diff)))
+        refl.append((g, alpha))
+        hyps.setdefault(alpha, (avee, [W.identity]))[1].append(g)
+    return refl, [(a, avee, tuple(sorted(ids))) for a, (avee, ids) in
+                  sorted(hyps.items(), key=lambda kv: [x.sort_key() for x in kv[0]])]
+
+
+def _assert_reflections_match_scan(W, name):
+    refl, hyps = _whole_group_scan(W)
+    assert [(g, H.alpha) for g, H in W.reflections] == refl, name
+    assert [(H.alpha, H.alpha_vee, H.pointwise) for H in W.hyperplanes] == hyps, name
+    for H in W.hyperplanes:
+        assert H.e == len(H.pointwise) and H.basis == la.nullspace((H.alpha,), W.dim), name
+    assert W._candidates == sorted(set(W._candidates)), name
+    assert {g for g, _ in refl} <= set(W._candidates), name
+
+
+@pytest.mark.parametrize("name,field", CLOSURE_CASES)
+def test_reflections_match_whole_group_scan(name, field):
+    _assert_reflections_match_scan(ReflectionGroup(*_closure_case(name)), name)
+
+
+def test_reflections_match_whole_group_scan_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_reflections_match_scan(ctx.w_tau, name)
+
+
+def test_reflection_scan_tests_only_trace_candidates():
+    # B5: 45 elements of trace dim - 1 + zeta for 25 reflections, where the
+    # whole-group scan tested all 3840
+    W, scanned = _count_calls(refgroup, "_rank_one_shift", lambda: catalog("B5"))
+    assert len(W.reflections) == 25 and scanned <= 45
+    # <zeta_11>, <zeta_13> in dimension 1: 142 reflections on one hyperplane,
+    # where every reflection normalized its own alpha and alpha_vee through
+    # a Fraction inverse in Q(zeta_143); now a hyperplane takes those two and
+    # its null space's pivot, and the generators' hyperplane permutations
+    # take theirs
+    W = ReflectionGroup(1, [la.mat([[root_of_unity(11)]]), la.mat([[root_of_unity(13)]])])
+    _, inverses = _count_calls(CycNum, "inverse", lambda: W.reflections)
+    _, permuting = _count_calls(CycNum, "inverse", lambda: [
+        W.hyperplane_perm(W.elements[g].mat) for g in W.generators])
+    assert W.order == 143 and len(W.reflections) == 142
+    assert inverses <= 3 * len(W.hyperplanes) + permuting
+    # the trace test reduces each of the 286 roots +-zeta_143^k once
+    _, reductions = _count_calls(refgroup, "_reduce_mod_phi",
+                                 lambda: refgroup._trace_test(1, 143, 120))
+    assert reductions == 2 * 143
 
 
 def test_foreign_elements_raise():

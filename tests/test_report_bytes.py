@@ -6,9 +6,10 @@ objects to integer ids, the next four before W_tau was built from
 restricted generators of the setwise stabilizer, the next two before the
 full-twist search took one fixed space per twisted class, the next eight,
 which are the benchmark's `atlas` and `enumerate` digests, before scalars
-became integer numerators over one denominator, and the last three before
-group closure moved to integer coordinates; a refactor that keeps every
-report must keep them.
+became integer numerators over one denominator, the next three before
+group closure moved to integer coordinates, and the last one before the
+reflection scan moved to the closure's trace candidates; a refactor that
+keeps every report must keep them.
 """
 
 import hashlib
@@ -86,6 +87,9 @@ REPORT_DIGESTS = [
      "1de518f2264723ff0c75b54507dd065a99e63ba0685cb945bd6f9ec9044aff7d"),
     (["reflections", "--group", "G(4,2,3)"],
      "f0b0df659f733caa840441cea7693e57f0268565e27a66551b5cb67c638e1891"),
+    # one hyperplane with 142 reflections, over Q(z_143)
+    (["reflections", "--group", '{"generators":[[["Q(z_11): z^1"]],[["Q(z_13): z^1"]]]}'],
+     "3013698107acf7f61f2a3eefbb6158ecc03071a1fc41bfb684088982b8cfeb3e"),
 ]
 
 
