@@ -14,16 +14,24 @@ The normal form is reached by resolving the innermost leftmost inversion
 first; the inversion count strictly drops, so rewriting terminates, and the
 result is cached per exponent pair.
 
-Every coefficient is summed through one path.  `_add_into` adds a scalar
-into a sparse map and drops the key when the sum is zero; `Poly2` does not
-filter zeros again, and an element drops only a monomial whose polynomial
-is empty.  The kernel packs monomials into ints: a 16-bit field for each of
-t, h, x_1..x_n and y_1..y_n, and the group element's id above them, so
-multiplying monomials is adding ints.  `multiply` and `yx_product` each sum
-scalars into one flat map keyed by that int, and normal forms are cached as
-packed terms (x, w, y, ((t/h power, scalar), ...)).  `multiply` packs its
-factors on entry and unpacks the product through a per-algebra memo, so
-`CherElement.terms` keeps tuple monomials.  No field of a product exceeds
+Outside the kernel, `_add_into` adds a scalar into a sparse map and drops
+the key when the sum is zero; `Poly2` does not filter zeros again, and an
+element drops only a monomial whose polynomial is empty.  The kernel packs
+monomials into ints: a 16-bit field for each of t, h, x_1..x_n and
+y_1..y_n, and the group element's id above them, so multiplying monomials
+is adding ints.  Its scalars are not CycNums but flat int tuples of one
+field context Q(zeta_N), an `exactnum.FlatField`: phi(N) power-basis
+numerators, then one denominator.  N starts as the lcm of W's field and the
+conductors of k, and `multiply` widens it when a factor's scalar lies
+outside, rebuilding the caches.  `multiply` and `yx_product` each sum
+products of these tuples into one flat map keyed by the packed int, with
+`addmul`, and divide out each sum's common factor once, dropping zeros;
+normal forms are cached as packed terms (x, w, y, ((t/h power, scalar),
+...)), and the shared unit tuple is skipped by identity.  `multiply`
+converts its factors' scalars on entry and each output coefficient back to
+a CycNum once, through per-context memos, and unpacks the product's
+monomials through a per-algebra memo, so `CherElement.terms` keeps tuple
+monomials and CycNum coefficients.  No field of a product exceeds
 the factors' largest degree plus t/h power, summed, and `multiply` refuses
 a pair whose sum passes 65535.  Moving a group element past x^a or y^b
 expands through the rows or the columns of its inverse matrix, cached per
@@ -37,14 +45,14 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import linalg as la
-from .exactnum import CycNum, ExactDomainError, as_cyc, cyc_parse, num_str
+from .exactnum import (CycNum, ExactDomainError, FlatField, as_cyc, cyc_parse, from_flat,
+                       num_str, to_flat)
 from .refgroup import CapExceededError, GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
-
-_ONE = as_cyc(1)
 
 
 class CherednikError(Exception):
@@ -208,10 +216,32 @@ class CherednikAlgebra:
         self._gshift = 16 * (2 + 2 * self.n)
         self._xmask = (1 << 16 * (2 + self.n)) - (1 << 32)
         self._ymask = (1 << self._gshift) - (1 << 16 * (2 + self.n))
-        self._commutators = self._build_commutators()
+        self._monos: dict[int, Monomial] = {}     # packed monomial -> tuple form
+        self._set_field(lcm(W.field, *(v.conductor for v in self.k.values.values())))
+
+    def _set_field(self, n: int) -> None:
+        """Run the kernel in Q(zeta_n) from now on.  Every cached scalar is a
+        flat tuple of the field, so the caches start again."""
+        self._field = F = FlatField(n)
+        self._one = F.one
         self._yx_cache: dict = {}
         self._w_cache: dict = {}
-        self._monos: dict[int, Monomial] = {}     # packed monomial -> tuple form
+        self._flats: dict[CycNum, tuple] = {}     # factor scalar -> flat tuple
+        self._cycs: dict[tuple, CycNum] = {}      # flat tuple -> output scalar
+        self._commutators = self._build_commutators()
+
+    def _flat(self, c: CycNum) -> tuple:
+        t = self._flats.get(c)
+        if t is None:
+            t = self._flats[c] = to_flat(c, self._field.n)
+        return t
+
+    def _cyc(self, t: tuple) -> CycNum:
+        c = self._cycs.get(t)
+        if c is None:
+            c = self._cycs[t] = from_flat(t, self._field.n)
+            self._flats.setdefault(c, t)
+        return c
 
     # -- relation data -----------------------------------------------------------
     def _build_commutators(self):
@@ -241,9 +271,9 @@ class CherednikAlgebra:
         out = {}
         for i in range(n):
             for j in range(n):
-                entry = {u: ((th, c),) for u, c in comm[i][j].items()}
+                entry = {u: ((th, self._flat(c)),) for u, c in comm[i][j].items()}
                 if self.mode == "t" and i == j:
-                    entry[self.W.identity] = entry.get(self.W.identity, ()) + ((1, _ONE),)
+                    entry[self.W.identity] = entry.get(self.W.identity, ()) + ((1, self._one),)
                 out[1 << 16 * (2 + n + i) | 1 << 16 * (2 + j)] = entry
         return out
 
@@ -307,26 +337,35 @@ class CherednikAlgebra:
                                  f"{width}, above 65535")
         return out
 
-    def _by_monomial(self, flat: dict[int, CycNum]) -> dict[int, list]:
-        out: dict[int, list] = {}       # monomial -> [(t/h power, scalar), ...]
+    def _by_monomial(self, flat: dict[int, tuple]) -> dict[int, list]:
+        """The nonzero sums of a flat map, normal, grouped by monomial."""
+        normal, out = self._field.normal, {}    # monomial -> [(t/h power, scalar), ...]
         for key, c in flat.items():
-            th = key & 0xFFFFFFFF
-            out.setdefault(key ^ th, []).append((th, c))
+            c = normal(c)
+            if c is not None:
+                th = key & 0xFFFFFFFF
+                out.setdefault(key ^ th, []).append((th, c))
         return out
 
     # -- action expansions ----------------------------------------------------------
-    def _poly_pow_linear(self, forms, exps: int, first: int) -> dict[int, CycNum]:
+    def _poly_pow_linear(self, forms, exps: int, first: int) -> dict[int, tuple]:
         """Expand prod_m (sum_i forms[m][i] letter_i)^e_m over commuting letters,
         e_m and the result packed from field `first`."""
-        acc: dict[int, CycNum] = {0: _ONE}
+        addmul, normal = self._field.addmul, self._field.normal
+        acc: dict[int, tuple] = {0: self._one}
         for m, form in enumerate(forms):
-            for _ in range(exps >> 16 * (first + m) & 0xFFFF):
-                nxt: dict[int, CycNum] = {}
+            e = exps >> 16 * (first + m) & 0xFFFF
+            if not e:
+                continue
+            form = [(1 << 16 * (first + i), self._flat(f))
+                    for i, f in enumerate(form) if not f.is_zero()]
+            for _ in range(e):
+                nxt: dict[int, tuple] = {}
                 for mono, c in acc.items():
-                    for i, f in enumerate(form):
-                        if not f.is_zero():
-                            _add_into(nxt, mono + (1 << 16 * (first + i)), c * f)
-                acc = nxt
+                    for letter, f in form:
+                        addmul(nxt, mono + letter, c, f)
+                acc = {mono: c for mono, c in zip(nxt, map(normal, nxt.values()))
+                       if c is not None}
         return acc
 
     def _w_expansion(self, w: int, exps: int, dual: bool) -> tuple:
@@ -334,16 +373,18 @@ class CherednikAlgebra:
         dual set, y^exps w = w (expansion in y), as ((exponents, scalar), ...)
         packed like exps.  The letters expand through the rows of w^-1, or
         through its columns when dual is set."""
-        if not exps or w == self.W.identity:
-            return ((exps, _ONE),)
         key = exps | w << self._gshift
         cached = self._w_cache.get(key)
         if cached is None:
-            inv = self.W.elements[self.W.inv(w)].mat
-            flat = self._poly_pow_linear(list(zip(*inv)) if dual else inv, exps,
-                                         2 + self.n if dual else 2)
-            # a unit coefficient is the shared _ONE, which the kernel never multiplies by
-            cached = tuple((m, _ONE if c == _ONE else c) for m, c in flat.items())
+            # a unit coefficient is the shared unit, which the kernel never multiplies by
+            one = self._one
+            if not exps or w == self.W.identity:
+                cached = ((exps, one),)
+            else:
+                inv = self.W.elements[self.W.inv(w)].mat
+                flat = self._poly_pow_linear(list(zip(*inv)) if dual else inv, exps,
+                                             2 + self.n if dual else 2)
+                cached = tuple((m, one if c == one else c) for m, c in flat.items())
             self._w_cache[key] = cached
         return cached
 
@@ -354,14 +395,15 @@ class CherednikAlgebra:
         cached = self._yx_cache.get(b | a)
         if cached is not None:
             return cached
-        W, gs = self.W, self._gshift
+        W, gs, one = self.W, self._gshift, self._one
         if not b or not a:
-            return self._yx_cache.setdefault(b | a, ((a, W.identity, b, ((0, _ONE),)),))
+            return self._yx_cache.setdefault(b | a, ((a, W.identity, b, ((0, one),)),))
+        mul, addmul = self._field.mul, self._field.addmul
         # the first letters y_i and x_j, from the lowest set bit's field
         ey = 1 << ((b & -b).bit_length() - 1 & -16)
         ex = 1 << ((a & -a).bit_length() - 1 & -16)
         b1, a1 = b - ey, a - ex
-        flat: dict[int, CycNum] = {}
+        flat: dict[int, tuple] = {}
 
         # term 1: x_j (y_i x^{a1}) with y^{b1} still on the left
         for gam, v, eps, c_in in self.yx_product(ey, a1):
@@ -370,9 +412,9 @@ class CherednikAlgebra:
                 base = mu + eps + (W.mul(v2, v) << gs)
                 for delta, f in self._w_expansion(v, nu, True):
                     for th1, c1 in c_in:
-                        c1 = c1 if f is _ONE else c1 * f
+                        c1 = c1 if f is one else mul(c1, f)
                         for th2, c2 in c_left:
-                            _add_into(flat, base + delta + th1 + th2, c1 * c2)
+                            addmul(flat, base + delta + th1 + th2, c1, c2)
 
         # term 2: y^{b1} C_{ij} x^{a1}
         for u, comm in self._commutators[ey | ex].items():
@@ -380,11 +422,11 @@ class CherednikAlgebra:
                 for gam, v, eps, c_in in self.yx_product(delta, a1):
                     base = eps + (W.mul(u, v) << gs)
                     for gam2, d in self._w_expansion(u, gam, False):
-                        fd = f if d is _ONE else d if f is _ONE else f * d
+                        fd = f if d is one else d if f is one else mul(f, d)
                         for th1, c1 in comm:
-                            c1 = c1 if fd is _ONE else c1 * fd
+                            c1 = c1 if fd is one else mul(c1, fd)
                             for th2, c2 in c_in:
-                                _add_into(flat, base + gam2 + th1 + th2, c1 * c2)
+                                addmul(flat, base + gam2 + th1 + th2, c1, c2)
 
         self._yx_cache[b | a] = result = tuple((m & self._xmask, m >> gs, m & self._ymask, tuple(p))
                                                for m, p in self._by_monomial(flat).items())
@@ -392,31 +434,43 @@ class CherednikAlgebra:
 
     def multiply(self, A: CherElement, B: CherElement) -> CherElement:
         pa, pb = self._packed(A, B)
-        mul, gs = self.W.mul, self._gshift
-        flat: dict[int, CycNum] = {}
+        need = lcm(1, *(c.conductor for e in (A, B) for p in e.terms.values()
+                        for c in p.coeffs.values()))
+        if self._field.n % need:
+            self._set_field(lcm(self._field.n, need))
+        flat_of, mul, addmul, one = self._flat, self._field.mul, self._field.addmul, self._one
+        pb = [(a2, w2, b2, [(s, flat_of(c)) for s, c in p2]) for a2, w2, b2, p2 in pb]
+        gmul, gs, yx = self.W.mul, self._gshift, self.yx_product
+        # expansions are read from _w_expansion's cache inline: the loop below
+        # reads two per term of every normal form it meets
+        expand, moved = self._w_expansion, self._w_cache.get
+        flat: dict[int, tuple] = {}
         for a1, w1, b1, p1 in pa:
+            p1, g1 = [(s, flat_of(c)) for s, c in p1], w1 << gs
             for a2, w2, b2, p2 in pb:
-                scale = [(s1 + s2, c1 * c2) for s1, c1 in p1 for s2, c2 in p2]
-                group = {}      # u -> w1 u w2, shifted into the group field
+                scale = [(s1 + s2, mul(c1, c2)) for s1, c1 in p1 for s2, c2 in p2]
+                group, g2 = {}, w2 << gs    # group: u -> w1 u w2, shifted into the group field
                 # x^a1 w1 (y^b1 x^a2) w2 y^b2: push w1 right past x, pull w2 left past y
-                for alpha, u, beta, coeffs in self.yx_product(b1, a2):
+                for alpha, u, beta, coeffs in yx(b1, a2):
                     g = group.get(u)
                     if g is None:
-                        g = group[u] = mul(mul(w1, u), w2) << gs
+                        g = group[u] = gmul(gmul(w1, u), w2) << gs
                     base = a1 + b2 + g
-                    pull = self._w_expansion(w2, beta, True)
-                    for gam, d in self._w_expansion(w1, alpha, False):
+                    pull = moved(beta | g2) or expand(w2, beta, True)
+                    for gam, d in moved(alpha | g1) or expand(w1, alpha, False):
                         for delta, f in pull:
-                            df = f if d is _ONE else d if f is _ONE else d * f
+                            df = f if d is one else d if f is one else mul(d, f)
+                            key = base + gam + delta
                             for th2, s in scale:
-                                s = s if df is _ONE else s * df
+                                s, k2 = s if df is one else mul(s, df), key + th2
                                 for th1, c in coeffs:
-                                    _add_into(flat, base + gam + delta + th1 + th2, c * s)
-        terms, monos = {}, self._monos
+                                    addmul(flat, k2 + th1, c, s)
+        # the edge: each output coefficient becomes a CycNum once
+        terms, monos, cyc = {}, self._monos, self._cyc
         for m, p in self._by_monomial(flat).items():
             mono = monos.get(m) or monos.setdefault(
                 m, (self._unpack(m, 2), m >> gs, self._unpack(m, 2 + self.n)))
-            terms[mono] = Poly2({(th & 0xFFFF, th >> 16): c for th, c in p})
+            terms[mono] = Poly2({(th & 0xFFFF, th >> 16): cyc(c) for th, c in p})
         return CherElement(self, terms)
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import leaves as leaves_mod
 from . import linalg as la
@@ -34,7 +34,7 @@ from .exactnum import (
     CycNum, ExactDomainError, as_cyc, cyc_parse, num_str, root_of_unity,
 )
 from .refgroup import (
-    CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field,
+    CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field, _conductor,
     catalog as group_catalog, close_group, dihedral_tau,
 )
 from .tau import TauContext, TauError, build_tau, is_regular, tau_from_word
@@ -269,6 +269,8 @@ class _Job:
 
 def _tau_context(args, W) -> tuple[TauContext, dict]:
     mat, label = resolve_tau(W, args.tau, args.cap)
+    # each field passed on its own, but w * tau lies in their lcm
+    _check_field(lcm(W.field, _conductor([mat])), args.cap)
     adjusted = False
     try:
         ctx = build_tau(W, mat)

@@ -21,6 +21,12 @@ Canonicalization, sums, products and rational scaling all run on Python
 ints, and no floating point enters any computation.  fractions.Fraction is
 met only at the edges: parsing, as_fraction, a Fraction coefficient map
 given to the constructor, and inside the rare cyclotomic inverse.
+
+Loops that stay in one field Q(zeta_N), the group closure and the Cherednik
+rewriting kernel, work on flat int tuples instead: phi(N) power-basis
+numerators, then one denominator.  `to_flat` and `from_flat` are the one
+conversion between the two forms, and `FlatField` multiplies and sums flat
+tuples.
 """
 
 from __future__ import annotations
@@ -520,6 +526,150 @@ def root_of_unity(n: int, e: int = 1) -> CycNum:
     e %= n
     g = gcd(e, n) if e else n
     return CycNum(n // g, {e // g: 1})
+
+
+# ---------------------------------------------------------------------------
+# one field context: Q(zeta_n) on flat int tuples
+
+def to_flat(x: CycNum, n: int) -> tuple:
+    """x as a flat tuple of Q(zeta_n): its phi(n) numerators over the power
+    basis of zeta_n, then its denominator.  x must lie in Q(zeta_n).  No
+    factor divides all of them: the content of x is the same in every field."""
+    if n % x.conductor:
+        raise ExactDomainError(f"{cyc_to_str(x)} is not in Q(z_{n})")
+    step = n // x.conductor
+    out = [0] * _phi_degree(n)
+    coords = x.coeffs if step == 1 else \
+        _reduce_mod_phi({e * step: c for e, c in x.coeffs}, n).items()
+    for e, c in coords:
+        out[e] = c
+    out.append(x.den)
+    return tuple(out)
+
+
+def from_flat(t: tuple, n: int) -> CycNum:
+    """The canonical CycNum of a flat tuple of Q(zeta_n) (see `to_flat`)
+    with a positive denominator, whatever factor its entries share."""
+    if n == 1:
+        p, q = t
+        if not p:
+            return _ZERO
+        g = gcd(p, q)
+        return _raw(1, ((0, p // g),), q // g)
+    return CycNum(n, {e: c for e, c in enumerate(t[:-1]) if c}, t[-1])
+
+
+class FlatField:
+    """Arithmetic of Q(zeta_n) on the flat tuples of `to_flat`.
+
+    `mul(a, b)` returns a * b, and `addmul(acc, key, a, b)` adds a * b into
+    acc[key]; their results may share a factor between the numerators and
+    the denominator, which `normal` divides out once per sum (it returns None
+    for zero).  A product convolves the numerators and reduces the exponents
+    phi(n)..2 phi(n) - 2 through the cached table `_reduced_monomial`.  Small
+    fields take direct paths: when phi(n) = 1 a tuple is (numerator,
+    denominator), and when phi(n) = 2 the one power zeta^2 = r0 + r1 zeta is
+    written into the product.  `one` is one shared unit tuple, so callers can
+    skip a product by it with an identity test."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.phi = phi = _phi_degree(n)
+        self.one = (1,) + (0,) * (phi - 1) + (1,)
+        if phi == 1:
+            self.mul, self.addmul = _mul1, _addmul1
+        elif phi == 2:
+            self.mul, self.addmul = _quadratic(dict(_reduced_monomial(n, 2)))
+        else:
+            self.mul = mul = _convolution(n, phi)
+
+            def addmul(acc, key, a, b):
+                c = mul(a, b)
+                s = acc.get(key)
+                acc[key] = c if s is None else _add(s, c)
+            self.addmul = addmul
+
+    def normal(self, t: tuple) -> tuple | None:
+        if t.count(0) == self.phi:
+            return None
+        g = gcd(*t)
+        return t if g == 1 else tuple(c // g for c in t)
+
+
+def _mul1(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _addmul1(acc: dict, key, a: tuple, b: tuple) -> None:
+    p, q = a[0] * b[0], a[1] * b[1]
+    s = acc.get(key)
+    if s is None:
+        acc[key] = p, q
+    elif s[1] == q:
+        acc[key] = s[0] + p, q
+    else:
+        g = gcd(s[1], q)
+        acc[key] = s[0] * (q // g) + p * (s[1] // g), s[1] // g * q
+
+
+def _quadratic(square: dict[int, int]):
+    """mul and addmul when phi(n) = 2, with zeta^2 given by `square`."""
+    r0, r1 = square.get(0, 0), square.get(1, 0)
+
+    def mul(a, b):
+        a0, a1, p = a
+        b0, b1, q = b
+        h = a1 * b1
+        return a0 * b0 + r0 * h, a0 * b1 + a1 * b0 + r1 * h, p * q
+
+    def addmul(acc, key, a, b):
+        c0, c1, q = mul(a, b)
+        s = acc.get(key)
+        if s is None:
+            acc[key] = c0, c1, q
+        elif s[2] == q:
+            acc[key] = s[0] + c0, s[1] + c1, q
+        else:
+            g = gcd(s[2], q)
+            f1, f2 = q // g, s[2] // g
+            acc[key] = s[0] * f1 + c0 * f2, s[1] * f1 + c1 * f2, s[2] * f1
+    return mul, addmul
+
+
+def _convolution(n: int, phi: int):
+    """mul for any phi(n): the numerators convolved, then reduced."""
+    width, basis = 2 * phi - 1, range(phi)
+    high = range(phi, width)
+
+    def mul(a, b):
+        bs = [(j, y) for j, y in zip(basis, b) if y]
+        acc = [0] * width
+        for i, x in zip(basis, a):
+            if x:
+                for j, y in bs:
+                    acc[i + j] += x * y
+        for e in high:
+            c = acc[e]
+            if c:
+                for k, v in _reduced_monomial(n, e % n):
+                    acc[k] += c * v
+        del acc[phi:]
+        acc.append(a[-1] * b[-1])
+        return tuple(acc)
+    return mul
+
+
+def _add(s: tuple, c: tuple) -> tuple:
+    d1, d2 = s[-1], c[-1]
+    if d1 == d2:
+        out = [x + y for x, y in zip(s, c)]
+        out[-1] = d1
+    else:
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        out = [x * f1 + y * f2 for x, y in zip(s, c)]
+        out[-1] = d1 * f1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 
 from .exactnum import (CycNum, _phi_degree, _prime_factors, _reduce_mod_phi, as_cyc,
-                       root_of_unity, primes)
+                       from_flat, root_of_unity, primes, to_flat)
 from . import linalg as la
 from .linalg import Matrix, Vector
 
@@ -134,14 +134,14 @@ class ReflectionGroup:
     `by_key` maps a key to its id.  Operations take and return ids.  The
     closure is a tree: `_right[g*n + j]` is the id of g*s_j, `_tree[k]` is
     the id of the k-th element met, and `_steps[k] = p*n + j` when it was met
-    as p*s_j."""
+    as p*s_j.  `field` is the N of the closure's Q(zeta_N)."""
 
     def __init__(self, dim: int, generators, order_cap: int = DEFAULT_ORDER_CAP,
                  name: str = ""):
         self.dim = dim
         self.name = name
         n = len(generators)
-        field = _conductor(generators)
+        self.field = field = _conductor(generators)
         phi = _phi_degree(field)
         plans = [_plan(s, field, phi) for s in generators]
         one = [0] * (dim * dim * phi) + [1]
@@ -504,10 +504,11 @@ def _multiplier(x: CycNum, field: int, phi: int, den: int) -> tuple:
     """Multiplication by den * x on Q(zeta_field) over the power basis, as the
     nonzero (a, b, c) of its phi x phi integer matrix: c is coordinate a of
     den * x * zeta^b.  den must be a multiple of x.den."""
-    step, scale = field // x.conductor, den // x.den
+    t = to_flat(x, field)
+    scale = den // t[-1]
     out = []
     for b in range(phi):
-        image = _reduce_mod_phi({e * step + b: c * scale for e, c in x.coeffs}, field)
+        image = _reduce_mod_phi({e + b: c * scale for e, c in enumerate(t[:-1]) if c}, field)
         out += [(a, b, c) for a, c in sorted(image.items())]
     return tuple(out)
 
@@ -603,7 +604,7 @@ def _decoder(dim: int, field: int, phi: int):
             key = (seg[i:i + phi], den)
             x = entries.get(key)
             if x is None:
-                x = CycNum(field, dict(enumerate(key[0])), den)
+                x = from_flat(key[0] + (den,), field)
                 x = entries[key] = values.setdefault(x, x)
             xs.append(x)
         out = columns[seg, den] = (xs, [x.sort_key() for x in xs])

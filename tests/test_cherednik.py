@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,7 @@ from leafatlas.cherednik import (
     poisson_bracket, rank1_center_relation, rees_specialize,
 )
 from leafatlas.cli import resolve_parameter
-from leafatlas.exactnum import as_cyc
+from leafatlas.exactnum import as_cyc, root_of_unity
 from leafatlas.refgroup import ParameterK, catalog
 
 
@@ -431,6 +432,11 @@ class _TupleKernel:
         return _collect(flat)
 
 
+# the order of a root of unity outside each algebra's field, Q(z_3), Q(z_1)
+# and Q(z_12): a factor scaled by it widens the kernel's field context
+OUTSIDE_ROOT = {"dihedral3": 4, "B2": 4, "G4": 5}
+
+
 # G4 is the one catalog group acting by non-monomial matrices, so only its
 # expansions across a group element have more than one term
 @pytest.mark.parametrize("name,k,dmax", [
@@ -448,6 +454,11 @@ def test_packed_kernel_matches_tuple_oracle(name, k, dmax, mode):
         assert AB.terms == ref.multiply(A, B)
         assert alg.multiply(AB, C).terms == ref.multiply(AB, C)
         assert alg.multiply(C, A).terms == ref.multiply(C, A)
+    field, outside = alg._field.n, OUTSIDE_ROOT[name]
+    D = A * root_of_unity(outside)
+    assert alg.multiply(B, D).terms == ref.multiply(B, D)
+    assert alg._field.n == lcm(field, outside)
+    assert alg.multiply(AB, C).terms == ref.multiply(AB, C)
 
 
 def test_packed_poisson_bracket_matches_tuple_oracle():

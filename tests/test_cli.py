@@ -237,6 +237,8 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
     ["reflections", "--group", '{"generators":[[["Q(z_10007): 1*z^1"]]]}'],
     # each literal's field passes, but the generators' field Q(z_1147) does not
     ["reflections", "--group", '{"generators":[[["Q(z_31): z^1"]],[["Q(z_37): z^1"]]]}'],
+    # the same for a group and a twist: w * tau lies in Q(z_1147)
+    ["leaves-zero", "--group", "cyclic31", "--tau", '{"zeta":"37/1"}'],
     ["cherednik-check", "--group", "cyclic2", "--k", "Q(z_65536): 1*z^1,0"],
     ["poisson", "--group", "cyclic2", "--z1", "(Q(z_65536): 1*z^1) * x1", "--z2", "y1"],
     ["poisson", "--group", "cyclic2", "--z1", "x1^250", "--z2", "y1^250"],
@@ -253,6 +255,17 @@ def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     _assert_one_line_error(err)
+
+
+def test_poisson_in_a_dense_field_context_runs_quickly(capsys):
+    # the factors' scalars widen the rewriting kernel of B2 from Q(z_1) to
+    # Q(z_1147), phi = 1080, where every scalar has 1080 numerators
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "poisson", "--group", "B2", "--k", "1;1",
+                           "--z1", "Q(z_31):z^1 * x1^2 + Q(z_31):z^1 * x2^2",
+                           "--z2", "Q(z_37):z^1 * y1^2 + Q(z_37):z^1 * y2^2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "Q(z_1147): -4*z^68" in json.loads(out)["bracket"]
 
 
 @pytest.mark.parametrize("argv", [

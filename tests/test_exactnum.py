@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from leafatlas import exactnum
 from leafatlas.exactnum import (
-    CycNum, ExactDomainError, _apply_galois, _canonicalize, _galois_fixed, _phi_degree,
-    _prime_factors, _reduced_monomial, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly,
-    root_of_unity,
+    CycNum, ExactDomainError, FlatField, _apply_galois, _canonicalize, _galois_fixed,
+    _phi_degree, _prime_factors, _reduced_monomial, as_cyc, cyc_parse, cyc_to_str,
+    cyclotomic_poly, from_flat, root_of_unity, to_flat,
 )
 
 
@@ -349,3 +349,69 @@ def test_arithmetic_matches_fraction_reference(monkeypatch):
     assert descended >= 250
     # N = 2 mod 4 is rewritten into the odd conductor, never solved for
     assert solved and not any(n % 4 == 2 for n in solved)
+
+
+# ---------------------------------------------------------------------------
+# one field context: flat tuples against CycNum
+
+def _random_in_subfield(rng, n):
+    """A CycNum of Q(zeta_m) for a random divisor m of n, zero now and then."""
+    m = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    return CycNum(m, {rng.randrange(m): Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                      for _ in range(rng.randint(0, 3))})
+
+
+def _edge(F, t):
+    t = F.normal(t)
+    return CycNum.zero() if t is None else from_flat(t, F.n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12, 15])
+def test_flat_field_matches_cycnum(n):
+    rng = random.Random(1900 + n)
+    F = FlatField(n)
+    assert from_flat(F.one, n) == as_cyc(1)
+    cancelled = 0
+    for _ in range(60):
+        a, b, c = (_random_in_subfield(rng, n) for _ in range(3))
+        ta, tb, tc = (to_flat(x, n) for x in (a, b, c))
+        for x, t in ((a, ta), (b, tb), (c, tc)):
+            # phi(n) numerators, a positive denominator, no common factor
+            assert len(t) == F.phi + 1 and t[-1] > 0 and gcd(*t) == 1
+            assert F.normal(t) == (None if x.is_zero() else t)
+            assert from_flat(t, n) == x
+            assert from_flat(tuple(3 * v for v in t), n) == x
+        assert _edge(F, F.mul(ta, tb)) == a * b
+        assert _edge(F, F.mul(F.mul(ta, tb), tc)) == a * b * c
+        acc = {}
+        F.addmul(acc, 0, ta, tb)
+        F.addmul(acc, 0, tc, F.one)
+        F.addmul(acc, 1, ta, tb)
+        F.addmul(acc, 1, to_flat(-a, n), tb)
+        assert _edge(F, acc[0]) == a * b + c
+        assert F.normal(acc[1]) is None
+        cancelled += not (a * b).is_zero()
+    assert cancelled >= 20
+
+
+def test_flat_edge_conversion_descends():
+    for n in (3, 15):
+        F = FlatField(n)
+        acc = {}
+        for e in (1, 2):
+            F.addmul(acc, 0, to_flat(root_of_unity(3, e), n), F.one)
+        x = _edge(F, acc[0])
+        assert x == as_cyc(-1) and x.conductor == 1
+    # zeta_12^3 = zeta_4 and (zeta_12^2)^3 = -1, read off a Q(zeta_12) tuple
+    F = FlatField(12)
+    z = to_flat(root_of_unity(12), 12)
+    x = _edge(F, F.mul(F.mul(z, z), z))
+    assert x == root_of_unity(4) and x.conductor == 4
+    z2 = F.mul(z, z)
+    assert _edge(F, F.mul(F.mul(z2, z2), z2)) == as_cyc(-1)
+
+
+def test_flat_conversion_refuses_a_value_outside_the_field():
+    with pytest.raises(ExactDomainError):
+        to_flat(root_of_unity(4), 3)
+    assert to_flat(root_of_unity(4), 12) == to_flat(root_of_unity(12, 3), 12)

@@ -7,9 +7,10 @@ restricted generators of the setwise stabilizer, the next two before the
 full-twist search took one fixed space per twisted class, the next eight,
 which are the benchmark's `atlas` and `enumerate` digests, before scalars
 became integer numerators over one denominator, the next three before
-group closure moved to integer coordinates, and the last one before the
-reflection scan moved to the closure's trace candidates; a refactor that
-keeps every report must keep them.
+group closure moved to integer coordinates, the next one before the
+reflection scan moved to the closure's trace candidates, and the last two
+before the rewriting kernel moved to flat integer scalars over one field
+context; a refactor that keeps every report must keep them.
 """
 
 import hashlib
@@ -90,6 +91,15 @@ REPORT_DIGESTS = [
     # one hyperplane with 142 reflections, over Q(z_143)
     (["reflections", "--group", '{"generators":[[["Q(z_11): z^1"]],[["Q(z_13): z^1"]]]}'],
      "3013698107acf7f61f2a3eefbb6158ecc03071a1fc41bfb684088982b8cfeb3e"),
+    # scalars outside B2's field Q(z_1): the rewriting kernel widens to Q(z_5),
+    # and to Q(z_1147) for the pair Q(z_31), Q(z_37)
+    (["poisson", "--group", "B2", "--k", "1;1",
+      "--z1", "Q(z_5):z^1 * x1^2 + Q(z_5):z^1 * x2^2", "--z2", "y1^2+y2^2"],
+     "0393c25a79a6cb78edd358a0551bfb3078677d829f7758c7e3f4c3b4d943a98c"),
+    (["poisson", "--group", "B2", "--k", "1;1",
+      "--z1", "Q(z_31):z^1 * x1^2 + Q(z_31):z^1 * x2^2",
+      "--z2", "Q(z_37):z^1 * y1^2 + Q(z_37):z^1 * y2^2"],
+     "d0bc8bb717a48f13b244c11df574b8b172b9b3a01a3ad63a19d2cf1852dde9c0"),
 ]
 
 
