@@ -20,12 +20,14 @@ element drops only a monomial whose polynomial is empty.  The kernel packs
 monomials into ints: a 16-bit field for each of t, h, x_1..x_n and
 y_1..y_n, and the group element's id above them, so multiplying monomials
 is adding ints.  Its scalars are not CycNums but flat int tuples of one
-field context Q(zeta_N), an `exactnum.FlatField`: phi(N) power-basis
-numerators, then one denominator.  N starts as the lcm of W's field and the
-conductors of k, and `multiply` widens it when a factor's scalar lies
-outside, rebuilding the caches.  `multiply` and `yx_product` each sum
-products of these tuples into one flat map keyed by the packed int, with
-`addmul`, and divide out each sum's common factor once, dropping zeros;
+field context Q(zeta_N), an `exactnum.FlatField`: up to phi(N) = 2 the
+phi(N) power-basis numerators, then one denominator, and above it the
+(exponent, numerator) pairs of the nonzero numerators, then the
+denominator.  N starts as the lcm of W's field and the conductors of k, and
+`multiply` widens it when a factor's scalar lies outside, rebuilding the
+caches.  `multiply` and `yx_product` each sum products of these tuples into
+one flat map keyed by the packed int, with `addmul`, and divide out each
+sum's common factor once, dropping zeros;
 normal forms are cached as packed terms (x, w, y, ((t/h power, scalar),
 ...)), and the shared unit tuple is skipped by identity.  `multiply`
 converts its factors' scalars on entry and each output coefficient back to
@@ -48,8 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg as la
-from .exactnum import (CycNum, ExactDomainError, FlatField, as_cyc, cyc_parse, from_flat,
-                       num_str, to_flat)
+from .exactnum import CycNum, ExactDomainError, FlatField, as_cyc, cyc_parse, num_str
 from .refgroup import CapExceededError, GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
@@ -233,13 +234,13 @@ class CherednikAlgebra:
     def _flat(self, c: CycNum) -> tuple:
         t = self._flats.get(c)
         if t is None:
-            t = self._flats[c] = to_flat(c, self._field.n)
+            t = self._flats[c] = self._field.flat(c)
         return t
 
     def _cyc(self, t: tuple) -> CycNum:
         c = self._cycs.get(t)
         if c is None:
-            c = self._cycs[t] = from_flat(t, self._field.n)
+            c = self._cycs[t] = self._field.cyc(t)
             self._flats.setdefault(c, t)
         return c
 

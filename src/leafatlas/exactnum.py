@@ -23,10 +23,12 @@ met only at the edges: parsing, as_fraction, a Fraction coefficient map
 given to the constructor, and inside the rare cyclotomic inverse.
 
 Loops that stay in one field Q(zeta_N), the group closure and the Cherednik
-rewriting kernel, work on flat int tuples instead: phi(N) power-basis
-numerators, then one denominator.  `to_flat` and `from_flat` are the one
-conversion between the two forms, and `FlatField` multiplies and sums flat
-tuples.
+rewriting kernel, work on flat int tuples instead.  `to_flat` and
+`from_flat` convert between a CycNum and the dense tuple: phi(N) power-basis
+numerators, then one denominator.  `FlatField` multiplies and sums flat
+tuples; above phi(N) = 2 its tuples are sparse, the (exponent, numerator)
+pairs of the nonzero numerators and then the denominator, so that their
+width follows their nonzero terms and not phi(N).
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _phi_degree(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _reduce_mod_phi(coeffs: dict[int, int], n: int) -> dict[int, int]:
@@ -531,17 +535,24 @@ def root_of_unity(n: int, e: int = 1) -> CycNum:
 # ---------------------------------------------------------------------------
 # one field context: Q(zeta_n) on flat int tuples
 
+def _coords(x: CycNum, n: int):
+    """The nonzero numerators of x over the power basis of zeta_n, as
+    (exponent, numerator) pairs in increasing exponent.  x must lie in
+    Q(zeta_n); its denominator is the same in every field."""
+    if n % x.conductor:
+        raise ExactDomainError(f"{cyc_to_str(x)} is not in Q(z_{n})")
+    step = n // x.conductor
+    if step == 1:
+        return x.coeffs
+    return sorted(_reduce_mod_phi({e * step: c for e, c in x.coeffs}, n).items())
+
+
 def to_flat(x: CycNum, n: int) -> tuple:
     """x as a flat tuple of Q(zeta_n): its phi(n) numerators over the power
     basis of zeta_n, then its denominator.  x must lie in Q(zeta_n).  No
     factor divides all of them: the content of x is the same in every field."""
-    if n % x.conductor:
-        raise ExactDomainError(f"{cyc_to_str(x)} is not in Q(z_{n})")
-    step = n // x.conductor
     out = [0] * _phi_degree(n)
-    coords = x.coeffs if step == 1 else \
-        _reduce_mod_phi({e * step: c for e, c in x.coeffs}, n).items()
-    for e, c in coords:
+    for e, c in _coords(x, n):
         out[e] = c
     out.append(x.den)
     return tuple(out)
@@ -560,40 +571,63 @@ def from_flat(t: tuple, n: int) -> CycNum:
 
 
 class FlatField:
-    """Arithmetic of Q(zeta_n) on the flat tuples of `to_flat`.
+    """Arithmetic of Q(zeta_n) on flat int tuples.
 
+    `flat(x)` and `cyc(t)` convert between CycNum and the field's tuples.
     `mul(a, b)` returns a * b, and `addmul(acc, key, a, b)` adds a * b into
-    acc[key]; their results may share a factor between the numerators and
-    the denominator, which `normal` divides out once per sum (it returns None
-    for zero).  A product convolves the numerators and reduces the exponents
-    phi(n)..2 phi(n) - 2 through the cached table `_reduced_monomial`.  Small
-    fields take direct paths: when phi(n) = 1 a tuple is (numerator,
-    denominator), and when phi(n) = 2 the one power zeta^2 = r0 + r1 zeta is
-    written into the product.  `one` is one shared unit tuple, so callers can
-    skip a product by it with an identity test."""
+    acc[key]; `normal` turns such a sum into a tuple with no common factor,
+    once per sum, or None for zero.  `one` is one shared unit tuple, so
+    callers can skip a product by it with an identity test.
+
+    When phi(n) <= 2 a tuple is the dense one of `to_flat`: (numerator,
+    denominator) when phi(n) = 1, and when phi(n) = 2 the one power
+    zeta^2 = r0 + r1 zeta is written into the product.  Above, a tuple is
+    sparse, so that its width follows its nonzero terms and not phi(n): the
+    pairs exponent, numerator of its nonzero numerators, then its denominator
+    (see `_sparse`)."""
 
     def __init__(self, n: int):
         self.n = n
         self.phi = phi = _phi_degree(n)
+        if phi > 2:
+            self.one = (0, 1, 1)
+            self.mul, self.addmul, self.normal = _sparse(n, phi)
+            return
         self.one = (1,) + (0,) * (phi - 1) + (1,)
         if phi == 1:
             self.mul, self.addmul = _mul1, _addmul1
-        elif phi == 2:
-            self.mul, self.addmul = _quadratic(dict(_reduced_monomial(n, 2)))
         else:
-            self.mul = mul = _convolution(n, phi)
+            self.mul, self.addmul = _quadratic(dict(_reduced_monomial(n, 2)))
 
-            def addmul(acc, key, a, b):
-                c = mul(a, b)
-                s = acc.get(key)
-                acc[key] = c if s is None else _add(s, c)
-            self.addmul = addmul
+        def normal(t):
+            if t.count(0) == phi:
+                return None
+            g = gcd(*t)
+            return t if g == 1 else tuple(c // g for c in t)
+        self.normal = normal
 
-    def normal(self, t: tuple) -> tuple | None:
-        if t.count(0) == self.phi:
-            return None
-        g = gcd(*t)
-        return t if g == 1 else tuple(c // g for c in t)
+    def flat(self, x: CycNum) -> tuple:
+        if self.phi > 2:
+            return (*(v for pair in _coords(x, self.n) for v in pair), x.den)
+        return to_flat(x, self.n)
+
+    def cyc(self, t: tuple) -> CycNum:
+        if self.phi > 2:
+            # exponents that share a factor d with n spell a value of Q(zeta_(n/d)),
+            # which is handed over there and so never descends from Q(zeta_n)
+            d = gcd(self.n, *t[:-1:2])
+            return CycNum(self.n // d, {e // d: c for e, c in zip(t[:-1:2], t[1::2])}, t[-1])
+        return from_flat(t, self.n)
+
+
+def _add(s: tuple, c: tuple) -> tuple:
+    """The sum of two dense tuples over different denominators."""
+    d1, d2 = s[-1], c[-1]
+    g = gcd(d1, d2)
+    f1, f2 = d2 // g, d1 // g
+    out = [x * f1 + y * f2 for x, y in zip(s, c)]
+    out[-1] = d1 * f1
+    return tuple(out)
 
 
 def _mul1(a: tuple, b: tuple) -> tuple:
@@ -608,8 +642,7 @@ def _addmul1(acc: dict, key, a: tuple, b: tuple) -> None:
     elif s[1] == q:
         acc[key] = s[0] + p, q
     else:
-        g = gcd(s[1], q)
-        acc[key] = s[0] * (q // g) + p * (s[1] // g), s[1] // g * q
+        acc[key] = _add(s, (p, q))
 
 
 def _quadratic(square: dict[int, int]):
@@ -623,53 +656,67 @@ def _quadratic(square: dict[int, int]):
         return a0 * b0 + r0 * h, a0 * b1 + a1 * b0 + r1 * h, p * q
 
     def addmul(acc, key, a, b):
-        c0, c1, q = mul(a, b)
+        c = mul(a, b)
         s = acc.get(key)
         if s is None:
-            acc[key] = c0, c1, q
-        elif s[2] == q:
-            acc[key] = s[0] + c0, s[1] + c1, q
+            acc[key] = c
+        elif s[2] == c[2]:
+            acc[key] = s[0] + c[0], s[1] + c[1], c[2]
         else:
-            g = gcd(s[2], q)
-            f1, f2 = q // g, s[2] // g
-            acc[key] = s[0] * f1 + c0 * f2, s[1] * f1 + c1 * f2, s[2] * f1
+            acc[key] = _add(s, c)
     return mul, addmul
 
 
-def _convolution(n: int, phi: int):
-    """mul for any phi(n): the numerators convolved, then reduced."""
-    width, basis = 2 * phi - 1, range(phi)
-    high = range(phi, width)
+def _sparse(n: int, phi: int):
+    """mul, addmul and normal when phi(n) > 2, on sparse tuples
+    (e_1, c_1, ..., e_r, c_r, denominator) with the c_i nonzero.  A sum is
+    kept as [denominator, {exponent: numerator}] until `normal` packs it in
+    increasing exponent.  Exponents of a product from phi(n) up are reduced
+    through the cached table `_reduced_monomial`."""
+
+    def into(m, f, a, b):
+        """m += f times the numerators of a * b."""
+        get, bs = m.get, tuple(zip(b[:-1:2], b[1::2]))
+        for i, x in zip(a[:-1:2], a[1::2]):
+            x *= f
+            for j, y in bs:
+                e = i + j
+                if e < phi:
+                    m[e] = get(e, 0) + x * y
+                else:
+                    v = x * y
+                    for k, r in _reduced_monomial(n, e % n):
+                        m[k] = get(k, 0) + v * r
 
     def mul(a, b):
-        bs = [(j, y) for j, y in zip(basis, b) if y]
-        acc = [0] * width
-        for i, x in zip(basis, a):
-            if x:
-                for j, y in bs:
-                    acc[i + j] += x * y
-        for e in high:
-            c = acc[e]
-            if c:
-                for k, v in _reduced_monomial(n, e % n):
-                    acc[k] += c * v
-        del acc[phi:]
-        acc.append(a[-1] * b[-1])
-        return tuple(acc)
-    return mul
+        m = {}
+        into(m, 1, a, b)
+        return (*(v for e, c in m.items() if c for v in (e, c)), a[-1] * b[-1])
 
+    def addmul(acc, key, a, b):
+        q, s = a[-1] * b[-1], acc.get(key)
+        if s is None:
+            s = acc[key] = [q, {}]
+            f = 1
+        elif s[0] == q:
+            f = 1
+        else:
+            g = gcd(s[0], q)
+            f, h = s[0] // g, q // g
+            if h > 1:
+                m = s[1]
+                for e in m:
+                    m[e] *= h
+                s[0] *= h
+        into(s[1], f, a, b)
 
-def _add(s: tuple, c: tuple) -> tuple:
-    d1, d2 = s[-1], c[-1]
-    if d1 == d2:
-        out = [x + y for x, y in zip(s, c)]
-        out[-1] = d1
-    else:
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
-        out = [x * f1 + y * f2 for x, y in zip(s, c)]
-        out[-1] = d1 * f1
-    return tuple(out)
+    def normal(s):
+        items = sorted((e, c) for e, c in s[1].items() if c)
+        if not items:
+            return None
+        g = gcd(s[0], *(c for _, c in items))
+        return (*(v for e, c in items for v in (e, c // g)), s[0] // g)
+    return mul, addmul, normal
 
 
 # ---------------------------------------------------------------------------

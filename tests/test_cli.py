@@ -257,9 +257,9 @@ def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     _assert_one_line_error(err)
 
 
-def test_poisson_in_a_dense_field_context_runs_quickly(capsys):
+def test_poisson_in_a_wide_field_context_runs_quickly(capsys):
     # the factors' scalars widen the rewriting kernel of B2 from Q(z_1) to
-    # Q(z_1147), phi = 1080, where every scalar has 1080 numerators
+    # Q(z_1147), phi = 1080, where a dense scalar would have 1080 numerators
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "poisson", "--group", "B2", "--k", "1;1",
                            "--z1", "Q(z_31):z^1 * x1^2 + Q(z_31):z^1 * x2^2",

@@ -361,35 +361,43 @@ def _random_in_subfield(rng, n):
                       for _ in range(rng.randint(0, 3))})
 
 
-def _edge(F, t):
-    t = F.normal(t)
-    return CycNum.zero() if t is None else from_flat(t, F.n)
+def _edge(F, *pairs):
+    """The sum of the products a * b over pairs, summed with `addmul` and
+    read back through `normal` and `cyc`."""
+    acc = {}
+    for a, b in pairs:
+        F.addmul(acc, 0, a, b)
+    t = F.normal(acc[0])
+    return CycNum.zero() if t is None else F.cyc(t)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12, 15])
 def test_flat_field_matches_cycnum(n):
     rng = random.Random(1900 + n)
     F = FlatField(n)
-    assert from_flat(F.one, n) == as_cyc(1)
+    assert F.cyc(F.one) == as_cyc(1)
     cancelled = 0
     for _ in range(60):
         a, b, c = (_random_in_subfield(rng, n) for _ in range(3))
-        ta, tb, tc = (to_flat(x, n) for x in (a, b, c))
+        ta, tb, tc = (F.flat(x) for x in (a, b, c))
         for x, t in ((a, ta), (b, tb), (c, tc)):
-            # phi(n) numerators, a positive denominator, no common factor
-            assert len(t) == F.phi + 1 and t[-1] > 0 and gcd(*t) == 1
-            assert F.normal(t) == (None if x.is_zero() else t)
-            assert from_flat(t, n) == x
-            assert from_flat(tuple(3 * v for v in t), n) == x
-        assert _edge(F, F.mul(ta, tb)) == a * b
-        assert _edge(F, F.mul(F.mul(ta, tb), tc)) == a * b * c
-        acc = {}
-        F.addmul(acc, 0, ta, tb)
-        F.addmul(acc, 0, tc, F.one)
-        F.addmul(acc, 1, ta, tb)
-        F.addmul(acc, 1, to_flat(-a, n), tb)
-        assert _edge(F, acc[0]) == a * b + c
-        assert F.normal(acc[1]) is None
+            # the dense tuple: phi(n) numerators, a positive denominator, no common factor
+            d = to_flat(x, n)
+            assert len(d) == F.phi + 1 and d[-1] > 0 and gcd(*d) == 1
+            assert from_flat(d, n) == x
+            assert from_flat(tuple(3 * v for v in d), n) == x
+            # the field's own tuple is dense up to phi(n) = 2, else one pair per nonzero numerator
+            assert t == d if F.phi <= 2 else len(t) == 2 * (F.phi - d.count(0)) + 1
+            assert F.cyc(t) == x
+            if not x.is_zero():
+                acc = {}
+                F.addmul(acc, 0, t, F.one)
+                assert F.normal(acc[0]) == t
+        assert _edge(F, (ta, tb)) == a * b
+        assert _edge(F, (F.mul(ta, tb), tc)) == a * b * c
+        # sums across denominators, and sums that cancel to zero
+        assert _edge(F, (ta, tb), (tc, F.one)) == a * b + c
+        assert _edge(F, (ta, tb), (F.flat(-a), tb)) == as_cyc(0)
         cancelled += not (a * b).is_zero()
     assert cancelled >= 20
 
@@ -397,21 +405,30 @@ def test_flat_field_matches_cycnum(n):
 def test_flat_edge_conversion_descends():
     for n in (3, 15):
         F = FlatField(n)
-        acc = {}
-        for e in (1, 2):
-            F.addmul(acc, 0, to_flat(root_of_unity(3, e), n), F.one)
-        x = _edge(F, acc[0])
+        x = _edge(F, *((F.flat(root_of_unity(3, e)), F.one) for e in (1, 2)))
         assert x == as_cyc(-1) and x.conductor == 1
     # zeta_12^3 = zeta_4 and (zeta_12^2)^3 = -1, read off a Q(zeta_12) tuple
     F = FlatField(12)
-    z = to_flat(root_of_unity(12), 12)
-    x = _edge(F, F.mul(F.mul(z, z), z))
+    z = F.flat(root_of_unity(12))
+    x = _edge(F, (F.mul(z, z), z))
     assert x == root_of_unity(4) and x.conductor == 4
     z2 = F.mul(z, z)
-    assert _edge(F, F.mul(F.mul(z2, z2), z2)) == as_cyc(-1)
+    assert _edge(F, (F.mul(z2, z2), z2)) == as_cyc(-1)
+
+
+def test_flat_tuple_width_follows_its_nonzero_terms():
+    # phi(31 * 37 * 41 * 43) = 1814400, but a root of unity is one pair
+    n = 31 * 37 * 41 * 43
+    F = FlatField(n)
+    z31, z41 = F.flat(root_of_unity(31)), F.flat(root_of_unity(41))
+    assert z31 == (n // 31, 1, 1) and F.mul(z31, z41) == (n // 31 + n // 41, 1, 1)
+    x = _edge(F, (z31, z41))
+    assert x == root_of_unity(31) * root_of_unity(41) and x.conductor == 31 * 41
 
 
 def test_flat_conversion_refuses_a_value_outside_the_field():
     with pytest.raises(ExactDomainError):
         to_flat(root_of_unity(4), 3)
+    with pytest.raises(ExactDomainError):
+        FlatField(5).flat(root_of_unity(4))
     assert to_flat(root_of_unity(4), 12) == to_flat(root_of_unity(12, 3), 12)
