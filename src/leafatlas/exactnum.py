@@ -10,12 +10,15 @@ Two CycNums are equal as values iff their triples agree, so they hash and
 sort canonically.
 
 Canonicalization reduces modulo Phi_N through a cache of reduced monomials
-and then descends one prime p of N at a time.  When p^2 | N the power basis
-of zeta_N is the tower basis over Q(zeta_(N/p)), so descent is read off the
-exponents (all divisible by p); when N = p it is the test "support is {0}".
-Only for p || N with N != p does descent run the Galois fixed-point test
-and a linear solver, cached as integer rows over one denominator.  Last, the
-gcd of the denominator and the numerators is divided out.
+and then descends one prime p of N at a time, each time reading coordinates
+off a basis of Q(zeta_N) over Q(zeta_(N/p)), so no denominator enters.  When
+p^2 | N the power basis of zeta_N is itself that basis, so descent is read
+off the exponents (all divisible by p); when N = p it is the test "support
+is {0}".  When p || N and m = N/p > 1, Q(zeta_N) = Q(zeta_m)(zeta_p) and
+zeta_N^e = zeta_m^(ea) zeta_p^(eb) for a = p^-1 mod m, b = m^-1 mod p: the
+element is split over 1, zeta_p, ..., zeta_p^(p-2), and it descends iff
+every coordinate but the first is 0 mod Phi_m.  Last, the gcd of the
+denominator and the numerators is divided out.
 
 Canonicalization, sums, products and rational scaling all run on Python
 ints, and no floating point enters any computation.  fractions.Fraction is
@@ -148,108 +151,73 @@ def _reduced_monomial(n: int, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k, c) for k, c in work.items() if c))
 
 
-def _apply_galois(coeffs: dict[int, int], n: int, j: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e, c in coeffs.items():
-        for e2, f in _reduced_monomial(n, (j * e) % n):
-            out[e2] = out.get(e2, 0) + c * f
-    return {e: c for e, c in out.items() if c}
-
-
-def _galois_fixed(coeffs: dict[int, int], n: int, m: int) -> bool:
-    """True iff Gal(Q(zeta_n)/Q(zeta_m)), m | n, fixes the reduced element.
-
-    That is, iff the element lies in Q(zeta_m).
-    """
-    return all(_apply_galois(coeffs, n, j) == coeffs
-               for j in range(1 + m, n, m) if gcd(j, n) == 1)
-
-
 @lru_cache(maxsize=None)
-def _descent_solver(n: int, m: int):
-    """Solver for rewriting an invariant element of Q(zeta_n) over Q(zeta_m).
+def _descents(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, m, a, b) for each prime p of n, with m = n / p.  When p || n and
+    m > 1, a = p^-1 mod m and b = m^-1 mod p, so zeta_n^e = zeta_m^(ea) zeta_p^(eb);
+    otherwise a = b = 0."""
+    out = []
+    for p in _prime_factors(n):
+        m = n // p
+        if m % p and m > 1:
+            out.append((p, m, pow(p, -1, m), pow(m, -1, p)))
+        else:
+            out.append((p, m, 0, 0))
+    return tuple(out)
 
-    Returns (pivot_rows, rows, den) such that, for the integer column vector
-    c of an element known to lie in Q(zeta_m), its coordinates over the power
-    basis of zeta_m are rows @ c[pivot_rows] / den.
+
+def _over_subfield(coeffs: dict[int, int], p: int, m: int, a: int, b: int):
+    """The coordinates over the power basis of zeta_m of a reduced element of
+    Q(zeta_mp), p a prime not dividing m, or None if it is not in Q(zeta_m).
+
+    Q(zeta_mp) = Q(zeta_m)(zeta_p) has the basis 1, zeta_p, ..., zeta_p^(p-2)
+    over Q(zeta_m).  Split along zeta_mp^e = zeta_m^(ea) zeta_p^(eb) into
+    sum y_j zeta_p^j (j < p) and rewrite zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)):
+    the coordinate at zeta_p^j is y_j - y_(p-1), which must vanish for j > 0.
+    For p = 2 the basis is {1} alone and zeta_2 = -1.
     """
-    dn, dm = _phi_degree(n), _phi_degree(m)
-    step = n // m
-    # [M | I], M[e][f] = coordinate e of zeta_m^f; fraction-free Gauss-Jordan
-    # leaves the pivot row of column f as (d_f * unit_f | a_f) with a_f . M = d_f * unit_f
-    aug = [[0] * dm + [int(r == s) for s in range(dn)] for r in range(dn)]
-    for f in range(dm):
-        for e, c in _reduced_monomial(n, (f * step) % n):
-            aug[e][f] = c
-    pivot_rows: list[int] = []
-    for f in range(dm):
-        pr = next(r for r in range(dn) if r not in pivot_rows and aug[r][f])
-        pivot_rows.append(pr)
-        piv = aug[pr]
-        for r in range(dn):
-            b = aug[r][f]
-            if r != pr and b:
-                row = [piv[f] * x - b * y for x, y in zip(aug[r], piv)]
-                g = gcd(*row)
-                aug[r] = [x // g for x in row]
-    # only pivot rows are ever added into pivot rows, so a_f lives on them
-    den = lcm(*(aug[pr][f] for f, pr in enumerate(pivot_rows)))
-    rows = tuple(tuple(aug[pr][dm + s] * den // aug[pr][f] for s in pivot_rows)
-                 for f, pr in enumerate(pivot_rows))
-    return tuple(pivot_rows), rows, den
-
-
-def _descend(coeffs: dict[int, int], n: int, m: int) -> tuple[dict[int, int], int]:
-    """Coordinates over the power basis of zeta_m of an element of Q(zeta_m),
-    as integer numerators and the solver's denominator."""
-    pivot_rows, rows, den = _descent_solver(n, m)
-    cvec = [coeffs.get(r, 0) for r in pivot_rows]
-    new = {}
-    for f, row in enumerate(rows):
-        val = sum(a * b for a, b in zip(row, cvec))
-        if val:
-            new[f] = val
-    return new, den
+    ys: list[dict[int, int]] = [{} for _ in range(p - 1)]
+    for e, c in coeffs.items():
+        j, k = e * b % p, e * a % m
+        if j < p - 1:
+            y = ys[j]
+            y[k] = y.get(k, 0) + c
+        else:
+            for y in ys:
+                y[k] = y.get(k, 0) - c
+    if any(_reduce_mod_phi(y, m) for y in ys[1:]):
+        return None
+    return _reduce_mod_phi(ys[0], m)
 
 
 def _canonicalize(n: int, coeffs: dict[int, int], den: int = 1):
     """Minimal-conductor canonical triple (n, coeffs, den) of coeffs / den.
 
     n is never left = 2 mod 4, except n = 1.  Descent by a prime p of n is
-    read off the power basis where it can be: if p^2 | n, then
+    read off a basis, and no denominator enters: if p^2 | n, then
     Phi_n(x) = Phi_(n/p)(x^p), so the basis zeta_n^e (e < phi(n)) is the tower
     basis zeta_(n/p)^j zeta_n^r (r < p) and the element lies in Q(zeta_(n/p))
     iff every exponent is divisible by p, with coordinates {e // p: c}; if
-    n = p, it is rational iff its support is {0}.  Only for p || n with n != p
-    does descent run the Galois fixed-point test and the linear solver.
+    n = p, it is rational iff its support is {0}; otherwise p || n, and the
+    coordinates over Q(zeta_(n/p)) come from `_over_subfield`, which for
+    p = 2 always finds them, so n = 2 mod 4 always descends.
     """
     coeffs = _reduce_mod_phi(coeffs, n)
     if not coeffs:
         return 1, (), 1
     while n > 1:
-        if n % 4 == 2:
-            # zeta_n = -zeta_m^((m+1)/2) for odd m = n/2
-            m = n // 2
-            half = (m + 1) // 2
-            nxt: dict[int, int] = {}
-            for e, c in coeffs.items():
-                e2 = (e * half) % m
-                nxt[e2] = nxt.get(e2, 0) + (-c if e % 2 else c)
-            n, coeffs = m, _reduce_mod_phi(nxt, m)
-            continue
-        for p in _prime_factors(n):
-            m = n // p
-            if m % p == 0:
+        for p, m, a, b in _descents(n):
+            if b:
+                y = _over_subfield(coeffs, p, m, a, b)
+                if y is not None:
+                    n, coeffs = m, y
+                    break
+            elif m > 1:
                 if all(e % p == 0 for e in coeffs):
                     n, coeffs = m, {e // p: c for e, c in coeffs.items()}
                     break
-            elif m == 1:
-                if len(coeffs) == 1 and 0 in coeffs:
-                    n = 1
-                    break
-            elif _galois_fixed(coeffs, n, m):
-                coeffs, d = _descend(coeffs, n, m)
-                n, den = m, den * d
+            elif len(coeffs) == 1 and 0 in coeffs:
+                n = 1
                 break
         else:
             break
@@ -614,7 +582,8 @@ class FlatField:
     def cyc(self, t: tuple) -> CycNum:
         if self.phi > 2:
             # exponents that share a factor d with n spell a value of Q(zeta_(n/d)),
-            # which is handed over there and so never descends from Q(zeta_n)
+            # which is handed over there: canonicalization starts in the smaller
+            # field, and reduces and descends through fewer primes
             d = gcd(self.n, *t[:-1:2])
             return CycNum(self.n // d, {e // d: c for e, c in zip(t[:-1:2], t[1::2])}, t[-1])
         return from_flat(t, self.n)

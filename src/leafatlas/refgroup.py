@@ -310,8 +310,9 @@ class ReflectionGroup:
 
     @cached_property
     def det_character(self) -> list[CycNum]:
-        """Per id, the element's determinant."""
-        return [la.det(g.mat) for g in self.elements]
+        """Per id, the element's determinant: det(p s_j) = det(p) det(s_j)."""
+        dets = [la.det(self.elements[s].mat) for s in self.generators]
+        return self._along_tree(as_cyc(1), lambda d, j: d * dets[j])
 
     def generated_by_reflections(self) -> bool:
         """True iff W is generated by its reflections.  When the generators

@@ -45,7 +45,7 @@ class Check:
 
 def _field_axiom_sample():
     rng = random.Random(20240)
-    for n in (1, 4, 9, 12, 40):
+    for n in (1, 4, 9, 12, 40, 42, 60):
         for _ in range(6):
             vals = []
             for _ in range(3):

@@ -453,6 +453,7 @@ def _assert_tables_match_matrices(W, name):
     for g in range(W.order):
         for s, m in zip(W.generators, gens):
             assert mats[W.mul(g, s)] == _dense_mat_mul(mats[g], m), name
+    assert W.det_character == [la.det(m) for m in mats], name
     inverses = [la.mat_inverse(m) for m in mats]
     step = max(1, W.order // 16)
     for g in range(W.order):
