@@ -3,17 +3,18 @@ undeformed quotient under a twist.
 
 Leaves are label-level objects: a parabolic-class tag, the matching class in
 the induced group on the fixed space, a twist-coset class, and the (even)
-dimension.  The closure model attached to each leaf is the pair
-(fixed space of P restricted to V^tau, normalizer quotient of P_tau), with
-parameter zero.
+dimension.  The twist-coset class of a leaf is read off the split-class
+dictionary of `tau` (`TauContext.class_components`).  The closure model
+attached to each leaf is the pair (fixed space of P restricted to V^tau,
+normalizer quotient of P_tau), with parameter zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg as la
-from .refgroup import Parabolic, ParabolicClass, ReflectionGroup, _generators
+from .refgroup import Parabolic, ReflectionGroup, _generators
 from .tau import TauContext, TauError
 
 
@@ -50,33 +51,7 @@ def strata_single(W: ReflectionGroup) -> tuple[Stratum, ...]:
 
 def strata_double(W: ReflectionGroup) -> tuple[Stratum, ...]:
     """The symplectic leaves of the undeformed quotient, one per class."""
-    out = []
-    for c in W.parabolic_classes():
-        N = W.normalizer(c.representative)
-        out.append(Stratum(c.class_id, "double", 2 * c.fixed_dim,
-                           c.representative.order, N.order))
-    return tuple(out)
-
-
-def tau_components(ctx: TauContext, cls: ParabolicClass):
-    """Irreducible components of the tau-fixed part of one stratum, with the
-    matching class of the induced group attached to each component."""
-    P, classes, mapping = ctx.class_components(cls)
-    if P is None:
-        return ()
-    orbits = ctx.split_orbits()
-    inverse = {ci: oi for oi, ci in mapping.items()}
-    out = []
-    for ci, tc in enumerate(classes):
-        orbit = orbits[inverse[ci]]
-        sp = orbit[0]
-        out.append({
-            "twist_class_rep": tc.rep,
-            "split_orbit": inverse[ci],
-            "p_tau_class": ctx.w_tau.class_of(sp.p_tau).class_id,
-            "dimension": sp.tau_rank,
-        })
-    return tuple(out)
+    return tuple(replace(s, kind="double", dimension=2 * s.dimension) for s in strata_single(W))
 
 
 def _cuspidal_fixed_part_is_zero(ctx: TauContext, sp) -> bool:
@@ -106,8 +81,10 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
         raise TauError("twist must be full")
     W = ctx.W
     wt = ctx.w_tau
-    twist_rep = {c["split_orbit"]: c["twist_class_rep"]
-                 for cls in W.parabolic_classes() for c in tau_components(ctx, cls)}
+    twist_rep = {}
+    for cls in W.parabolic_classes():
+        _, classes, mapping = ctx.class_components(cls)
+        twist_rep.update((oi, classes[ci].rep) for oi, ci in mapping.items())
     out = []
     for oi, orbit in enumerate(ctx.split_orbits()):
         sp = orbit[0]

@@ -154,20 +154,13 @@ def nullspace(a: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
+    """The right half of the RREF of (a | 1); a is singular iff the last
+    pivot lands in the right half."""
     n = len(a)
-    aug = [list(a[i]) + [(_ONE if i == j else _ZERO) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-        if pr is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [inv * x for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    red = rref([tuple(row) + e for row, e in zip(a, identity(n))])
+    if red[-1][n - 1].is_zero():
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in red)
 
 
 def det(a: Matrix) -> CycNum:
@@ -222,27 +215,11 @@ def left_fixed_space(m: Matrix) -> tuple[Vector, ...]:
     return fixed_space(transpose(m))
 
 
-def annihilator(basis: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:
-    """Covectors vanishing on the span of `basis` inside dimension n."""
-    if not basis:
-        return identity(n)
-    return nullspace(basis, n)
-
-
 def intersect(a: tuple[Vector, ...], b: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:
-    anns = list(annihilator(a, n)) + list(annihilator(b, n))
-    if not anns:
-        return identity(n)
-    return nullspace(tuple(anns), n)
-
-
-def contains(space: tuple[Vector, ...], v: Vector) -> bool:
-    if all(x.is_zero() for x in v):
-        return True
-    combined = rref(list(space) + [v])
-    return len(combined) == len(space)
+    """The intersection: the vectors on which both annihilators vanish."""
+    return nullspace(nullspace(a, n) + nullspace(b, n), n)
 
 
 def subspace_leq(a: tuple[Vector, ...], b: tuple[Vector, ...]) -> bool:
-    """True iff span(a) is contained in span(b)."""
-    return all(contains(b, v) for v in a)
+    """True iff span(a) is contained in span(b), b a basis."""
+    return len(rref(list(b) + list(a))) == len(b)

@@ -25,7 +25,7 @@ from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
-from .exactnum import (CycNum, _phi_degree, _prime_factors, _reduce_mod_phi, as_cyc,
+from .exactnum import (CycNum, _phi_degree, _reduce_mod_phi, as_cyc,
                        from_flat, root_of_unity, primes, to_flat)
 from . import linalg as la
 from .linalg import Matrix, Vector
@@ -823,10 +823,7 @@ def _check_field(n: int, cap: int) -> None:
     """Refuse Q(zeta_n) when phi(n)^2 is above the cap: an element has phi(n)
     coefficients and a product costs about phi(n)^2 operations.  Since
     phi(n)^2 >= n/2, an n above 2*cap is refused before it is factored."""
-    phi = n
-    if n <= 2 * cap:
-        for p in _prime_factors(n):
-            phi = phi // p * (p - 1)
+    phi = _phi_degree(n) if n <= 2 * cap else n
     if phi * phi > cap:
         raise CapExceededError("cyclotomic field degree squared is above the cap")
 

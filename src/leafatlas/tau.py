@@ -5,7 +5,9 @@ fullness defect, the induced reflection group on V^tau (setwise modulo
 pointwise stabilizer) with a deterministic section back into W, the split
 parabolic subgroups with their bijective restriction P -> P_tau, normalizer
 identifications, and the twist-coset classes that index the components of
-the fixed-point strata.
+the fixed-point strata.  `TauContext.split_class_dictionary` is the one place
+that matches W_tau-orbits of split parabolics to twist classes (the
+Harish-Chandra dictionary), and it refuses any match that is not a bijection.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .exactnum import CycNum, as_cyc
 from .linalg import Matrix, Vector
 from .refgroup import (
     GroupElement, Parabolic, ReflectionGroup, _finite_order_bound, _generators, _matrix_order,
-    _orbit,
+    _normalize_line, _orbit,
 )
 
 
@@ -242,36 +244,37 @@ class TauContext:
         return result
 
     def split_class_dictionary(self, P: Parabolic):
-        """The bijection between W_tau-orbits of split members of the class
-        of P and twist classes over P, as an index map.  P must be split.
-        Any x with x P x^-1 = Q serves: changing x by n in N_W(P) twists
-        x^-1 tau(x) by n, which leaves its twist class unchanged."""
+        """The bijection from W_tau-orbits of split members of the class of P
+        to twist classes over P, as an index map; TauError unless it is one.
+        P must be split.  Any x with x P x^-1 = Q serves: changing x by n in
+        N_W(P) twists x^-1 tau(x) by n, which leaves its twist class unchanged."""
         if P.inc not in self.split_by_inc():
             raise TauError("dictionary base point must be a split parabolic")
         N, classes = self.twist_classes(P)
+        class_of = {idx: ci for ci, c in enumerate(classes) for idx in c.coset_indices}
         conjugators = self.W.class_of(P).conjugators
         from_p = self.W.inv(conjugators[P.inc])
-        mapping: dict[int, int] = {}
+        mapping: dict[int, int | None] = {}
         for oi, orbit in enumerate(self.split_orbits()):
             Q = orbit[0].parabolic
-            if Q.inc not in conjugators:
-                continue
-            x = self.W.mul(conjugators[Q.inc], from_p)
-            w = self.W.mul(self.W.inv(x), self.tau_conj(x))
-            widx = N.coset_of(w)
-            ci = next(i for i, c in enumerate(classes) if widx in c.coset_indices)
-            mapping[oi] = ci
+            if Q.inc in conjugators:
+                x = self.W.mul(conjugators[Q.inc], from_p)
+                w = self.W.mul(self.W.inv(x), self.tau_conj(x))
+                mapping[oi] = class_of.get(N.coset_of(w))
+        if len(mapping) != len(classes) or set(mapping.values()) != set(range(len(classes))):
+            raise TauError(f"{len(mapping)} split orbits are not in bijection with "
+                           f"{len(classes)} twist classes")
         return N, classes, mapping
 
     def class_components(self, cls):
-        """Twist-class data for one conjugacy class of parabolics, computed
-        from its minimal split member (empty when none is split)."""
+        """(P, twist classes, dictionary) for one conjugacy class of
+        parabolics, with P its least split member as the base point; (None,
+        (), {}) when no member is split."""
         splits = self.split_by_inc()
-        split_members = [m for m in cls.members if m.inc in splits]
-        if not split_members:
+        P = next((m for m in cls.members if m.inc in splits), None)
+        if P is None:
             return None, (), {}
-        P = split_members[0]
-        N, classes, mapping = self.split_class_dictionary(P)
+        _, classes, mapping = self.split_class_dictionary(P)
         return P, classes, mapping
 
 
@@ -311,16 +314,9 @@ def lehrer_springer_group(ctx: TauContext) -> ReflectionGroup:
 
 def hyperplane_restriction_matches(ctx: TauContext) -> bool:
     """Hyperplanes of the induced group == restrictions of ambient ones."""
-    expected = set()
-    for H in ctx.W.hyperplanes:
-        coords = tuple(la.dot(H.alpha, b) for b in ctx.v_tau)
-        if all(x.is_zero() for x in coords):
-            continue
-        lead = next(x for x in coords if not x.is_zero())
-        inv = lead.inverse()
-        expected.add(tuple((inv * x).sort_key() for x in coords))
-    got = {H.key for H in ctx.w_tau.hyperplanes}
-    return expected == got
+    restricted = (tuple(la.dot(H.alpha, b) for b in ctx.v_tau) for H in ctx.W.hyperplanes)
+    expected = {_normalize_line(c) for c in restricted if any(not x.is_zero() for x in c)}
+    return expected == {H.alpha for H in ctx.w_tau.hyperplanes}
 
 
 def orbit_coincidence_holds(ctx: TauContext) -> bool:
@@ -331,13 +327,11 @@ def orbit_coincidence_holds(ctx: TauContext) -> bool:
         v = ctx.W.witness_point(sp.tau_fixed)
         if la.mat_vec(tau, v) != v:
             return False
-        setwise_orbit = {tuple(x.sort_key() for x in la.mat_vec(ctx.W.elements[i].mat, v))
-                         for i in ctx.setwise}
+        setwise_orbit = {la.mat_vec(ctx.W.elements[i].mat, v) for i in ctx.setwise}
         for g in ctx.W.elements:
             u = la.mat_vec(g.mat, v)
-            if la.mat_vec(tau, u) == u:
-                if tuple(x.sort_key() for x in u) not in setwise_orbit:
-                    return False
+            if la.mat_vec(tau, u) == u and u not in setwise_orbit:
+                return False
     return True
 
 

@@ -184,13 +184,10 @@ def _leaf_count(ctx):
 def _leaf_partition(ctx):
     total = 0
     for cls in ctx.W.parabolic_classes():
-        comps = leaves_mod.tau_components(ctx, cls)
-        seen = {c["split_orbit"] for c in comps}
-        assert len(seen) == len(comps), "component labels collide"
-        total += len(comps)
-        P = ctx.class_components(cls)[0]    # twist classes must cover exactly
-        if P is not None:                   # the cosets meeting P's stratum
-            N, classes = ctx.twist_classes(P)
+        P, classes, mapping = ctx.class_components(cls)     # TauError unless a bijection
+        total += len(mapping)
+        if P is not None:   # twist classes must cover exactly the cosets meeting P's stratum
+            N, _ = ctx.twist_classes(P)
             assert {i for c in classes for i in c.coset_indices} == \
                 {i for i in range(N.order) if ctx.meets_stratum(P, N.rep(i))}, \
                 f"twist classes of class {cls.class_id} miss or add a coset"

@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 
 from leafatlas import linalg as la
+from leafatlas.cli import run
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
     _cuspidal_fixed_part_is_zero, leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
-    tau_components,
 )
 from leafatlas.refgroup import catalog, dihedral_tau
-from leafatlas.tau import TwistClass, build_tau
+from leafatlas.tau import TauContext, TwistClass, build_tau
 from leafatlas.verify import run_suite
 from test_refgroup import ORACLE_BATTERY
 
@@ -78,7 +78,7 @@ def test_dimension_pairing_two_ways(pair_contexts):
 
 def test_partition_of_components(pair_contexts):
     for name, ctx in pair_contexts.items():
-        total = sum(len(tau_components(ctx, cls)) for cls in ctx.W.parabolic_classes())
+        total = sum(len(ctx.class_components(cls)[2]) for cls in ctx.W.parabolic_classes())
         assert total == len(ctx.w_tau.parabolic_classes()), name
 
 
@@ -87,7 +87,7 @@ def test_component_empty_iff_no_split_member():
     ctx = build_tau(W, dihedral_tau(4))
     splits = {sp.parabolic.ids for sp in ctx.split_parabolics()}
     for cls in W.parabolic_classes():
-        comps = tau_components(ctx, cls)
+        comps = ctx.class_components(cls)[2]
         has_split = any(m.ids in splits for m in cls.members)
         assert bool(comps) == has_split
 
@@ -176,3 +176,39 @@ def test_partition_check_catches_a_dropped_twist_coset():
     status = {r["id"]: r for r in run_suite(W, ctx)}
     assert status["leaves.partition"]["status"] == "fail"
     assert "miss or add a coset" in status["leaves.partition"]["detail"]
+
+
+def _split_twist_classes(monkeypatch):
+    """Make twist_classes cut every class of more than one coset in two:
+    the cosets after its least one, then the least one alone."""
+    twist_classes = TauContext.twist_classes
+
+    def split(self, P):
+        N, classes = twist_classes(self, P)
+        out = []
+        for c in classes:
+            rest = c.coset_indices[1:]
+            if rest:
+                out.append(TwistClass(rest, min(N.rep(i) for i in rest)))
+            out.append(TwistClass(c.coset_indices[:1], N.rep(c.coset_indices[0])))
+        return N, tuple(out)
+    monkeypatch.setattr(TauContext, "twist_classes", split)
+
+
+def test_leaves_zero_refuses_a_dictionary_that_is_not_a_bijection(monkeypatch, capsys):
+    # the class of the trivial parabolic of dihedral4 under swap has one split
+    # orbit and one twist class of four cosets; cut in two, no bijection is left
+    _split_twist_classes(monkeypatch)
+    code = run(["leaves-zero", "--group", "dihedral4", "--tau", "swap"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "bijection" in err[0]
+
+
+def test_partition_check_names_a_broken_bijection(monkeypatch):
+    W = catalog("dihedral4")
+    ctx = build_tau(W, dihedral_tau(4))
+    _split_twist_classes(monkeypatch)
+    status = {r["id"]: r for r in run_suite(W, ctx)}
+    assert status["leaves.partition"]["status"] == "fail"
+    assert "bijection" in status["leaves.partition"]["detail"]

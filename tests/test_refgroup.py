@@ -577,6 +577,15 @@ def _conjugated(name, x):
     return W.dim, [la.mat_mul(la.mat_mul(x, W.elements[s].mat), x_inv) for s in W.generators]
 
 
+def test_mat_inverse_refuses_a_singular_matrix():
+    # rank 2: the last pivot of (a | 1) lands in the right half
+    with pytest.raises(ZeroDivisionError):
+        la.mat_inverse(la.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+    with pytest.raises(ZeroDivisionError):
+        la.mat_inverse(la.mat([[root_of_unity(3), 1], [root_of_unity(3) ** 2, root_of_unity(3)]]))
+    assert la.mat_mul(_UNIPOTENT, la.mat_inverse(_UNIPOTENT)) == la.identity(3)
+
+
 # the closure battery, with the field Q(zeta_N) each closure runs over
 CLOSURE_CASES = (("B3", 1), ("D4", 1), ("G(4,2,3)", 4), ("G(6,2,3)", 3), ("G4", 12),
                  ("dihedral5", 5), ("dihedral8", 8), ("B3-unipotent", 1),
