@@ -33,19 +33,20 @@ def _b_order(s: int) -> int:
 
 
 @dataclass(frozen=True)
-class LeafRecordB:
+class LeafRecord:
+    """One row of the type-B table (m the ratio) or the type-D one (m None)."""
     n: int
-    m: int
+    m: int | None
     r: int
     dimension: int
     cuspidal: bool                  # zero-dimensional member of the list
-    support_rank: int               # r(r+m)
-    normalizer_label: str           # hyperoctahedral group on the corank
+    support_rank: int               # r(r+m) for type B, r^2 for type D
+    normalizer_label: str           # B<corank>, or D<n> for type D at r = 0
     normalizer_order: int
     model_label: str
 
     def as_row(self) -> dict:
-        return {
+        row = {
             "n": self.n, "m": self.m, "r": self.r,
             "dim": self.dimension,
             "cuspidal": self.cuspidal,
@@ -55,30 +56,9 @@ class LeafRecordB:
             "model": self.model_label,
             "source": "catalog",
         }
-
-
-@dataclass(frozen=True)
-class LeafRecordD:
-    n: int
-    r: int
-    dimension: int
-    cuspidal: bool
-    support_rank: int               # r^2
-    normalizer_label: str
-    normalizer_order: int
-    model_label: str
-
-    def as_row(self) -> dict:
-        return {
-            "n": self.n, "r": self.r,
-            "dim": self.dimension,
-            "cuspidal": self.cuspidal,
-            "support_rank": self.support_rank,
-            "normalizer": self.normalizer_label,
-            "normalizer_order": self.normalizer_order,
-            "model": self.model_label,
-            "source": "catalog",
-        }
+        if self.m is None:
+            del row["m"]
+        return row
 
 
 def smooth_B(n: int, ratio) -> bool:
@@ -94,7 +74,7 @@ def smooth_B(n: int, ratio) -> bool:
     return not (ratio.denominator == 1 and abs(ratio.numerator) <= n - 1)
 
 
-def leaves_B(n: int, m: int) -> tuple[LeafRecordB, ...]:
+def leaves_B(n: int, m: int) -> tuple[LeafRecord, ...]:
     """Leaf table for the rank-n type-B space at integer ratio m >= 0."""
     _check_rank(n, 1, "type-B table")
     if m < 0:
@@ -104,7 +84,7 @@ def leaves_B(n: int, m: int) -> tuple[LeafRecordB, ...]:
     while r * (r + m) <= n:
         s = r * (r + m)
         corank = n - s
-        out.append(LeafRecordB(
+        out.append(LeafRecord(
             n=n, m=m, r=r,
             dimension=2 * corank,
             cuspidal=(corank == 0),
@@ -117,15 +97,15 @@ def leaves_B(n: int, m: int) -> tuple[LeafRecordB, ...]:
     return tuple(out)
 
 
-def leaves_D(n: int) -> tuple[LeafRecordD, ...]:
+def leaves_D(n: int) -> tuple[LeafRecord, ...]:
     """Leaf table for the rank-n type-D space (r = 1 is excluded)."""
     _check_rank(n, 4, "type-D table")
     out = []
     for r in [0] + [r for r in range(2, n + 1) if r * r <= n]:
         s = r * r
         corank = n - s
-        out.append(LeafRecordD(
-            n=n, r=r,
+        out.append(LeafRecord(
+            n=n, m=None, r=r,
             dimension=2 * corank,
             cuspidal=(corank == 0),
             support_rank=s,

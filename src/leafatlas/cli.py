@@ -9,6 +9,7 @@ runs and thread settings.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import io
 import json
@@ -26,12 +27,13 @@ from .catalog import (
     CatalogError, dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t, smooth_B,
 )
 from .cherednik import (
-    CherednikAlgebra, CherednikError, PoissonCompatibilityError, euler_degree,
+    CherednikAlgebra, CherednikError, euler_degree,
     filtration_degree, format_element, parse_element, poisson_bracket,
     rank1_center_relation,
 )
 from .exactnum import (
-    CycNum, ExactDomainError, as_cyc, cyc_parse, num_str, root_of_unity,
+    FIELD_CAP, CycNum, ExactDomainError, FieldCapError, as_cyc, cyc_parse, num_str,
+    root_of_unity,
 )
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field, _conductor,
@@ -84,10 +86,7 @@ def _scalar_from_str(s: str, cap: int) -> CycNum:
     s = s.strip()
     if s.startswith("Q("):
         _check_literal_fields(s, cap)
-        try:
-            return cyc_parse(s)
-        except ExactDomainError as exc:
-            raise SpecError(str(exc)) from exc
+        return cyc_parse(s)
     try:
         return as_cyc(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -165,11 +164,8 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
             if not isinstance(word, list) or not all(
                     isinstance(i, int) and not isinstance(i, bool) for i in word):
                 raise SpecError("twist word must be a list of generator indices")
-            try:
-                return tau_from_word(W, word, zeta), f"word{word}" + \
-                    (f"*zeta({data.get('zeta')})" if "zeta" in data else "")
-            except TauError as exc:
-                raise SpecError(str(exc)) from exc
+            return tau_from_word(W, word, zeta), f"word{word}" + \
+                (f"*zeta({data.get('zeta')})" if "zeta" in data else "")
         raise SpecError("twist spec needs 'matrix' or 'word'/'zeta'")
     raise SpecError(f"unknown twist spec {spec!r}")
 
@@ -186,10 +182,7 @@ def resolve_parameter(W: ReflectionGroup, spec: str, cap: int = DEFAULT_CAP) -> 
     else:
         per_orbit = [[_scalar_from_str(v, cap) for v in chunk.split(",")]
                      for chunk in spec.split(";")]
-    try:
-        return ParameterK.from_lists(W, per_orbit)
-    except GroupError as exc:
-        raise SpecError(str(exc)) from exc
+    return ParameterK.from_lists(W, per_orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +264,12 @@ def _tau_context(args, W) -> tuple[TauContext, dict]:
     mat, label = resolve_tau(W, args.tau, args.cap)
     # each field passed on its own, but w * tau lies in their lcm
     _check_field(lcm(W.field, _conductor([mat])), args.cap)
-    adjusted = False
-    try:
-        ctx = build_tau(W, mat)
-        if not ctx.is_full:
-            if args.no_make_full:
-                raise SpecError("twist is not full (rerun without --no-make-full)")
-            ctx = build_tau(W, ctx.full_tau)
-            adjusted = True
-    except TauError as exc:
-        raise SpecError(str(exc)) from exc
+    ctx = build_tau(W, mat)
+    adjusted = not ctx.is_full
+    if adjusted:
+        if args.no_make_full:
+            raise SpecError("twist is not full (rerun without --no-make-full)")
+        ctx = build_tau(W, ctx.full_tau)
     info = {"tau": label, "tau_order": ctx.order, "tau_full_adjusted": adjusted,
             "tau_fixed_dim": len(ctx.v_tau)}
     return ctx, info
@@ -389,17 +378,10 @@ def cmd_catalog_b(job):
     if args.ratio is not None:
         ratio = _scalar_from_str(args.ratio, args.cap)
         report["ratio"] = num_str(ratio)
-        try:
-            report["smooth"] = smooth_B(args.n, ratio)
-        except CatalogError as exc:
-            raise SpecError(str(exc)) from exc
+        report["smooth"] = smooth_B(args.n, ratio)
     m = args.m if args.m is not None else 0
     report["m"] = m
-    try:
-        rows = [rec.as_row() for rec in leaves_B(args.n, m)]
-    except CatalogError as exc:
-        raise SpecError(str(exc)) from exc
-    report["rows"] = rows
+    report["rows"] = [rec.as_row() for rec in leaves_B(args.n, m)]
     return report, "rows"
 
 
@@ -407,14 +389,10 @@ def cmd_catalog_d(job):
     args = job.args
     if args.n is None:
         raise SpecError("catalog-D needs --n")
-    try:
-        rows = [rec.as_row() for rec in leaves_D(args.n)]
-        twist = leaves_D_tau_t(args.n)
-    except CatalogError as exc:
-        raise SpecError(str(exc)) from exc
     report = {
         "schema": 1, "command": "catalog-D", "rule": "type-D-leaf-table",
-        "n": args.n, "rows": rows, "twist_report": twist,
+        "n": args.n, "rows": [rec.as_row() for rec in leaves_D(args.n)],
+        "twist_report": leaves_D_tau_t(args.n),
     }
     return report, "rows"
 
@@ -423,10 +401,7 @@ def cmd_catalog_dihedral(job):
     args = job.args
     if args.d is None:
         raise SpecError("catalog-dihedral needs --d")
-    try:
-        record = dihedral_equal_parameter_record(args.d)
-    except CatalogError as exc:
-        raise SpecError(str(exc)) from exc
+    record = dihedral_equal_parameter_record(args.d)
     W = group_catalog(f"dihedral{args.d}", args.cap)
     ctx = build_tau(W, dihedral_tau(args.d))
     atlas = leaves_mod.leaf_report(ctx, W.name, "swap")
@@ -440,10 +415,7 @@ def cmd_catalog_dihedral(job):
 def cmd_cherednik_check(job):
     W = job.group if job.args.group else group_catalog("cyclic2", job.args.cap)
     k = resolve_parameter(W, job.args.k, job.args.cap)
-    try:
-        rec = rank1_center_relation(k)
-    except CherednikError as exc:
-        raise SpecError(str(exc)) from exc
+    rec = rank1_center_relation(k)
     report = {
         "schema": 1, "command": "cherednik-check", "group": W.name or "custom",
         "rule": "rank1-quadric",
@@ -466,13 +438,10 @@ def cmd_poisson(job):
     _check_literal_fields(args.z2, args.cap)
     alg = CherednikAlgebra(W, k, "t0")
     t_alg = CherednikAlgebra(W, k, "t")
-    try:
-        z1 = parse_element(alg, args.z1)
-        z2 = parse_element(alg, args.z2)
-        t_alg.check_rewrite_work(z1, z2, args.cap)
-        bracket = poisson_bracket(z1, z2, t_alg)
-    except (PoissonCompatibilityError, CherednikError) as exc:
-        raise SpecError(str(exc)) from exc
+    z1 = parse_element(alg, args.z1)
+    z2 = parse_element(alg, args.z2)
+    t_alg.check_rewrite_work(z1, z2, args.cap)
+    bracket = poisson_bracket(z1, z2, t_alg)
     deg = euler_degree(bracket)
     report = {
         "schema": 1, "command": "poisson", "group": W.name or "custom",
@@ -532,8 +501,15 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option error is a SpecError, reported by `run` in one line."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="leafatlas",
         description="exact leaf combinatorics for twisted reflection quotients")
     p.add_argument("command", choices=sorted(COMMANDS))
@@ -595,8 +571,14 @@ def resolve_args(argv) -> argparse.Namespace:
 
 
 def run(argv) -> int:
+    # FIELD_CAP is bound in a copy of the caller's context, for this run only
+    return contextvars.copy_context().run(_run, argv)
+
+
+def _run(argv) -> int:
     try:
         args = resolve_args(argv)
+        FIELD_CAP.set(args.cap)
         job = _Job(args)
         report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK
@@ -617,7 +599,7 @@ def run(argv) -> int:
         else:
             sys.stdout.write(text)
         return exit_code
-    except CapExceededError as exc:
+    except (CapExceededError, FieldCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (SpecError, GroupError, TauError, CatalogError, CherednikError,

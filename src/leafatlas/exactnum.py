@@ -36,6 +36,7 @@ width follows their nonzero terms and not phi(N).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -44,6 +45,17 @@ import re
 
 class ExactDomainError(ArithmeticError):
     """Raised on invalid field operations (division by zero, bad parse)."""
+
+
+class FieldCapError(ArithmeticError):
+    """Raised where Phi_N would be built while phi(N)^2 is above FIELD_CAP."""
+
+
+# The largest phi(N)^2 for which Phi_N is built (None: no bound).  A field
+# wider than every literal it came from, such as the lcm of a bracket's
+# fields, is refused only where it first needs Phi_N; `cli.run` binds this
+# to the order cap for one run.
+FIELD_CAP: ContextVar[int | None] = ContextVar("FIELD_CAP", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +106,9 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    cap = FIELD_CAP.get()
+    if cap is not None and _phi_degree(n) ** 2 > cap:
+        raise FieldCapError(f"Q(z_{n}) needs Phi_{n}, and its degree squared is above the cap")
     if n == 1:
         return (-1, 1)
     num = [0] * (n + 1)

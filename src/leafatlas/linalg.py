@@ -56,38 +56,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        s = _ZERO
-        for x, y in zip(row, v):
-            if not x.is_zero() and not y.is_zero():
-                s = s + x * y
-        out.append(s)
-    return tuple(out)
-
-
-def covec_mat(c: Vector, a: Matrix) -> Vector:
-    n = len(a)
-    out = []
-    for j in range(len(a[0]) if a else 0):
-        s = _ZERO
-        for i in range(n):
-            x = c[i]
-            if not x.is_zero():
-                y = a[i][j]
-                if not y.is_zero():
-                    s = s + x * y
-        out.append(s)
-    return tuple(out)
-
-
 def dot(c: Vector, v: Vector) -> CycNum:
     s = _ZERO
     for x, y in zip(c, v):
         if not x.is_zero() and not y.is_zero():
             s = s + x * y
     return s
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(dot(row, v) for row in a)
+
+
+def covec_mat(c: Vector, a: Matrix) -> Vector:
+    return tuple(dot(c, col) for col in zip(*a))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

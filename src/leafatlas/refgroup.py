@@ -88,13 +88,6 @@ class Parabolic:
     def order(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other):
-        return isinstance(other, Parabolic) and self.group is other.group \
-            and self.inc == other.inc
-
-    def __hash__(self):
-        return hash(self.inc)
-
 
 def _normalize_line(v: Vector) -> Vector:
     lead = next((x for x in v if not x.is_zero()), None)
@@ -790,9 +783,6 @@ class ParameterK:
     def scaled(self, factor) -> "ParameterK":
         f = as_cyc(factor)
         return ParameterK(self.W, {kk: f * v for kk, v in self.values.items()})
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values.values())
 
 
 # ---------------------------------------------------------------------------

@@ -281,12 +281,8 @@ class TauContext:
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def build_tau(W: ReflectionGroup, tau_spec) -> TauContext:
-    """tau_spec: a matrix or {"word": [...], "zeta": CycNum}."""
-    if isinstance(tau_spec, dict):
-        return TauContext(W, tau_from_word(W, list(tau_spec.get("word", [])),
-                                           tau_spec.get("zeta")))
-    return TauContext(W, tau_spec)
+def build_tau(W: ReflectionGroup, tau: Matrix) -> TauContext:
+    return TauContext(W, tau)
 
 
 def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:

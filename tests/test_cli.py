@@ -170,6 +170,11 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["reflections", "--group", "@{latin1}"],
     ["leaves-zero", "--group", "B2", "--tau", "@{latin1}"],
     ["reflections", "--config", "{latin1}"],
+    # option errors: argparse's own usage block would take several lines
+    ["reflections", "--group", "B2", "--n", "x"],
+    ["reflections", "--group", "B2", "--no-such-flag"],
+    ["reflections", "--group", "B2", "--format", "xml"],
+    ["no-such-command", "--group", "B2"],
 ])
 def test_malformed_shapes_exit2(capsys, tmp_path, argv):
     latin1 = tmp_path / "latin1.json"
@@ -249,6 +254,16 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
     # boxes let it run
     ["poisson", "--group", "B3", "--k", "1;1",
      "--z1", "x1^6+x2^6+x3^6", "--z2", "y1^6+y2^6+y3^6"],
+    # each literal's field passes, but z_31^30 = z^1110 in Q(z_1147) wraps
+    # past phi = 1080, so its sum with z_37^36 needs Phi_1147; under a cap
+    # that lets Phi_1147 and Phi_1763 be built, the bracket needs Phi_2022161,
+    # which does not finish in 20 s
+    *(["poisson", "--group", "B2", "--k", "1;1",
+       "--z1", "Q(z_31):z^30 * x1^2 + Q(z_31):z^30 * x2^2"
+               " + Q(z_37):z^36 * x1^2 + Q(z_37):z^36 * x2^2",
+       "--z2", "Q(z_41):z^40 * y1^2 + Q(z_41):z^40 * y2^2"
+               " + Q(z_43):z^42 * y1^2 + Q(z_43):z^42 * y2^2"] + cap
+      for cap in ([], ["--cap", "3000000"])),
 ])
 def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     start = time.perf_counter()

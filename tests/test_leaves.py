@@ -8,7 +8,7 @@ from leafatlas import linalg as la
 from leafatlas.cli import run
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
-    _cuspidal_fixed_part_is_zero, leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
+    leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
 )
 from leafatlas.refgroup import catalog, dihedral_tau
 from leafatlas.tau import TauContext, TwistClass, build_tau
@@ -145,23 +145,6 @@ def test_parabolic_subspaces_from_coroots_match_elements(name):
         coroots = tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc))
         assert la.span(coroots) == la.span(cols)
         assert la.nullspace(coroots, W.dim) == la.nullspace(cols, W.dim)
-
-
-def test_cuspidal_check_takes_log_many_generators(monkeypatch):
-    # the fixed points of the part of P stabilizing V^tau come from its
-    # generators, of which there are at most log2 of its order
-    W = catalog("B4")
-    ctx = build_tau(W, la.identity(W.dim))
-    splits = ctx.split_parabolics()
-    assert len(splits) == len(W.parabolic_subgroups())
-    calls = []
-    mat_sub = la.mat_sub
-    monkeypatch.setattr(la, "mat_sub", lambda a, b: calls.append(a) or mat_sub(a, b))
-    for sp in splits:
-        calls.clear()
-        assert _cuspidal_fixed_part_is_zero(ctx, sp)
-        order = len(ctx.setwise.intersection(sp.parabolic.ids))
-        assert len(calls) <= order.bit_length() - 1, sp.parabolic.ids
 
 
 def test_partition_check_catches_a_dropped_twist_coset():

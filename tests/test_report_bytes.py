@@ -10,7 +10,10 @@ became integer numerators over one denominator, the next three before
 group closure moved to integer coordinates, the next one before the
 reflection scan moved to the closure's trace candidates, and the last two
 before the rewriting kernel moved to flat integer scalars over one field
-context; a refactor that keeps every report must keep them.
+context, and the last four, the one suite that reaches
+`cherednik.poisson-laws` and three catalog tables, before the type-B and
+type-D leaf records became one class; a refactor that keeps every report
+must keep them.
 """
 
 import hashlib
@@ -100,6 +103,15 @@ REPORT_DIGESTS = [
       "--z1", "Q(z_31):z^1 * x1^2 + Q(z_31):z^1 * x2^2",
       "--z2", "Q(z_37):z^1 * y1^2 + Q(z_37):z^1 * y2^2"],
      "d0bc8bb717a48f13b244c11df574b8b172b9b3a01a3ad63a19d2cf1852dde9c0"),
+    # rank one, where the suite runs cherednik.poisson-laws
+    (["verify", "--group", "cyclic2", "--k", "1,0"],
+     "4e624010e6a19d2a7fda95741618a64a7fd7cf88536747f1734975281b4dc440"),
+    (["catalog-B", "--n", "4", "--m", "0"],
+     "8afc8df77daaee464d218667fc52943155c1f0730d641f965d6e22fbd866095b"),
+    (["catalog-B", "--n", "5", "--m", "1", "--ratio", "1/2"],
+     "10fdc5b7f0c59873343806e30457adc4be6900fcfdc7473d005979d441e71739"),
+    (["catalog-D", "--n", "5"],
+     "db772511d94455738e6b2b5932379a2b7f2c14477945348f1dddd4218880777a"),
 ]
 
 
@@ -109,6 +121,31 @@ def test_report_digest(tmp_path, argv, digest):
     path = tmp_path / "report.json"
     assert run(argv + ["--format", "json", "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["catalog-B", "--n", "4", "--m", "0"],
+     "n,m,r,dim,cuspidal,support_rank,normalizer,normalizer_order,model,source"),
+    (["catalog-D", "--n", "5"],
+     "n,r,dim,cuspidal,support_rank,normalizer,normalizer_order,model,source"),
+])
+def test_catalog_csv_header(tmp_path, argv, header):
+    path = tmp_path / "rows.csv"
+    assert run(argv + ["--format", "csv", "--output", str(path)]) == 0
+    assert path.read_text().split("\n")[0] == header
+
+
+def test_poisson_law_check_catches_a_broken_bracket(monkeypatch):
+    from leafatlas import verify
+
+    bracket = verify.poisson_bracket
+    monkeypatch.setattr(verify, "poisson_bracket",
+                        lambda X, Y, t_alg: bracket(X, Y, t_alg) + X.algebra.one())
+    W = catalog("cyclic2")
+    failed = [r for r in verify.run_suite(W, k=resolve_parameter(W, "1,0"))
+              if r["status"] != "pass"]
+    assert failed == [{"id": "cherednik.poisson-laws", "status": "fail",
+                       "detail": "antisymmetry"}]
 
 
 # seeded products multiply(multiply(A, B), C) per (group, k, mode), and one
