@@ -25,9 +25,11 @@ phi(N) power-basis numerators, then one denominator, and above it the
 (exponent, numerator) pairs of the nonzero numerators, then the
 denominator.  N starts as the lcm of W's field and the conductors of k, and
 `multiply` widens it when a factor's scalar lies outside, rebuilding the
-caches.  `multiply` and `yx_product` each sum products of these tuples into
-one flat map keyed by the packed int, with `addmul`, and divide out each
-sum's common factor once, dropping zeros;
+caches; an algebra made with a `cap` passes it to each of its field
+contexts, which then refuse Phi_N where they first need it (see
+`exactnum.FlatField`).  `multiply` and `yx_product` each sum products of
+these tuples into one flat map keyed by the packed int, with `addmul`, and
+divide out each sum's common factor once, dropping zeros;
 normal forms are cached as packed terms (x, w, y, ((t/h power, scalar),
 ...)), and the shared unit tuple is skipped by identity.  `multiply`
 converts its factors' scalars on entry and each output coefficient back to
@@ -204,7 +206,8 @@ class CherElement:
 
 
 class CherednikAlgebra:
-    def __init__(self, W: ReflectionGroup, k: ParameterK | None = None, mode: str = "t0"):
+    def __init__(self, W: ReflectionGroup, k: ParameterK | None = None, mode: str = "t0",
+                 cap: int | None = None):
         if mode not in MODES:
             raise CherednikError(f"unknown mode {mode!r}")
         self.W = W
@@ -212,7 +215,7 @@ class CherednikAlgebra:
         self.k = k if k is not None else ParameterK.zero(W)
         if self.k.W is not W:
             raise CherednikError("parameter belongs to a different group")
-        self.mode = mode
+        self.mode, self._cap = mode, cap
         # packed monomials: fields t, h, x_1..x_n, y_1..y_n, then the group id
         self._gshift = 16 * (2 + 2 * self.n)
         self._xmask = (1 << 16 * (2 + self.n)) - (1 << 32)
@@ -223,7 +226,7 @@ class CherednikAlgebra:
     def _set_field(self, n: int) -> None:
         """Run the kernel in Q(zeta_n) from now on.  Every cached scalar is a
         flat tuple of the field, so the caches start again."""
-        self._field = F = FlatField(n)
+        self._field = F = FlatField(n, self._cap)
         self._one = F.one
         self._yx_cache: dict = {}
         self._w_cache: dict = {}

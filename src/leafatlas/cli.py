@@ -9,7 +9,6 @@ runs and thread settings.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import csv
 import io
 import json
@@ -32,8 +31,7 @@ from .cherednik import (
     rank1_center_relation,
 )
 from .exactnum import (
-    FIELD_CAP, CycNum, ExactDomainError, FieldCapError, as_cyc, cyc_parse, num_str,
-    root_of_unity,
+    CycNum, ExactDomainError, FieldCapError, as_cyc, cyc_parse, num_str, root_of_unity,
 )
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field, _conductor,
@@ -436,8 +434,10 @@ def cmd_poisson(job):
         raise SpecError("poisson needs --z1 and --z2")
     _check_literal_fields(args.z1, args.cap)
     _check_literal_fields(args.z2, args.cap)
-    alg = CherednikAlgebra(W, k, "t0")
-    t_alg = CherednikAlgebra(W, k, "t")
+    # the literals' fields passed one by one, but the bracket is rewritten
+    # over their lcm: its field contexts refuse Phi_N above the cap
+    alg = CherednikAlgebra(W, k, "t0", args.cap)
+    t_alg = CherednikAlgebra(W, k, "t", args.cap)
     z1 = parse_element(alg, args.z1)
     z2 = parse_element(alg, args.z2)
     t_alg.check_rewrite_work(z1, z2, args.cap)
@@ -571,14 +571,8 @@ def resolve_args(argv) -> argparse.Namespace:
 
 
 def run(argv) -> int:
-    # FIELD_CAP is bound in a copy of the caller's context, for this run only
-    return contextvars.copy_context().run(_run, argv)
-
-
-def _run(argv) -> int:
     try:
         args = resolve_args(argv)
-        FIELD_CAP.set(args.cap)
         job = _Job(args)
         report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK

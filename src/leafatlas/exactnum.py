@@ -36,7 +36,6 @@ width follows their nonzero terms and not phi(N).
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -48,14 +47,7 @@ class ExactDomainError(ArithmeticError):
 
 
 class FieldCapError(ArithmeticError):
-    """Raised where Phi_N would be built while phi(N)^2 is above FIELD_CAP."""
-
-
-# The largest phi(N)^2 for which Phi_N is built (None: no bound).  A field
-# wider than every literal it came from, such as the lcm of a bracket's
-# fields, is refused only where it first needs Phi_N; `cli.run` binds this
-# to the order cap for one run.
-FIELD_CAP: ContextVar[int | None] = ContextVar("FIELD_CAP", default=None)
+    """Raised by a bounded `FlatField` where it would first need Phi_n."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +98,6 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    cap = FIELD_CAP.get()
-    if cap is not None and _phi_degree(n) ** 2 > cap:
-        raise FieldCapError(f"Q(z_{n}) needs Phi_{n}, and its degree squared is above the cap")
     if n == 1:
         return (-1, 1)
     num = [0] * (n + 1)
@@ -126,13 +115,13 @@ def _phi_degree(n: int) -> int:
     return n
 
 
-def _reduce_mod_phi(coeffs: dict[int, int], n: int) -> dict[int, int]:
+def _reduce_mod_phi(coeffs: dict[int, int], n: int, reduced=None) -> dict[int, int]:
     """Reduce an integer zeta_n-polynomial to the power basis 1..zeta^(phi(n)-1).
 
     Exponents below phi(n) are added in directly; every other one is
-    expanded through the cached reduced monomial.
+    expanded through `reduced`, by default the cached `_reduced_monomial`.
     """
-    deg = _phi_degree(n)
+    deg, reduced = _phi_degree(n), reduced or _reduced_monomial
     out: dict[int, int] = {}
     get = out.get
     for e, c in coeffs.items():
@@ -142,7 +131,7 @@ def _reduce_mod_phi(coeffs: dict[int, int], n: int) -> dict[int, int]:
         if e < deg:
             out[e] = get(e, 0) + c
             continue
-        for e2, f in _reduced_monomial(n, e):
+        for e2, f in reduced(n, e):
             out[e2] = get(e2, 0) + c * f
     return {e: c for e, c in out.items() if c}
 
@@ -518,16 +507,17 @@ def root_of_unity(n: int, e: int = 1) -> CycNum:
 # ---------------------------------------------------------------------------
 # one field context: Q(zeta_n) on flat int tuples
 
-def _coords(x: CycNum, n: int):
+def _coords(x: CycNum, n: int, reduced=None):
     """The nonzero numerators of x over the power basis of zeta_n, as
     (exponent, numerator) pairs in increasing exponent.  x must lie in
-    Q(zeta_n); its denominator is the same in every field."""
+    Q(zeta_n); its denominator is the same in every field.  `reduced` is
+    passed to `_reduce_mod_phi`."""
     if n % x.conductor:
         raise ExactDomainError(f"{cyc_to_str(x)} is not in Q(z_{n})")
     step = n // x.conductor
     if step == 1:
         return x.coeffs
-    return sorted(_reduce_mod_phi({e * step: c for e, c in x.coeffs}, n).items())
+    return sorted(_reduce_mod_phi({e * step: c for e, c in x.coeffs}, n, reduced).items())
 
 
 def to_flat(x: CycNum, n: int) -> tuple:
@@ -567,14 +557,19 @@ class FlatField:
     zeta^2 = r0 + r1 zeta is written into the product.  Above, a tuple is
     sparse, so that its width follows its nonzero terms and not phi(n): the
     pairs exponent, numerator of its nonzero numerators, then its denominator
-    (see `_sparse`)."""
+    (see `_sparse`).
 
-    def __init__(self, n: int):
+    With a `cap`, a sparse field whose phi(n)^2 is above it runs only until
+    a product or a converted scalar has an exponent from phi(n) up, the
+    first point that needs Phi_n; there it raises FieldCapError."""
+
+    def __init__(self, n: int, cap: int | None = None):
         self.n = n
         self.phi = phi = _phi_degree(n)
         if phi > 2:
             self.one = (0, 1, 1)
-            self.mul, self.addmul, self.normal = _sparse(n, phi)
+            self._reduced = _reduced_monomial if cap is None or phi * phi <= cap else _refuse
+            self.mul, self.addmul, self.normal = _sparse(n, phi, self._reduced)
             return
         self.one = (1,) + (0,) * (phi - 1) + (1,)
         if phi == 1:
@@ -591,7 +586,7 @@ class FlatField:
 
     def flat(self, x: CycNum) -> tuple:
         if self.phi > 2:
-            return (*(v for pair in _coords(x, self.n) for v in pair), x.den)
+            return (*(v for pair in _coords(x, self.n, self._reduced) for v in pair), x.den)
         return to_flat(x, self.n)
 
     def cyc(self, t: tuple) -> CycNum:
@@ -651,12 +646,16 @@ def _quadratic(square: dict[int, int]):
     return mul, addmul
 
 
-def _sparse(n: int, phi: int):
+def _refuse(n: int, e: int):
+    raise FieldCapError(f"Q(z_{n}) needs Phi_{n}, and its degree squared is above the cap")
+
+
+def _sparse(n: int, phi: int, reduced):
     """mul, addmul and normal when phi(n) > 2, on sparse tuples
     (e_1, c_1, ..., e_r, c_r, denominator) with the c_i nonzero.  A sum is
     kept as [denominator, {exponent: numerator}] until `normal` packs it in
     increasing exponent.  Exponents of a product from phi(n) up are reduced
-    through the cached table `_reduced_monomial`."""
+    through `reduced`, the cached table `_reduced_monomial` or `_refuse`."""
 
     def into(m, f, a, b):
         """m += f times the numerators of a * b."""
@@ -669,7 +668,7 @@ def _sparse(n: int, phi: int):
                     m[e] = get(e, 0) + x * y
                 else:
                     v = x * y
-                    for k, r in _reduced_monomial(n, e % n):
+                    for k, r in reduced(n, e % n):
                         m[k] = get(k, 0) + v * r
 
     def mul(a, b):

@@ -4,13 +4,18 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from leafatlas.cli import run
 from leafatlas.verify import Check
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -254,10 +259,9 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
     # boxes let it run
     ["poisson", "--group", "B3", "--k", "1;1",
      "--z1", "x1^6+x2^6+x3^6", "--z2", "y1^6+y2^6+y3^6"],
-    # each literal's field passes, but z_31^30 = z^1110 in Q(z_1147) wraps
-    # past phi = 1080, so its sum with z_37^36 needs Phi_1147; under a cap
-    # that lets Phi_1147 and Phi_1763 be built, the bracket needs Phi_2022161,
-    # which does not finish in 20 s
+    # each literal's field passes, but the bracket is rewritten over
+    # Q(z_2022161), where the factors' scalars have exponents past
+    # phi = 1814400: that needs Phi_2022161, which does not finish in 20 s
     *(["poisson", "--group", "B2", "--k", "1;1",
        "--z1", "Q(z_31):z^30 * x1^2 + Q(z_31):z^30 * x2^2"
                " + Q(z_37):z^36 * x1^2 + Q(z_37):z^36 * x2^2",
@@ -271,6 +275,21 @@ def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    # the field-axiom sample reduces in Q(z_40), whose phi^2 = 256 is above the cap
+    ["verify", "--group", "B2", "--cap", "100"],
+    # k lies in Q(z_1147), whose phi^2 = 1166400 is above the default cap
+    ["verify", "--group", "cyclic2", "--k", "Q(z_31):z^30,Q(z_37):z^36"],
+])
+def test_field_bound_is_the_poisson_commands_only(argv):
+    # a new process, so that no Phi_N is cached from an earlier test
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "leafatlas.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["fail_count"] == 0
 
 
 def _sum_over_fields(var, *fields):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafatlas.exactnum import (
-    CycNum, ExactDomainError, FlatField, _canonicalize, _phi_degree, _prime_factors,
+    CycNum, ExactDomainError, FieldCapError, FlatField, _canonicalize, _phi_degree, _prime_factors,
     _reduced_monomial, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly, from_flat,
     root_of_unity, to_flat,
 )
@@ -433,6 +433,22 @@ def test_flat_tuple_width_follows_its_nonzero_terms():
     assert z31 == (n // 31, 1, 1) and F.mul(z31, z41) == (n // 31 + n // 41, 1, 1)
     x = _edge(F, (z31, z41))
     assert x == root_of_unity(31) * root_of_unity(41) and x.conductor == 31 * 41
+
+
+def test_bounded_flat_field_refuses_where_it_first_needs_phi_n():
+    n = 31 * 37    # phi(n)^2 = 1166400
+    cyclotomic_poly(n)    # a Phi_n built earlier does not lift the bound
+    F = FlatField(n, cap=10 ** 6)
+    z31, z37 = F.flat(root_of_unity(31)), F.flat(root_of_unity(37))
+    assert F.mul(z31, z37) == (n // 31 + n // 37, 1, 1)
+    # z_31^29 = z^1073 sits below phi(n) = 1080, but z^1110 and z_37^35 = z^1085
+    # are reduced through Phi_n
+    z = F.flat(root_of_unity(31, 29))
+    with pytest.raises(FieldCapError):
+        F.mul(z, z31)
+    with pytest.raises(FieldCapError):
+        F.flat(root_of_unity(37, 35))
+    assert FlatField(n, cap=1080 ** 2).mul(z, z31) == FlatField(n).mul(z, z31)
 
 
 def test_flat_conversion_refuses_a_value_outside_the_field():
