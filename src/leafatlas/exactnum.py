@@ -20,10 +20,10 @@ element is split over 1, zeta_p, ..., zeta_p^(p-2), and it descends iff
 every coordinate but the first is 0 mod Phi_m.  Last, the gcd of the
 denominator and the numerators is divided out.
 
-Canonicalization, sums, products and rational scaling all run on Python
-ints, and no floating point enters any computation.  fractions.Fraction is
-met only at the edges: parsing, as_fraction, a Fraction coefficient map
-given to the constructor, and inside the rare cyclotomic inverse.
+Canonicalization, sums, products and rational scaling run on Python ints,
+and no floating point enters any computation.  fractions.Fraction is met
+only in parsing, as_fraction, a Fraction coefficient map given to the
+constructor, and cyclotomic inverses (339 in one perfbench `atlas` pass).
 
 Loops that stay in one field Q(zeta_N), the group closure and the Cherednik
 rewriting kernel, work on flat int tuples instead.  `to_flat` and

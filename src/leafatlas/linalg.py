@@ -94,7 +94,6 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
     """Reduced row echelon form; zero rows dropped.  Canonical for the span."""
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(work)) if not work[i][c].is_zero()), None)
@@ -107,7 +106,6 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
             if i != r and not work[i][c].is_zero():
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
         r += 1
         if r == len(work):
             break
@@ -121,9 +119,7 @@ def nullspace(a: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
     if not a:
         return identity(ncols)
     red = rref(a)
-    pivots = []
-    for row in red:
-        pivots.append(next(c for c in range(ncols) if not row[c].is_zero()))
+    pivots = [next(c for c in range(ncols) if not row[c].is_zero()) for row in red]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -165,18 +161,11 @@ def det(a: Matrix) -> CycNum:
     return out
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a @ x = b, or None if inconsistent."""
-    n = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = rref([tuple(list(a[i]) + [b[i]]) for i in range(n)])
-    x = [_ZERO] * ncols
-    for row in aug:
-        pc = next(c for c in range(ncols + 1) if not row[c].is_zero())
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols]
-    return tuple(x)
+def coordinates(basis: tuple[Vector, ...], v: Vector) -> Vector | None:
+    """The coordinates of v over an RREF basis, its entries at the rows'
+    pivots, or None if v is outside the span (of () unless v is zero)."""
+    x = tuple(v[next(c for c, y in enumerate(b) if not y.is_zero())] for b in basis)
+    return x if all(dot(x, tuple(b[j] for b in basis)) == y for j, y in enumerate(v)) else None
 
 
 # -- subspace helpers (bases stored as RREF row tuples) ----------------------

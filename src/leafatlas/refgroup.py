@@ -168,6 +168,8 @@ class ReflectionGroup:
         self._steps = array("l", [-1] + [self._tree[s // n] * n + s % n for s in steps[1:]])
         self.identity = self._tree[0]
         self.generators = tuple(self._tree[o] for o in right[:n])
+        # s_j^-1 is the one x with x s_j = 1
+        self._generator_inverses = [self._right[j::n].index(self.identity) for j in range(n)]
         self._candidates = sorted(self._tree[o] for o in candidates)
         self._reflections = None
         self._hyperplanes = None
@@ -192,9 +194,8 @@ class ReflectionGroup:
 
     @cached_property
     def _inverses(self) -> list[int]:
-        # (p s_j)^-1 = s_j^-1 p^-1, and s_j^-1 is the one x with x s_j = 1
-        n = len(self.generators)
-        s_inv = [self._right[j::n].index(self.identity) for j in range(n)]
+        # (p s_j)^-1 = s_j^-1 p^-1
+        s_inv = self._generator_inverses
         return self._along_tree(self.identity, lambda x, j: self.mul(s_inv[j], x))
 
     @cached_property
@@ -263,9 +264,12 @@ class ReflectionGroup:
             H.e = len(H.pointwise)
         self._hyperplanes = ordered
         self._reflections = tuple(refl)
-        self._hyperplane_index = {H.key: i for i, H in enumerate(ordered)}
-        self._generator_perms = tuple(self.hyperplane_perm(self.elements[g].mat)
-                                      for g in self.generators)
+        index = {H: i for i, H in enumerate(ordered)}
+        self._hyperplane_of = {g: index[H] for g, H in refl}     # reflection id -> index
+        inv = self._generator_inverses
+        self._generator_perms = tuple(
+            self.hyperplane_perm(lambda g: self.mul(self.mul(s, g), inv[j]))
+            for j, s in enumerate(self.generators))
         # W-orbits of hyperplanes, numbered by their first hyperplane
         count = 0
         for i, H in enumerate(ordered):
@@ -292,20 +296,12 @@ class ReflectionGroup:
         self.hyperplanes
         return self._orbit_count
 
-    def hyperplane_perm(self, m: Matrix) -> tuple[int, ...]:
+    def hyperplane_perm(self, conj) -> tuple[int, ...]:
         """The permutation of hyperplane indices induced by a matrix m that
-        normalizes W: entry i is the index of m(H_i), whose linear form is
-        alpha_i m^-1."""
-        m_inv = la.mat_inverse(m)
-        return tuple(self._hyperplane_index[
-            tuple(x.sort_key() for x in _normalize_line(la.covec_mat(H.alpha, m_inv)))]
-            for H in self.hyperplanes)
-
-    @cached_property
-    def det_character(self) -> list[CycNum]:
-        """Per id, the element's determinant: det(p s_j) = det(p) det(s_j)."""
-        dets = [la.det(self.elements[s].mat) for s in self.generators]
-        return self._along_tree(as_cyc(1), lambda d, j: d * dets[j])
+        normalizes W, given as conj, the id map g -> m g m^-1: entry i is the
+        index of m(H_i), the hyperplane of m s m^-1 for a reflection s on H_i."""
+        return tuple(self._hyperplane_of[conj(next(s for s in H.pointwise if s != self.identity))]
+                     for H in self.hyperplanes)
 
     def generated_by_reflections(self) -> bool:
         """True iff W is generated by its reflections.  When the generators
@@ -354,8 +350,8 @@ class ReflectionGroup:
         `inc`, which must be all the hyperplanes containing that flat.  By
         Steinberg's theorem it is generated by their reflections; this needs
         W to be generated by its reflections, which close_group enforces."""
-        return Parabolic(self, _close(self, [s for s, H in self.reflections
-                                             if self._hyperplane_index[H.key] in inc]), inc)
+        return Parabolic(self, _close(self, [s for s, _ in self.reflections
+                                             if self._hyperplane_of[s] in inc]), inc)
 
     def setwise_stabilizer_keys(self, basis) -> frozenset[int]:
         """Whole-group scan for the ids of the setwise stabilizer of

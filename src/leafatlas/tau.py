@@ -2,15 +2,19 @@
 
 Given tau normalizing W, this module computes the fixed space V^tau, the
 fullness defect, the induced reflection group on V^tau (setwise modulo
-pointwise stabilizer) with a deterministic section back into W, the split
-parabolic subgroups with their bijective restriction P -> P_tau, normalizer
-identifications, and the twist-coset classes that index the components of
-the fixed-point strata.  `TauContext.split_class_dictionary` is the one place
-that matches W_tau-orbits of split parabolics to twist classes (the
-Harish-Chandra dictionary), and it refuses any match that is not a bijection.
+pointwise stabilizer, restricted by coordinates read off V^tau's RREF basis)
+with a deterministic section back into W, the split parabolics with their
+bijective restriction P -> P_tau (walked as W_tau-orbits, one intersection
+V^P cap V^tau each), normalizer identifications, and the twist-coset classes
+that index the components of the fixed-point strata.  The one place that
+matches W_tau-orbits of split parabolics to twist classes (the Harish-Chandra
+dictionary) is `TauContext.split_class_dictionary`, which refuses any match
+that is not a bijection.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from . import linalg as la
 from .exactnum import CycNum, as_cyc
@@ -41,13 +45,17 @@ def tau_from_word(W: ReflectionGroup, word: list[int], zeta: CycNum | None = Non
 class SplitParabolic:
     """A tau-split parabolic P together with its image P_tau in W_tau."""
 
-    __slots__ = ("parabolic", "p_tau", "tau_fixed", "tau_rank")
+    def __init__(self, parabolic: Parabolic, p_tau: Parabolic, v_tau):
+        self.parabolic, self.p_tau, self._v_tau = parabolic, p_tau, v_tau
 
-    def __init__(self, parabolic: Parabolic, p_tau: Parabolic, tau_fixed):
-        self.parabolic = parabolic
-        self.p_tau = p_tau
-        self.tau_fixed = tau_fixed          # (V^P)^tau as an ambient subspace
-        self.tau_rank = len(tau_fixed)
+    @cached_property
+    def tau_fixed(self):
+        """(V^P)^tau as an ambient subspace, intersected on first read."""
+        return la.intersect(self.parabolic.fixed_space, self._v_tau, self.parabolic.group.dim)
+
+    @property
+    def tau_rank(self) -> int:
+        return self.p_tau.group.class_of(self.p_tau).fixed_dim
 
 
 class TwistClass:
@@ -78,11 +86,10 @@ class TauContext:
         self.order = _matrix_order(tau, _finite_order_bound(W.dim, [tau]))
         if self.order is None:
             raise TauError("twist has infinite order")
-        self.tau_perm = W.hyperplane_perm(tau)
+        self.tau_perm = W.hyperplane_perm(self.tau_conj)
         self.v_tau = la.fixed_space(tau)
         self.full_tau, self.delta = self._full_twist()
         self.is_full = self.delta == len(self.v_tau)
-        self._splits = None
         self._split_orbits = None
         self._twists: dict = {}
 
@@ -115,7 +122,7 @@ class TauContext:
         return best, best_dim
 
     # -- the reflection group on V^tau ---------------------------------------
-    _QUOTIENT = frozenset({"setwise", "basis_matrix", "w_tau", "section", "restriction"})
+    _QUOTIENT = frozenset({"setwise", "w_tau", "section", "restriction"})
 
     def __getattr__(self, name):
         # the setwise stabilizer of V^tau and the induced group are built on
@@ -138,12 +145,11 @@ class TauContext:
                   if s != W.identity]
         gens = _generators(W, self.setwise, z_gens)
         d = len(self.v_tau)
-        self.basis_matrix = bmat = la.transpose(self.v_tau)
         mats = []                                   # the generators restricted to V^tau
         for g in gens:
             cols = []
             for b in self.v_tau:
-                x = la.solve(bmat, la.mat_vec(W.elements[g].mat, b))
+                x = la.coordinates(self.v_tau, la.mat_vec(W.elements[g].mat, b))
                 if x is None:
                     raise TauError("setwise stabilizer left the fixed space")
                 cols.append(x)
@@ -161,48 +167,56 @@ class TauContext:
         return la.span([la.covec_mat(r, self.v_tau) for r in rows])
 
     # -- split parabolic subgroups ----------------------------------------------
-    def split_parabolics(self) -> tuple[SplitParabolic, ...]:
+    def split_orbits(self) -> tuple[tuple[SplitParabolic, ...], ...]:
+        """W_tau-orbits of tau-split parabolic subgroups, each by ids and all
+        by their first member's ids, from one walk over W's parabolics as
+        orbits of incidence sets under the section generators' hyperplane
+        permutations.  As n in N maps V^P cap V^tau onto V^(nPn^-1) cap
+        V^tau, splitting is tested once per orbit, at its first parabolic,
+        and a member's P_tau is read off the W_tau generators' hyperplane
+        permutations; each member's restriction P -> P_tau is checked."""
         if not self.is_full:
             raise TauError("twist must be full for split-parabolic theory")
-        if self._splits is None:
-            out = []
-            for P in self.W.parabolic_subgroups():
-                s = la.intersect(P.fixed_space, self.v_tau, self.W.dim)
-                if self.W.incidence(s) != P.inc:
+        if self._split_orbits is None:
+            W, wt = self.W, self.w_tau
+            perms = [W.hyperplane_perms[self.section[g]] for g in wt.generators]
+            tau_perms = [wt.hyperplane_perms[g] for g in wt.generators]
+            splits = self._split_by_inc = {}
+            seen, orbits = set(), []
+            for P in W.parabolic_subgroups():
+                if P.inc in seen:
                     continue
-                # P_tau fixes the coordinates of s in V^tau pointwise, and it
-                # must be the restriction of the part of P stabilizing V^tau
-                p_tau = self.w_tau.parabolic(self.w_tau.incidence(
-                    [la.solve(self.basis_matrix, v) for v in s]))
-                if {self.restriction[i] for i in self.setwise.intersection(P.ids)} \
-                        != set(p_tau.ids):
-                    raise TauError("restriction of a split parabolic is not parabolic")
-                out.append(SplitParabolic(P, p_tau, s))
-            self._splits = tuple(out)
-        return self._splits
+                tree = _orbit(P.inc, perms)
+                seen.update(tree)
+                s = la.intersect(P.fixed_space, self.v_tau, W.dim)
+                if W.incidence(s) != P.inc:
+                    continue
+                # P_tau fixes the coordinates of s in V^tau pointwise
+                tau_inc = {P.inc: wt.incidence([la.coordinates(self.v_tau, v) for v in s])}
+                for inc, step in tree.items():
+                    if step is not None:
+                        tau_inc[inc] = frozenset(tau_perms[step[1]][i] for i in tau_inc[step[0]])
+                    Q, q_tau = W.parabolic(inc), wt.parabolic(tau_inc[inc])
+                    # P_tau must be the restriction of the part of P stabilizing V^tau
+                    if {self.restriction[i] for i in self.setwise.intersection(Q.ids)} \
+                            != set(q_tau.ids):
+                        raise TauError("restriction of a split parabolic is not parabolic")
+                    splits[inc] = SplitParabolic(Q, q_tau, self.v_tau)
+                splits[P.inc].tau_fixed = s          # so it is not intersected again
+                orbits.append(tuple(sorted((splits[inc] for inc in tree),
+                                           key=lambda sp: sp.parabolic.ids)))
+            self._split_orbits = tuple(sorted(orbits, key=lambda o: o[0].parabolic.ids))
+        return self._split_orbits
 
     def split_by_inc(self) -> dict[frozenset[int], SplitParabolic]:
         """The split parabolics by incidence set."""
-        return {sp.parabolic.inc: sp for sp in self.split_parabolics()}
+        self.split_orbits()
+        return self._split_by_inc
 
-    def split_orbits(self) -> tuple[tuple[SplitParabolic, ...], ...]:
-        """W_tau-orbits of tau-split parabolic subgroups: orbits of incidence
-        sets under the hyperplane permutations of the section generators."""
-        if self._split_orbits is None:
-            splits = self.split_by_inc()
-            perms = [self.W.hyperplane_perms[self.section[g]] for g in self.w_tau.generators]
-            seen = set()
-            orbits = []
-            for sp in self.split_parabolics():
-                if sp.parabolic.inc in seen:
-                    continue
-                orbit = _orbit(sp.parabolic.inc, perms)
-                seen |= set(orbit)
-                orbits.append(tuple(sorted((splits[inc] for inc in orbit),
-                                           key=lambda sp: sp.parabolic.ids)))
-            orbits.sort(key=lambda o: o[0].parabolic.ids)
-            self._split_orbits = tuple(orbits)
-        return self._split_orbits
+    def split_parabolics(self) -> tuple[SplitParabolic, ...]:
+        """The split parabolics, in `parabolic_subgroups` order."""
+        splits = self.split_by_inc()
+        return tuple(splits[P.inc] for P in self.W.parabolic_subgroups() if P.inc in splits)
 
     def normalizes(self, P: Parabolic) -> bool:
         """True iff tau P tau^-1 = P, that is, tau permutes P's hyperplanes."""

@@ -339,7 +339,7 @@ class _TupleKernel:
             pair_norm = la.dot(H.alpha, H.alpha_vee).inverse()
             weights = {}
             for u in H.pointwise:
-                det_u = self.W.det_character[u]
+                det_u = la.det(self.W.elements[u].mat)
                 for l in range(H.e):
                     _add_into(weights, u,
                               (self.k.k_H(H, l) - self.k.k_H(H, l + 1)) * (det_u ** l))

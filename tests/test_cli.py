@@ -421,6 +421,58 @@ def test_config_precedence(tmp_path, capsys):
     assert json.loads(out)["group"] == "dihedral3"
 
 
+def test_config_integer_keys(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("n = 4\nm = 0\n")
+    code, out, _ = run_cli(capsys, "catalog-B", "--config", str(conf))
+    assert code == 0
+    assert out == run_cli(capsys, "catalog-B", "--n", "4", "--m", "0")[1]
+    conf.write_text("n = four\n")
+    assert run_cli(capsys, "catalog-B", "--config", str(conf)) == \
+        (2, "", "error: config key n must be an integer\n")
+
+
+def test_parameter_json_spec_matches_the_list_spec(capsys):
+    code, out, _ = run_cli(capsys, "cherednik-check", "--group", "cyclic2",
+                           "--k", '{"orbits":[["1","0"]]}')
+    assert code == 0
+    assert out == run_cli(capsys, "cherednik-check", "--group", "cyclic2", "--k", "1,0")[1]
+
+
+def test_failed_check_exits_4(tmp_path, capsys, monkeypatch):
+    from leafatlas import verify
+
+    def planted(W):
+        raise AssertionError("planted")
+    monkeypatch.setattr(verify, "_hyperplane_orders", planted)
+    failed = [{"id": "group.hyperplane-orders", "status": "fail", "detail": "planted"}]
+    code, out, _ = run_cli(capsys, "verify", "--group", "B2")
+    assert code == 4
+    assert [r for r in json.loads(out)["invariants"] if r["status"] != "pass"] == failed
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "leaves-zero", "--group", "B2", "--tau", "identity",
+                           "--verify", "--output", str(path))
+    assert code == 4 and out == ""
+    invariants = json.loads(path.read_text())["invariants"]
+    assert [r for r in invariants if r["status"] != "pass"] == failed
+
+
+@pytest.mark.parametrize("argv", [
+    ["leaves-zero", "--group", "D4", "--tau", "diag-flip"],
+    ["tau-split", "--group", "D5", "--tau", "diag-flip"],
+    ["verify", "--group", "B3", "--tau", "neg"],
+])
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "leafatlas.cli", *argv], cwd=ROOT,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "parabolics", "--group", "B2",

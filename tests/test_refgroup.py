@@ -453,7 +453,6 @@ def _assert_tables_match_matrices(W, name):
     for g in range(W.order):
         for s, m in zip(W.generators, gens):
             assert mats[W.mul(g, s)] == _dense_mat_mul(mats[g], m), name
-    assert W.det_character == [la.det(m) for m in mats], name
     inverses = [la.mat_inverse(m) for m in mats]
     step = max(1, W.order // 16)
     for g in range(W.order):
@@ -676,14 +675,12 @@ def test_reflection_scan_tests_only_trace_candidates():
     # <zeta_11>, <zeta_13> in dimension 1: 142 reflections on one hyperplane,
     # where every reflection normalized its own alpha and alpha_vee through
     # a Fraction inverse in Q(zeta_143); now a hyperplane takes those two and
-    # its null space's pivot, and the generators' hyperplane permutations
-    # take theirs
+    # its null space's pivot, and the generators' hyperplane permutations,
+    # found by conjugating reflections, take none
     W = ReflectionGroup(1, [la.mat([[root_of_unity(11)]]), la.mat([[root_of_unity(13)]])])
     _, inverses = _count_calls(CycNum, "inverse", lambda: W.reflections)
-    _, permuting = _count_calls(CycNum, "inverse", lambda: [
-        W.hyperplane_perm(W.elements[g].mat) for g in W.generators])
     assert W.order == 143 and len(W.reflections) == 142
-    assert inverses <= 3 * len(W.hyperplanes) + permuting
+    assert inverses <= 3 * len(W.hyperplanes)
     # the trace test reduces each of the 286 roots +-zeta_143^k once
     _, reductions = _count_calls(refgroup, "_reduce_mod_phi",
                                  lambda: refgroup._trace_test(1, 143, 120))

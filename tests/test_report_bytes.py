@@ -12,8 +12,11 @@ reflection scan moved to the closure's trace candidates, and the last two
 before the rewriting kernel moved to flat integer scalars over one field
 context, and the last four, the one suite that reaches
 `cherednik.poisson-laws` and three catalog tables, before the type-B and
-type-D leaf records became one class; a refactor that keeps every report
-must keep them.
+type-D leaf records became one class, and the last two, `tau-split` on D5
+`diag-flip` (403 parabolics, 116 of them split, in 12 W_tau-orbits of sizes
+1 to 24) and on G(4,2,3) `identity`, before split parabolics were found in
+one walk over W_tau-orbits; a refactor that keeps every report must keep
+them.
 """
 
 import hashlib
@@ -112,6 +115,10 @@ REPORT_DIGESTS = [
      "10fdc5b7f0c59873343806e30457adc4be6900fcfdc7473d005979d441e71739"),
     (["catalog-D", "--n", "5"],
      "db772511d94455738e6b2b5932379a2b7f2c14477945348f1dddd4218880777a"),
+    (["tau-split", "--group", "D5", "--tau", "diag-flip"],
+     "5711ab8091ad1d568b6cc3e458c0f5eec432575ed16e6e7feb58af94f433e09e"),
+    (["tau-split", "--group", "G(4,2,3)", "--tau", "identity"],
+     "feb92e6baf359bb7f1b527149850b4e143a0dc91ae08b3235a9c89fe640c34fd"),
 ]
 
 
