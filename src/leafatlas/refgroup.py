@@ -174,6 +174,7 @@ class ReflectionGroup:
         self._reflections = None
         self._hyperplanes = None
         self._classes = None
+        self._normalizers: dict[frozenset[int], CosetQuotient] = {}
 
     @property
     def order(self) -> int:
@@ -438,10 +439,14 @@ class ReflectionGroup:
     # -- normalizers -------------------------------------------------------------
     def normalizer(self, P: Parabolic) -> "CosetQuotient":
         """N_W(P): the g with g V^P = V^P, that is (Steinberg's theorem) the g
-        whose hyperplane permutation maps P.inc onto itself."""
+        whose hyperplane permutation maps P.inc onto itself; scanned once per
+        incidence set."""
         inc = P.inc
-        return CosetQuotient(self, [g for g, q in enumerate(self.hyperplane_perms)
-                                    if all(q[i] in inc for i in inc)], P)
+        if inc not in self._normalizers:
+            self._normalizers[inc] = CosetQuotient(
+                self, [g for g, q in enumerate(self.hyperplane_perms)
+                       if all(q[i] in inc for i in inc)], P)
+        return self._normalizers[inc]
 
 
 class ParabolicClass:

@@ -9,7 +9,8 @@ V^P cap V^tau each), normalizer identifications, and the twist-coset classes
 that index the components of the fixed-point strata.  The one place that
 matches W_tau-orbits of split parabolics to twist classes (the Harish-Chandra
 dictionary) is `TauContext.split_class_dictionary`, which refuses any match
-that is not a bijection.
+that is not a bijection.  An inner twist (tau in W) has full twist 1, and
+for tau = 1 W_tau is W itself and each parabolic has one twist class.
 """
 
 from __future__ import annotations
@@ -109,8 +110,12 @@ class TauContext:
 
     def _full_twist(self) -> tuple[Matrix, int]:
         """(w*tau, delta): delta is the largest dim V^(w tau), w the least id
-        reaching it.  As (a w tau(a)^-1) tau = a (w tau) a^-1, the dimension is
-        constant on twisted classes: one fixed space per class, at its least id."""
+        reaching it.  For tau in W only w = tau^-1 reaches dim V, so this is
+        1.  Otherwise, as (a w tau(a)^-1) tau = a (w tau) a^-1, the dimension
+        is constant on twisted classes: one fixed space per class, at its
+        least id."""
+        if GroupElement(self.tau).key in self.W.by_key:
+            return la.identity(self.W.dim), self.W.dim
         best, best_dim = None, -1
         for g, _ in self._twisted_orbits(range(self.W.order), lambda g: g):
             cand = la.mat_mul(self.W.elements[g].mat, self.tau)
@@ -133,9 +138,15 @@ class TauContext:
         return getattr(self, name)
 
     def _build_quotient(self):
+        W = self.W
+        if len(self.v_tau) == W.dim:
+            # tau = 1: every g stabilizes V^tau = V, Z = 1 and W_tau = W
+            self.setwise, self.w_tau = frozenset(range(W.order)), W
+            self.section = tuple(range(W.order))
+            self.restriction = dict(enumerate(self.section))
+            return
         # g V^tau = V^tau iff g tau(g)^-1 = g tau g^-1 tau^-1 fixes V^tau
         # pointwise (then g^-1 V^tau lies in V^tau), i.e. lies in Z = W_(V^tau)
-        W = self.W
         pointwise = W.pointwise_stabilizer(self.v_tau)
         Z = frozenset(pointwise.ids)
         self.setwise = frozenset(g for g in range(W.order)
@@ -235,25 +246,29 @@ class TauContext:
         """Orbits, under the normalizer quotient, of cosets w with
         fixed points of w*tau meeting the open stratum of P, sorted by rep.
         Meeting it is constant on an orbit ((a.u) tau = a (u tau) a^-1), so
-        each orbit is tested once, at its least coset; `verify` checks all."""
+        each orbit is tested once, at its least coset; `verify` checks all.
+        For tau = 1 the one class is P's own coset."""
         if not self.is_full:
             raise TauError("twist must be full")
         cached = self._twists.get(P.inc)
         if cached is not None:
             return cached
         N = self.W.normalizer(P)
-        if not self.normalizes(P):
+        if len(self.v_tau) == self.W.dim:
+            # a point with stabilizer exactly P that is fixed by u forces u in P
+            idx = N.coset_of(self.W.identity)
+            result = (N, (TwistClass((idx,), N.rep(idx)),))
+        elif not self.normalizes(P):
             # a coset w with fixed points on the open stratum would force
             # tau itself to normalize P
             result = (N, ())
-            self._twists[P.inc] = result
-            return result
-        # N/P acts on the cosets by a.u = a u tau(a)^-1; cosets are numbered
-        # by their least id, so an orbit's least coset holds its least id
-        reps = [N.rep(idx) for idx in range(N.order)]
-        result = (N, tuple(TwistClass(orbit, reps[least])
-                           for least, orbit in self._twisted_orbits(reps, N.coset_of)
-                           if self.meets_stratum(P, reps[least])))
+        else:
+            # N/P acts on the cosets by a.u = a u tau(a)^-1; cosets are numbered
+            # by their least id, so an orbit's least coset holds its least id
+            reps = [N.rep(idx) for idx in range(N.order)]
+            result = (N, tuple(TwistClass(orbit, reps[least])
+                               for least, orbit in self._twisted_orbits(reps, N.coset_of)
+                               if self.meets_stratum(P, reps[least])))
         self._twists[P.inc] = result
         return result
 
@@ -337,11 +352,10 @@ def orbit_coincidence_holds(ctx: TauContext) -> bool:
         v = ctx.W.witness_point(sp.tau_fixed)
         if la.mat_vec(tau, v) != v:
             return False
-        setwise_orbit = {la.mat_vec(ctx.W.elements[i].mat, v) for i in ctx.setwise}
-        for g in ctx.W.elements:
-            u = la.mat_vec(g.mat, v)
-            if la.mat_vec(tau, u) == u and u not in setwise_orbit:
-                return False
+        images = [la.mat_vec(g.mat, v) for g in ctx.W.elements]
+        setwise_orbit = {images[i] for i in ctx.setwise}
+        if any(la.mat_vec(tau, u) == u for u in set(images) - setwise_orbit):
+            return False
     return True
 
 

@@ -15,7 +15,7 @@ def catalog_pair_specs():
     """The (group, twist) pairs exercised by the structural criteria."""
     specs = [(f"dihedral{d}", "swap") for d in (3, 4, 5, 6)]
     specs.append(("D4", "t"))
-    specs.append(("B3", "neg"))
+    specs += [("B3", "neg"), ("D4", "neg")]
     specs += [("G4", f"zeta4-w{i}") for i in range(3)]
     specs.append(("B3", "zeta4-w0"))
     return specs

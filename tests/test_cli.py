@@ -547,10 +547,14 @@ def test_verify_flag_reuses_the_group_and_twist(capsys, monkeypatch):
     assert json.dumps(data, sort_keys=True) == json.dumps(json.loads(plain), sort_keys=True)
 
 
-def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch):
-    # B3 neg is not full: the context of -1 is read only for its fullness,
-    # and the setwise stabilizer of V^tau and W_tau are built once, for the
-    # adjusted twist, by the twisted-stabilizer filter and not by a scan
+@pytest.mark.parametrize("group, twist, induced", [
+    ("B3", "neg", 0),                   # -1 lies in B3: the adjusted twist is 1 and W_tau = W
+    ("G(4,2,3)", '{"zeta":"4/1"}', 1),  # zeta_4 does not, and |N| = 64, |Z| = 2
+])
+def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch, group, twist, induced):
+    # the twist is not full: the context of tau is read only for its
+    # fullness, and the setwise stabilizer of V^tau and W_tau are built once,
+    # for the adjusted twist, by the twisted-stabilizer filter and not by a scan
     from leafatlas import refgroup, tau
     calls = {"quotient": 0, "induced": 0, "setwise": 0}
 
@@ -565,6 +569,6 @@ def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch):
     RG = refgroup.ReflectionGroup
     monkeypatch.setattr(RG, "setwise_stabilizer_keys",
                         counted("setwise", RG.setwise_stabilizer_keys))
-    code, out, _ = run_cli(capsys, "leaves-zero", "--group", "B3", "--tau", "neg")
+    code, out, _ = run_cli(capsys, "leaves-zero", "--group", group, "--tau", twist)
     assert code == 0 and json.loads(out)["tau_full_adjusted"]
-    assert calls == {"quotient": 1, "induced": 1, "setwise": 0}
+    assert calls == {"quotient": 1, "induced": induced, "setwise": 0}

@@ -15,8 +15,10 @@ context, and the last four, the one suite that reaches
 type-D leaf records became one class, and the last two, `tau-split` on D5
 `diag-flip` (403 parabolics, 116 of them split, in 12 W_tau-orbits of sizes
 1 to 24) and on G(4,2,3) `identity`, before split parabolics were found in
-one walk over W_tau-orbits; a refactor that keeps every report must keep
-them.
+one walk over W_tau-orbits, and the last three, rank-5 `leaves-zero` on D5
+and G(2,1,5) `identity` and B4 `neg`, before a twist in W took W_tau = W
+and P's own coset as its one twist class; a refactor that keeps every
+report must keep them.
 """
 
 import hashlib
@@ -119,6 +121,13 @@ REPORT_DIGESTS = [
      "5711ab8091ad1d568b6cc3e458c0f5eec432575ed16e6e7feb58af94f433e09e"),
     (["tau-split", "--group", "G(4,2,3)", "--tau", "identity"],
      "feb92e6baf359bb7f1b527149850b4e143a0dc91ae08b3235a9c89fe640c34fd"),
+    # inner twists: tau = 1, and -1 in B4 adjusted to 1
+    (["leaves-zero", "--group", "D5", "--tau", "identity"],
+     "e13978a27726834c1c7fc7b9153a8cf8746b77776dc7ec689d212d33e619029e"),
+    (["leaves-zero", "--group", "G(2,1,5)", "--tau", "identity"],
+     "e7ec59c5eb3db172916ceb4fa957132afd47d91615dadffbd4c981c892849315"),
+    (["leaves-zero", "--group", "B4", "--tau", "neg"],
+     "bb1c7aeeb790a0f873e7be10e85192c2a41abaa6549b94961422d4fa68dc4c81"),
 ]
 
 

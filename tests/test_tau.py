@@ -9,6 +9,7 @@ from leafatlas.tau import (
     TauContext, TauError, build_tau, hyperplane_restriction_matches,
     intersection_of_splits_is_split, is_regular, lehrer_springer_group,
     make_full, normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
+    tau_from_word,
 )
 from leafatlas.refgroup import ParameterK
 
@@ -94,6 +95,31 @@ def test_make_full_is_first_maximal_in_one_scan(group, twist, monkeypatch):
     monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
     assert make_full(W, tau) == expect
     assert len(calls) <= W.order
+
+
+@pytest.mark.parametrize("group,word", [
+    ("B3", None), ("D4", None), ("B4", None), ("G(4,4,3)", [0, 1, 2]), ("B2", [0]),
+])
+def test_make_full_of_an_inner_twist_is_the_identity(group, word):
+    # tau in W (-1 when word is None; -1 is not in G(4,4,3)): the shortcut
+    # against a brute scan of all of W for the least id w maximizing dim V^(w tau)
+    W = catalog(group)
+    tau = _scalar_twist(W, -1) if word is None else tau_from_word(W, word)
+    assert GroupElement(tau).key in W.by_key
+    dims = [len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
+    expect = la.mat_mul(W.elements[dims.index(max(dims))].mat, tau)
+    assert make_full(W, tau) == expect == la.identity(W.dim)
+
+
+@pytest.mark.parametrize("group", ["B3", "D4", "G(4,2,3)", "G4"])
+def test_identity_twist_classes_are_the_cosets_meeting_the_stratum(group):
+    W = catalog(group)
+    ctx = build_tau(W, la.identity(W.dim))
+    for P in W.parabolic_subgroups():
+        assert ctx.normalizes(P)
+        N, classes = ctx.twist_classes(P)
+        assert {i for c in classes for i in c.coset_indices} == \
+            {i for i in range(N.order) if ctx.meets_stratum(P, N.rep(i))}, P.ids
 
 
 @pytest.mark.parametrize("group,twist", [("D4", "diag-flip"), ("B4", "identity")])
@@ -196,8 +222,9 @@ def test_w_tau_matches_restriction_of_every_element(w_tau_contexts):
 
 
 def test_w_tau_solves_only_for_generators(monkeypatch):
-    W = catalog("B4")
-    ctx = build_tau(W, la.identity(W.dim))
+    # zeta_4 lies outside G(4,2,3), so its full twist builds W_tau in general
+    W = catalog("G(4,2,3)")
+    ctx = build_tau(W, make_full(W, _scalar_twist(W, root_of_unity(4))))
     calls = []
     coordinates = la.coordinates
     monkeypatch.setattr(la, "coordinates", lambda a, b: calls.append(b) or coordinates(a, b))
@@ -205,7 +232,7 @@ def test_w_tau_solves_only_for_generators(monkeypatch):
     assert 0 < len(calls) <= len(ctx.v_tau) * len(gens)
     # each generator at least doubles the group, so there are at most log2 |N/Z|
     quotient = len(ctx.setwise) // W.pointwise_stabilizer(ctx.v_tau).order
-    assert 2 ** len(gens) <= quotient == ctx.w_tau.order == 384
+    assert 2 ** len(gens) <= quotient == ctx.w_tau.order == 32
 
 
 def test_tau_conj_matches_matrices(pair_contexts):
@@ -445,6 +472,15 @@ def test_orbit_coincidence(pair_contexts):
     for name, ctx in pair_contexts.items():
         if ctx.W.order <= 100:
             assert orbit_coincidence_holds(ctx), name
+
+
+@pytest.mark.parametrize("name", ["B3:neg", "D4:t"])
+def test_orbit_coincidence_fails_on_a_shrunken_setwise_stabilizer(pair_contexts, name,
+                                                                   monkeypatch):
+    ctx = pair_contexts[name]
+    ctx.split_parabolics()                  # built with the true stabilizer
+    monkeypatch.setattr(ctx, "setwise", frozenset({ctx.W.identity}))
+    assert not orbit_coincidence_holds(ctx)
 
 
 def test_lehrer_springer_requires_full():
