@@ -684,11 +684,7 @@ def central_elements_bounded(W: ReflectionGroup, k: ParameterK, z_degree: int,
                     raise CherednikError("unexpected deformation letter in t0 mode")
                 row = rows.setdefault((pi, mono), [CycNum.zero()] * len(monos))
                 row[ci] = p.constant()
-    if rows:
-        matrix = tuple(tuple(rows[key]) for key in sorted(rows, key=lambda kk: (kk[0], kk[1])))
-        kernel = la.nullspace(matrix, len(monos))
-    else:
-        kernel = la.nullspace((), len(monos))
+    kernel = la.nullspace(tuple(tuple(rows[key]) for key in sorted(rows)), len(monos))
     basis = []
     for vecrow in kernel:
         terms = {}

@@ -10,20 +10,21 @@ Two CycNums are equal as values iff their triples agree, so they hash and
 sort canonically.
 
 Canonicalization reduces modulo Phi_N through a cache of reduced monomials
-and then descends one prime p of N at a time, each time reading coordinates
-off a basis of Q(zeta_N) over Q(zeta_(N/p)), so no denominator enters.  When
-p^2 | N the power basis of zeta_N is itself that basis, so descent is read
-off the exponents (all divisible by p); when N = p it is the test "support
-is {0}".  When p || N and m = N/p > 1, Q(zeta_N) = Q(zeta_m)(zeta_p) and
-zeta_N^e = zeta_m^(ea) zeta_p^(eb) for a = p^-1 mod m, b = m^-1 mod p: the
-element is split over 1, zeta_p, ..., zeta_p^(p-2), and it descends iff
-every coordinate but the first is 0 mod Phi_m.  Last, the gcd of the
-denominator and the numerators is divided out.
+and then descends, reading coordinates off a basis each time, so no
+denominator enters.  First N and every exponent are divided by their gcd d:
+zeta_N^e = zeta_(N/d)^(e/d), and the exponents stay reduced, as
+phi(N) <= d phi(N/d).  This covers every prime p with p^2 | N, where the
+power basis of zeta_N is a basis over Q(zeta_(N/p)), and N = p, where the
+element is rational iff its support is {0}.  When p || N and m = N/p > 1,
+Q(zeta_N) = Q(zeta_m)(zeta_p) and zeta_N^e = zeta_m^(ea) zeta_p^(eb) for
+a = p^-1 mod m, b = m^-1 mod p: the element is split over 1, zeta_p, ...,
+zeta_p^(p-2), and it descends iff every coordinate but the first is 0 mod
+Phi_m.  Last, the gcd of the denominator and the numerators is divided out.
 
 Canonicalization, sums, products and rational scaling run on Python ints,
 and no floating point enters any computation.  fractions.Fraction is met
 only in parsing, as_fraction, a Fraction coefficient map given to the
-constructor, and cyclotomic inverses (339 in one perfbench `atlas` pass).
+constructor, and cyclotomic inverses.
 
 Loops that stay in one field Q(zeta_N), the group closure and the Cherednik
 rewriting kernel, work on flat int tuples instead.  `to_flat` and
@@ -157,17 +158,10 @@ def _reduced_monomial(n: int, e: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _descents(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(p, m, a, b) for each prime p of n, with m = n / p.  When p || n and
-    m > 1, a = p^-1 mod m and b = m^-1 mod p, so zeta_n^e = zeta_m^(ea) zeta_p^(eb);
-    otherwise a = b = 0."""
-    out = []
-    for p in _prime_factors(n):
-        m = n // p
-        if m % p and m > 1:
-            out.append((p, m, pow(p, -1, m), pow(m, -1, p)))
-        else:
-            out.append((p, m, 0, 0))
-    return tuple(out)
+    """(p, m, a, b) for each prime p || n with m = n / p > 1, where
+    a = p^-1 mod m and b = m^-1 mod p, so zeta_n^e = zeta_m^(ea) zeta_p^(eb)."""
+    return tuple((p, n // p, pow(p, -1, n // p), pow(n // p, -1, p))
+                 for p in _prime_factors(n) if n // p % p and n > p)
 
 
 def _over_subfield(coeffs: dict[int, int], p: int, m: int, a: int, b: int):
@@ -197,31 +191,27 @@ def _over_subfield(coeffs: dict[int, int], p: int, m: int, a: int, b: int):
 def _canonicalize(n: int, coeffs: dict[int, int], den: int = 1):
     """Minimal-conductor canonical triple (n, coeffs, den) of coeffs / den.
 
-    n is never left = 2 mod 4, except n = 1.  Descent by a prime p of n is
-    read off a basis, and no denominator enters: if p^2 | n, then
-    Phi_n(x) = Phi_(n/p)(x^p), so the basis zeta_n^e (e < phi(n)) is the tower
-    basis zeta_(n/p)^j zeta_n^r (r < p) and the element lies in Q(zeta_(n/p))
-    iff every exponent is divisible by p, with coordinates {e // p: c}; if
-    n = p, it is rational iff its support is {0}; otherwise p || n, and the
-    coordinates over Q(zeta_(n/p)) come from `_over_subfield`, which for
+    n is never left = 2 mod 4, except n = 1.  Descent is read off a basis,
+    and no denominator enters.  With d = gcd(n, exponents), the element is
+    {e // d: c} in Q(zeta_(n/d)), its exponents still below phi(n/d); this
+    is the whole test for p^2 | n, where the power basis of zeta_n is the
+    tower basis zeta_(n/p)^j zeta_n^r (r < p), and for n = p, where the
+    element is rational iff its support is {0}.  For p || n and n/p > 1
+    the coordinates over Q(zeta_(n/p)) come from `_over_subfield`, which for
     p = 2 always finds them, so n = 2 mod 4 always descends.
     """
     coeffs = _reduce_mod_phi(coeffs, n)
     if not coeffs:
         return 1, (), 1
     while n > 1:
+        d = gcd(n, *coeffs)
+        if d > 1:
+            n, coeffs = n // d, {e // d: c for e, c in coeffs.items()}
+            continue
         for p, m, a, b in _descents(n):
-            if b:
-                y = _over_subfield(coeffs, p, m, a, b)
-                if y is not None:
-                    n, coeffs = m, y
-                    break
-            elif m > 1:
-                if all(e % p == 0 for e in coeffs):
-                    n, coeffs = m, {e // p: c for e, c in coeffs.items()}
-                    break
-            elif len(coeffs) == 1 and 0 in coeffs:
-                n = 1
+            y = _over_subfield(coeffs, p, m, a, b)
+            if y is not None:
+                n, coeffs = m, y
                 break
         else:
             break
@@ -254,11 +244,8 @@ def _poly_ext_inverse(coeffs: dict[int, int], n: int) -> dict[int, Fraction]:
 
     r_prev, r_cur = strip(r_prev), strip(r_cur)
     while len(r_cur) > 1:
+        # len(r_prev) >= len(r_cur) holds throughout: the swap below keeps it
         q_shift = len(r_prev) - len(r_cur)
-        if q_shift < 0:
-            r_prev, r_cur = r_cur, r_prev
-            t_prev, t_cur = t_cur, t_prev
-            continue
         c = r_prev[-1] / r_cur[-1]
         r_prev = sub_scaled(r_prev, r_cur, c, q_shift)
         t_prev = sub_scaled(t_prev, t_cur, c, q_shift)
@@ -591,11 +578,7 @@ class FlatField:
 
     def cyc(self, t: tuple) -> CycNum:
         if self.phi > 2:
-            # exponents that share a factor d with n spell a value of Q(zeta_(n/d)),
-            # which is handed over there: canonicalization starts in the smaller
-            # field, and reduces and descends through fewer primes
-            d = gcd(self.n, *t[:-1:2])
-            return CycNum(self.n // d, {e // d: c for e, c in zip(t[:-1:2], t[1::2])}, t[-1])
+            return CycNum(self.n, dict(zip(t[:-1:2], t[1::2])), t[-1])
         return from_flat(t, self.n)
 
 

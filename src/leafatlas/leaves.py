@@ -101,7 +101,8 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool
     s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), W.dim)
     # covectors fixed by P: those vanishing on the coroots of its reflections
     dual_fixed = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc)), W.dim)
-    s_x = la.intersect(dual_fixed, la.left_fixed_space(wtau), W.dim)
+    # covectors c with c @ wtau = c: the fixed space of the dual action
+    s_x = la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)
     return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)

@@ -4,9 +4,9 @@ Vectors are tuples of CycNum, matrices tuples of row tuples.  Subspaces are
 always carried as reduced-row-echelon bases, so equal subspaces have equal
 bases.  Everything is pure and deterministic.
 
-A product a @ b walks each column of b over its nonzero entries only, and
-adds an entry equal to one without a multiplication.  Group closure does not
-come here: it multiplies on integer coordinates (see `refgroup`).
+A product a @ b is each row of a dotted with each column of b.  Group
+closure does not come here: it multiplies on integer coordinates (see
+`refgroup`).
 """
 
 from __future__ import annotations
@@ -37,23 +37,8 @@ def zero_vector(n: int) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, column by column over b's nonzero entries: zero terms and
-    products by one are skipped, and the terms are summed in row order."""
-    cols = [[(l, None if row[j] == _ONE else row[j]) for l, row in enumerate(b)
-             if not row[j].is_zero()] for j in range(len(b[0]) if b else 0)]
-    out = []
-    for ai in a:
-        row = []
-        for col in cols:
-            s = None
-            for l, y in col:
-                x = ai[l]
-                if not x.is_zero():
-                    t = x if y is None else x * y
-                    s = t if s is None else s + t
-            row.append(_ZERO if s is None else s)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def dot(c: Vector, v: Vector) -> CycNum:
@@ -112,10 +97,8 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in work[:r])
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
-    """RREF basis of {v : a @ v = 0} (column vectors returned as tuples)."""
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
+def nullspace(a: Matrix, ncols: int) -> tuple[Vector, ...]:
+    """RREF basis of {v : a @ v = 0} in K^ncols (column vectors returned as tuples)."""
     if not a:
         return identity(ncols)
     red = rref(a)
@@ -179,11 +162,6 @@ def fixed_space(m: Matrix) -> tuple[Vector, ...]:
     """Basis of Ker(m - id), i.e. vectors fixed by m."""
     n = len(m)
     return nullspace(mat_sub(m, identity(n)), n)
-
-
-def left_fixed_space(m: Matrix) -> tuple[Vector, ...]:
-    """Covectors c with c @ m = c (the fixed space of the dual action)."""
-    return fixed_space(transpose(m))
 
 
 def intersect(a: tuple[Vector, ...], b: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:

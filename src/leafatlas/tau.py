@@ -122,8 +122,6 @@ class TauContext:
             dim = len(la.fixed_space(cand))
             if dim > best_dim:
                 best, best_dim = cand, dim
-                if dim == self.W.dim:
-                    break
         return best, best_dim
 
     # -- the reflection group on V^tau ---------------------------------------

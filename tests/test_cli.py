@@ -180,11 +180,41 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["reflections", "--group", "B2", "--no-such-flag"],
     ["reflections", "--group", "B2", "--format", "xml"],
     ["no-such-command", "--group", "B2"],
+    ["reflections", "--group", "B2", "--threads", "0"],
+    ["reflections"],
+    # singular matrices
+    ["reflections", "--group", '{"generators":[[["0"]]]}'],
+    ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["0","0"],["0","0"]]}'],
+    # a config line with no '=', and spec files that hold a JSON list
+    ["reflections", "--config", "{noeq}"],
+    ["leaves-zero", "--group", "B2", "--tau", "@{list}"],
+    ["reflections", "--group", "@{list}"],
+    # specs that name nothing known
+    ["leaves-zero", "--group", "B2", "--tau", '{"foo":1}'],
+    ["reflections", "--group", '{"foo":1}'],
+    ["leaves-zero", "--group", "B2", "--tau", "bogus"],
+    ["leaves-zero", "--group", "B2", "--tau", "swap"],
+    ["reflections", "--group", "G(4,3,2)"],
+    ["reflections", "--group", "D1"],
+    ["reflections", "--group", "dihedral1"],
+    # a missing or misshapen option of one command
+    ["catalog-B"],
+    ["catalog-D"],
+    ["catalog-dihedral"],
+    ["poisson", "--group", "cyclic2", "--z1", "x1"],
+    ["lehrer-springer", "--group", "B2", "--format", "csv"],
+    ["cherednik-check", "--group", "B2", "--k", "1;2;3"],
 ])
 def test_malformed_shapes_exit2(capsys, tmp_path, argv):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"name": "B2", "note": "\u00e9"}'.encode("latin-1"))
-    argv = [a.replace("{dir}", str(tmp_path)).replace("{latin1}", str(latin1)) for a in argv]
+    noeq = tmp_path / "noeq.conf"
+    noeq.write_text("group = B2\nnonsense\n")
+    listed = tmp_path / "list.json"
+    listed.write_text('["B2"]')
+    files = {"{dir}": tmp_path, "{latin1}": latin1, "{noeq}": noeq, "{list}": listed}
+    for key, path in files.items():
+        argv = [a.replace(key, str(path)) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     _assert_one_line_error(err)

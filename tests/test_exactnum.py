@@ -314,6 +314,23 @@ def test_canonical_form_matches_galois_descent():
     assert descended >= 300
 
 
+@pytest.mark.parametrize("n,coeffs,expect", [
+    (15, {3: 1, 6: 2}, (5, ((1, 1), (2, 2)), 1)),   # p = 3 || 15 divides every exponent
+    (9, {3: 1}, (3, ((1, 1),), 1)),                  # p^2 | n
+    (7, {0: 5}, (1, ((0, 5),), 1)),                  # n = p with support {0}
+])
+def test_descent_by_the_gcd_of_conductor_and_exponents(n, coeffs, expect):
+    # zeta_n^e = zeta_(n/d)^(e/d) for d = gcd(n, exponents): the element lies
+    # in Q(zeta_m), m = expect's conductor, and in no smaller field
+    m = expect[0]
+    assert _galois_fixed(coeffs, n, m)
+    assert not any(_galois_fixed(coeffs, n, m // p) for p in _prime_factors(m))
+    assert _as_triple(*_reference_canonicalize(n, coeffs)) == expect
+    assert _canonicalize(n, dict(coeffs)) == expect
+    x = CycNum(n, coeffs)
+    assert (x.conductor, x.coeffs, x.den) == expect
+
+
 def _reference_mul(a, b, n):
     out = {}
     for e1, c1 in a.items():
