@@ -8,7 +8,7 @@ tions, and the model spaces for the normalized leaf closures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import CycNum
@@ -32,18 +32,15 @@ def _b_order(s: int) -> int:
     return 2 ** s * math.factorial(s)
 
 
-@dataclass(frozen=True)
-class LeafRecord:
-    """One row of the type-B table (m the ratio) or the type-D one (m None)."""
-    n: int
-    m: int | None
-    r: int
-    dimension: int
-    cuspidal: bool                  # zero-dimensional member of the list
-    support_rank: int               # r(r+m) for type B, r^2 for type D
-    normalizer_label: str           # B<corank>, or D<n> for type D at r = 0
-    normalizer_order: int
-    model_label: str
+class LeafRecord(namedtuple(
+        "LeafRecord", "n m r dimension cuspidal support_rank normalizer_label "
+                      "normalizer_order model_label")):
+    """One row of the type-B table (m the ratio) or the type-D one (m None).
+
+    `cuspidal` marks the zero-dimensional member of the list; `support_rank`
+    is r(r+m) for type B and r^2 for type D; `normalizer_label` is B<corank>,
+    or D<n> for type D at r = 0."""
+    __slots__ = ()
 
     def as_row(self) -> dict:
         row = {

@@ -21,14 +21,8 @@ from math import gcd, lcm
 
 from . import leaves as leaves_mod
 from . import linalg as la
-from . import verify as verify_mod
 from .catalog import (
     CatalogError, dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t, smooth_B,
-)
-from .cherednik import (
-    CherednikAlgebra, CherednikError, euler_degree,
-    filtration_degree, format_element, parse_element, poisson_bracket,
-    rank1_center_relation,
 )
 from .exactnum import (
     CycNum, ExactDomainError, FieldCapError, as_cyc, cyc_parse, num_str, root_of_unity,
@@ -252,10 +246,11 @@ class _Job:
 
     def invariants(self) -> list[dict]:
         """The invariant suite on the group, and the twist and parameter if given."""
+        from . import verify
         args = self.args
         ctx = self.tau[0] if args.tau is not None else None
         k = resolve_parameter(self.group, args.k, args.cap) if args.k is not None else None
-        return verify_mod.run_suite(self.group, ctx, k, deep=args.deep)
+        return verify.run_suite(self.group, ctx, k, deep=args.deep)
 
 
 def _tau_context(args, W) -> tuple[TauContext, dict]:
@@ -411,6 +406,7 @@ def cmd_catalog_dihedral(job):
 
 
 def cmd_cherednik_check(job):
+    from .cherednik import rank1_center_relation
     W = job.group if job.args.group else group_catalog("cyclic2", job.args.cap)
     k = resolve_parameter(W, job.args.k, job.args.cap)
     rec = rank1_center_relation(k)
@@ -427,6 +423,7 @@ def cmd_cherednik_check(job):
 
 
 def cmd_poisson(job):
+    from . import cherednik as ch
     args = job.args
     W = job.group
     k = resolve_parameter(W, args.k, args.cap)
@@ -436,20 +433,20 @@ def cmd_poisson(job):
     _check_literal_fields(args.z2, args.cap)
     # the literals' fields passed one by one, but the bracket is rewritten
     # over their lcm: its field contexts refuse Phi_N above the cap
-    alg = CherednikAlgebra(W, k, "t0", args.cap)
-    t_alg = CherednikAlgebra(W, k, "t", args.cap)
-    z1 = parse_element(alg, args.z1)
-    z2 = parse_element(alg, args.z2)
+    alg = ch.CherednikAlgebra(W, k, "t0", args.cap)
+    t_alg = ch.CherednikAlgebra(W, k, "t", args.cap)
+    z1 = ch.parse_element(alg, args.z1)
+    z2 = ch.parse_element(alg, args.z2)
     t_alg.check_rewrite_work(z1, z2, args.cap)
-    bracket = poisson_bracket(z1, z2, t_alg)
-    deg = euler_degree(bracket)
+    bracket = ch.poisson_bracket(z1, z2, t_alg)
+    deg = ch.euler_degree(bracket)
     report = {
         "schema": 1, "command": "poisson", "group": W.name or "custom",
         "rule": "deformation-limit-bracket",
-        "z1": format_element(z1), "z2": format_element(z2),
-        "bracket": format_element(bracket),
+        "z1": ch.format_element(z1), "z2": ch.format_element(z2),
+        "bracket": ch.format_element(bracket),
         "euler_degree": deg if deg is not None else "inhomogeneous",
-        "filtration_degree": filtration_degree(bracket),
+        "filtration_degree": ch.filtration_degree(bracket),
     }
     return report, None
 
@@ -570,6 +567,13 @@ def resolve_args(argv) -> argparse.Namespace:
     return args
 
 
+def _spec_errors() -> tuple:
+    """Errors meaning a bad spec; a CherednikError needs its module loaded first."""
+    errors = (SpecError, GroupError, TauError, CatalogError, ExactDomainError)
+    cherednik = sys.modules.get(f"{__package__}.cherednik")
+    return errors + (cherednik.CherednikError,) if cherednik else errors
+
+
 def run(argv) -> int:
     try:
         args = resolve_args(argv)
@@ -596,8 +600,7 @@ def run(argv) -> int:
     except (CapExceededError, FieldCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SpecError, GroupError, TauError, CatalogError, CherednikError,
-            ExactDomainError) as exc:
+    except _spec_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

@@ -11,33 +11,21 @@ normalizer quotient of P_tau), with parameter zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import linalg as la
 from .refgroup import Parabolic, ReflectionGroup
 from .tau import TauContext, TauError
 
 
-@dataclass(frozen=True)
-class Stratum:
-    parabolic_class: int
-    kind: str                   # "single" or "double"
-    dimension: int
-    parabolic_order: int
-    normalizer_order: int       # quotient acting on the closure model
+# kind: "single" or "double"; normalizer_order: of the quotient acting on the closure model
+Stratum = namedtuple("Stratum", "parabolic_class kind dimension parabolic_order normalizer_order")
 
-
-@dataclass(frozen=True)
-class LeafLabel:
-    split_orbit: int
-    p_class: int                # conjugacy class of P in Parab(W)/W
-    p_tau_class: int            # conjugacy class of P_tau in Parab(W_tau)/W_tau
-    twist_class_rep: int        # element id; the report prints its key
-    dimension: int
-    cuspidal_point: str
-    model_space_dim: int
-    model_normalizer_order: int
-    model_parameter: str
+# p_class: the class of P in Parab(W)/W; p_tau_class: of P_tau in Parab(W_tau)/W_tau;
+# twist_class_rep: an element id, whose key the report prints
+LeafLabel = namedtuple(
+    "LeafLabel", "split_orbit p_class p_tau_class twist_class_rep dimension cuspidal_point "
+                 "model_space_dim model_normalizer_order model_parameter")
 
 
 def strata_single(W: ReflectionGroup) -> tuple[Stratum, ...]:
@@ -51,7 +39,7 @@ def strata_single(W: ReflectionGroup) -> tuple[Stratum, ...]:
 
 def strata_double(W: ReflectionGroup) -> tuple[Stratum, ...]:
     """The symplectic leaves of the undeformed quotient, one per class."""
-    return tuple(replace(s, kind="double", dimension=2 * s.dimension) for s in strata_single(W))
+    return tuple(s._replace(kind="double", dimension=2 * s.dimension) for s in strata_single(W))
 
 
 def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
