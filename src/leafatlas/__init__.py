@@ -11,7 +11,7 @@ from .refgroup import (
     CapExceededError, GroupError, ParameterK, Parabolic, ReflectionGroup,
     close_group, dihedral_tau,
 )
-from .tau import TauContext, TauError, build_tau, is_regular, lehrer_springer_group, make_full
+from .tau import TauContext, TauError, build_tau, is_regular, make_full
 from .leaves import LeafLabel, Stratum, leaf_report, leaves_zero_tau, strata_double, strata_single
 from .catalog import leaves_B, leaves_D, leaves_D_tau_t, smooth_B
 # bound after the submodule import above, which would rebind the name

@@ -111,9 +111,6 @@ class Poly2:
     def __neg__(self) -> "Poly2":
         return Poly2({k: -v for k, v in self.coeffs.items()})
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
     def __mul__(self, other: "Poly2") -> "Poly2":
         out: dict[tuple[int, int], CycNum] = {}
         for (i1, j1), v1 in self.coeffs.items():
@@ -184,14 +181,8 @@ class CherElement:
         if isinstance(other, CherElement):
             self._check(other)
             return self.algebra.multiply(self, other)
-        if isinstance(other, Poly2):
-            return CherElement(self.algebra,
-                               {m: p * other for m, p in self.terms.items()})
         return CherElement(self.algebra,
                            {m: p.scale(as_cyc(other)) for m, p in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __eq__(self, other):
         return (isinstance(other, CherElement) and self.algebra is other.algebra
@@ -288,13 +279,6 @@ class CherednikAlgebra:
     def _term(self, a, g: int, b, coeff: Poly2 | None = None) -> CherElement:
         """x^a * g * y^b for the element of id g."""
         return CherElement(self, {(tuple(a), g, tuple(b)): coeff or Poly2.const(1)})
-
-    def one(self) -> CherElement:
-        return self.coeff(Poly2.const(1))
-
-    def coeff(self, p: Poly2) -> CherElement:
-        z = (0,) * self.n
-        return self._term(z, self.W.identity, z, p)
 
     def x(self, i: int, power: int = 1) -> CherElement:
         a = tuple(power if m == i else 0 for m in range(self.n))

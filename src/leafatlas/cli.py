@@ -564,6 +564,8 @@ def resolve_args(argv) -> argparse.Namespace:
             raise SpecError("LEAFATLAS_CAP must be an integer") from exc
     if args.cap < 1:
         raise SpecError("the order cap must be at least 1")
+    if args.verify and args.group is None:
+        raise SpecError("--verify needs --group")
     return args
 
 
@@ -580,7 +582,7 @@ def run(argv) -> int:
         job = _Job(args)
         report, rows_key = COMMANDS[args.command](job)
         exit_code = EXIT_OK
-        if args.verify and args.command != "verify" and args.group:
+        if args.verify and args.command != "verify":
             results = job.invariants()
             report["invariants"] = results
             if any(r["status"] != "pass" for r in results):

@@ -49,9 +49,10 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
 
     Each leaf's cuspidal point is the origin, with no check of its own.
     `split_parabolics` checks that the part of P stabilizing V^tau restricts
-    onto P_tau, and the span check below that V^(P_tau) spans S = V^P cap
-    V^tau.  So the points of V^tau fixed by that part are S, which meets the
-    span of P's coroots only in 0, since V is the direct sum of V^P and it."""
+    onto P_tau, the pointwise stabilizer of S = V^P cap V^tau in V^tau, and
+    the rank check below that V^(P_tau), which holds S, is no larger.  So
+    the points of V^tau fixed by that part are S, which meets the span of
+    P's coroots only in 0, since V is the direct sum of V^P and it."""
     W = ctx.W
     wt = ctx.w_tau
     twist_rep = {}
@@ -61,7 +62,7 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
     out = []
     for oi, orbit in enumerate(ctx.split_orbits()):
         sp = orbit[0]
-        if ctx.ambient_span(sp.p_tau.fixed_space) != sp.tau_fixed:
+        if sp.tau_rank != len(sp.tau_fixed):
             raise TauError("restricted fixed spaces disagree")
         N_tau = wt.normalizer(sp.p_tau)
         out.append(LeafLabel(

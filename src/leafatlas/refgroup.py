@@ -56,12 +56,11 @@ class GroupElement:
 
 
 class Hyperplane:
-    __slots__ = ("alpha", "alpha_vee", "e", "orbit_id", "basis", "pointwise", "key")
+    __slots__ = ("alpha", "alpha_vee", "e", "orbit_id", "pointwise", "key")
 
-    def __init__(self, alpha: Vector, alpha_vee: Vector, basis):
+    def __init__(self, alpha: Vector, alpha_vee: Vector):
         self.alpha = alpha
         self.alpha_vee = alpha_vee
-        self.basis = basis
         self.key = tuple(x.sort_key() for x in alpha)
         self.e = 0
         self.orbit_id = -1
@@ -103,9 +102,9 @@ def _proportional(r: Vector, lead: Vector, c: int) -> bool:
     return all(x * lead[c] == r[c] * y for x, y in zip(r, lead))
 
 
-def _rank_one_shift(m: Matrix) -> bool:
-    """True iff rank(m - 1) == 1: every row of m - 1 is a multiple of its
-    first nonzero row.  The scan stops at the first row that is not."""
+def _rank_one_shift(m: Matrix) -> Vector | None:
+    """The first nonzero row of m - 1 if every row of m - 1 is a multiple of
+    it (rank one), else None.  The scan stops at the first row that is not."""
     one = CycNum.one()
     lead = None
     for i, row in enumerate(m):
@@ -116,8 +115,8 @@ def _rank_one_shift(m: Matrix) -> bool:
                 lead = r
             continue
         if not _proportional(r, lead, c):
-            return False
-    return lead is not None
+            return None
+    return lead
 
 
 class ReflectionGroup:
@@ -236,25 +235,23 @@ class ReflectionGroup:
         closure's `_candidates` (see `_trace_test`) are tested.  A
         reflection's first nonzero row of g - 1 is matched against the
         hyperplanes with its support; only a new hyperplane normalizes alpha
-        and alpha_vee and takes a null space.  `verify` keeps the whole-group
-        scan as the oracle."""
+        and alpha_vee, the column of g - 1 at that row's first nonzero index.
+        No null space is taken; `verify` keeps the whole-group scan as the oracle."""
         refl = []
         hyps: dict[tuple, list[Hyperplane]] = {}    # by the support of alpha
-        ident = la.identity(self.dim)
+        one = CycNum.one()
         for g in self._candidates:
             m = self.elements[g].mat
-            if not _rank_one_shift(m):
+            r = _rank_one_shift(m)
+            if r is None:
                 continue
-            diff = la.mat_sub(m, ident)
-            r = next(r for r in diff if any(not x.is_zero() for x in r))
             support = tuple(j for j, x in enumerate(r) if not x.is_zero())
             bucket = hyps.setdefault(support, [])
-            H = next((H for H in bucket if _proportional(r, H.alpha, support[0])), None)
+            c = support[0]
+            H = next((H for H in bucket if _proportional(r, H.alpha, c)), None)
             if H is None:
-                alpha = _normalize_line(r)
-                avee = _normalize_line(next(c for c in la.transpose(diff)
-                                            if any(not x.is_zero() for x in c)))
-                H = Hyperplane(alpha, avee, la.nullspace((alpha,), self.dim))
+                col = tuple(row[c] - one if i == c else row[c] for i, row in enumerate(m))
+                H = Hyperplane(_normalize_line(r), _normalize_line(col))
                 bucket.append(H)
             refl.append((g, H))
         ordered = tuple(sorted(chain.from_iterable(hyps.values()), key=lambda H: H.key))
@@ -386,20 +383,22 @@ class ReflectionGroup:
         orbit's first flat R and a hyperplane outside it, if new, starts an
         orbit, walked once under the generators' hyperplane permutations with
         a conjugator x (a product of generators) per member taking R to it.
-        Only R is closed from its reflections; a member's ids are x R x^-1.
-        The representative P is the member with the least ids, each member Q
-        carries an x with x P x^-1 = Q, and classes go by (-fixed dim, P.ids)."""
+        Only R is closed from its reflections, and keeps the flat just solved
+        as its fixed space; a member's ids are x R x^-1.  The representative
+        P is the member with the least ids, each member Q carries an x with
+        x P x^-1 = Q, and classes go by (-fixed dim, P.ids)."""
         if self._classes is None:
             roots = [H.alpha for H in self.hyperplanes]
             classes, starts = [], []
             self._class_by_inc, self._parabolic_by_inc = {}, {}
 
-            def walk(start):
+            def walk(start, flat):
                 conj = {}
                 for inc, step in _orbit(start, self._generator_perms).items():
                     conj[inc] = self.identity if step is None else \
                         self.mul(self.generators[step[1]], conj[step[0]])
                 R = self._parabolic_of(start)
+                R.fixed_space = flat                # so it is not solved again
                 members = sorted([R] + [Parabolic(self, (self.conj(p, x) for p in R.ids), inc)
                                         for inc, x in conj.items() if inc != start],
                                  key=lambda Q: Q.ids)
@@ -412,16 +411,16 @@ class ReflectionGroup:
                 self._class_by_inc.update(dict.fromkeys(conj, c))
                 self._parabolic_by_inc.update((Q.inc, Q) for Q in members)
 
-            walk(frozenset())
+            walk(frozenset(), la.identity(self.dim))
             for start in starts:
                 covered = set(start)
                 for j in range(len(roots)):
                     if j not in covered:
-                        inc = self.incidence(la.nullspace(
-                            tuple(roots[i] for i in sorted(start | {j})), self.dim))
+                        flat = la.nullspace([roots[i] for i in sorted(start | {j})], self.dim)
+                        inc = self.incidence(flat)
                         covered |= inc
                         if inc not in self._class_by_inc:
-                            walk(inc)
+                            walk(inc, flat)
             classes.sort(key=lambda c: (-c.fixed_dim, c.representative.ids))
             for i, c in enumerate(classes):
                 c.class_id = i
@@ -464,7 +463,6 @@ class CosetQuotient:
 
     def __init__(self, group: ReflectionGroup, subgroup, P: Parabolic):
         self.group = group
-        self.P = P
         self.subgroup = tuple(sorted(subgroup))
         self._coset: dict[int, int] = {}
         cosets = []

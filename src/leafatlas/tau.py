@@ -73,11 +73,11 @@ class TwistClass:
 class TauContext:
     def __init__(self, W: ReflectionGroup, tau: Matrix):
         self.W = W
-        tau = la.mat(tau)
-        if la.det(tau).is_zero():
-            raise TauError("twist matrix is singular")
-        self.tau = tau
-        tau_inv = la.mat_inverse(tau)
+        self.tau = tau = la.mat(tau)
+        try:
+            tau_inv = la.mat_inverse(tau)
+        except ZeroDivisionError as exc:
+            raise TauError("twist matrix is singular") from exc
         images = [W.by_key.get(GroupElement(la.mat_mul(la.mat_mul(tau, W.elements[g].mat),
                                                        tau_inv)).key)
                   for g in W.generators]
@@ -322,17 +322,6 @@ def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
 def is_regular(ctx: TauContext) -> bool:
     """True iff the fixed space meets the hyperplane complement."""
     return not ctx.W.incidence(ctx.v_tau)
-
-
-def lehrer_springer_group(ctx: TauContext) -> ReflectionGroup:
-    """The reflection group induced on V^tau, with its structural checks run."""
-    if not ctx.is_full:
-        raise TauError("twist must be full for the induced reflection group")
-    if not ctx.w_tau.generated_by_reflections():
-        raise TauError("induced group is not generated by its reflections")
-    if not hyperplane_restriction_matches(ctx):
-        raise TauError("induced hyperplanes do not match restricted ones")
-    return ctx.w_tau
 
 
 def hyperplane_restriction_matches(ctx: TauContext) -> bool:

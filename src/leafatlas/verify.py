@@ -83,8 +83,9 @@ def _hyperplane_orders(W):
     assert [g for g, _ in W.reflections] == \
         [g for g, e in enumerate(W.elements) if _rank_one_shift(e.mat)], "reflection scan"
     for H in W.hyperplanes:
+        basis = la.nullspace((H.alpha,), W.dim)
         fixing = {i for i, g in enumerate(W.elements)
-                  if all(la.mat_vec(g.mat, b) == b for b in H.basis)}
+                  if all(la.mat_vec(g.mat, b) == b for b in basis)}
         assert set(H.pointwise) == fixing, "pointwise stabilizer"
         orders = [W.element_order(g) for g in H.pointwise]
         assert max(orders, default=1) == H.e, "cyclic stabilizer"

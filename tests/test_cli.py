@@ -143,6 +143,13 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     _assert_one_line_error(err)
 
 
+VERIFY_WITHOUT_GROUP = [
+    ["catalog-B", "--n", "3", "--verify"],
+    ["catalog-dihedral", "--d", "4", "--verify"],
+    ["cherednik-check", "--k", "1,0", "--verify"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["reflections", "--group", '{"generators":[[["0","1"],["1"]]]}'],
     ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1"]]}'],
@@ -204,6 +211,8 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     ["poisson", "--group", "cyclic2", "--z1", "x1"],
     ["lehrer-springer", "--group", "B2", "--format", "csv"],
     ["cherednik-check", "--group", "B2", "--k", "1;2;3"],
+    # --verify runs the suite on a group, so it needs one
+    *VERIFY_WITHOUT_GROUP,
 ])
 def test_malformed_shapes_exit2(capsys, tmp_path, argv):
     latin1 = tmp_path / "latin1.json"
@@ -218,6 +227,12 @@ def test_malformed_shapes_exit2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     _assert_one_line_error(err)
+
+
+def test_verify_without_group_names_the_option(capsys):
+    for argv in VERIFY_WITHOUT_GROUP:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--group" in err, argv
 
 
 def test_malformed_cap_env_exit2(capsys, monkeypatch):

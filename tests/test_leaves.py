@@ -11,8 +11,8 @@ from leafatlas.leaves import (
     leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
 )
 from leafatlas.refgroup import catalog, dihedral_tau
-from leafatlas.tau import TauContext, TwistClass, build_tau
-from leafatlas.verify import run_suite
+from leafatlas.tau import SplitParabolic, TauContext, TauError, TwistClass, build_tau
+from leafatlas.verify import _tau_checks, run_suite
 from test_refgroup import ORACLE_BATTERY
 
 
@@ -195,3 +195,29 @@ def test_partition_check_names_a_broken_bijection(monkeypatch):
     status = {r["id"]: r for r in run_suite(W, ctx)}
     assert status["leaves.partition"]["status"] == "fail"
     assert "bijection" in status["leaves.partition"]["detail"]
+
+
+def test_leaves_do_not_lift_fixed_spaces(monkeypatch):
+    # the rank check reads lattice data; the lifted span is verify's oracle
+    ctx = build_tau(catalog("D4"), _diag_flip(4))
+    calls = []
+    span = TauContext.ambient_span
+    monkeypatch.setattr(TauContext, "ambient_span",
+                        lambda self, rows: calls.append(rows) or span(self, rows))
+    assert ctx.is_full and leaves_zero_tau(ctx) and calls == []
+
+
+@pytest.mark.parametrize("name", ["B3:neg", "D4:t"])
+def test_rank_check_and_fixed_space_oracle_catch_a_wrong_subspace(pair_contexts, name,
+                                                                 monkeypatch):
+    ctx = pair_contexts[name]
+    rank = SplitParabolic.tau_rank.fget
+    with monkeypatch.context() as mp:
+        mp.setattr(SplitParabolic, "tau_rank", property(lambda sp: rank(sp) + 1))
+        with pytest.raises(TauError, match="restricted fixed spaces disagree"):
+            leaves_zero_tau(ctx)
+    check = next(c for c in _tau_checks(ctx, False) if c.check_id == "tau.fixed-space-match")
+    assert check.run()["status"] == "pass"
+    sp = next(sp for sp in ctx.split_parabolics() if sp.tau_fixed)
+    monkeypatch.setattr(sp, "tau_fixed", sp.tau_fixed[1:])      # a proper subspace
+    assert check.run()["status"] == "fail"

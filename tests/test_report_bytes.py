@@ -156,7 +156,8 @@ def test_poisson_law_check_catches_a_broken_bracket(monkeypatch):
 
     bracket = verify.poisson_bracket
     monkeypatch.setattr(verify, "poisson_bracket",
-                        lambda X, Y, t_alg: bracket(X, Y, t_alg) + X.algebra.one())
+                        lambda X, Y, t_alg: bracket(X, Y, t_alg) + X.algebra.monomial(
+                            (0,), X.algebra.W.elements[X.algebra.W.identity], (0,)))
     W = catalog("cyclic2")
     failed = [r for r in verify.run_suite(W, k=resolve_parameter(W, "1,0"))
               if r["status"] != "pass"]

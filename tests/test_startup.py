@@ -23,8 +23,7 @@ EXPORTS = {
     exactnum: ["CycNum", "as_cyc", "cyc_parse", "cyc_to_str", "root_of_unity"],
     refgroup: ["CapExceededError", "GroupError", "ParameterK", "Parabolic", "ReflectionGroup",
                "close_group", "dihedral_tau", "catalog"],
-    tau: ["TauContext", "TauError", "build_tau", "is_regular", "lehrer_springer_group",
-          "make_full"],
+    tau: ["TauContext", "TauError", "build_tau", "is_regular", "make_full"],
     leaves: ["LeafLabel", "Stratum", "leaf_report", "leaves_zero_tau", "strata_double",
              "strata_single"],
     cherednik: ["CherednikAlgebra", "CherednikError", "CherElement", "Poly2",

@@ -7,9 +7,8 @@ from leafatlas.exactnum import root_of_unity
 from leafatlas.refgroup import GroupElement, catalog, dihedral_tau
 from leafatlas.tau import (
     TauContext, TauError, build_tau, hyperplane_restriction_matches,
-    intersection_of_splits_is_split, is_regular, lehrer_springer_group,
-    make_full, normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
-    tau_from_word,
+    intersection_of_splits_is_split, is_regular, make_full, normalizer_tau,
+    orbit_coincidence_holds, tau_acts_trivially_on_quotient, tau_from_word,
 )
 from leafatlas.refgroup import ParameterK
 
@@ -35,17 +34,18 @@ def test_dihedral_swap_twist():
     assert ctx.is_full
     assert len(ctx.v_tau) == 1
     assert is_regular(ctx)
-    L = lehrer_springer_group(ctx)
+    L = ctx.w_tau
     assert L.order == 2     # the centralizer acts as +-1 on the fixed line
-    assert hyperplane_restriction_matches(ctx)
+    assert L.generated_by_reflections() and hyperplane_restriction_matches(ctx)
 
 
 def test_d3_diag_flip_gives_hyperoctahedral():
     W = catalog("D3")
     ctx = build_tau(W, _diag_flip(3))
     assert ctx.is_full
-    L = lehrer_springer_group(ctx)
+    L = ctx.w_tau
     assert L.order == 8     # rank-2 hyperoctahedral group
+    assert L.generated_by_reflections() and hyperplane_restriction_matches(ctx)
     assert len(ctx.split_parabolics()) == len(L.parabolic_subgroups())
 
 
@@ -276,12 +276,13 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
             return frozenset(i for i, g in enumerate(W.elements)
                              if all(la.mat_vec(g.mat, b) == b for b in basis))
 
+        bases = [la.nullspace((H.alpha,), W.dim) for H in W.hyperplanes]
         for X in [P.fixed_space for P in W.parabolic_subgroups()] + [ctx.v_tau]:
-            assert W.incidence(X) == {i for i, H in enumerate(W.hyperplanes)
-                                      if la.subspace_leq(X, H.basis)}, name
+            assert W.incidence(X) == {i for i, basis in enumerate(bases)
+                                      if la.subspace_leq(X, basis)}, name
             assert set(W.pointwise_stabilizer(X).ids) == scan(X), name
-        for H in W.hyperplanes:
-            assert list(H.pointwise) == sorted(scan(H.basis)), name
+        for H, basis in zip(W.hyperplanes, bases):
+            assert list(H.pointwise) == sorted(scan(basis)), name
         splits = ctx.split_by_inc()
         for P in W.parabolic_subgroups():
             s = la.intersect(P.fixed_space, ctx.v_tau, W.dim)
@@ -328,7 +329,7 @@ def test_induced_hyperplane_orbits_examples(group, tau, orbits):
     assert ctx.is_full
     _assert_orbit_ids_match_all_elements(ctx.w_tau, group)
     assert ctx.w_tau.hyperplane_orbit_count == orbits
-    assert len(ParameterK.zero(lehrer_springer_group(ctx)).orbit_e) == orbits
+    assert len(ParameterK.zero(ctx.w_tau).orbit_e) == orbits
 
 
 def test_split_data_matches_elementwise_conjugation(pair_contexts):
@@ -484,9 +485,10 @@ def test_orbit_coincidence_fails_on_a_shrunken_setwise_stabilizer(pair_contexts,
 
 
 def test_lehrer_springer_requires_full():
+    # the split-parabolic theory on V^tau needs a full twist
     W = catalog("dihedral4")
     rot = la.mat_mul(W.elements[W.generators[0]].mat, dihedral_tau(4))  # odd rotation
     ctx = build_tau(W, rot)
     assert not ctx.is_full
-    with pytest.raises(TauError):
-        lehrer_springer_group(ctx)
+    with pytest.raises(TauError, match="full"):
+        ctx.split_orbits()
