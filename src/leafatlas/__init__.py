@@ -21,7 +21,7 @@ from .refgroup import catalog
 # the rewriting engine's names, resolved on first use (PEP 562): importing the
 # package, or a CLI job that does not rewrite, does not load it
 _CHEREDNIK_NAMES = (
-    "CherednikAlgebra", "CherednikError", "CherElement", "Poly2", "associated_graded_leading",
+    "CherednikAlgebra", "CherednikError", "CherElement", "associated_graded_leading",
     "central_elements_bounded", "euler_degree", "filtration_degree", "is_central",
     "poisson_bracket", "rank1_center_relation", "rees_specialize")
 

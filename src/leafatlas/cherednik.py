@@ -1,7 +1,8 @@
 """Symbolic rewriting engine for the deformed skew product of C[V x V*] with W.
 
 Elements are finite sums of normal-ordered monomials x^a * w * y^b whose
-coefficients are polynomials in the deformation letters t and h over Q(zeta).
+coefficients are polynomials in the deformation letters t and h over Q(zeta),
+each a plain map (t power, h power) -> nonzero CycNum.
 The single rewriting rule moves a y-letter past an x-letter at the cost of
 the commutator term attached to the hyperplane arrangement; everything else
 is the semidirect-product action.  Three modes share the engine:
@@ -15,8 +16,9 @@ first; the inversion count strictly drops, so rewriting terminates, and the
 result is cached per exponent pair.
 
 Outside the kernel, `_add_into` adds a scalar into a sparse map and drops
-the key when the sum is zero; `Poly2` does not filter zeros again, and an
-element drops only a monomial whose polynomial is empty.  The kernel packs
+the key when the sum is zero, and an element drops a monomial whose map is
+empty.  Elements share the coefficient maps they do not change, so no
+operation mutates one: each builds the maps it changes.  The kernel packs
 monomials into ints: a 16-bit field for each of t, h, x_1..x_n and
 y_1..y_n, and the group element's id above them, so multiplying monomials
 is adding ints.  Its scalars are not CycNums but flat int tuples of one
@@ -75,81 +77,6 @@ def _add_into(out: dict, key, val) -> None:
         out[key] = s
 
 
-# ---------------------------------------------------------------------------
-# coefficients: polynomials in t and h over Q(zeta)
-
-class Poly2:
-    """A sparse map (t power, h power) -> nonzero CycNum.  The constructor
-    takes the map as given: the sums that build one drop zeros."""
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], CycNum] | None = None):
-        self.coeffs = coeffs if coeffs is not None else {}
-
-    @staticmethod
-    def const(c) -> "Poly2":
-        c = as_cyc(c)
-        return Poly2({} if c.is_zero() else {(0, 0): c})
-
-    @staticmethod
-    def t(power: int = 1) -> "Poly2":
-        return Poly2({(power, 0): as_cyc(1)})
-
-    @staticmethod
-    def h(power: int = 1) -> "Poly2":
-        return Poly2({(0, power): as_cyc(1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            _add_into(out, k, v)
-        return Poly2(out)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], CycNum] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                _add_into(out, (i1 + i2, j1 + j2), v1 * v2)
-        return Poly2(out)
-
-    def scale(self, c: CycNum) -> "Poly2":
-        if c.is_zero():
-            return Poly2()
-        return Poly2({k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self.coeffs == other.coeffs
-
-    def divisible_by_t(self) -> bool:
-        return all(i > 0 for (i, _j) in self.coeffs)
-
-    def div_t(self) -> "Poly2":
-        if not self.divisible_by_t():
-            raise CherednikError("coefficient not divisible by t")
-        return Poly2({(i - 1, j): v for (i, j), v in self.coeffs.items()})
-
-    def at_t0(self) -> "Poly2":
-        return Poly2({k: v for k, v in self.coeffs.items() if k[0] == 0})
-
-    def subs_h(self, lam: CycNum) -> "Poly2":
-        out: dict[tuple[int, int], CycNum] = {}
-        for (i, j), v in self.coeffs.items():
-            _add_into(out, (i, 0), v * (lam ** j))
-        return Poly2(out)
-
-    def constant(self) -> CycNum:
-        return self.coeffs.get((0, 0), CycNum.zero())
-
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.coeffs)
-
-
 # a monomial is (x-exponents, group element id, y-exponents)
 Monomial = tuple[tuple[int, ...], int, tuple[int, ...]]
 
@@ -157,9 +84,9 @@ Monomial = tuple[tuple[int, ...], int, tuple[int, ...]]
 class CherElement:
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "CherednikAlgebra", terms: dict[Monomial, Poly2]):
+    def __init__(self, algebra: "CherednikAlgebra", terms: dict[Monomial, dict]):
         self.algebra = algebra
-        self.terms = {m: p for m, p in terms.items() if not p.is_zero()}
+        self.terms = {m: p for m, p in terms.items() if p}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -168,11 +95,14 @@ class CherElement:
         self._check(other)
         out = dict(self.terms)
         for m, p in other.terms.items():
-            _add_into(out, m, p)
+            q = out[m] = dict(out.get(m, ()))
+            for th, c in p.items():
+                _add_into(q, th, c)
         return CherElement(self.algebra, out)
 
     def __neg__(self) -> "CherElement":
-        return CherElement(self.algebra, {m: -p for m, p in self.terms.items()})
+        return CherElement(self.algebra, {m: {th: -c for th, c in p.items()}
+                                          for m, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,8 +111,9 @@ class CherElement:
         if isinstance(other, CherElement):
             self._check(other)
             return self.algebra.multiply(self, other)
-        return CherElement(self.algebra,
-                           {m: p.scale(as_cyc(other)) for m, p in self.terms.items()})
+        c = as_cyc(other)
+        return CherElement(self.algebra, {} if c.is_zero() else
+                           {m: {th: c * v for th, v in p.items()} for m, p in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, CherElement) and self.algebra is other.algebra
@@ -276,9 +207,10 @@ class CherednikAlgebra:
     def zero(self) -> CherElement:
         return CherElement(self, {})
 
-    def _term(self, a, g: int, b, coeff: Poly2 | None = None) -> CherElement:
-        """x^a * g * y^b for the element of id g."""
-        return CherElement(self, {(tuple(a), g, tuple(b)): coeff or Poly2.const(1)})
+    def _term(self, a, g: int, b, coeff: dict | None = None) -> CherElement:
+        """x^a * g * y^b for the element of id g, times coeff (default 1)."""
+        return CherElement(self, {(tuple(a), g, tuple(b)):
+                                  {(0, 0): CycNum.one()} if coeff is None else coeff})
 
     def x(self, i: int, power: int = 1) -> CherElement:
         a = tuple(power if m == i else 0 for m in range(self.n))
@@ -293,8 +225,9 @@ class CherednikAlgebra:
         z = (0,) * self.n
         return self.monomial(z, g, z)
 
-    def monomial(self, a, g, b, coeff: Poly2 | None = None) -> CherElement:
-        """x^a * g * y^b, with g a GroupElement or its key."""
+    def monomial(self, a, g, b, coeff: dict | None = None) -> CherElement:
+        """coeff * x^a * g * y^b, with g a GroupElement or its key and coeff a
+        map (t power, h power) -> CycNum (default 1)."""
         i = self.W.by_key.get(g.key if isinstance(g, GroupElement) else g)
         if i is None:
             raise CherednikError("group element outside the group")
@@ -315,9 +248,9 @@ class CherednikAlgebra:
         for e in (A, B):
             top, terms = 0, []
             for (a, w, b), p in e.terms.items():
-                top = max(top, sum(a) + sum(b) + max(max(th) for th in p.coeffs))
+                top = max(top, sum(a) + sum(b) + max(max(th) for th in p))
                 terms.append((self._pack(a, 2), w, self._pack(b, 2 + self.n),
-                              tuple((i | j << 16, c) for (i, j), c in p.coeffs.items())))
+                              tuple((i | j << 16, c) for (i, j), c in p.items())))
             width += top
             out.append(terms)
         if width > 0xFFFF:
@@ -423,7 +356,7 @@ class CherednikAlgebra:
     def multiply(self, A: CherElement, B: CherElement) -> CherElement:
         pa, pb = self._packed(A, B)
         need = lcm(1, *(c.conductor for e in (A, B) for p in e.terms.values()
-                        for c in p.coeffs.values()))
+                        for c in p.values()))
         if self._field.n % need:
             self._set_field(lcm(self._field.n, need))
         flat_of, mul, addmul, one = self._flat, self._field.mul, self._field.addmul, self._one
@@ -458,7 +391,7 @@ class CherednikAlgebra:
         for m, p in self._by_monomial(flat).items():
             mono = monos.get(m) or monos.setdefault(
                 m, (self._unpack(m, 2), m >> gs, self._unpack(m, 2 + self.n)))
-            terms[mono] = Poly2({(th & 0xFFFF, th >> 16): cyc(c) for th, c in p})
+            terms[mono] = {(th & 0xFFFF, th >> 16): cyc(c) for th, c in p}
         return CherElement(self, terms)
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:
@@ -578,7 +511,8 @@ def associated_graded_leading(e: CherElement, commutative: CherednikAlgebra | No
     if e.is_zero():
         return commutative.zero()
     top = filtration_degree(e)
-    return CherElement(commutative, {(a, w, b): p.at_t0() for (a, w, b), p in e.terms.items()
+    return CherElement(commutative, {(a, w, b): {th: c for th, c in p.items() if not th[0]}
+                                     for (a, w, b), p in e.terms.items()
                                      if sum(a) + sum(b) == top})
 
 
@@ -600,10 +534,10 @@ def poisson_bracket(z1: CherElement, z2: CherElement,
     comm = t_algebra.commutator(lifted1, lifted2)
     out = {}
     for mono, p in comm.terms.items():
-        if not p.divisible_by_t():
+        if any(not i for i, _ in p):
             raise PoissonCompatibilityError(
                 "inputs not Poisson-compatible (not central at the undeformed point)")
-        out[mono] = p.div_t().at_t0()
+        out[mono] = {(0, j): c for (i, j), c in p.items() if i == 1}
     return CherElement(base, out)
 
 
@@ -658,24 +592,21 @@ def central_elements_bounded(W: ReflectionGroup, k: ParameterK, z_degree: int,
     if len(monos) > monomial_cap:
         raise CherednikError("bound too large (configurable cap)")
     probes = _probes(alg)
-    col_elems = [CherElement(alg, {mono: Poly2.const(1)}) for mono in monos]
+    col_elems = [alg._term(*mono) for mono in monos]
     rows: dict[tuple[int, Monomial], list[CycNum]] = {}
     for pi, probe in enumerate(probes):
         for ci, col in enumerate(col_elems):
             comm = alg.commutator(probe, col)
             for mono, p in comm.terms.items():
-                if not p.is_constant():
+                if p.keys() != {(0, 0)}:
                     raise CherednikError("unexpected deformation letter in t0 mode")
                 row = rows.setdefault((pi, mono), [CycNum.zero()] * len(monos))
-                row[ci] = p.constant()
+                row[ci] = p[0, 0]
     kernel = la.nullspace(tuple(tuple(rows[key]) for key in sorted(rows)), len(monos))
     basis = []
     for vecrow in kernel:
-        terms = {}
-        for c, mono in zip(vecrow, monos):
-            if not c.is_zero():
-                terms[mono] = Poly2.const(c)
-        basis.append(CherElement(alg, terms))
+        basis.append(CherElement(alg, {mono: {(0, 0): c} for c, mono in zip(vecrow, monos)
+                                       if not c.is_zero()}))
     return alg, basis
 
 
@@ -704,7 +635,7 @@ def rank1_center_relation(k: ParameterK):
     if len(zcands) != 1:
         raise CherednikError("central degree-0 normalization failed")
     Z = zcands[0]
-    lead = Z.terms[xy].constant()
+    lead = Z.terms[xy][0, 0]
     Z = Z * lead.inverse()
     X = alg.x(0, 2)
     Y = alg.y(0, 2)
@@ -712,7 +643,7 @@ def rank1_center_relation(k: ParameterK):
     ident = ((0,), W.identity, (0,))
     if any(m != ident for m in R.terms):
         raise CherednikError("relation defect is not a scalar (engine bug)")
-    gamma = R.terms.get(ident, Poly2()).constant()
+    gamma = R.terms.get(ident, {}).get((0, 0), CycNum.zero())
     c = k.k(0, 0) - k.k(0, 1)
     record = {"gamma": gamma, "difference": c, "b": None, "b_over_difference": None}
     if not c.is_zero() and c.is_rational():
@@ -738,7 +669,12 @@ def rees_specialize(e: CherElement, lam) -> CherElement:
         raise CherednikError("specialization starts from the h^2 mode")
     lam = as_cyc(lam)
     target = CherednikAlgebra(alg.W, alg.k.scaled(lam * lam), "t0")
-    return CherElement(target, {mono: p.subs_h(lam) for mono, p in e.terms.items()})
+    terms = {}
+    for mono, p in e.terms.items():
+        q = terms[mono] = {}
+        for (i, j), c in p.items():
+            _add_into(q, (i, 0), c * (lam ** j))
+    return CherElement(target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +686,21 @@ _TOKEN = re.compile(
 
 
 def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
-    total = alg.zero()
+    """The element of a literal.  Each term is one scalar times powers of t
+    and h; the scalars are multiplied and summed in one field context over
+    the lcm of the literal's own Q(z_N) conductors, which takes the algebra's
+    cap, so a sum is refused where it would first need Phi_N."""
+    try:
+        n = lcm(1, *map(int, re.findall(r"Q\(z_(\d+)\)", text)))
+    except ValueError as exc:       # past the interpreter's digit limit
+        raise CherednikError("integer too long in cyclotomic literal") from exc
+    F = FlatField(n or 1, alg._cap)     # cyc_parse refuses Q(z_0)
+    flat: dict = {}     # (monomial, (t power, h power)) -> the field's sum of scalars
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
             raise CherednikError("empty term in element literal")
-        coeff = Poly2.const(1)
+        coeff, th = F.one, [0, 0]
         a = [0] * alg.n
         b = [0] * alg.n
         g = alg.W.identity
@@ -768,7 +713,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                 raise CherednikError(f"bad factor {factor!r}")
             try:
                 if m.group(1) is not None or m.group(2) is not None:
-                    coeff = coeff * Poly2.const(Fraction(m.group(1) or m.group(2)))
+                    coeff = F.mul(coeff, F.flat(as_cyc(Fraction(m.group(1) or m.group(2)))))
                 elif m.group(3) is not None:
                     idx = int(m.group(4)) - 1
                     if not 0 <= idx < alg.n:
@@ -789,10 +734,9 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                                 raise CherednikError(f"generator index {gi} out of range")
                             g = alg.W.mul(g, alg.W.generators[gi])
                 elif m.group(7) is not None:
-                    power = int(m.group(8) or 1)
-                    coeff = coeff * (Poly2.t(power) if m.group(7) == "t" else Poly2.h(power))
+                    th[m.group(7) == "h"] += int(m.group(8) or 1)
                 else:
-                    coeff = coeff * Poly2.const(cyc_parse(factor))
+                    coeff = F.mul(coeff, F.flat(cyc_parse(factor)))
             except ExactDomainError as exc:
                 raise CherednikError(str(exc)) from exc
             except (ValueError, ZeroDivisionError) as exc:
@@ -805,8 +749,13 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                                  f"{sys.getrecursionlimit() // 4}")
         # letters were accumulated in commuting blocks, so the term is the
         # normal-ordered monomial x^a * g * y^b
-        total = total + alg._term(a, g, b, coeff)
-    return total
+        F.addmul(flat, ((tuple(a), g, tuple(b)), tuple(th)), coeff, F.one)
+    terms: dict[Monomial, dict] = {}
+    for (mono, th), c in flat.items():
+        c = F.normal(c)
+        if c is not None:
+            terms.setdefault(mono, {})[th] = F.cyc(c)
+    return CherElement(alg, terms)
 
 
 def format_element(e: CherElement) -> str:
@@ -817,9 +766,7 @@ def format_element(e: CherElement) -> str:
     parts = []
     for mono in sorted(e.terms, key=lambda m: (-(sum(m[0]) + sum(m[2])), m[0], m[2], m[1])):
         a, w, b = mono
-        poly = e.terms[mono]
-        for (it, ih) in sorted(poly.coeffs):
-            c = poly.coeffs[(it, ih)]
+        for (it, ih), c in sorted(e.terms[mono].items()):
             factors = [f"({num_str(c)})"]
             if it:
                 factors.append("t" if it == 1 else f"t^{it}")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -313,6 +314,12 @@ def test_twist_root_of_unity_inside_the_field_bound_runs(capsys):
        "--z2", "Q(z_41):z^40 * y1^2 + Q(z_41):z^40 * y2^2"
                " + Q(z_43):z^42 * y1^2 + Q(z_43):z^42 * y2^2"] + cap
       for cap in ([], ["--cap", "3000000"])),
+    # one literal's own sum, and one term's own product, over Q(z_2022161)
+    ["poisson", "--group", "B2", "--k", "1;1", "--z1",
+     "Q(z_31):z^30*x1^2 + Q(z_37):z^36*x1^2 + Q(z_41):z^40*x1^2 + Q(z_43):z^42*x1^2",
+     "--z2", "y1^2"],
+    ["poisson", "--group", "B2", "--k", "1;1", "--z1",
+     "Q(z_31):z^30 * Q(z_37):z^36 * Q(z_41):z^40 * Q(z_43):z^42 * x1^2", "--z2", "y1^2"],
 ])
 def test_oversized_field_or_rewrite_exit3_quickly(capsys, argv):
     start = time.perf_counter()
@@ -384,6 +391,13 @@ def test_poisson_in_a_wide_field_context_runs_quickly(capsys, z1, z2, contains, 
 def test_poisson_inside_the_rewrite_bound_runs(capsys, argv):
     code, out, _ = run_cli(capsys, "poisson", *argv)
     assert code == 0 and json.loads(out)["euler_degree"] == 0
+    # the largest brackets of the suite: their report bytes, by group
+    assert hashlib.sha256(out.encode()).hexdigest() == {
+        "cyclic2": "d26286983624c776fb911dae591522320fe640dc393e15c0d30682a67203ed4f",
+        "B5": "cf549fef2bc6d53f81935e7a6e5babd8bf1f15a402853ac88def3dc6e421fc37",
+        "D5": "db408aa609e6e208271226c7000f114ac282448633d9ffd6f5a1a94a777f40ca",
+        "B4": "c8f2eae2abbdd54c6added1dd1576bb5311c83d450d24441a7b1b75ad0f2e84a",
+    }[argv[1]]
 
 
 @pytest.mark.parametrize("argv,degrees", [
@@ -617,3 +631,18 @@ def test_non_full_twist_builds_one_induced_group(capsys, monkeypatch, group, twi
     code, out, _ = run_cli(capsys, "leaves-zero", "--group", group, "--tau", twist)
     assert code == 0 and json.loads(out)["tau_full_adjusted"]
     assert calls == {"quotient": 1, "induced": induced, "setwise": 0}
+
+
+def test_readme_cli_lines_run_as_a_shell_reads_them(capsys):
+    # a shell ends a command at an unquoted ;, | or &, so each line of the
+    # README's CLI block must have none, and must then run with exit code 0
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## CLI\n", 1)[1].split("```\n")[1].splitlines()
+    assert len(lines) == 14
+    for line in lines:
+        lex = shlex.shlex(line, posix=True, punctuation_chars=";|&")
+        lex.whitespace_split = True
+        words = list(lex)
+        assert not [w for w in words if not w.strip(";|&")], line
+        assert words[0] == "leafatlas"
+        assert run_cli(capsys, *words[1:])[0] == 0, line

@@ -26,7 +26,7 @@ EXPORTS = {
     tau: ["TauContext", "TauError", "build_tau", "is_regular", "make_full"],
     leaves: ["LeafLabel", "Stratum", "leaf_report", "leaves_zero_tau", "strata_double",
              "strata_single"],
-    cherednik: ["CherednikAlgebra", "CherednikError", "CherElement", "Poly2",
+    cherednik: ["CherednikAlgebra", "CherednikError", "CherElement",
                 "associated_graded_leading", "central_elements_bounded", "euler_degree",
                 "filtration_degree", "is_central", "poisson_bracket", "rank1_center_relation",
                 "rees_specialize"],
