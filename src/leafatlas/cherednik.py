@@ -682,7 +682,17 @@ def rees_specialize(e: CherElement, lam) -> CherElement:
 
 _TOKEN = re.compile(
     r"\(\s*(-?\d+(?:/\d+)?)\s*\)|(-?\d+(?:/\d+)?)|([xy])(\d+)(?:\^(\d+))?"
-    r"|w\(([^)]*)\)|([th])(?:\^(\d+))?|Q\(z_\d+\):[^*+]*")
+    r"|w\(([^)]*)\)|([th])(?:\^(\d+))?|Q\(z_\d+\):[^*+]*|\(Q\(z_\d+\):[^()]*\)")
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """text split at each sep at parenthesis depth 0."""
+    depth, cuts = 0, [-1]
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and not depth:
+            cuts.append(i)
+    return [text[a + 1:b] for a, b in zip(cuts, cuts[1:] + [len(text)])]
 
 
 def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
@@ -696,7 +706,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
         raise CherednikError("integer too long in cyclotomic literal") from exc
     F = FlatField(n or 1, alg._cap)     # cyc_parse refuses Q(z_0)
     flat: dict = {}     # (monomial, (t power, h power)) -> the field's sum of scalars
-    for chunk in text.split("+"):
+    for chunk in _split_top(text, "+"):
         chunk = chunk.strip()
         if not chunk:
             raise CherednikError("empty term in element literal")
@@ -704,7 +714,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
         a = [0] * alg.n
         b = [0] * alg.n
         g = alg.W.identity
-        for factor in chunk.split("*"):
+        for factor in _split_top(chunk, "*"):
             factor = factor.strip()
             if not factor:
                 raise CherednikError("empty factor in element literal")
@@ -736,7 +746,8 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                 elif m.group(7) is not None:
                     th[m.group(7) == "h"] += int(m.group(8) or 1)
                 else:
-                    coeff = F.mul(coeff, F.flat(cyc_parse(factor)))
+                    lit = factor[1:-1] if factor[0] == "(" else factor
+                    coeff = F.mul(coeff, F.flat(cyc_parse(lit)))
             except ExactDomainError as exc:
                 raise CherednikError(str(exc)) from exc
             except (ValueError, ZeroDivisionError) as exc:

@@ -21,10 +21,10 @@ a = p^-1 mod m, b = m^-1 mod p: the element is split over 1, zeta_p, ...,
 zeta_p^(p-2), and it descends iff every coordinate but the first is 0 mod
 Phi_m.  Last, the gcd of the denominator and the numerators is divided out.
 
-Canonicalization, sums, products and rational scaling run on Python ints,
-and no floating point enters any computation.  fractions.Fraction is met
-only in parsing, as_fraction, a Fraction coefficient map given to the
-constructor, and cyclotomic inverses.
+Canonicalization, sums, products, rational scaling and inverses run on
+Python ints, and no floating point enters any computation.
+fractions.Fraction is met only in parsing, as_fraction, and a Fraction
+coefficient map given to the constructor.
 
 Loops that stay in one field Q(zeta_N), the group closure and the Cherednik
 rewriting kernel, work on flat int tuples instead.  `to_flat` and
@@ -221,43 +221,6 @@ def _canonicalize(n: int, coeffs: dict[int, int], den: int = 1):
     return n, tuple(sorted(coeffs.items())), den
 
 
-def _poly_ext_inverse(coeffs: dict[int, int], n: int) -> dict[int, Fraction]:
-    # inverse modulo Phi_n via extended euclid over Q[x]
-    deg = _phi_degree(n)
-    a = [Fraction(c) for c in cyclotomic_poly(n)]
-    b = [Fraction(coeffs.get(e, 0)) for e in range(deg)]
-    # invariants: s*phi + t*orig = r  (we only track t)
-    t_prev: list[Fraction] = [Fraction(0)]
-    t_cur: list[Fraction] = [Fraction(1)]
-    r_prev, r_cur = a, b
-
-    def strip(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def sub_scaled(p, q, c, shift):
-        out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-        for i, qc in enumerate(q):
-            out[i + shift] -= c * qc
-        return strip(out)
-
-    r_prev, r_cur = strip(r_prev), strip(r_cur)
-    while len(r_cur) > 1:
-        # len(r_prev) >= len(r_cur) holds throughout: the swap below keeps it
-        q_shift = len(r_prev) - len(r_cur)
-        c = r_prev[-1] / r_cur[-1]
-        r_prev = sub_scaled(r_prev, r_cur, c, q_shift)
-        t_prev = sub_scaled(t_prev, t_cur, c, q_shift)
-        if len(r_prev) < len(r_cur):
-            r_prev, r_cur = r_cur, r_prev
-            t_prev, t_cur = t_cur, t_prev
-    if not r_cur:
-        raise ExactDomainError("division by zero in Q(zeta)")
-    scale = Fraction(1) / r_cur[0]
-    return {e: c * scale for e, c in enumerate(t_cur) if c}
-
-
 # ---------------------------------------------------------------------------
 # CycNum
 
@@ -387,8 +350,28 @@ class CycNum:
         if self.conductor == 1:
             p = self.coeffs[0][1]
             return _raw(1, ((0, self.den if p > 0 else -self.den),), abs(p))
-        inv = _poly_ext_inverse(dict(self.coeffs), self.conductor)
-        return CycNum(self.conductor, {e: c * self.den for e, c in inv.items()})
+        # extended Euclid against Phi_N on integer polynomials, low to high:
+        # each row (r, t) keeps r = t * den * self mod Phi_N; a step cancels
+        # r0's leading term by cross-multiplying and divides the row by its
+        # content, so no fraction enters.  It ends at a constant r1 = c.
+        n = self.conductor
+        (r0, t0), (r1, t1) = (list(cyclotomic_poly(n)), [0]), (
+            [dict(self.coeffs).get(e, 0) for e in range(self.coeffs[-1][0] + 1)], [1])
+        while len(r1) > 1:
+            shift, c0, c1 = len(r0) - len(r1), r0[-1], r1[-1]
+            r0 = [c1 * x for x in r0]
+            t0 = [c1 * x for x in t0] + [0] * (len(t1) + shift - len(t0))
+            for p, q in ((r0, r1), (t0, t1)):
+                for i, x in enumerate(q):
+                    p[i + shift] -= c0 * x
+                while p and not p[-1]:
+                    p.pop()
+            g = gcd(*r0, *t0)
+            r0, t0 = [x // g for x in r0], [x // g for x in t0]
+            if len(r0) < len(r1):
+                (r0, t0), (r1, t1) = (r1, t1), (r0, t0)
+        d = self.den if r1[0] > 0 else -self.den
+        return CycNum(n, {e: x * d for e, x in enumerate(t1) if x}, abs(r1[0]))
 
     def __truediv__(self, other):
         return self.__mul__(as_cyc(other).inverse())

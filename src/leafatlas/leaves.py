@@ -87,11 +87,11 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool
     (point, covector) whose stabilizers intersect exactly in P."""
     W = ctx.W
     wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
-    s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), W.dim)
-    # covectors fixed by P: those vanishing on the coroots of its reflections
-    dual_fixed = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc)), W.dim)
-    # covectors c with c @ wtau = c: the fixed space of the dual action
-    s_x = la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), W.dim)
+    s_v = P.cut(la.fixed_rows(wtau))
+    # covectors fixed by P, those vanishing on the coroots of its reflections,
+    # with c @ wtau = c: cut out by the alpha_vee and the rows of wtau^T - 1
+    s_x = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc))
+                       + la.fixed_rows(la.transpose(wtau)), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)
     return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)

@@ -2,7 +2,9 @@
 
 Vectors are tuples of CycNum, matrices tuples of row tuples.  Subspaces are
 always carried as reduced-row-echelon bases, so equal subspaces have equal
-bases.  Everything is pure and deterministic.
+bases.  Everything is pure and deterministic.  A subspace is born as the
+null space of the rows that cut it out (V^P from the alphas of P, V^g from
+the rows of g - 1), so an intersection is one null space of stacked cut rows.
 
 A product a @ b is each row of a dotted with each column of b.  Group
 closure does not come here: it multiplies on integer coordinates (see
@@ -86,11 +88,16 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
             continue
         work[r], work[pr] = work[pr], work[r]
         inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
+        # the pivot row is zero left of c: eliminate over its nonzero columns
+        nz = [(j, inv * x) for j, x in enumerate(work[r][c:], c) if not x.is_zero()]
+        for j, x in nz:
+            work[r][j] = x
         for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and not f.is_zero():
+                row = work[i]
+                for j, y in nz:
+                    row[j] = row[j] - f * y
         r += 1
         if r == len(work):
             break
@@ -158,14 +165,24 @@ def span(vectors) -> tuple[Vector, ...]:
     return rref(vectors) if vectors else ()
 
 
+def fixed_rows(m: Matrix) -> Matrix:
+    """The rows of m - 1, which cut out the vectors fixed by m."""
+    return mat_sub(m, identity(len(m)))
+
+
 def fixed_space(m: Matrix) -> tuple[Vector, ...]:
     """Basis of Ker(m - id), i.e. vectors fixed by m."""
-    n = len(m)
-    return nullspace(mat_sub(m, identity(n)), n)
+    return nullspace(fixed_rows(m), len(m))
+
+
+def fixed_dim(m: Matrix) -> int:
+    """dim Ker(m - id), as len(m) less the rank of m - 1: one RREF, no basis."""
+    return len(m) - len(rref(fixed_rows(m)))
 
 
 def intersect(a: tuple[Vector, ...], b: tuple[Vector, ...], n: int) -> tuple[Vector, ...]:
-    """The intersection: the vectors on which both annihilators vanish."""
+    """The intersection of two spans, as three null spaces: the reference
+    for one null space of stacked cut rows."""
     return nullspace(nullspace(a, n) + nullspace(b, n), n)
 
 

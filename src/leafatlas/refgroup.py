@@ -78,10 +78,15 @@ class Parabolic:
         self.ids = tuple(sorted(ids))
         self.inc = inc
 
+    def cut(self, rows=()):
+        """V^P cut further by rows: one null space of P's alphas and rows."""
+        W = self.group
+        return la.nullspace(tuple(W.hyperplanes[i].alpha for i in sorted(self.inc)) + tuple(rows),
+                            W.dim)
+
     @cached_property
     def fixed_space(self):
-        W = self.group
-        return la.nullspace(tuple(W.hyperplanes[i].alpha for i in sorted(self.inc)), W.dim)
+        return self.cut()
 
     @property
     def order(self) -> int:

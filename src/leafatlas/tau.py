@@ -4,12 +4,13 @@ Given tau normalizing W, this module computes the fixed space V^tau, the
 fullness defect, the induced reflection group on V^tau (setwise modulo
 pointwise stabilizer, restricted by coordinates read off V^tau's RREF basis)
 with a deterministic section back into W, the split parabolics with their
-bijective restriction P -> P_tau (walked as W_tau-orbits, one intersection
-V^P cap V^tau each), normalizer identifications, and the twist-coset classes
-that index the components of the fixed-point strata.  The one place that
-matches W_tau-orbits of split parabolics to twist classes (the Harish-Chandra
-dictionary) is `TauContext.split_class_dictionary`, which refuses any match
-that is not a bijection.  An inner twist (tau in W) has full twist 1, and
+bijective restriction P -> P_tau (walked as W_tau-orbits, one null space of
+P's alphas and V^tau's cut rows, V^P cap V^tau, each), normalizer
+identifications, and the twist-coset classes that index the components of
+the fixed-point strata.  The one place that matches W_tau-orbits of split
+parabolics to twist classes (the Harish-Chandra dictionary) is
+`TauContext.split_class_dictionary`, which refuses any match that is not a
+bijection.  An inner twist (tau in W) has full twist 1, and
 for tau = 1 W_tau is W itself and each parabolic has one twist class.
 """
 
@@ -46,13 +47,13 @@ def tau_from_word(W: ReflectionGroup, word: list[int], zeta: CycNum | None = Non
 class SplitParabolic:
     """A tau-split parabolic P together with its image P_tau in W_tau."""
 
-    def __init__(self, parabolic: Parabolic, p_tau: Parabolic, v_tau):
-        self.parabolic, self.p_tau, self._v_tau = parabolic, p_tau, v_tau
+    def __init__(self, parabolic: Parabolic, p_tau: Parabolic, tau_cut):
+        self.parabolic, self.p_tau, self._tau_cut = parabolic, p_tau, tau_cut
 
     @cached_property
     def tau_fixed(self):
-        """(V^P)^tau as an ambient subspace, intersected on first read."""
-        return la.intersect(self.parabolic.fixed_space, self._v_tau, self.parabolic.group.dim)
+        """(V^P)^tau as an ambient subspace, cut out by V^tau's rows on first read."""
+        return self.parabolic.cut(self._tau_cut)
 
     @property
     def tau_rank(self) -> int:
@@ -88,7 +89,8 @@ class TauContext:
         if self.order is None:
             raise TauError("twist has infinite order")
         self.tau_perm = W.hyperplane_perm(self.tau_conj)
-        self.v_tau = la.fixed_space(tau)
+        self._tau_cut = la.rref(la.fixed_rows(tau))     # reduced once, stacked on every cut
+        self.v_tau = la.nullspace(self._tau_cut, W.dim)
         self.full_tau, self.delta = self._full_twist()
         self.is_full = self.delta == len(self.v_tau)
         self._split_orbits = None
@@ -112,14 +114,14 @@ class TauContext:
         """(w*tau, delta): delta is the largest dim V^(w tau), w the least id
         reaching it.  For tau in W only w = tau^-1 reaches dim V, so this is
         1.  Otherwise, as (a w tau(a)^-1) tau = a (w tau) a^-1, the dimension
-        is constant on twisted classes: one fixed space per class, at its
-        least id."""
+        is constant on twisted classes: one rank of w tau - 1 per class, at
+        its least id."""
         if GroupElement(self.tau).key in self.W.by_key:
             return la.identity(self.W.dim), self.W.dim
         best, best_dim = None, -1
         for g, _ in self._twisted_orbits(range(self.W.order), lambda g: g):
             cand = la.mat_mul(self.W.elements[g].mat, self.tau)
-            dim = len(la.fixed_space(cand))
+            dim = la.fixed_dim(cand)
             if dim > best_dim:
                 best, best_dim = cand, dim
         return best, best_dim
@@ -197,7 +199,7 @@ class TauContext:
                     continue
                 tree = _orbit(P.inc, perms)
                 seen.update(tree)
-                s = la.intersect(P.fixed_space, self.v_tau, W.dim)
+                s = P.cut(self._tau_cut)
                 if W.incidence(s) != P.inc:
                     continue
                 # P_tau fixes the coordinates of s in V^tau pointwise
@@ -210,8 +212,8 @@ class TauContext:
                     if {self.restriction[i] for i in self.setwise.intersection(Q.ids)} \
                             != set(q_tau.ids):
                         raise TauError("restriction of a split parabolic is not parabolic")
-                    splits[inc] = SplitParabolic(Q, q_tau, self.v_tau)
-                splits[P.inc].tau_fixed = s          # so it is not intersected again
+                    splits[inc] = SplitParabolic(Q, q_tau, self._tau_cut)
+                splits[P.inc].tau_fixed = s          # so it is not cut again
                 orbits.append(tuple(sorted((splits[inc] for inc in tree),
                                            key=lambda sp: sp.parabolic.ids)))
             self._split_orbits = tuple(sorted(orbits, key=lambda o: o[0].parabolic.ids))
@@ -235,8 +237,7 @@ class TauContext:
         """True iff the fixed points of u*tau meet the open stratum of P: the
         part of V^P fixed by u*tau lies in no hyperplane beyond those
         containing V^P, so its pointwise stabilizer is exactly P."""
-        s = la.intersect(P.fixed_space,
-                         la.fixed_space(la.mat_mul(self.W.elements[u].mat, self.tau)), self.W.dim)
+        s = P.cut(la.fixed_rows(la.mat_mul(self.W.elements[u].mat, self.tau)))
         return self.W.incidence(s) == P.inc
 
     # -- twist classes ------------------------------------------------------------
@@ -314,7 +315,7 @@ def build_tau(W: ReflectionGroup, tau: Matrix) -> TauContext:
 
 def make_full(W: ReflectionGroup, tau: Matrix) -> Matrix:
     """w*tau for the first w (in id order) with dim V^(w tau) maximal: the
-    context's `full_tau`, found with one fixed space per twisted class.  tau
+    context's `full_tau`, found with one rank per twisted class.  tau
     must be a valid twist (invertible, of finite order, normalizing W)."""
     return TauContext(W, tau).full_tau
 

@@ -83,6 +83,24 @@ def test_poisson_command(capsys):
     assert "x1" in data["bracket"]
 
 
+def test_poisson_report_parses_back(capsys):
+    # a cyclotomic coefficient prints whole, with + and * inside its
+    # parentheses; a report's elements fed back give the same report
+    argv = ["poisson", "--group", "cyclic2", "--z1", "Q(z_8):z^1 * x1^2 + Q(z_8): 3/2 * x1^2",
+            "--z2", "y1^2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["z1"] == "(Q(z_8): 3/2 + 1*z^1) * x1^2 * w(e)"
+    assert "(Q(z_8): " in data["bracket"]
+    again = run_cli(capsys, "poisson", "--group", "cyclic2", "--z1", data["z1"],
+                    "--z2", data["z2"])
+    assert again == (0, out, "")
+    code, out, _ = run_cli(capsys, "poisson", "--group", "cyclic2", "--z1", data["bracket"],
+                           "--z2", "x1")
+    assert code == 0 and json.loads(out)["z1"] == data["bracket"]
+
+
 def test_reflections_csv(capsys):
     code, out, _ = run_cli(capsys, "reflections", "--group", "dihedral4",
                            "--format", "csv")

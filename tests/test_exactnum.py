@@ -377,6 +377,51 @@ def test_arithmetic_matches_fraction_reference():
     assert descended >= 250
 
 
+def _fraction_euclid_inverse(x):
+    # the former production inverse, the reference: extended Euclid against
+    # Phi_n over Q[z], dividing leading coefficients as Fractions
+    n = x.conductor
+    r_prev = [Fraction(c) for c in cyclotomic_poly(n)]
+    r_cur = [Fraction(c, x.den) for c in (dict(x.coeffs).get(e, 0)
+                                          for e in range(x.coeffs[-1][0] + 1))]
+    t_prev, t_cur = [Fraction(0)], [Fraction(1)]     # s * Phi_n + t * x = r
+
+    def sub_scaled(p, q, c, shift):
+        out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
+        for i, qc in enumerate(q):
+            out[i + shift] -= c * qc
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    while len(r_cur) > 1:
+        shift, c = len(r_prev) - len(r_cur), r_prev[-1] / r_cur[-1]
+        r_prev = sub_scaled(r_prev, r_cur, c, shift)
+        t_prev = sub_scaled(t_prev, t_cur, c, shift)
+        if len(r_prev) < len(r_cur):
+            r_prev, r_cur, t_prev, t_cur = r_cur, r_prev, t_cur, t_prev
+    return CycNum(n, {e: c / r_cur[0] for e, c in enumerate(t_cur) if c})
+
+
+def test_integer_euclid_inverse_matches_fraction_euclid():
+    rng = random.Random(20262)
+    one = CycNum.one()
+    for n in DIFFERENTIAL_CONDUCTORS:
+        xs = [CycNum(n, _random_fraction_map(rng, n)) for _ in range(12)]
+        if n > 1:
+            z = root_of_unity(n)
+            xs += [z, one - z]
+        for x in xs:
+            if not x.is_zero():
+                inv = x.inverse()
+                assert inv == _fraction_euclid_inverse(x), (n, x)
+                assert x * inv == one, (n, x)
+    z = root_of_unity(211)     # phi = 210
+    x = as_cyc(Fraction(3, 2)) - z + z ** 5
+    assert x.conductor == 211
+    assert x.inverse() == _fraction_euclid_inverse(x) and x * x.inverse() == one
+
+
 # ---------------------------------------------------------------------------
 # one field context: flat tuples against CycNum
 

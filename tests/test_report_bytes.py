@@ -17,8 +17,10 @@ type-D leaf records became one class, and the last two, `tau-split` on D5
 1 to 24) and on G(4,2,3) `identity`, before split parabolics were found in
 one walk over W_tau-orbits, and the last three, rank-5 `leaves-zero` on D5
 and G(2,1,5) `identity` and B4 `neg`, before a twist in W took W_tau = W
-and P's own coset as its one twist class; a refactor that keeps every
-report must keep them.
+and P's own coset as its one twist class, and the last two, rank-3
+`leaves-zero` over Q(z_8) and Q(z_5) (phi = 4), before subspaces were cut
+from stacked rows and cyclotomic inverses ran on integer polynomials; a
+refactor that keeps every report must keep them.
 """
 
 import hashlib
@@ -128,6 +130,11 @@ REPORT_DIGESTS = [
      "e7ec59c5eb3db172916ceb4fa957132afd47d91615dadffbd4c981c892849315"),
     (["leaves-zero", "--group", "B4", "--tau", "neg"],
      "bb1c7aeeb790a0f873e7be10e85192c2a41abaa6549b94961422d4fa68dc4c81"),
+    # phi = 4 at rank 3, where cyclotomic pivots are inverted and cut
+    (["leaves-zero", "--group", "G(8,2,3)", "--tau", "identity"],
+     "0cf8a775c80c2426b8250624d69cd2be68321c66fd855c3215efe9a9070b6b9a"),
+    (["leaves-zero", "--group", "G(5,1,3)", "--tau", "identity"],
+     "a9c564480d5c408292defd6bcb557cdb88dd8db6f22e49abdea8e1ad14c67f51"),
 ]
 
 

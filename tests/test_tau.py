@@ -4,7 +4,8 @@ import pytest
 
 from leafatlas import linalg as la
 from leafatlas.exactnum import root_of_unity
-from leafatlas.refgroup import GroupElement, catalog, dihedral_tau
+from leafatlas.leaves import double_twist_nonempty
+from leafatlas.refgroup import GroupElement, ReflectionGroup, catalog, dihedral_tau
 from leafatlas.tau import (
     TauContext, TauError, build_tau, hyperplane_restriction_matches,
     intersection_of_splits_is_split, is_regular, make_full, normalizer_tau,
@@ -126,9 +127,10 @@ def test_identity_twist_classes_are_the_cosets_meeting_the_stratum(group):
 def test_context_takes_one_fixed_space_per_twisted_class(group, twist, monkeypatch):
     W = catalog(group)
     tau = _diag_flip(W.dim) if twist == "diag-flip" else la.identity(W.dim)
+    # la.fixed_dim is what gives a twisted class its fixed dimension
     calls = []
-    fixed_space = la.fixed_space
-    monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
+    fixed_dim = la.fixed_dim
+    monkeypatch.setattr(la, "fixed_dim", lambda m: calls.append(m) or fixed_dim(m))
     ctx = build_tau(W, tau)
     monkeypatch.undo()
     assert ctx.is_full
@@ -136,7 +138,10 @@ def test_context_takes_one_fixed_space_per_twisted_class(group, twist, monkeypat
     # every a in W
     classes = {frozenset(W.mul(W.mul(a, g), W.inv(ctx.tau_conj(a))) for a in range(W.order))
                for g in range(W.order)}
-    assert 0 < len(calls) <= 1 + len(classes)
+    if twist == "identity":
+        assert not calls        # tau in W: the inner-twist shortcut computes none
+    else:
+        assert 0 < len(calls) <= len(classes)
 
 
 def test_regularity_cases():
@@ -296,6 +301,47 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
                                  la.fixed_space(la.mat_mul(W.elements[u].mat, ctx.tau)), W.dim)
                 expected = W.stabilizer_keys(W.witness_point(s)) == set(P.ids)
                 assert ctx.meets_stratum(P, u) == expected, name
+
+
+def _bases_passed(monkeypatch, attrs, call):
+    """The bases handed to the ReflectionGroup methods attrs while call()
+    runs, with the whole-group stabilizer scans stubbed out."""
+    seen = []
+    with monkeypatch.context() as m:
+        for attr in attrs:
+            m.setattr(ReflectionGroup, attr, lambda self, basis, f=getattr(ReflectionGroup, attr):
+                      seen.append(basis) or f(self, basis))
+        for attr in ("stabilizer_keys", "dual_stabilizer_keys"):
+            m.setattr(ReflectionGroup, attr, lambda self, v: frozenset())
+        call()
+    return seen
+
+
+def test_row_cuts_match_intersections(pair_contexts, monkeypatch):
+    # each subspace the fast paths take as one null space of stacked cut rows
+    # against la.intersect of the two subspaces, the reference
+    for name, ctx in pair_contexts.items():
+        W, n = ctx.W, ctx.W.dim
+        assert ctx.v_tau == la.fixed_space(ctx.tau), name
+        splits = ctx.split_by_inc()
+        for P in W.parabolic_subgroups():
+            s = la.intersect(P.fixed_space, ctx.v_tau, n)
+            assert P.cut(ctx._tau_cut) == s, name          # the split test's subspace
+            if P.inc in splits:
+                assert splits[P.inc].tau_fixed == s, name
+        for cls in W.parabolic_classes():
+            P = cls.representative
+            N = W.normalizer(P)
+            dual_fixed = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc)), n)
+            for idx in range(N.order):
+                u = N.rep(idx)
+                wtau = la.mat_mul(W.elements[u].mat, ctx.tau)
+                s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), n)
+                s_x = la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), n)
+                assert _bases_passed(monkeypatch, ["incidence"],
+                                     lambda: ctx.meets_stratum(P, u)) == [s_v], name
+                assert _bases_passed(monkeypatch, ["witness_point", "witness_covector"],
+                                     lambda: double_twist_nonempty(ctx, P, u)) == [s_v, s_x], name
 
 
 def _hyperplane_orbits_under_all_elements(W):
