@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg as la
-from .exactnum import CycNum, ExactDomainError, FlatField, as_cyc, cyc_parse, num_str
+from .exactnum import CycNum, FlatField, as_cyc, cyc_parse, literal_fields, num_str
 from .refgroup import CapExceededError, GroupElement, ParameterK, ReflectionGroup
 
 MODES = ("t", "hbar2", "t0")
@@ -680,9 +680,10 @@ def rees_specialize(e: CherElement, lam) -> CherElement:
 # ---------------------------------------------------------------------------
 # literal syntax: "x1^2 * w(g0 g1) * y2 + (3/2) t * w(e)"
 
-_TOKEN = re.compile(
-    r"\(\s*(-?\d+(?:/\d+)?)\s*\)|(-?\d+(?:/\d+)?)|([xy])(\d+)(?:\^(\d+))?"
-    r"|w\(([^)]*)\)|([th])(?:\^(\d+))?|Q\(z_\d+\):[^*+]*|\(Q\(z_\d+\):[^()]*\)")
+# a scalar factor, whole in parentheses or bare from a sign, a digit or
+# "Q(z_", is group 1 or 2, and cyc_parse reads it
+_TOKEN = re.compile(r"\((.+)\)|([-\d].*|Q\(z_.*)|([xy])(\d+)(?:\^(\d+))?"
+                    r"|w\(([^)]*)\)|([th])(?:\^(\d+))?")
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -700,10 +701,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
     and h; the scalars are multiplied and summed in one field context over
     the lcm of the literal's own Q(z_N) conductors, which takes the algebra's
     cap, so a sum is refused where it would first need Phi_N."""
-    try:
-        n = lcm(1, *map(int, re.findall(r"Q\(z_(\d+)\)", text)))
-    except ValueError as exc:       # past the interpreter's digit limit
-        raise CherednikError("integer too long in cyclotomic literal") from exc
+    n = lcm(1, *literal_fields(text))
     F = FlatField(n or 1, alg._cap)     # cyc_parse refuses Q(z_0)
     flat: dict = {}     # (monomial, (t power, h power)) -> the field's sum of scalars
     for chunk in _split_top(text, "+"):
@@ -722,9 +720,7 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
             if not m:
                 raise CherednikError(f"bad factor {factor!r}")
             try:
-                if m.group(1) is not None or m.group(2) is not None:
-                    coeff = F.mul(coeff, F.flat(as_cyc(Fraction(m.group(1) or m.group(2)))))
-                elif m.group(3) is not None:
+                if m.group(3) is not None:
                     idx = int(m.group(4)) - 1
                     if not 0 <= idx < alg.n:
                         raise CherednikError(f"letter index out of range in {factor!r}")
@@ -746,11 +742,8 @@ def parse_element(alg: CherednikAlgebra, text: str) -> CherElement:
                 elif m.group(7) is not None:
                     th[m.group(7) == "h"] += int(m.group(8) or 1)
                 else:
-                    lit = factor[1:-1] if factor[0] == "(" else factor
-                    coeff = F.mul(coeff, F.flat(cyc_parse(lit)))
-            except ExactDomainError as exc:
-                raise CherednikError(str(exc)) from exc
-            except (ValueError, ZeroDivisionError) as exc:
+                    coeff = F.mul(coeff, F.flat(cyc_parse(m.group(1) or m.group(2))))
+            except ValueError as exc:
                 raise CherednikError("bad number in element literal: too many digits "
                                      "or a zero denominator") from exc
         # the product of two terms recurses once per unit of their combined

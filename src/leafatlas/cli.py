@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -25,7 +24,8 @@ from .catalog import (
     CatalogError, dihedral_equal_parameter_record, leaves_B, leaves_D, leaves_D_tau_t, smooth_B,
 )
 from .exactnum import (
-    CycNum, ExactDomainError, FieldCapError, as_cyc, cyc_parse, num_str, root_of_unity,
+    CycNum, ExactDomainError, FieldCapError, _int, cyc_parse, literal_fields, num_str,
+    root_of_unity,
 )
 from .refgroup import (
     CapExceededError, GroupError, ParameterK, ReflectionGroup, _check_field, _conductor,
@@ -56,50 +56,38 @@ def _read_text(path: str) -> str:
         raise SpecError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json_maybe_file(text: str):
-    raw = _read_text(text[1:]) if text.startswith("@") else text
+def _spec_object(spec: str, error: str) -> dict | None:
+    """The object of a JSON spec, inline or @file; None for a spec that is
+    not JSON.  `error` is the message for JSON that is not an object."""
+    if not (spec.startswith("@") or spec.lstrip().startswith("{")):
+        return None
     try:
-        return json.loads(raw)
+        data = json.loads(_read_text(spec[1:]) if spec.startswith("@") else spec)
     except ValueError as exc:       # JSONDecodeError, or an integer past the digit limit
         raise SpecError(f"bad JSON spec: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecError(error)
+    return data
 
 
-def _check_literal_fields(text: str, cap: int) -> None:
-    """_check_field for each Q(z_N) of a literal, before it is parsed."""
-    for m in re.finditer(r"Q\(z_(\d+)\)", text):
-        try:
-            n = int(m.group(1))
-        except ValueError as exc:       # past the interpreter's digit limit
-            raise SpecError("integer too long in cyclotomic literal") from exc
+def _checked(text: str, cap: int) -> str:
+    """text, once _check_field passes each Q(z_N) in it, before it is parsed."""
+    for n in literal_fields(text):
         _check_field(n, cap)
-
-
-def _scalar_from_str(s: str, cap: int) -> CycNum:
-    s = s.strip()
-    if s.startswith("Q("):
-        _check_literal_fields(s, cap)
-        return cyc_parse(s)
-    try:
-        return as_cyc(Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad scalar {s!r}") from exc
+    return text
 
 
 def resolve_group(spec: str, cap: int) -> ReflectionGroup:
     if spec is None:
         raise SpecError("missing --group")
-    if spec.startswith("@") or spec.lstrip().startswith("{"):
-        data = _load_json_maybe_file(spec)
-        if not isinstance(data, dict):
-            raise SpecError("group spec must be an object")
+    data = _spec_object(spec, "group spec must be an object")
+    if data is not None:
         if "name" in data:
             return group_catalog(str(data["name"]), cap)
         if "generators" in data:
-            gens = []
             try:
-                for mat in data["generators"]:
-                    gens.append(la.mat([[_scalar_from_str(str(x), cap) for x in row]
-                                        for row in mat]))
+                gens = [la.mat([[cyc_parse(_checked(str(x), cap)) for x in row] for row in mat])
+                        for mat in data["generators"]]
             except (TypeError, KeyError) as exc:
                 raise SpecError(f"bad generator matrix: {exc}") from exc
             return close_group(gens, cap, name="custom")
@@ -108,18 +96,13 @@ def resolve_group(spec: str, cap: int) -> ReflectionGroup:
 
 
 def _zeta_from_str(s: str, cap: int) -> CycNum:
-    m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
-    if m:
-        try:
-            n, e = int(m.group(1)), int(m.group(2))
-        except ValueError as exc:       # past the interpreter's digit limit
-            raise SpecError("integer too long in root-of-unity spec") from exc
-        if n:                           # zeta_n^e has order n/gcd(n, e)
-            _check_field(n // gcd(n, e), cap)
-        return root_of_unity(n, e)
-    if s.strip() == "1":
-        return as_cyc(1)
-    raise SpecError(f"bad root-of-unity spec {s!r} (want 'N/e')")
+    m = re.fullmatch(r"(\d+)/(\d+)|1", s.strip())
+    if not m:
+        raise SpecError(f"bad root-of-unity spec {s!r} (want 'N/e')")
+    n, e = (_int(d or "1", "root-of-unity spec") for d in m.groups())
+    if n:                           # zeta_n^e has order n/gcd(n, e)
+        _check_field(n // gcd(n, e), cap)
+    return root_of_unity(n, e)
 
 
 def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
@@ -137,13 +120,11 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
         if not m:
             raise SpecError("the swap twist is defined for dihedral groups")
         return dihedral_tau(int(m.group(1))), "swap"
-    if spec.startswith("@") or spec.lstrip().startswith("{"):
-        data = _load_json_maybe_file(spec)
-        if not isinstance(data, dict):
-            raise SpecError("twist spec must be an object")
+    data = _spec_object(spec, "twist spec must be an object")
+    if data is not None:
         if "matrix" in data:
             try:
-                mat = la.mat([[_scalar_from_str(str(x), cap) for x in row]
+                mat = la.mat([[cyc_parse(_checked(str(x), cap)) for x in row]
                               for row in data["matrix"]])
             except TypeError as exc:
                 raise SpecError(f"bad twist matrix: {exc}") from exc
@@ -165,15 +146,12 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
 def resolve_parameter(W: ReflectionGroup, spec: str, cap: int = DEFAULT_CAP) -> ParameterK:
     if spec is None or spec == "zero":
         return ParameterK.zero(W)
-    if spec.startswith("@") or spec.lstrip().startswith("{"):
-        data = _load_json_maybe_file(spec)
-        lists = data.get("orbits") if isinstance(data, dict) else None
-        if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
-            raise SpecError("parameter spec needs an 'orbits' list of value lists")
-        per_orbit = [[_scalar_from_str(str(v), cap) for v in lst] for lst in lists]
-    else:
-        per_orbit = [[_scalar_from_str(v, cap) for v in chunk.split(",")]
-                     for chunk in spec.split(";")]
+    error = "parameter spec needs an 'orbits' list of value lists"
+    data = _spec_object(spec, error)
+    lists = [chunk.split(",") for chunk in spec.split(";")] if data is None else data.get("orbits")
+    if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
+        raise SpecError(error)
+    per_orbit = [[cyc_parse(_checked(str(v), cap)) for v in lst] for lst in lists]
     return ParameterK.from_lists(W, per_orbit)
 
 
@@ -369,7 +347,7 @@ def cmd_catalog_b(job):
         "smoothness_rule": "eq:B-lisse", "n": args.n,
     }
     if args.ratio is not None:
-        ratio = _scalar_from_str(args.ratio, args.cap)
+        ratio = cyc_parse(_checked(args.ratio, args.cap))
         report["ratio"] = num_str(ratio)
         report["smooth"] = smooth_B(args.n, ratio)
     m = args.m if args.m is not None else 0
@@ -429,14 +407,12 @@ def cmd_poisson(job):
     k = resolve_parameter(W, args.k, args.cap)
     if args.z1 is None or args.z2 is None:
         raise SpecError("poisson needs --z1 and --z2")
-    _check_literal_fields(args.z1, args.cap)
-    _check_literal_fields(args.z2, args.cap)
-    # the literals' fields passed one by one, but the bracket is rewritten
-    # over their lcm: its field contexts refuse Phi_N above the cap
+    # each literal's fields are checked one by one, but the bracket is
+    # rewritten over their lcm: its field contexts refuse Phi_N above the cap
     alg = ch.CherednikAlgebra(W, k, "t0", args.cap)
     t_alg = ch.CherednikAlgebra(W, k, "t", args.cap)
-    z1 = ch.parse_element(alg, args.z1)
-    z2 = ch.parse_element(alg, args.z2)
+    z1 = ch.parse_element(alg, _checked(args.z1, args.cap))
+    z2 = ch.parse_element(alg, _checked(args.z2, args.cap))
     t_alg.check_rewrite_work(z1, z2, args.cap)
     bracket = ch.poisson_bracket(z1, z2, t_alg)
     deg = ch.euler_degree(bracket)

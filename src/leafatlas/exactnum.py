@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 import re
+import sys
 
 
 class ExactDomainError(ArithmeticError):
@@ -669,24 +670,28 @@ def _sparse(n: int, phi: int, reduced):
 
 
 # ---------------------------------------------------------------------------
-# text serialization:  "Q(z_N): c0 + c1*z^1 + ..."
+# text serialization:  "p/q" and "Q(z_N): c0 + c1*z^1 + ..."
 
-_FRAC_RE = r"-?\d+(?:/\d+)?"
-_TERM_RE = re.compile(rf"^({_FRAC_RE})(?:\*z\^(\d+))?$|^z\^(\d+)$")
+_RATIO = r"(-?\d+)(?:/(\d+))?"
+_RATIO_RE = re.compile(_RATIO)
+_TERM_RE = re.compile(rf"{_RATIO}|(?:{_RATIO}\*)?z\^(\d+)")
+_LITERAL_RE = re.compile(r"Q\(z_(\d+)\)\s*:\s*(.*)")
+_FIELD_RE = re.compile(r"Q\(z_(\d+)\)")
 
 
 def _ratio_str(c: int, den: int) -> str:
     g = gcd(c, den)
-    return str(c // g) if g == den else f"{c // g}/{den // g}"
+    try:
+        return str(c // g) if g == den else f"{c // g}/{den // g}"
+    except ValueError as exc:       # past the interpreter's digit limit
+        raise ExactDomainError("number too long to write: past the interpreter's "
+                               f"{sys.get_int_max_str_digits()}-digit limit") from exc
 
 
 def cyc_to_str(x: CycNum) -> str:
     if x.is_zero():
         return "Q(z_1): 0"
-    den = x.den
-    parts = []
-    for e, c in x.coeffs:
-        parts.append(_ratio_str(c, den) if e == 0 else f"{_ratio_str(c, den)}*z^{e}")
+    parts = (_ratio_str(c, x.den) + (f"*z^{e}" if e else "") for e, c in x.coeffs)
     return f"Q(z_{x.conductor}): " + " + ".join(parts)
 
 
@@ -697,24 +702,46 @@ def num_str(x: CycNum) -> str:
     return _ratio_str(x.coeffs[0][1], x.den) if x.coeffs else "0"
 
 
+def _int(digits: str, where: str = "cyclotomic literal") -> int:
+    """The one conversion of an integer read from text."""
+    try:
+        return int(digits)
+    except ValueError as exc:       # past the interpreter's digit limit
+        raise ExactDomainError(f"integer too long in {where}") from exc
+
+
+def _fraction(p: str, q: str | None, where: str) -> Fraction:
+    q = _int(q or "1", where)
+    if not q:
+        raise ExactDomainError(f"zero denominator in {where}")
+    return Fraction(_int(p, where), q)
+
+
+def literal_fields(text: str) -> list[int]:
+    """The N of each Q(z_N) in text, read before the text is parsed."""
+    return [_int(n) for n in _FIELD_RE.findall(text)]
+
+
 def cyc_parse(s: str) -> CycNum:
-    m = re.match(r"^\s*Q\(z_(\d+)\)\s*:\s*(.*?)\s*$", s)
-    if not m:
-        raise ExactDomainError(f"bad cyclotomic literal: {s!r}")
-    n = int(m.group(1))
-    body = m.group(2)
-    if body == "0":
-        return _ZERO
+    """The one reader of an exact scalar: a rational p/q, or a literal
+    Q(z_N): c0 + c1*z^1 + ... whose coefficients are p/q, as `num_str` and
+    `cyc_to_str` write them.  Any other text, a zero denominator or an
+    integer past the digit limit raises ExactDomainError."""
+    text = s.strip()
+    if not text.startswith("Q("):
+        m = _RATIO_RE.fullmatch(text)
+        if m is None:
+            raise ExactDomainError(f"bad scalar {text[:40]!r}")
+        return as_cyc(_fraction(*m.groups(), "scalar"))
+    m = _LITERAL_RE.fullmatch(text)
+    if m is None:
+        raise ExactDomainError(f"bad cyclotomic literal: {text[:40]!r}")
     coeffs: dict[int, Fraction] = {}
-    for raw in body.split("+"):
-        raw = raw.strip()
-        tm = _TERM_RE.match(raw)
-        if not tm:
-            raise ExactDomainError(f"bad cyclotomic term: {raw!r}")
-        if tm.group(3) is not None:
-            e, c = int(tm.group(3)), Fraction(1)
-        else:
-            c = Fraction(tm.group(1))
-            e = int(tm.group(2)) if tm.group(2) else 0
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    return CycNum(n, coeffs)
+    for raw in m[2].split("+"):
+        t = _TERM_RE.fullmatch(raw.strip())
+        if t is None:
+            raise ExactDomainError(f"bad cyclotomic term: {raw.strip()[:40]!r}")
+        p, q, p_z, q_z, e = t.groups()
+        e = _int(e or "0")
+        coeffs[e] = coeffs.get(e, 0) + _fraction(p or p_z or "1", q or q_z, "cyclotomic literal")
+    return CycNum(_int(m[1]), coeffs)

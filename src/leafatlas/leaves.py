@@ -84,7 +84,8 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
 
 def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool:
     """Emptiness test for the doubled stratum: a twisted-fixed generic pair
-    (point, covector) whose stabilizers intersect exactly in P."""
+    (point, covector) whose stabilizers intersect exactly in P.  The
+    covector's stabilizer is read only on the point's: one scan of W."""
     W = ctx.W
     wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
     s_v = P.cut(la.fixed_rows(wtau))
@@ -94,7 +95,8 @@ def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool
                        + la.fixed_rows(la.transpose(wtau)), W.dim)
     v = W.witness_point(s_v)
     x = W.witness_covector(s_x)
-    return (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)
+    return {i for i in W.stabilizer_keys(v)
+            if la.covec_mat(x, W.elements[i].mat) == x} == set(P.ids)
 
 
 def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:

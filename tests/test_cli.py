@@ -162,6 +162,24 @@ def test_infinite_order_twist_exit2_quickly(capsys):
     _assert_one_line_error(err)
 
 
+ONES = "1" * 5000
+
+# scalars that ran past 10 s (a decimal exponent read as a Fraction), or
+# exited 1 with a traceback: the printing of a 30001-digit gamma, zero
+# denominators, integers past the digit limit, and last a legal 4001-digit k
+# whose gamma passes the limit on printing
+BAD_SCALARS = [
+    ["cherednik-check", "--group", "cyclic2", "--k", "1e30000000,0"],
+    ["catalog-B", "--n", "3", "--ratio", "1e30000000"],
+    ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1e30000000","0"],["0","1"]]}'],
+    ["cherednik-check", "--group", "cyclic2", "--k", "1e30000,0"],
+    ["cherednik-check", "--group", "cyclic2", "--k", "Q(z_5): 1/0,0"],
+    ["reflections", "--group", '{"generators":[[["Q(z_4): 1/0"]]]}'],
+    ["cherednik-check", "--group", "cyclic2", "--k", f"Q(z_5): {ONES},0"],
+    ["cherednik-check", "--group", "cyclic2", "--k", f"Q(z_5): 1*z^{ONES},0"],
+    ["cherednik-check", "--group", "cyclic2", "--k", "1" + "0" * 4000 + ",0"],
+]
+
 VERIFY_WITHOUT_GROUP = [
     ["catalog-B", "--n", "3", "--verify"],
     ["catalog-dihedral", "--d", "4", "--verify"],
@@ -232,6 +250,7 @@ VERIFY_WITHOUT_GROUP = [
     ["cherednik-check", "--group", "B2", "--k", "1;2;3"],
     # --verify runs the suite on a group, so it needs one
     *VERIFY_WITHOUT_GROUP,
+    *BAD_SCALARS,
 ])
 def test_malformed_shapes_exit2(capsys, tmp_path, argv):
     latin1 = tmp_path / "latin1.json"
@@ -245,6 +264,30 @@ def test_malformed_shapes_exit2(capsys, tmp_path, argv):
         argv = [a.replace(key, str(path)) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", BAD_SCALARS)
+def test_bad_scalar_exits2_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    _assert_one_line_error(err)
+    assert len(err) < 120       # an error line quotes at most 40 characters
+
+
+@pytest.mark.parametrize("argv,scalar", [
+    (["catalog-B", "--n", "3", "--ratio", "1.5"], "1.5"),
+    (["cherednik-check", "--group", "cyclic2", "--k", "1e3,0"], "1e3"),
+    (["catalog-B", "--n", "3", "--ratio", "+2"], "+2"),
+    (["leaves-zero", "--group", "B2", "--tau", '{"matrix":[[1.5,0],[0,1]]}'], "1.5"),
+    (["poisson", "--group", "cyclic2", "--z1", "(1.5) * x1", "--z2", "y1"], "1.5"),
+])
+def test_decimals_exponents_and_signs_are_not_scalars(capsys, argv, scalar):
+    # one grammar, p/q or a Q(z_N) literal: the line names the scalar
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and f"bad scalar {scalar!r}" in err
     _assert_one_line_error(err)
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from leafatlas.exactnum import (
     CycNum, ExactDomainError, FieldCapError, FlatField, _canonicalize, _phi_degree, _prime_factors,
-    _reduced_monomial, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly, from_flat,
-    root_of_unity, to_flat,
+    _reduced_monomial, as_cyc, cyc_parse, cyc_to_str, cyclotomic_poly, from_flat, literal_fields,
+    num_str, root_of_unity, to_flat,
 )
 
 
@@ -123,6 +123,29 @@ def test_results_keep_the_integer_invariant(triple, k):
 def test_serialization_round_trip(triple):
     for v in triple:
         assert cyc_parse(cyc_to_str(v)) == v
+        assert cyc_parse(num_str(v)) == v
+
+
+def test_one_reader_for_rationals_and_literals():
+    assert cyc_parse(" -3/6 ") == as_cyc(Fraction(-1, 2))
+    assert cyc_parse("Q(z_4): 1/2 + z^1") == as_cyc(Fraction(1, 2)) + root_of_unity(4)
+    assert literal_fields("Q(z_8): 1 * x1 + (Q(z_3): 2*z^1)") == [8, 3]
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e3", "+2", "1/-2", "", "Q(z_5)", "Q(z_5): 1.5", "Q(z_5): 2*z^-1",
+    # a zero denominator, and integers past the digit limit
+    "1/0", "Q(z_5): 1/0", "9" * 5000, "Q(z_5): 1*z^" + "1" * 5000, "Q(z_" + "9" * 5000 + "): 1",
+])
+def test_text_outside_the_grammar_is_refused(text):
+    with pytest.raises(ExactDomainError) as exc:
+        cyc_parse(text)
+    assert len(str(exc.value)) < 80        # at most 40 characters of text are quoted
+
+
+def test_a_number_past_the_digit_limit_is_refused_by_name():
+    with pytest.raises(ExactDomainError, match="digit limit"):
+        num_str(as_cyc(10 ** 5000))
 
 
 @given(st.sampled_from([2, 3, 4, 5, 6]), cyc_triples())

@@ -8,7 +8,8 @@ from leafatlas import linalg as la
 from leafatlas.cli import run
 from leafatlas.exactnum import root_of_unity
 from leafatlas.leaves import (
-    leaf_report, leaves_zero_tau, double_membership_agrees, strata_double, strata_single,
+    leaf_report, leaves_zero_tau, double_membership_agrees, double_twist_nonempty, strata_double,
+    strata_single,
 )
 from leafatlas.refgroup import catalog, dihedral_tau
 from leafatlas.tau import SplitParabolic, TauContext, TauError, TwistClass, build_tau
@@ -98,6 +99,30 @@ def test_double_membership_agreement(pair_contexts):
             continue
         for cls in ctx.W.parabolic_classes():
             assert double_membership_agrees(ctx, cls.representative), name
+
+
+def test_double_twist_matches_the_two_scan_intersection(pair_contexts):
+    # the point's stabilizer filtered by the covector against the reference:
+    # the intersection of the two whole-group scans, on subspaces built by
+    # la.intersect, for every coset of every class representative tau normalizes
+    seen = set()
+    for name, ctx in pair_contexts.items():
+        W, n = ctx.W, ctx.W.dim
+        for P in (cls.representative for cls in W.parabolic_classes()):
+            if not ctx.normalizes(P):
+                continue
+            N = W.normalizer(P)
+            dual_fixed = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc)), n)
+            for idx in range(N.order):
+                u = N.rep(idx)
+                wtau = la.mat_mul(W.elements[u].mat, ctx.tau)
+                v = W.witness_point(la.intersect(P.fixed_space, la.fixed_space(wtau), n))
+                x = W.witness_covector(
+                    la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), n))
+                expected = (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)
+                assert double_twist_nonempty(ctx, P, u) == expected, name
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_b4_type_b1_fixed_dim_three():

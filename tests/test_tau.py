@@ -92,10 +92,18 @@ def test_make_full_is_first_maximal_in_one_scan(group, twist, monkeypatch):
     dims = [len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
     expect = la.mat_mul(W.elements[dims.index(max(dims))].mat, tau)
     calls = []
-    fixed_space = la.fixed_space
-    monkeypatch.setattr(la, "fixed_space", lambda m: calls.append(m) or fixed_space(m))
+    fixed_dim = la.fixed_dim
+    monkeypatch.setattr(la, "fixed_dim", lambda m: calls.append(m) or fixed_dim(m))
     assert make_full(W, tau) == expect
-    assert len(calls) <= W.order
+    if GroupElement(tau).key in W.by_key:
+        assert not calls        # an inner twist takes the shortcut
+        return
+    # one rank per twisted class of W: a class of the coset W tau under conjugation
+    classes = {frozenset(GroupElement(la.mat_mul(la.mat_mul(a.mat, la.mat_mul(g.mat, tau)),
+                                                 W.elements[W.inv(i)].mat)).key
+                         for i, a in enumerate(W.elements))
+               for g in W.elements}
+    assert 0 < len(calls) <= len(classes)
 
 
 @pytest.mark.parametrize("group,word", [
