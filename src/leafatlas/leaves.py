@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import linalg as la
-from .refgroup import Parabolic, ReflectionGroup
+from .refgroup import ReflectionGroup
 from .tau import TauContext, TauError
 
 
@@ -80,35 +79,6 @@ def leaves_zero_tau(ctx: TauContext) -> tuple[LeafLabel, ...]:
         raise TauError("leaf count does not match parabolic classes")
     out.sort(key=lambda l: (-l.dimension, l.p_tau_class, l.twist_class_rep))
     return tuple(out)
-
-
-def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool:
-    """Emptiness test for the doubled stratum: a twisted-fixed generic pair
-    (point, covector) whose stabilizers intersect exactly in P.  The
-    covector's stabilizer is read only on the point's: one scan of W."""
-    W = ctx.W
-    wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
-    s_v = P.cut(la.fixed_rows(wtau))
-    # covectors fixed by P, those vanishing on the coroots of its reflections,
-    # with c @ wtau = c: cut out by the alpha_vee and the rows of wtau^T - 1
-    s_x = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc))
-                       + la.fixed_rows(la.transpose(wtau)), W.dim)
-    v = W.witness_point(s_v)
-    x = W.witness_covector(s_x)
-    return {i for i in W.stabilizer_keys(v)
-            if la.covec_mat(x, W.elements[i].mat) == x} == set(P.ids)
-
-
-def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
-    """Single and doubled emptiness tests agree on every normalizer coset."""
-    if not ctx.normalizes(P):
-        return True
-    N = ctx.W.normalizer(P)
-    for idx in range(N.order):
-        u = N.rep(idx)
-        if ctx.meets_stratum(P, u) != double_twist_nonempty(ctx, P, u):
-            return False
-    return True
 
 
 def leaf_report(ctx: TauContext, group_label: str, tau_label: str) -> dict:

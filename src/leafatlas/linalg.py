@@ -22,10 +22,6 @@ _ZERO = CycNum.zero()
 _ONE = CycNum.one()
 
 
-def vec(entries) -> Vector:
-    return tuple(as_cyc(e) for e in entries)
-
-
 def mat(rows) -> Matrix:
     return tuple(tuple(as_cyc(e) for e in row) for row in rows)
 
@@ -168,11 +164,6 @@ def span(vectors) -> tuple[Vector, ...]:
 def fixed_rows(m: Matrix) -> Matrix:
     """The rows of m - 1, which cut out the vectors fixed by m."""
     return mat_sub(m, identity(len(m)))
-
-
-def fixed_space(m: Matrix) -> tuple[Vector, ...]:
-    """Basis of Ker(m - id), i.e. vectors fixed by m."""
-    return nullspace(fixed_rows(m), len(m))
 
 
 def fixed_dim(m: Matrix) -> int:

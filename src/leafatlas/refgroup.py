@@ -231,9 +231,6 @@ class ReflectionGroup:
     def conj(self, g: int, by: int) -> int:
         return self.mul(self.mul(by, g), self.inv(by))
 
-    def element_order(self, g: int) -> int:
-        return len(_close(self, [g]))
-
     # -- reflections and hyperplanes --------------------------------------------
     def _compute_reflections(self):
         """The reflections, in id order, and their hyperplanes.  Only the
@@ -310,11 +307,11 @@ class ReflectionGroup:
         """True iff W is generated by its reflections.  When the generators
         W was closed from are all reflections this holds by construction and
         no closure runs; otherwise W is closed under all of its reflections.
-        `verify` always runs that closure, as the oracle."""
+        `verify` always closes them, breadth first, as the oracle."""
         refl = [s for s, _ in self.reflections]
         if self.generators and set(self.generators) <= set(refl):
             return True
-        return len(_close(self, refl)) == self.order
+        return len(_close(self, refl)[0]) == self.order
 
     # -- witness points ----------------------------------------------------------
     def witness_point(self, basis) -> Vector:
@@ -323,12 +320,6 @@ class ReflectionGroup:
         inc = self.incidence(basis)
         return _prime_weight_point(self.dim, basis, [
             H.alpha for i, H in enumerate(self.hyperplanes) if i not in inc])
-
-    def witness_covector(self, basis) -> Vector:
-        """Generic covector of a subspace of V*, avoiding the dual arrangement."""
-        return _prime_weight_point(self.dim, basis, [
-            H.alpha_vee for H in self.hyperplanes
-            if not all(la.dot(c, H.alpha_vee).is_zero() for c in basis)])
 
     # -- stabilizers ---------------------------------------------------------------
     def incidence(self, basis) -> frozenset[int]:
@@ -354,7 +345,7 @@ class ReflectionGroup:
         Steinberg's theorem it is generated by their reflections; this needs
         W to be generated by its reflections, which close_group enforces."""
         return Parabolic(self, _close(self, [s for s, _ in self.reflections
-                                             if self._hyperplane_of[s] in inc]), inc)
+                                             if self._hyperplane_of[s] in inc])[0], inc)
 
     def setwise_stabilizer_keys(self, basis) -> frozenset[int]:
         """Whole-group scan for the ids of the setwise stabilizer of
@@ -616,30 +607,29 @@ def _decoder(dim: int, field: int, phi: int):
     return decode
 
 
-def _close(group: ReflectionGroup, gens) -> frozenset[int]:
-    """The ids of the subgroup generated by gens."""
-    found = {group.identity}
-    queue = [group.identity]
-    while queue:
-        g = queue.pop()
-        for h in gens:
-            prod = group.mul(g, h)
-            if prod not in found:
-                found.add(prod)
-                queue.append(prod)
-    return frozenset(found)
-
-
-def _generators(group: ReflectionGroup, ids, gens=()) -> list[int]:
-    """Ids that generate the subgroup `ids` together with `gens` (inside it):
-    greedily the least id not yet reached, so each pick at least doubles the
-    group reached, and there are at most log2 |ids| of them."""
-    picked, reached = [], _close(group, gens)
-    for g in sorted(ids):
-        if g not in reached:
-            picked.append(g)
-            reached = _close(group, [*gens, *picked])
-    return picked
+def _close(group: ReflectionGroup, gens) -> tuple[frozenset[int], list[int]]:
+    """Dimino's algorithm: the ids of the subgroup generated by gens, and the
+    kept generators, those not reached by the ones before them.  A kept s
+    adjoins right cosets of the subgroup H closed so far: walking the cosets
+    from H itself, H*x*t is a new one whenever t is kept and x*t is not yet
+    reached."""
+    mul, elements, kept = group.mul, [group.identity], []
+    reached = set(elements)
+    for s in gens:
+        if s in reached:
+            continue
+        kept.append(s)
+        H, pos = elements[:], 0
+        while pos < len(elements):          # the coset at pos starts with its x
+            x = elements[pos]
+            for t in kept:
+                y = mul(x, t)
+                if y not in reached:
+                    coset = [mul(h, y) for h in H]
+                    elements += coset
+                    reached.update(coset)
+            pos += len(H)
+    return frozenset(reached), kept
 
 
 def _orbit(start: frozenset[int], perms) -> dict:

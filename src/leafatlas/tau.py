@@ -20,9 +20,9 @@ from functools import cached_property
 
 from . import linalg as la
 from .exactnum import CycNum, as_cyc
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .refgroup import (
-    GroupElement, Parabolic, ReflectionGroup, _finite_order_bound, _generators, _matrix_order,
+    GroupElement, Parabolic, ReflectionGroup, _close, _finite_order_bound, _matrix_order,
     _normalize_line, _orbit,
 )
 
@@ -151,10 +151,11 @@ class TauContext:
         Z = frozenset(pointwise.ids)
         self.setwise = frozenset(g for g in range(W.order)
                                  if W.mul(g, W.inv(self.tau_conj(g))) in Z)
-        # generators of N = setwise modulo Z, on top of Z's reflections
+        # generators of N = setwise modulo Z: the ids Dimino's closure keeps
+        # on top of Z's reflections, each the least id not yet reached
         z_gens = [s for i in pointwise.inc for s in W.hyperplanes[i].pointwise
                   if s != W.identity]
-        gens = _generators(W, self.setwise, z_gens)
+        gens = [g for g in _close(W, z_gens + sorted(self.setwise))[1] if g not in Z]
         d = len(self.v_tau)
         mats = []                                   # the generators restricted to V^tau
         for g in gens:
@@ -173,9 +174,6 @@ class TauContext:
 
     def tau_conj(self, g: int) -> int:
         return self._tau_images[g]
-
-    def ambient_span(self, rows) -> tuple[Vector, ...]:
-        return la.span([la.covec_mat(r, self.v_tau) for r in rows])
 
     # -- split parabolic subgroups ----------------------------------------------
     def split_orbits(self) -> tuple[tuple[SplitParabolic, ...], ...]:
@@ -330,46 +328,3 @@ def hyperplane_restriction_matches(ctx: TauContext) -> bool:
     restricted = (tuple(la.dot(H.alpha, b) for b in ctx.v_tau) for H in ctx.W.hyperplanes)
     expected = {_normalize_line(c) for c in restricted if any(not x.is_zero() for x in c)}
     return expected == {H.alpha for H in ctx.w_tau.hyperplanes}
-
-
-def orbit_coincidence_holds(ctx: TauContext) -> bool:
-    """Points of V^tau in the same W-orbit already lie in the same orbit of
-    the setwise stabilizer; checked exhaustively over split witnesses."""
-    tau = ctx.tau
-    for sp in ctx.split_parabolics():
-        v = ctx.W.witness_point(sp.tau_fixed)
-        if la.mat_vec(tau, v) != v:
-            return False
-        images = [la.mat_vec(g.mat, v) for g in ctx.W.elements]
-        setwise_orbit = {images[i] for i in ctx.setwise}
-        if any(la.mat_vec(tau, u) == u for u in set(images) - setwise_orbit):
-            return False
-    return True
-
-
-def normalizer_tau(ctx: TauContext, sp: SplitParabolic):
-    """Normalizer quotient of P_tau in W_tau with its embedding into the
-    ambient normalizer quotient; the image must be the tau-fixed part."""
-    Nt = ctx.w_tau.normalizer(sp.p_tau)
-    N = ctx.W.normalizer(sp.parabolic)
-    image = {N.coset_of(ctx.section[Nt.rep(i)]) for i in range(Nt.order)}
-    fixed = {i for i in range(N.order) if N.coset_of(ctx.tau_conj(N.rep(i))) == i}
-    return {
-        "quotient": Nt,
-        "ambient": N,
-        "image_cosets": tuple(sorted(image)),
-        "fixed_cosets": tuple(sorted(fixed)),
-        "image_is_fixed_subgroup": image == fixed,
-    }
-
-
-def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
-    return all(ctx.restriction[ctx.tau_conj(i)] == ctx.restriction[i] for i in ctx.setwise)
-
-
-def intersection_of_splits_is_split(ctx: TauContext) -> bool:
-    """Pointwise stabilizer of a union of split fixed spaces is split again."""
-    splits = ctx.split_by_inc()
-    return all(ctx.W.incidence(la.span(list(a.tau_fixed) + list(b.tau_fixed))) in splits
-               for a in splits.values() for b in splits.values())
-

@@ -1,6 +1,8 @@
 """Invariant suite: every structural identity the modules promise, runnable
 against a concrete (group, twist, parameter) job with machine-readable
-pass/fail results.
+pass/fail results.  The oracles the checks compare with, such as the
+breadth-first closure and the doubled-stratum test, live here and not in the
+modules they check.
 
 Checks are gated by group order so that the suite stays at desk scale, and
 `deep` lifts the gates; every check is deterministic (fixed seeds, sorted
@@ -18,11 +20,10 @@ from .cherednik import (
     CherednikAlgebra, euler_degree, filtration_degree, poisson_bracket,
 )
 from .exactnum import CycNum, as_cyc
-from .refgroup import ParameterK, ReflectionGroup, _close, _rank_one_shift
-from .tau import (
-    TauContext, hyperplane_restriction_matches, intersection_of_splits_is_split,
-    normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
+from .refgroup import (
+    Parabolic, ParameterK, ReflectionGroup, _prime_weight_point, _rank_one_shift,
 )
+from .tau import SplitParabolic, TauContext, hyperplane_restriction_matches
 
 
 class Check:
@@ -60,10 +61,100 @@ def _field_axiom_sample():
     return "field axioms on seeded samples"
 
 
+# -- oracles: whole-group scans and breadth-first closures, which no other
+# module calls
+
+def bfs_close(W: ReflectionGroup, gens) -> frozenset[int]:
+    """The ids of the subgroup generated by gens, by breadth-first search:
+    the oracle for Dimino's closure in `refgroup`."""
+    found = {W.identity}
+    queue = [W.identity]
+    for g in queue:
+        for h in gens:
+            prod = W.mul(g, h)
+            if prod not in found:
+                found.add(prod)
+                queue.append(prod)
+    return frozenset(found)
+
+
 def _reflection_closure_order(W: ReflectionGroup) -> int:
     """Order of the closure of all of W's reflections (the oracle that
     `generated_by_reflections` may skip when W's generators are reflections)."""
-    return len(_close(W, [s for s, _ in W.reflections]))
+    return len(bfs_close(W, [s for s, _ in W.reflections]))
+
+
+def witness_covector(W: ReflectionGroup, basis) -> la.Vector:
+    """Generic covector of a subspace of V*, avoiding the dual arrangement."""
+    return _prime_weight_point(W.dim, basis, [
+        H.alpha_vee for H in W.hyperplanes
+        if not all(la.dot(c, H.alpha_vee).is_zero() for c in basis)])
+
+
+def orbit_coincidence_holds(ctx: TauContext) -> bool:
+    """Points of V^tau in the same W-orbit already lie in the same orbit of
+    the setwise stabilizer; checked exhaustively over split witnesses."""
+    tau = ctx.tau
+    for sp in ctx.split_parabolics():
+        v = ctx.W.witness_point(sp.tau_fixed)
+        if la.mat_vec(tau, v) != v:
+            return False
+        images = [la.mat_vec(g.mat, v) for g in ctx.W.elements]
+        setwise_orbit = {images[i] for i in ctx.setwise}
+        if any(la.mat_vec(tau, u) == u for u in set(images) - setwise_orbit):
+            return False
+    return True
+
+
+def normalizer_tau(ctx: TauContext, sp: SplitParabolic) -> tuple[set[int], set[int]]:
+    """The image of the normalizer quotient of P_tau in W_tau in the ambient
+    one, N_W(P)/P, and the tau-fixed part of N_W(P)/P, both as coset
+    indices: the two must agree."""
+    Nt = ctx.w_tau.normalizer(sp.p_tau)
+    N = ctx.W.normalizer(sp.parabolic)
+    image = {N.coset_of(ctx.section[Nt.rep(i)]) for i in range(Nt.order)}
+    fixed = {i for i in range(N.order) if N.coset_of(ctx.tau_conj(N.rep(i))) == i}
+    return image, fixed
+
+
+def tau_acts_trivially_on_quotient(ctx: TauContext) -> bool:
+    return all(ctx.restriction[ctx.tau_conj(i)] == ctx.restriction[i] for i in ctx.setwise)
+
+
+def intersection_of_splits_is_split(ctx: TauContext) -> bool:
+    """Pointwise stabilizer of a union of split fixed spaces is split again."""
+    splits = ctx.split_by_inc()
+    return all(ctx.W.incidence(la.span(list(a.tau_fixed) + list(b.tau_fixed))) in splits
+               for a in splits.values() for b in splits.values())
+
+
+def double_twist_nonempty(ctx: TauContext, P: Parabolic, coset_rep: int) -> bool:
+    """Emptiness test for the doubled stratum: a twisted-fixed generic pair
+    (point, covector) whose stabilizers intersect exactly in P.  The
+    covector's stabilizer is read only on the point's: one scan of W."""
+    W = ctx.W
+    wtau = la.mat_mul(W.elements[coset_rep].mat, ctx.tau)
+    s_v = P.cut(la.fixed_rows(wtau))
+    # covectors fixed by P, those vanishing on the coroots of its reflections,
+    # with c @ wtau = c: cut out by the alpha_vee and the rows of wtau^T - 1
+    s_x = la.nullspace(tuple(W.hyperplanes[i].alpha_vee for i in sorted(P.inc))
+                       + la.fixed_rows(la.transpose(wtau)), W.dim)
+    v = W.witness_point(s_v)
+    x = witness_covector(W, s_x)
+    return {i for i in W.stabilizer_keys(v)
+            if la.covec_mat(x, W.elements[i].mat) == x} == set(P.ids)
+
+
+def double_membership_agrees(ctx: TauContext, P: Parabolic) -> bool:
+    """Single and doubled emptiness tests agree on every normalizer coset."""
+    if not ctx.normalizes(P):
+        return True
+    N = ctx.W.normalizer(P)
+    for idx in range(N.order):
+        u = N.rep(idx)
+        if ctx.meets_stratum(P, u) != double_twist_nonempty(ctx, P, u):
+            return False
+    return True
 
 
 def _group_checks(W: ReflectionGroup) -> list[Check]:
@@ -87,7 +178,7 @@ def _hyperplane_orders(W):
         fixing = {i for i, g in enumerate(W.elements)
                   if all(la.mat_vec(g.mat, b) == b for b in basis)}
         assert set(H.pointwise) == fixing, "pointwise stabilizer"
-        orders = [W.element_order(g) for g in H.pointwise]
+        orders = [len(bfs_close(W, [g])) for g in H.pointwise]
         assert max(orders, default=1) == H.e, "cyclic stabilizer"
     return f"{len(W.hyperplanes)} hyperplanes"
 
@@ -107,7 +198,7 @@ def _class_conjugators(W):
             x = c.conjugators[Q.inc]
             moved = {W.conj(p, x) for p in c.representative.ids}
             assert moved == set(Q.ids), f"class {c.class_id} conjugator"
-            assert _close(W, [g for i in Q.inc for g in W.hyperplanes[i].pointwise]) == \
+            assert bfs_close(W, [g for i in Q.inc for g in W.hyperplanes[i].pointwise]) == \
                 set(Q.ids), f"class {c.class_id} member is not its reflection closure"
     return f"{sum(len(c.members) for c in W.parabolic_classes())} conjugators"
 
@@ -162,16 +253,17 @@ def _split_bijection(ctx):
 
 
 def _fixed_space_match(ctx):
+    # V^(P_tau) in V^tau's coordinates, lifted to V
     for sp in ctx.split_parabolics():
-        assert ctx.ambient_span(sp.p_tau.fixed_space) == sp.tau_fixed, \
-            "restricted fixed space mismatch"
+        lifted = la.span([la.covec_mat(r, ctx.v_tau) for r in sp.p_tau.fixed_space])
+        assert lifted == sp.tau_fixed, "restricted fixed space mismatch"
     return ""
 
 
 def _normalizer_fixed(ctx):
     for sp in ctx.split_parabolics():
-        data = normalizer_tau(ctx, sp)
-        assert data["image_is_fixed_subgroup"], "normalizer image is not the fixed part"
+        image, fixed = normalizer_tau(ctx, sp)
+        assert image == fixed, "normalizer image is not the fixed part"
     return ""
 
 
@@ -199,7 +291,7 @@ def _leaf_partition(ctx):
 
 def _double_membership(ctx):
     for cls in ctx.W.parabolic_classes():
-        assert leaves_mod.double_membership_agrees(ctx, cls.representative), \
+        assert double_membership_agrees(ctx, cls.representative), \
             "single and doubled membership disagree"
     return ""
 

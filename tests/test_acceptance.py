@@ -16,7 +16,8 @@ from leafatlas.cli import run as cli_run
 from leafatlas.exactnum import as_cyc
 from leafatlas.leaves import leaves_zero_tau, strata_double
 from leafatlas.refgroup import ParameterK, catalog
-from leafatlas.tau import build_tau, hyperplane_restriction_matches, orbit_coincidence_holds
+from leafatlas.tau import build_tau, hyperplane_restriction_matches
+from leafatlas.verify import _fixed_space_match, orbit_coincidence_holds
 from test_catalog import cross_check_normalizers_B
 
 
@@ -61,8 +62,7 @@ def test_criterion_3_split_bijection(pair_contexts):
         splits = ctx.split_parabolics()
         assert len(splits) == len(ctx.w_tau.parabolic_subgroups()), name
         assert len({sp.p_tau.ids for sp in splits}) == len(splits), name
-        for sp in splits:
-            assert ctx.ambient_span(sp.p_tau.fixed_space) == sp.tau_fixed, name
+        _fixed_space_match(ctx)
     _report(3, f"{len(pair_contexts)} pairs, bijection and subspace equality exact")
 
 

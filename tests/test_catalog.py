@@ -12,6 +12,7 @@ from leafatlas.catalog import (
 )
 from leafatlas.exactnum import root_of_unity
 from leafatlas.refgroup import catalog as group_catalog
+from helpers import vec
 
 
 # Oracles: the closed-form normalizer orders against enumeration, for small ranks.
@@ -25,7 +26,7 @@ def cross_check_normalizers_B(n: int, m: int, order_cap: int = 10 ** 6) -> dict:
     ok = True
     for rec in leaves_B(n, m):
         s = rec.support_rank
-        basis = la.rref([la.vec([1 if c == i else 0 for c in range(n)])
+        basis = la.rref([vec([1 if c == i else 0 for c in range(n)])
                          for i in range(s, n)]) if s < n else ()
         P = W.pointwise_stabilizer(basis)
         if P.order != _b_order(s):
@@ -51,7 +52,7 @@ def cross_check_normalizer_D_tau(n: int, r: int, order_cap: int = 10 ** 6) -> di
     W = group_catalog(f"B{n - 1}", order_cap)
     s = r * r - 1
     dim = n - 1
-    basis = la.rref([la.vec([1 if c == i else 0 for c in range(dim)])
+    basis = la.rref([vec([1 if c == i else 0 for c in range(dim)])
                      for i in range(s, dim)]) if s < dim else ()
     P = W.pointwise_stabilizer(basis)
     N = W.normalizer(P)

@@ -7,13 +7,13 @@ import pytest
 from leafatlas import linalg as la
 from leafatlas.cli import run
 from leafatlas.exactnum import root_of_unity
-from leafatlas.leaves import (
-    leaf_report, leaves_zero_tau, double_membership_agrees, double_twist_nonempty, strata_double,
-    strata_single,
-)
+from leafatlas.leaves import leaf_report, leaves_zero_tau, strata_double, strata_single
 from leafatlas.refgroup import catalog, dihedral_tau
 from leafatlas.tau import SplitParabolic, TauContext, TauError, TwistClass, build_tau
-from leafatlas.verify import _tau_checks, run_suite
+from leafatlas.verify import (
+    _tau_checks, double_membership_agrees, double_twist_nonempty, run_suite, witness_covector,
+)
+from helpers import fixed_space, vec
 from test_refgroup import ORACLE_BATTERY
 
 
@@ -116,9 +116,9 @@ def test_double_twist_matches_the_two_scan_intersection(pair_contexts):
             for idx in range(N.order):
                 u = N.rep(idx)
                 wtau = la.mat_mul(W.elements[u].mat, ctx.tau)
-                v = W.witness_point(la.intersect(P.fixed_space, la.fixed_space(wtau), n))
-                x = W.witness_covector(
-                    la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), n))
+                v = W.witness_point(la.intersect(P.fixed_space, fixed_space(wtau), n))
+                x = witness_covector(
+                    W, la.intersect(dual_fixed, fixed_space(la.transpose(wtau)), n))
                 expected = (W.stabilizer_keys(v) & W.dual_stabilizer_keys(x)) == set(P.ids)
                 assert double_twist_nonempty(ctx, P, u) == expected, name
                 seen.add(expected)
@@ -129,7 +129,7 @@ def test_b4_type_b1_fixed_dim_three():
     # the coordinate reflection subgroup of rank one in the rank-4 group has
     # a three-dimensional fixed space
     W = catalog("B4")
-    basis = la.rref([la.vec([0, 1, 0, 0]), la.vec([0, 0, 1, 0]), la.vec([0, 0, 0, 1])])
+    basis = la.rref([vec([0, 1, 0, 0]), vec([0, 0, 1, 0]), vec([0, 0, 0, 1])])
     P = W.pointwise_stabilizer(basis)
     assert P.order == 2
     assert len(P.fixed_space) == 3
@@ -223,13 +223,15 @@ def test_partition_check_names_a_broken_bijection(monkeypatch):
 
 
 def test_leaves_do_not_lift_fixed_spaces(monkeypatch):
-    # the rank check reads lattice data; the lifted span is verify's oracle
+    # the rank check reads lattice data; lifting V^(P_tau) from V^tau's
+    # coordinates to V, row by row, is verify's oracle
     ctx = build_tau(catalog("D4"), _diag_flip(4))
     calls = []
-    span = TauContext.ambient_span
-    monkeypatch.setattr(TauContext, "ambient_span",
-                        lambda self, rows: calls.append(rows) or span(self, rows))
+    lift = la.covec_mat
+    monkeypatch.setattr(la, "covec_mat", lambda c, a: calls.append(c) or lift(c, a))
     assert ctx.is_full and leaves_zero_tau(ctx) and calls == []
+    check = next(c for c in _tau_checks(ctx, False) if c.check_id == "tau.fixed-space-match")
+    assert check.run()["status"] == "pass" and calls
 
 
 @pytest.mark.parametrize("name", ["B3:neg", "D4:t"])

@@ -12,9 +12,10 @@ from leafatlas import exactnum, refgroup
 from leafatlas.exactnum import CycNum, as_cyc, root_of_unity
 from leafatlas.refgroup import (
     DEFAULT_ORDER_CAP, CapExceededError, GroupElement, GroupError, ParameterK,
-    ReflectionGroup, _close, _gdeen_generators, _rank_one_shift, catalog, close_group,
+    ReflectionGroup, _gdeen_generators, _rank_one_shift, catalog, close_group,
 )
-from leafatlas.verify import _reflection_closure_order, run_suite
+from leafatlas.verify import _reflection_closure_order, bfs_close, run_suite
+from helpers import vec
 
 ORACLE_BATTERY = ("cyclic3", "dihedral5", "B3", "D4", "G4", "G(4,2,3)")
 
@@ -204,7 +205,7 @@ def test_lattice_walks_and_closes_once_per_class(name, class_count, flat_count):
 def _assert_parabolics_are_reflection_closures(W, name):
     for P in W.parabolic_subgroups():
         refl = [s for s, H in W.reflections if W.hyperplanes.index(H) in P.inc]
-        assert set(P.ids) == _close(W, refl), name
+        assert set(P.ids) == bfs_close(W, refl), name
 
 
 @pytest.mark.parametrize("name", ORACLE_BATTERY)
@@ -215,6 +216,40 @@ def test_parabolics_are_reflection_closures(name):
 def test_parabolics_are_reflection_closures_on_twists(pair_contexts):
     for name, W in _induced_groups(pair_contexts):
         _assert_parabolics_are_reflection_closures(W, name)
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
+def test_dimino_closure_matches_breadth_first_closure(name, monkeypatch):
+    # every subgroup the lattice closes, each class start from its reflections
+    W = catalog(name)
+    closed, close = [], refgroup._close
+    monkeypatch.setattr(refgroup, "_close", lambda group, gens: closed.append(
+        (list(gens), close(group, gens))) or closed[-1][1])
+    assert len(W.parabolic_classes()) == len(closed), name
+    for gens, (ids, kept) in closed:
+        assert ids == bfs_close(W, gens), name
+        expected = []               # each generator the ones kept before do not reach
+        for s in gens:
+            if s not in bfs_close(W, expected):
+                expected.append(s)
+        assert kept == expected, name
+
+
+@pytest.mark.parametrize("name,degrees", [
+    ("B3", (2, 4, 6)), ("D4", (2, 4, 4, 6)), ("B4", (2, 4, 6, 8)), ("G4", (4, 6)),
+    ("G(4,2,3)", (4, 6, 8)), ("dihedral5", (2, 5)),
+])
+def test_fixed_space_dimensions_give_the_degrees(name, degrees):
+    # Shephard-Todd: the sum over w in W of t^(dim V^w) is the product of
+    # t + d - 1 over the degrees d, read off the elements' matrices alone
+    W = catalog(name)
+    counts = [0] * (W.dim + 1)
+    for g in W.elements:
+        counts[la.fixed_dim(g.mat)] += 1
+    expected = [1]                  # coefficients of t^0, t^1, ...
+    for d in degrees:
+        expected = [a * (d - 1) + b for a, b in zip(expected + [0], [0] + expected)]
+    assert counts == expected, name
 
 
 def test_order_cap_error():
@@ -266,7 +301,7 @@ def test_hyperplane_pointwise_cyclic():
         W = catalog(name)
         for H in W.hyperplanes:
             assert len(H.pointwise) == H.e
-            orders = sorted(W.element_order(g) for g in H.pointwise)
+            orders = sorted(len(bfs_close(W, [g])) for g in H.pointwise)
             assert max(orders) == H.e  # cyclic of order e_H has a generator
 
 
@@ -309,10 +344,10 @@ def test_flats_match_intersection_walk_on_twists(pair_contexts):
 
 def test_stabilizer_examples():
     W = catalog("G(2,1,2)")
-    generic = la.vec([2, 3])
+    generic = vec([2, 3])
     assert W.pointwise_stabilizer((generic,)).order == 1
-    assert W.pointwise_stabilizer((la.vec([0, 0]),)).order == W.order
-    P = W.pointwise_stabilizer((la.vec([0, 1]),))
+    assert W.pointwise_stabilizer((vec([0, 0]),)).order == W.order
+    P = W.pointwise_stabilizer((vec([0, 1]),))
     assert P.order == 2
     t = next(g for g in P.ids if g != W.identity)
     assert W.elements[t].mat == la.mat([[-1, 0], [0, 1]])
@@ -320,7 +355,7 @@ def test_stabilizer_examples():
 
 def test_pointwise_stabilizer_examples():
     W = catalog("B2")
-    full = la.rref([la.vec([1, 0]), la.vec([0, 1])])
+    full = la.rref([vec([1, 0]), vec([0, 1])])
     assert W.pointwise_stabilizer(full).order == 1
     assert W.pointwise_stabilizer(()).order == W.order
     H = W.hyperplanes[0]
@@ -358,7 +393,7 @@ def test_witness_has_exact_stabilizer():
 @settings(max_examples=25, deadline=None)
 def test_stabilizer_equals_pointwise_on_span(name, coords):
     W = catalog(name)
-    v = la.vec(coords)
+    v = vec(coords)
     basis = la.span([v])
     assert W.stabilizer_keys(v) == set(W.pointwise_stabilizer(basis).ids)
 
@@ -385,7 +420,7 @@ def test_normalizer_examples():
 
 def test_normalizer_b4_type_b1_is_b3():
     W = catalog("B4")
-    basis = la.rref([la.vec([0, 1, 0, 0]), la.vec([0, 0, 1, 0]), la.vec([0, 0, 0, 1])])
+    basis = la.rref([vec([0, 1, 0, 0]), vec([0, 0, 1, 0]), vec([0, 0, 0, 1])])
     P = W.pointwise_stabilizer(basis)
     assert P.order == 2
     N = W.normalizer(P)

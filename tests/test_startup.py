@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import leafatlas
-from leafatlas import cherednik, exactnum, leaves, refgroup, tau
+from leafatlas import cherednik, exactnum, leaves, linalg, refgroup, tau
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH="src")
@@ -32,6 +32,11 @@ EXPORTS = {
                 "rees_specialize"],
     tables: ["leaves_B", "leaves_D", "leaves_D_tau_t", "smooth_B"],
 }
+
+# oracles and test-only helpers, defined only in `verify` or tests/helpers.py
+MOVED = ("orbit_coincidence_holds", "normalizer_tau", "tau_acts_trivially_on_quotient",
+         "intersection_of_splits_is_split", "double_twist_nonempty", "double_membership_agrees",
+         "witness_covector", "element_order", "ambient_span", "vec", "fixed_space")
 
 
 def _python(code):
@@ -54,6 +59,20 @@ def test_cli_import_loads_no_rewriting_or_verification_module():
     assert "leafatlas.cli" in loaded
     for name in ("leafatlas.cherednik", "leafatlas.verify", "dataclasses"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("module", ["refgroup", "linalg", "tau", "leaves", "cli"])
+def test_production_modules_load_no_oracle(module):
+    loaded = json.loads(_python(
+        f"import json, sys; import leafatlas.{module}; print(json.dumps(sorted(sys.modules)))"))
+    assert f"leafatlas.{module}" in loaded
+    assert "leafatlas.verify" not in loaded and "helpers" not in loaded
+
+
+def test_oracles_are_not_attributes_of_the_modules_they_check():
+    for owner in (tau, leaves, linalg, refgroup.ReflectionGroup, tau.TauContext):
+        assert [name for name in MOVED if hasattr(owner, name)] == [], owner
+    assert not hasattr(refgroup, "_generators")
 
 
 @pytest.mark.parametrize("argv", [

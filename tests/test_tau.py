@@ -3,15 +3,19 @@
 import pytest
 
 from leafatlas import linalg as la
+from leafatlas import verify
 from leafatlas.exactnum import root_of_unity
-from leafatlas.leaves import double_twist_nonempty
 from leafatlas.refgroup import GroupElement, ReflectionGroup, catalog, dihedral_tau
 from leafatlas.tau import (
-    TauContext, TauError, build_tau, hyperplane_restriction_matches,
-    intersection_of_splits_is_split, is_regular, make_full, normalizer_tau,
-    orbit_coincidence_holds, tau_acts_trivially_on_quotient, tau_from_word,
+    TauContext, TauError, build_tau, hyperplane_restriction_matches, is_regular, make_full,
+    tau_from_word,
 )
 from leafatlas.refgroup import ParameterK
+from leafatlas.verify import (
+    _fixed_space_match, bfs_close, double_twist_nonempty, intersection_of_splits_is_split,
+    normalizer_tau, orbit_coincidence_holds, tau_acts_trivially_on_quotient,
+)
+from helpers import fixed_space
 
 
 def _diag_flip(n):
@@ -73,7 +77,7 @@ def test_make_full_dihedral_rotation():
     W = catalog("dihedral4")
     rot = la.mat_mul(W.elements[W.generators[0]].mat, dihedral_tau(4))
     full = make_full(W, rot)
-    assert len(la.fixed_space(full)) == 1
+    assert len(fixed_space(full)) == 1
 
 
 @pytest.mark.parametrize("group,twist", [
@@ -89,7 +93,7 @@ def test_make_full_is_first_maximal_in_one_scan(group, twist, monkeypatch):
         z4 = root_of_unity(4)
         tau = tuple(tuple(z4 * x for x in row) for row in W.elements[1].mat)
     # oracle: the maximal fixed dimension over the coset, then its first element
-    dims = [len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
+    dims = [len(fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
     expect = la.mat_mul(W.elements[dims.index(max(dims))].mat, tau)
     calls = []
     fixed_dim = la.fixed_dim
@@ -115,7 +119,7 @@ def test_make_full_of_an_inner_twist_is_the_identity(group, word):
     W = catalog(group)
     tau = _scalar_twist(W, -1) if word is None else tau_from_word(W, word)
     assert GroupElement(tau).key in W.by_key
-    dims = [len(la.fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
+    dims = [len(fixed_space(la.mat_mul(g.mat, tau))) for g in W.elements]
     expect = la.mat_mul(W.elements[dims.index(max(dims))].mat, tau)
     assert make_full(W, tau) == expect == la.identity(W.dim)
 
@@ -248,6 +252,25 @@ def test_w_tau_solves_only_for_generators(monkeypatch):
     assert 2 ** len(gens) <= quotient == ctx.w_tau.order == 32
 
 
+def test_w_tau_generators_are_the_least_id_picks(pair_contexts):
+    # the greedy picks over Z's reflections, by the breadth-first closure: the
+    # least id of setwise not yet reached, until all of it is; each pick is
+    # the least id of its coset of Z, so the section returns it
+    for name, ctx in pair_contexts.items():
+        W = ctx.W
+        if ctx.w_tau is W:
+            continue
+        Z = W.pointwise_stabilizer(ctx.v_tau)
+        picks = [s for i in Z.inc for s in W.hyperplanes[i].pointwise if s != W.identity]
+        start, reached = len(picks), bfs_close(W, picks)
+        for g in sorted(ctx.setwise):
+            if g not in reached:
+                picks.append(g)
+                reached = bfs_close(W, picks)
+        assert reached == ctx.setwise, name
+        assert [ctx.section[g] for g in ctx.w_tau.generators] == picks[start:], name
+
+
 def test_tau_conj_matches_matrices(pair_contexts):
     for name, ctx in pair_contexts.items():
         tau_inv = la.mat_inverse(ctx.tau)
@@ -268,8 +291,7 @@ def test_split_parabolics_bijective(pair_contexts):
 def test_fixed_space_equality(pair_contexts):
     # the restriction of the fixed space of P equals the fixed space of P_tau
     for name, ctx in pair_contexts.items():
-        for sp in ctx.split_parabolics():
-            assert ctx.ambient_span(sp.p_tau.fixed_space) == sp.tau_fixed, name
+        _fixed_space_match(ctx)
 
 
 def test_top_split_is_pointwise_stabilizer():
@@ -306,19 +328,20 @@ def test_incidence_agrees_with_whole_group_scans(pair_contexts):
             for idx in range(N.order):
                 u = N.rep(idx)
                 s = la.intersect(P.fixed_space,
-                                 la.fixed_space(la.mat_mul(W.elements[u].mat, ctx.tau)), W.dim)
+                                 fixed_space(la.mat_mul(W.elements[u].mat, ctx.tau)), W.dim)
                 expected = W.stabilizer_keys(W.witness_point(s)) == set(P.ids)
                 assert ctx.meets_stratum(P, u) == expected, name
 
 
-def _bases_passed(monkeypatch, attrs, call):
-    """The bases handed to the ReflectionGroup methods attrs while call()
-    runs, with the whole-group stabilizer scans stubbed out."""
+def _bases_passed(monkeypatch, targets, call):
+    """The bases, each the last argument, handed to the (owner, name)
+    functions of targets while call() runs, with the whole-group stabilizer
+    scans stubbed out."""
     seen = []
     with monkeypatch.context() as m:
-        for attr in attrs:
-            m.setattr(ReflectionGroup, attr, lambda self, basis, f=getattr(ReflectionGroup, attr):
-                      seen.append(basis) or f(self, basis))
+        for owner, attr in targets:
+            m.setattr(owner, attr, lambda *args, f=getattr(owner, attr):
+                      seen.append(args[-1]) or f(*args))
         for attr in ("stabilizer_keys", "dual_stabilizer_keys"):
             m.setattr(ReflectionGroup, attr, lambda self, v: frozenset())
         call()
@@ -330,7 +353,7 @@ def test_row_cuts_match_intersections(pair_contexts, monkeypatch):
     # against la.intersect of the two subspaces, the reference
     for name, ctx in pair_contexts.items():
         W, n = ctx.W, ctx.W.dim
-        assert ctx.v_tau == la.fixed_space(ctx.tau), name
+        assert ctx.v_tau == fixed_space(ctx.tau), name
         splits = ctx.split_by_inc()
         for P in W.parabolic_subgroups():
             s = la.intersect(P.fixed_space, ctx.v_tau, n)
@@ -344,12 +367,31 @@ def test_row_cuts_match_intersections(pair_contexts, monkeypatch):
             for idx in range(N.order):
                 u = N.rep(idx)
                 wtau = la.mat_mul(W.elements[u].mat, ctx.tau)
-                s_v = la.intersect(P.fixed_space, la.fixed_space(wtau), n)
-                s_x = la.intersect(dual_fixed, la.fixed_space(la.transpose(wtau)), n)
-                assert _bases_passed(monkeypatch, ["incidence"],
+                s_v = la.intersect(P.fixed_space, fixed_space(wtau), n)
+                s_x = la.intersect(dual_fixed, fixed_space(la.transpose(wtau)), n)
+                assert _bases_passed(monkeypatch, [(ReflectionGroup, "incidence")],
                                      lambda: ctx.meets_stratum(P, u)) == [s_v], name
-                assert _bases_passed(monkeypatch, ["witness_point", "witness_covector"],
+                assert _bases_passed(monkeypatch, [(ReflectionGroup, "witness_point"),
+                                                   (verify, "witness_covector")],
                                      lambda: double_twist_nonempty(ctx, P, u)) == [s_v, s_x], name
+
+
+def test_point_and_covector_witnesses_have_one_stabilizer(pair_contexts, monkeypatch):
+    # <W, tau> is finite, so it keeps a positive definite Hermitian form H, and
+    # v -> v*H maps the points fixed by any g onto the covectors fixed by g.
+    # So the generic point of s_v and the generic covector of s_x, the
+    # subspaces double_twist_nonempty builds, have one stabilizer in W
+    for name, ctx in pair_contexts.items():
+        W = ctx.W
+        if W.order > 60:
+            continue
+        for P in (cls.representative for cls in W.parabolic_classes()):
+            for u in range(W.order):
+                s_v, s_x = _bases_passed(monkeypatch, [(ReflectionGroup, "witness_point"),
+                                                       (verify, "witness_covector")],
+                                         lambda: double_twist_nonempty(ctx, P, u))
+                assert W.stabilizer_keys(W.witness_point(s_v)) == \
+                    W.dual_stabilizer_keys(verify.witness_covector(W, s_x)), name
 
 
 def _hyperplane_orbits_under_all_elements(W):
@@ -472,14 +514,14 @@ def test_normalizer_identification():
     W = catalog("D3")
     ctx = build_tau(W, _diag_flip(3))
     for sp in ctx.split_parabolics():
-        data = normalizer_tau(ctx, sp)
-        assert data["image_is_fixed_subgroup"]
+        image, fixed = normalizer_tau(ctx, sp)
+        assert image == fixed
     # identity twist: the image is the whole quotient
     W2 = catalog("B2")
     ctx2 = build_tau(W2, la.identity(2))
     for sp in ctx2.split_parabolics():
-        data = normalizer_tau(ctx2, sp)
-        assert set(data["image_cosets"]) == set(range(data["ambient"].order))
+        image, _ = normalizer_tau(ctx2, sp)
+        assert image == set(range(W2.normalizer(sp.parabolic).order))
 
 
 def test_twist_classes_identity():
