@@ -33,17 +33,20 @@ contexts, which then refuse Phi_N where they first need it (see
 these tuples into one flat map keyed by the packed int, with `addmul`, and
 divide out each sum's common factor once, dropping zeros;
 normal forms are cached as packed terms (x, w, y, ((t/h power, scalar),
-...)), and the shared unit tuple is skipped by identity.  `multiply`
-converts its factors' scalars on entry and each output coefficient back to
-a CycNum once, through per-context memos, and unpacks the product's
-monomials through a per-algebra memo, so `CherElement.terms` keeps tuple
-monomials and CycNum coefficients.  No field of a product exceeds
-the factors' largest degree plus t/h power, summed, and `multiply` refuses
-a pair whose sum passes 65535.  Moving a group element past x^a or y^b
-expands through the rows or the columns of its inverse matrix, cached per
-(element, exponents) in `_w_expansion`.  `check_rewrite_work` bounds the
-work of a bracket by a scalar-free dry run of the same packed recursion, so
-the packed layout is known to this module only.
+...)), and the shared unit tuple is skipped by identity.  A product stays
+in that form, with its field and a width bound, and `CherElement.terms`
+(tuple monomials, CycNum coefficients) is built from it through its own
+field on first read; a factor already in the current field is multiplied
+as it is, and any other is packed from its terms once and keeps the packed
+form.  Two products in one field compare their packed forms, whose flat
+scalars are canonical.  No field of a product exceeds the factors' largest
+degree plus t/h power, summed, which the product keeps as its bound, and
+`multiply` refuses a pair whose exact sum passes 65535.  Moving a group
+element past x^a or y^b expands through the rows or the columns of its
+inverse matrix, cached per (element, exponents) in `_w_expansion`.
+`check_rewrite_work` bounds the work of a bracket by a scalar-free dry run
+of the same packed recursion, which flattens no scalar, so the packed
+layout is known to this module only.
 """
 
 from __future__ import annotations
@@ -82,14 +85,21 @@ Monomial = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 class CherElement:
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_terms", "_kernel")
 
-    def __init__(self, algebra: "CherednikAlgebra", terms: dict[Monomial, dict]):
-        self.algebra = algebra
-        self.terms = {m: p for m, p in terms.items() if p}
+    def __init__(self, algebra: "CherednikAlgebra", terms: dict[Monomial, dict] | None,
+                 kernel: tuple | None = None):
+        self.algebra, self._kernel = algebra, kernel
+        self._terms = None if terms is None else {m: p for m, p in terms.items() if p}
+
+    @property
+    def terms(self) -> dict[Monomial, dict]:
+        if self._terms is None:
+            self._terms = self.algebra._unpacked(self._kernel)
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._kernel[1] if self._terms is None else self._terms)
 
     def __add__(self, other: "CherElement") -> "CherElement":
         self._check(other)
@@ -116,8 +126,13 @@ class CherElement:
                            {m: {th: c * v for th, v in p.items()} for m, p in self.terms.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, CherElement) and self.algebra is other.algebra
-                and self.terms == other.terms)
+        if not isinstance(other, CherElement) or self.algebra is not other.algebra:
+            return False
+        k1, k2 = self._kernel, other._kernel
+        if k1 and k2 and k1[0].n == k2[0].n:    # flat scalars are canonical
+            return ({(x, w, y): dict(p) for x, w, y, p in k1[1]}
+                    == {(x, w, y): dict(p) for x, w, y, p in k2[1]})
+        return self.terms == other.terms
 
     def __repr__(self):
         return f"CherElement({format_element(self)})"
@@ -153,7 +168,7 @@ class CherednikAlgebra:
         self._yx_cache: dict = {}
         self._w_cache: dict = {}
         self._flats: dict[CycNum, tuple] = {}     # factor scalar -> flat tuple
-        self._cycs: dict[tuple, CycNum] = {}      # flat tuple -> output scalar
+        self._cycs: dict[tuple, CycNum] = {}      # flat tuple -> scalar of a read product
         self._commutators = self._build_commutators()
 
     def _flat(self, c: CycNum) -> tuple:
@@ -161,13 +176,6 @@ class CherednikAlgebra:
         if t is None:
             t = self._flats[c] = self._field.flat(c)
         return t
-
-    def _cyc(self, t: tuple) -> CycNum:
-        c = self._cycs.get(t)
-        if c is None:
-            c = self._cycs[t] = self._field.cyc(t)
-            self._flats.setdefault(c, t)
-        return c
 
     # -- relation data -----------------------------------------------------------
     def _build_commutators(self):
@@ -241,32 +249,55 @@ class CherednikAlgebra:
     def _unpack(self, packed: int, first: int) -> tuple[int, ...]:
         return tuple(packed >> 16 * (first + m) & 0xFFFF for m in range(self.n))
 
-    def _packed(self, A: CherElement, B: CherElement) -> list[list[tuple]]:
-        """The terms of A and of B, packed as (x, w, y, ((t/h power, scalar), ...)),
-        or CherednikError when A B could overflow a field."""
-        width, out = 0, []
-        for e in (A, B):
-            top, terms = 0, []
-            for (a, w, b), p in e.terms.items():
-                top = max(top, sum(a) + sum(b) + max(max(th) for th in p))
-                terms.append((self._pack(a, 2), w, self._pack(b, 2 + self.n),
-                              tuple((i | j << 16, c) for (i, j), c in p.items())))
-            width += top
-            out.append(terms)
+    def _width(self, e: CherElement) -> int:
+        """The largest degree plus t/h power of e's terms."""
+        return max((sum(a) + sum(b) + max(max(th) for th in p)
+                    for (a, _, b), p in e.terms.items()), default=0)
+
+    def _refuse_overflow(self, A: CherElement, B: CherElement) -> None:
+        width = self._width(A) + self._width(B)
         if width > 0xFFFF:
             raise CherednikError(f"product out of range: degrees plus t/h powers sum to "
                                  f"{width}, above 65535")
-        return out
 
-    def _by_monomial(self, flat: dict[int, tuple]) -> dict[int, list]:
-        """The nonzero sums of a flat map, normal, grouped by monomial."""
+    def _packed(self, e: CherElement) -> tuple:
+        """e's kernel form in the current field: (field, packed terms
+        (x, w, y, ((t/h power, scalar), ...)), width bound), packed from its
+        terms and kept on e unless it is in this field already."""
+        k = e._kernel
+        if k is None or k[0] is not self._field:
+            flat_of, pack, n = self._flat, self._pack, self.n
+            k = e._kernel = (self._field, [
+                (pack(a, 2), w, pack(b, 2 + n), tuple((i | j << 16, flat_of(c))
+                                                      for (i, j), c in p.items()))
+                for (a, w, b), p in e.terms.items()], self._width(e))
+        return k
+
+    def _unpacked(self, kernel: tuple) -> dict[Monomial, dict]:
+        """A kernel form's terms, read through its own field: ours may have widened."""
+        F, packed, _ = kernel
+        cycs = self._cycs if F is self._field else {}
+        monos, gs, terms = self._monos, self._gshift, {}
+        for x, w, y, p in packed:
+            m = x | y | w << gs
+            mono = monos.get(m) or monos.setdefault(
+                m, (self._unpack(x, 2), w, self._unpack(y, 2 + self.n)))
+            q = terms[mono] = {}
+            for th, c in p:
+                v = cycs.get(c)
+                q[th & 0xFFFF, th >> 16] = cycs.setdefault(c, F.cyc(c)) if v is None else v
+        return terms
+
+    def _by_monomial(self, flat: dict[int, tuple]) -> tuple:
+        """The nonzero sums of a flat map, normal, as packed terms."""
         normal, out = self._field.normal, {}    # monomial -> [(t/h power, scalar), ...]
         for key, c in flat.items():
             c = normal(c)
             if c is not None:
                 th = key & 0xFFFFFFFF
                 out.setdefault(key ^ th, []).append((th, c))
-        return out
+        xm, ym, gs = self._xmask, self._ymask, self._gshift
+        return tuple((m & xm, m >> gs, m & ym, tuple(p)) for m, p in out.items())
 
     # -- action expansions ----------------------------------------------------------
     def _poly_pow_linear(self, forms, exps: int, first: int) -> dict[int, tuple]:
@@ -349,28 +380,32 @@ class CherednikAlgebra:
                             for th2, c2 in c_in:
                                 addmul(flat, base + gam2 + th1 + th2, c1, c2)
 
-        self._yx_cache[b | a] = result = tuple((m & self._xmask, m >> gs, m & self._ymask, tuple(p))
-                                               for m, p in self._by_monomial(flat).items())
+        self._yx_cache[b | a] = result = self._by_monomial(flat)
         return result
 
     def multiply(self, A: CherElement, B: CherElement) -> CherElement:
-        pa, pb = self._packed(A, B)
-        need = lcm(1, *(c.conductor for e in (A, B) for p in e.terms.values()
-                        for c in p.values()))
+        """A B, in the kernel's packed form until its terms are read."""
+        # the field widens before any scalar of a factor is flattened
+        need = lcm(1, *(c.conductor for e in (A, B)
+                        if e._kernel is None or e._kernel[0] is not self._field
+                        for p in e.terms.values() for c in p.values()))
         if self._field.n % need:
             self._set_field(lcm(self._field.n, need))
-        flat_of, mul, addmul, one = self._flat, self._field.mul, self._field.addmul, self._one
-        pb = [(a2, w2, b2, [(s, flat_of(c)) for s, c in p2]) for a2, w2, b2, p2 in pb]
+        (_, pa, wa), (_, pb, wb) = self._packed(A), self._packed(B)
+        if wa + wb > 0xFFFF:    # the stored widths are bounds: refuse on the exact ones
+            self._refuse_overflow(A, B)
+        mul, addmul, one = self._field.mul, self._field.addmul, self._one
         gmul, gs, yx = self.W.mul, self._gshift, self.yx_product
         # expansions are read from _w_expansion's cache inline: the loop below
         # reads two per term of every normal form it meets
         expand, moved = self._w_expansion, self._w_cache.get
         flat: dict[int, tuple] = {}
+        groups: dict[tuple, dict] = {}    # (w1, w2) -> {u: w1 u w2, shifted into the group field}
         for a1, w1, b1, p1 in pa:
-            p1, g1 = [(s, flat_of(c)) for s, c in p1], w1 << gs
+            g1 = w1 << gs
             for a2, w2, b2, p2 in pb:
                 scale = [(s1 + s2, mul(c1, c2)) for s1, c1 in p1 for s2, c2 in p2]
-                group, g2 = {}, w2 << gs    # group: u -> w1 u w2, shifted into the group field
+                group, g2 = groups.get((w1, w2)) or groups.setdefault((w1, w2), {}), w2 << gs
                 # x^a1 w1 (y^b1 x^a2) w2 y^b2: push w1 right past x, pull w2 left past y
                 for alpha, u, beta, coeffs in yx(b1, a2):
                     g = group.get(u)
@@ -386,13 +421,7 @@ class CherednikAlgebra:
                                 s, k2 = s if df is one else mul(s, df), key + th2
                                 for th1, c in coeffs:
                                     addmul(flat, k2 + th1, c, s)
-        # the edge: each output coefficient becomes a CycNum once
-        terms, monos, cyc = {}, self._monos, self._cyc
-        for m, p in self._by_monomial(flat).items():
-            mono = monos.get(m) or monos.setdefault(
-                m, (self._unpack(m, 2), m >> gs, self._unpack(m, 2 + self.n)))
-            terms[mono] = {(th & 0xFFFF, th >> 16): cyc(c) for th, c in p}
-        return CherElement(self, terms)
+        return CherElement(self, None, (self._field, self._by_monomial(flat), wa + wb))
 
     def commutator(self, A: CherElement, B: CherElement) -> CherElement:
         return self.multiply(A, B) - self.multiply(B, A)
@@ -467,13 +496,14 @@ class CherednikAlgebra:
             supports[b | a] = out
             return out
 
+        # no scalar is flattened here: the literals' fields may lie outside this one
+        self._refuse_overflow(z1, z2)
         for left, right in ((z1, z2), (z2, z1)):
             degrees = (max((sum(b) for _, _, b in left.terms), default=0),
                        max((sum(a) for a, _, _ in right.terms), default=0))
-            pa, pb = self._packed(left, right)
-            for _, w1, b1, p1 in pa:
-                for a2, w2, _, p2 in pb:
-                    for k in support(b1, a2):
+            for (_, w1, b1), p1 in left.terms.items():
+                for (a2, w2, _), p2 in right.terms.items():
+                    for k in support(self._pack(b1, 2 + self.n), self._pack(a2, 2)):
                         work += len(p1) * len(p2) * len(expand(w1, k & xm, False)) \
                             * len(expand(w2, k & ym, True))
                     check()

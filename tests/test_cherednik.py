@@ -15,7 +15,7 @@ from leafatlas.cherednik import (
     poisson_bracket, rank1_center_relation, rees_specialize,
 )
 from leafatlas.cli import resolve_parameter
-from leafatlas.exactnum import as_cyc, root_of_unity
+from leafatlas.exactnum import FlatField, as_cyc, root_of_unity
 from leafatlas.refgroup import ParameterK, catalog
 
 
@@ -504,6 +504,63 @@ def test_packed_kernel_matches_tuple_oracle(name, k, dmax, mode):
     assert alg.multiply(AB, C).terms == ref.multiply(AB, C)
 
 
+# a product keeps the kernel's packed form: equality compares those forms
+# when both are in one field, and its terms are built only when read
+
+@pytest.mark.parametrize("name,k,dmax", [
+    ("dihedral3", "0,1", 2), ("B2", "0,1;0,1", 2), ("G4", "0,1,0", 1)])
+def test_kernel_equality_agrees_with_terms_equality(name, k, dmax):
+    W = catalog(name)
+    alg = CherednikAlgebra(W, resolve_parameter(W, k), "t")
+    rng = random.Random(29)
+    unequal = 0
+    for _ in range(3):
+        A, B, C = (_random_elem(alg, rng, dmax) for _ in range(3))
+        AB, BA = alg.multiply(A, B), alg.multiply(B, A)
+        # 2 A B has the support of A B, with other scalars
+        products = [AB, BA, alg.multiply(AB, C), alg.multiply(A, alg.multiply(B, C)),
+                    alg.multiply(A, B), alg.multiply(A * as_cyc(2), B)]
+        verdicts = [X == Y for X in products for Y in products]
+        assert all(X._kernel[0] is alg._field for X in products)
+        assert verdicts == [X.terms == Y.terms for X in products for Y in products]
+        assert products[2] == products[3] and products[0] == products[4]
+        unequal += verdicts.count(False)
+    assert unequal
+
+
+@pytest.mark.parametrize("name,k,dmax", [
+    ("dihedral3", "0,1", 2), ("B2", "0,1;0,1", 2), ("G4", "0,1,0", 1)])
+def test_unread_product_survives_a_widening(name, k, dmax):
+    W = catalog(name)
+    kk = resolve_parameter(W, k)
+    alg = CherednikAlgebra(W, kk, "t")
+    ref = _TupleKernel(W, kk, "t")
+    A, B, C = (_random_elem(alg, random.Random(31), dmax) for _ in range(3))
+    P, Q, R = (alg.multiply(A, B) for _ in range(3))    # none read before the widening
+    field, outside = alg._field.n, OUTSIDE_ROOT[name]
+    alg.multiply(B, A * root_of_unity(outside))
+    assert alg._field.n == lcm(field, outside)
+    assert all(X._terms is None for X in (P, Q, R))
+    assert P.terms == ref.multiply(A, B)
+    assert alg.multiply(Q, C).terms == ref.multiply(P, C)
+    assert R == alg.multiply(A, B)
+
+
+def test_products_convert_no_scalar_until_read(monkeypatch):
+    converted = []
+    cyc = FlatField.cyc
+    monkeypatch.setattr(FlatField, "cyc", lambda F, t: converted.append(t) or cyc(F, t))
+    W = catalog("dihedral3")
+    alg = CherednikAlgebra(W, resolve_parameter(W, "0,1"), "t")
+    rng = random.Random(37)
+    A, B, C = (_random_elem(alg, rng) for _ in range(3))
+    left, right = alg.multiply(alg.multiply(A, B), C), alg.multiply(A, alg.multiply(B, C))
+    assert left == right and converted == []
+    assert left.terms == right.terms and converted
+    assert len(converted) == len(set(converted))
+    assert len(set(converted)) == len({c for p in left.terms.values() for c in p.values()})
+
+
 def test_packed_poisson_bracket_matches_tuple_oracle():
     W = catalog("B2")
     k = resolve_parameter(W, "1;2")
@@ -529,6 +586,17 @@ def test_product_refuses_a_coefficient_power_past_the_field(mu2, mu2_k):
         alg.multiply(big, alg.x(0))
     with pytest.raises(CherednikError):
         alg.multiply(alg.x(0), big)
+
+
+def test_product_refusal_reads_exact_widths(mu2, mu2_k):
+    # a product keeps the sum of its factors' widths as a bound; past 65535
+    # the exact widths decide: Z = x^40000 (1 + s) (1 - s) is zero
+    alg = CherednikAlgebra(mu2, mu2_k, "t0")
+    s = _sign_element(mu2)
+    Z = alg.multiply(alg.x(0, 40000) + alg.monomial((40000,), s, (0,)),
+                     alg.w(mu2.elements[mu2.identity]) - alg.w(s))
+    assert Z.is_zero()
+    assert alg.multiply(Z, alg.x(0, 30000)).is_zero()
 
 
 def test_product_refuses_a_degree_past_the_field(mu2, mu2_k):
