@@ -3,9 +3,8 @@
 Groups are fully enumerated by a breadth-first closure with a configurable
 order cap.  The closure runs on ints over one field Q(zeta_N), N the lcm of
 the generators' conductors: a candidate g*s is a flat tuple of power-basis
-coordinates with one denominator, formed from a plan of s made once, and only
-an accepted element becomes a CycNum matrix and a key string, through a
-per-closure cache that converts each distinct column and entry once.
+coordinates with one denominator, formed from a plan of s made once.  A group
+keeps these tuples, sorted into id order, and decodes an element on first read.
 
 Every query below is exact: reflections and their hyperplanes, the
 intersection lattice with its parabolic subgroups and their classes (one
@@ -17,13 +16,15 @@ reflections on 4 hyperplanes.
 
 from __future__ import annotations
 
+import gc
 import re
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import itemgetter
+from operator import index as _as_index, itemgetter
 
 from .exactnum import (CycNum, _phi_degree, _reduce_mod_phi, as_cyc,
                        from_flat, root_of_unity, primes, to_flat)
@@ -124,47 +125,90 @@ def _rank_one_shift(m: Matrix) -> Vector | None:
     return lead
 
 
+class _Elements:
+    """`W.elements`: a read-only sequence of flat tuples, decoded on first read."""
+
+    def __init__(self, flat: list[tuple], decode):
+        self._flat, self._decode, self._read = flat, decode, [None] * len(flat)
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __getitem__(self, i: int) -> GroupElement:
+        if (g := self._read[_as_index(i)]) is None:
+            g = self._read[i] = self._decode(self._flat[i])
+        return g
+
+
+class _ByKey:
+    """`W.by_key`: the id of a key string.  Ids are in key order, so a key is
+    found by bisection, forming only the keys it compares; ids found are kept."""
+
+    def __init__(self, flat: list[tuple], key):
+        self._flat, self._key, self._found = flat, key, {}
+
+    def get(self, k: str, default=None):
+        if isinstance(k, str) and k not in self._found:
+            i = bisect_left(self._flat, k, key=self._key)
+            self._found[k] = i if i < len(self._flat) and self._key(self._flat[i]) == k else None
+        return default if self._found.get(k) is None else self._found[k]
+
+    def __contains__(self, k: str) -> bool:
+        return self.get(k) is not None
+
+    def __getitem__(self, k: str) -> int:
+        if (i := self.get(k)) is None:
+            raise KeyError(k)
+        return i
+
+
 class ReflectionGroup:
     """The group generated by finite-order matrices s_0..s_(n-1), enumerated
     by one breadth-first closure.  An element is its id: its index in
-    `elements`, which are in key order, so sorting ids sorts keys, and
-    `by_key` maps a key to its id.  Operations take and return ids.  The
-    closure is a tree: `_right[g*n + j]` is the id of g*s_j, `_tree[k]` is
-    the id of the k-th element met, and `_steps[k] = p*n + j` when it was met
-    as p*s_j.  `field` is the N of the closure's Q(zeta_N)."""
+    `elements`, which are in key order and decoded on first read, so sorting
+    ids sorts keys, and `by_key` maps a key to its id by bisection.
+    Operations take and return ids.  The closure is a tree: `_right[g*n + j]`
+    is the id of g*s_j, `_tree[k]` that of the k-th element met, and
+    `_steps[k] = p*n + j` when met as p*s_j; `field` is the N of Q(zeta_N)."""
 
     def __init__(self, dim: int, generators, order_cap: int = DEFAULT_ORDER_CAP,
                  name: str = ""):
         self.dim = dim
         self.name = name
         n = len(generators)
-        self.field = field = _conductor(generators)
-        phi = _phi_degree(field)
-        plans = [_plan(s, field, phi) for s in generators]
-        one = [0] * (dim * dim * phi) + [1]
-        for i in range(dim):
-            one[(i * dim + i) * phi] = 1
-        found = [tuple(one)]
-        index = {found[0]: 0}                   # discovery indices
-        right, steps = array("l"), array("l", [-1])
-        for p, cur in enumerate(found):
-            for j, plan in enumerate(plans):
-                g = _times(cur, plan, dim * phi, phi)
-                o = index.setdefault(g, len(found))
-                if o == len(found):
-                    if o >= order_cap:
-                        raise CapExceededError("group too large or infinite")
-                    found.append(g)
-                    steps.append(p * n + j)
-                right.append(o)
-        del index
-        passes = _trace_test(dim, field, phi)
-        candidates = [o for o, t in enumerate(found) if passes(t)]
-        met = list(map(_decoder(dim, field, phi), found))
-        del found
-        old = sorted(range(len(met)), key=lambda o: met[o].key)   # per id, when met
-        self.elements: tuple[GroupElement, ...] = tuple(met[o] for o in old)
-        self.by_key = {g.key: i for i, g in enumerate(self.elements)}
+        collecting = gc.isenabled()
+        gc.disable()        # the closure's tuples all live on: no collector pass walks them
+        try:
+            self.field = field = _conductor(generators)
+            phi = _phi_degree(field)
+            plans = [_plan(s, field, phi) for s in generators]
+            one = [0] * (dim * dim * phi) + [1]
+            for i in range(dim):
+                one[(i * dim + i) * phi] = 1
+            found = [tuple(one)]
+            index = {found[0]: 0}                   # discovery indices
+            right, steps = array("l"), array("l", [-1])
+            for p, cur in enumerate(found):
+                for j, plan in enumerate(plans):
+                    g = _times(cur, plan, dim * phi, phi)
+                    o = index.setdefault(g, len(found))
+                    if o == len(found):
+                        if o >= order_cap:
+                            raise CapExceededError("group too large or infinite")
+                        found.append(g)
+                        steps.append(p * n + j)
+                    right.append(o)
+            del index
+            passes = _trace_test(dim, field, phi)
+            candidates = [o for o, t in enumerate(found) if passes(t)]
+            key, decode = _decoder(dim, field, phi)
+            old = sorted(range(len(found)), key=lambda o: key(found[o]))   # per id, when met
+            self._flat = [found[o] for o in old]
+            self.elements = _Elements(self._flat, decode)
+            self.by_key = _ByKey(self._flat, key)
+        finally:
+            if collecting:
+                gc.enable()
         self._tree = array("l", [0]) * len(old)
         for i, o in enumerate(old):
             self._tree[o] = i
@@ -182,7 +226,7 @@ class ReflectionGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._flat)
 
     # -- the closure tree ---------------------------------------------------------
     def _along_tree(self, first, step) -> list:
@@ -579,10 +623,10 @@ def _trace_test(dim: int, field: int, phi: int):
 
 
 def _decoder(dim: int, field: int, phi: int):
-    """decode(t): the GroupElement of flat coordinates t (see `_times`).  A
-    column of t, with the denominator, is converted once, and so is an entry;
-    entries equal as values share one CycNum, whose key string is formatted
-    once."""
+    """key(t) and decode(t): the key string and the GroupElement of flat
+    coordinates t (see `_times`).  A column of t, with the denominator, is
+    converted once, and so is an entry; entries equal as values share one
+    CycNum, whose key string is formatted once."""
     m = dim * phi
     starts, prefix = range(0, m * dim, m or 1), f"{dim}|"
     columns, entries, values = {}, {}, {}
@@ -599,12 +643,13 @@ def _decoder(dim: int, field: int, phi: int):
         out = columns[seg, den] = (xs, [x.sort_key() for x in xs])
         return out
 
-    def decode(t):
+    def split(t):
         den = t[-1]
-        hits = [columns.get((t[k:k + m], den)) or column(t[k:k + m], den) for k in starts]
-        return GroupElement(tuple(zip(*[xs for xs, _ in hits])),
-                            prefix + ";".join(chain.from_iterable(zip(*[ks for _, ks in hits]))))
-    return decode
+        return [columns.get((t[k:k + m], den)) or column(t[k:k + m], den) for k in starts]
+
+    def key(t):
+        return prefix + ";".join(chain.from_iterable(zip(*[ks for _, ks in split(t)])))
+    return key, lambda t: GroupElement(tuple(zip(*[xs for xs, _ in split(t)])), key(t))
 
 
 def _close(group: ReflectionGroup, gens) -> tuple[frozenset[int], list[int]]:

@@ -1,5 +1,6 @@
 """Reflection-group machinery: closure, reflections, parabolics, normalizers."""
 
+import gc
 from fractions import Fraction
 from random import Random
 
@@ -727,6 +728,81 @@ def test_reflection_scan_tests_only_trace_candidates():
     _, reductions = _count_calls(refgroup, "_reduce_mod_phi",
                                  lambda: refgroup._trace_test(1, 143, 120))
     assert reductions == 2 * 143
+
+
+@pytest.mark.parametrize("name,candidates", (("D5", 20), ("B5", 45), ("D4", 12), ("G4", 14),
+                                             ("dihedral5", 5)))
+def test_reflections_decode_only_the_trace_candidates(name, candidates):
+    # a group keeps flat tuples: the reflection scan decodes the matrices of
+    # the trace test's candidates and no other element (the eager decode
+    # built all 3840 of B5)
+    groups = []
+
+    def hyperplanes():
+        groups.append(catalog(name))
+        return groups[0].hyperplanes
+    hyps, decoded = _count_calls(GroupElement, "__init__", hyperplanes)
+    W = groups[0]
+    assert hyps and decoded == len(W._candidates) == candidates, name
+    assert sum(g is not None for g in W.elements._read) == candidates, name
+    # by_key bisects the ids: it decodes nothing and forms about log2 |W|
+    # keys for a lookup, and none for a key it has found before
+    one = GroupElement(la.identity(W.dim)).key
+    formed, key = [], W.by_key._key
+    W.by_key._key = lambda t: formed.append(t) or key(t)
+    found, decoded = _count_calls(GroupElement, "__init__", lambda: W.by_key[one])
+    assert found == W.by_key[one] == W.identity and decoded == 0, name
+    assert 0 < len(formed) <= W.order.bit_length() + 1, name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY)
+def test_elements_decode_on_first_read_as_an_eager_decode(name):
+    W = catalog(name)
+    _, decode = refgroup._decoder(W.dim, W.field, exactnum._phi_degree(W.field))
+    eager = [decode(t) for t in W._flat]
+    for i in reversed(range(W.order)):
+        g = W.elements[i]
+        assert (g.mat, g.key) == (eager[i].mat, eager[i].key), (name, i)
+        assert W.by_key[g.key] == i and W.elements[i] is g, (name, i)
+        # a string that sorts between keys is no key
+        assert W.by_key.get(g.key + " ") is None and g.key + " " not in W.by_key, (name, i)
+    assert len(W.elements) == W.order == len(eager), name
+    assert [g.key for g in W.elements] == [g.key for g in eager], name
+    assert W.elements[-1] is W.elements[W.order - 1], name
+    assert W.elements[-W.order] is W.elements[0], name
+    assert Random(name).choice(W.elements).key in W.by_key, name
+    for absent in ("", "~", 1):
+        assert W.by_key.get(absent, -1) == -1 and absent not in W.by_key, name
+        with pytest.raises(KeyError):
+            W.by_key[absent]
+    for bad in (W.order, -W.order - 1):
+        with pytest.raises(IndexError):
+            W.elements[bad]
+    with pytest.raises(TypeError):
+        W.elements[1:3]
+
+
+def test_builds_pause_the_collector_and_restore_the_callers_setting(monkeypatch):
+    dim, gens = _closure_case("B3")
+    seen = []
+    times = refgroup._times
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return times(*args)
+    monkeypatch.setattr(refgroup, "_times", watched)
+    caller = gc.isenabled()
+    try:
+        for setting in (True, False):
+            (gc.enable if setting else gc.disable)()
+            assert ReflectionGroup(dim, gens).order == 48
+            assert gc.isenabled() is setting
+            with pytest.raises(CapExceededError):
+                ReflectionGroup(dim, gens, order_cap=20)
+            assert gc.isenabled() is setting
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_subspaces_are_solved_once_where_read():
