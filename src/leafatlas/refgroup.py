@@ -3,8 +3,9 @@
 Groups are fully enumerated by a breadth-first closure with a configurable
 order cap.  The closure runs on ints over one field Q(zeta_N), N the lcm of
 the generators' conductors: a candidate g*s is a flat tuple of power-basis
-coordinates with one denominator, formed from a plan of s made once.  A group
-keeps these tuples, sorted into id order, and decodes an element on first read.
+coordinates, row by row, with one denominator, formed from a plan of s made
+once.  A group keeps these tuples, sorted into id order, and decodes an
+element on first read.
 
 Every query below is exact: reflections and their hyperplanes, the
 intersection lattice with its parabolic subgroups and their classes (one
@@ -190,7 +191,7 @@ class ReflectionGroup:
             right, steps = array("l"), array("l", [-1])
             for p, cur in enumerate(found):
                 for j, plan in enumerate(plans):
-                    g = _times(cur, plan, dim * phi, phi)
+                    g = _times(cur, plan, dim * phi)
                     o = index.setdefault(g, len(found))
                     if o == len(found):
                         if o >= order_cap:
@@ -202,7 +203,9 @@ class ReflectionGroup:
             passes = _trace_test(dim, field, phi)
             candidates = [o for o, t in enumerate(found) if passes(t)]
             key, decode = _decoder(dim, field, phi)
-            old = sorted(range(len(found)), key=lambda o: key(found[o]))   # per id, when met
+            # per id, when met; made before the keys (made after, they raised peak RSS)
+            old = list(range(len(found)))
+            old.sort(key=list(map(key, found)).__getitem__)
             self._flat = [found[o] for o in old]
             self.elements = _Elements(self._flat, decode)
             self.by_key = _ByKey(self._flat, key)
@@ -548,38 +551,38 @@ def _multiplier(x: CycNum, field: int, phi: int, den: int) -> tuple:
 
 def _plan(s: Matrix, field: int, phi: int) -> tuple:
     """How the closure forms g*s on flat coordinates (see `_times`), as
-    (D, take, negs, columns) with D the common denominator of s.
+    (D, take, negs, terms) with D the common denominator of s.
 
-    Column j of g*s is the sum over the nonzero s[l][j] of g's column l, each
-    entry multiplied by s[l][j]; columns holds, per j, the terms (start of
-    g's column l, `_multiplier` of s[l][j]).  When D = 1 and this moves every
-    coordinate of g to one place, up to sign (s is monomial and each
-    multiplier a signed permutation of the power basis), take picks the
-    coordinates of g*s and its denominator in one call and negs lists the
-    places to negate; otherwise take is None."""
+    Entry (i, j) of g*s sums g[i][l] s[l][j] over the nonzero s[l][j], so row
+    i of g*s is formed from row i of g alone; terms holds the nonzero (o, k,
+    c) of these products over the power basis: c times coordinate k of a row
+    of g adds to coordinate o of that row of g*s (see `_multiplier`).  When D = 1
+    and this moves every coordinate of g to one place, up to sign (s is
+    monomial and each multiplier a signed permutation of the power basis),
+    take picks the coordinates of g*s and its denominator in one call and
+    negs lists the places to negate; otherwise take is None."""
     dim, m = len(s), len(s) * phi
     D = lcm(*(x.den for row in s for x in row))
-    columns = [tuple((l * m, _multiplier(s[l][j], field, phi, D))
-                     for l in range(dim) if not s[l][j].is_zero()) for j in range(dim)]
-    if D == 1 and dim and all(len(terms) == 1 and len(terms[0][1]) == phi and
-                              all(c * c == 1 for _, _, c in terms[0][1]) for terms in columns):
-        # each block has phi entries +-1 and is invertible: a signed permutation
-        src, negs = [0] * (dim * m), []
-        for j, ((start, block),) in enumerate(columns):
-            for i in range(0, m, phi):
-                for a, b, c in block:
-                    src[j * m + i + a] = start + i + b
-                    if c < 0:
-                        negs.append(j * m + i + a)
-        return D, itemgetter(*src, dim * m), tuple(negs), columns
-    return D, None, (), columns
+    columns = [[(l * phi, _multiplier(s[l][j], field, phi, D))
+                for l in range(dim) if not s[l][j].is_zero()] for j in range(dim)]
+    terms = tuple((j * phi + a, start + b, c) for j, col in enumerate(columns)
+                  for start, block in col for a, b, c in block)
+    if D == 1 and dim and all(len(col) == 1 and len(col[0][1]) == phi and
+                              all(c * c == 1 for _, _, c in col[0][1]) for col in columns):
+        # each block has phi entries +-1 and is invertible: a signed
+        # permutation, so each place o of a row has one term
+        rows = range(0, dim * m, m)
+        src = [r + k for r in rows for _, k, _ in sorted(terms)]
+        negs = tuple(r + o for r in rows for o, _, c in terms if c < 0)
+        return D, itemgetter(*src, dim * m), negs, terms
+    return D, None, (), terms
 
 
-def _times(t: tuple, plan, m: int, phi: int) -> tuple:
+def _times(t: tuple, plan, m: int) -> tuple:
     """g*s from g's flat coordinates t for s's `_plan`.  Coordinates are
-    column-major, phi ints per entry over the power basis (m = dim * phi per
-    column), with the denominator last; no factor divides all of them."""
-    D, take, negs, columns = plan
+    row-major, phi ints per entry over the power basis (m = dim * phi per
+    row), with the denominator last; no factor divides all of them."""
+    D, take, negs, terms = plan
     if take is not None:
         if not negs:
             return take(t)
@@ -588,12 +591,10 @@ def _times(t: tuple, plan, m: int, phi: int) -> tuple:
             out[k] = -out[k]
         return tuple(out)
     out = []
-    for terms in columns:
+    for r in range(0, len(t) - 1, m):
         acc = [0] * m
-        for start, block in terms:
-            for i in range(0, m, phi):
-                for a, b, c in block:
-                    acc[i + a] += c * t[start + i + b]
+        for o, k, c in terms:
+            acc[o] += c * t[r + k]
         out += acc
     d = t[-1] * D
     out.append(d)
@@ -608,30 +609,38 @@ def _trace_test(dim: int, field: int, phi: int):
     """passes(t): whether the element of flat coordinates t (see `_times`)
     has trace dim - 1 + zeta, zeta a root of unity other than 1, that is one
     of the +-zeta_field^k.  Every reflection passes (its eigenvalues are 1,
-    ..., 1, zeta); some other elements do too."""
+    ..., 1, zeta); some other elements do too.  The verdict is kept per
+    diagonal, its coordinates with the denominator (D5 has 147 for 1920
+    elements)."""
     roots = {tuple(c.get(a, 0) for a in range(phi))
              for c in (_reduce_mod_phi({k: s}, field) for k in range(field) for s in (1, -1))}
     roots.discard((1,) + (0,) * (phi - 1))
-    step, shift = (dim + 1) * phi, dim - 1
+    step, shift, verdicts = (dim + 1) * phi, dim - 1, {}
+    diagonal = itemgetter(*[i * step + a for i in range(dim) for a in range(phi)], -1)
 
     def passes(t):
-        d = t[-1]
-        tr = [sum(t[a:-1:step]) for a in range(phi)]     # the diagonal's coordinates
-        tr[0] -= shift * d
-        return not any(c % d for c in tr) and tuple(c // d for c in tr) in roots
+        k = diagonal(t)
+        v = verdicts.get(k)
+        if v is None:
+            d = t[-1]
+            tr = [sum(t[a:-1:step]) for a in range(phi)]     # the diagonal's coordinates
+            tr[0] -= shift * d
+            v = verdicts[k] = not any(c % d for c in tr) and tuple(c // d for c in tr) in roots
+        return v
     return passes
 
 
 def _decoder(dim: int, field: int, phi: int):
     """key(t) and decode(t): the key string and the GroupElement of flat
-    coordinates t (see `_times`).  A column of t, with the denominator, is
-    converted once, and so is an entry; entries equal as values share one
-    CycNum, whose key string is formatted once."""
+    coordinates t (see `_times`).  A row of t, with the denominator, is
+    converted once into its CycNums and its part of the key string, and so
+    is an entry; entries equal as values share one CycNum, whose key string
+    is formatted once."""
     m = dim * phi
     starts, prefix = range(0, m * dim, m or 1), f"{dim}|"
-    columns, entries, values = {}, {}, {}
+    rows, entries, values = {}, {}, {}
 
-    def column(seg, den):
+    def row(seg, den):
         xs = []
         for i in range(0, m, phi):
             key = (seg[i:i + phi], den)
@@ -640,16 +649,16 @@ def _decoder(dim: int, field: int, phi: int):
                 x = from_flat(key[0] + (den,), field)
                 x = entries[key] = values.setdefault(x, x)
             xs.append(x)
-        out = columns[seg, den] = (xs, [x.sort_key() for x in xs])
+        out = rows[seg, den] = (tuple(xs), ";".join([x.sort_key() for x in xs]))
         return out
 
     def split(t):
         den = t[-1]
-        return [columns.get((t[k:k + m], den)) or column(t[k:k + m], den) for k in starts]
+        return [rows.get((t[k:k + m], den)) or row(t[k:k + m], den) for k in starts]
 
     def key(t):
-        return prefix + ";".join(chain.from_iterable(zip(*[ks for _, ks in split(t)])))
-    return key, lambda t: GroupElement(tuple(zip(*[xs for xs, _ in split(t)])), key(t))
+        return prefix + ";".join([s for _, s in split(t)])
+    return key, lambda t: GroupElement(tuple([xs for xs, _ in split(t)]), key(t))
 
 
 def _close(group: ReflectionGroup, gens) -> tuple[frozenset[int], list[int]]:

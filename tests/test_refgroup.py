@@ -244,13 +244,74 @@ def test_fixed_space_dimensions_give_the_degrees(name, degrees):
     # Shephard-Todd: the sum over w in W of t^(dim V^w) is the product of
     # t + d - 1 over the degrees d, read off the elements' matrices alone
     W = catalog(name)
+    assert _fixed_dim_counts(W, la.identity(W.dim)) == \
+        _generalized_degree_product([(d, 1) for d in degrees], W.dim), name
+
+
+def _fixed_dim_counts(W, tau):
+    """Coefficients of t^0, ..., t^dim in the sum over w in W of t^(dim V^(w tau))."""
     counts = [0] * (W.dim + 1)
     for g in W.elements:
-        counts[la.fixed_dim(g.mat)] += 1
-    expected = [1]                  # coefficients of t^0, t^1, ...
-    for d in degrees:
-        expected = [a * (d - 1) + b for a, b in zip(expected + [0], [0] + expected)]
-    assert counts == expected, name
+        counts[la.fixed_dim(la.mat_mul(g.mat, tau))] += 1
+    return counts
+
+
+def _generalized_degree_product(generalized, dim):
+    """Coefficients of t^0, ..., t^dim in the product of t + d - 1 over the
+    (d, eps) with eps = 1 and of d over the others."""
+    out = [1] + [0] * dim
+    for d, eps in generalized:
+        if eps == 1:
+            out = [a * (d - 1) + b for a, b in zip(out, [0] + out)]
+        else:
+            out = [a * d for a in out]
+    return out
+
+
+@pytest.mark.parametrize("name,tau,generalized", [
+    # (d_j, eps_j): tau acts on the j-th basic invariant, of degree d_j, by
+    # eps_j.  Flipping one sign fixes the power sums and negates x_1...x_n
+    # of D_n; -1 and zeta_4 multiply an invariant of degree d by (-1)^d and i^d
+    ("D4", "diag-flip", ((2, 1), (4, 1), (6, 1), (4, -1))),
+    ("D5", "diag-flip", ((2, 1), (4, 1), (6, 1), (8, 1), (5, -1))),
+    ("D5", "neg", ((2, 1), (4, 1), (6, 1), (8, 1), (5, -1))),
+    ("B3", "neg", ((2, 1), (4, 1), (6, 1))),
+    ("G4", "zeta4", ((4, 1), (6, -1))),
+    ("G(4,2,3)", "zeta4", ((4, 1), (8, 1), (6, -1))),
+])
+def test_fixed_space_dimensions_on_a_coset_give_the_generalized_degrees(name, tau, generalized):
+    # Lehrer-Springer: the sum over w in W of t^(dim V^(w tau)) is the
+    # product of t + d_j - 1 over eps_j = 1 times the product of the other
+    # d_j, read off the elements' matrices alone
+    W = catalog(name)
+    first, rest = {"diag-flip": (-1, 1), "neg": (-1, -1), "zeta4": (root_of_unity(4),) * 2}[tau]
+    twist = la.mat([[(first if i == 0 else rest) if i == j else 0 for j in range(W.dim)]
+                    for i in range(W.dim)])
+    # the sum of d_j - 1 is the number of reflections
+    assert sum(d - 1 for d, _ in generalized) == len(W.reflections), name
+    assert _fixed_dim_counts(W, twist) == _generalized_degree_product(generalized, W.dim), name
+
+
+def _partitions(n, part=1):
+    """The number of partitions of n into parts that are multiples of part."""
+    ways = [1] + [0] * n
+    for k in range(part, n + 1, part):
+        for total in range(k, n + 1):
+            ways[total] += ways[total - k]
+    return ways[n]
+
+
+@pytest.mark.parametrize("name", ("B2", "B3", "B4", "B5", "D4", "D5"))
+def test_parabolic_class_counts_match_the_closed_forms(name):
+    # a parabolic of B_n is, up to conjugacy, a B_r factor and a partition of
+    # n - r into the blocks of a Young subgroup; for D_n the D_r factor has
+    # r != 1, and at r = 0 a partition into even parts names two classes
+    n = int(name[1:])
+    if name[0] == "B":
+        count = sum(_partitions(k) for k in range(n + 1))
+    else:
+        count = _partitions(n, 2) + sum(_partitions(n - r) for r in range(n + 1) if r != 1)
+    assert len(catalog(name).parabolic_classes()) == count, name
 
 
 def test_order_cap_error():
@@ -753,6 +814,30 @@ def test_reflections_decode_only_the_trace_candidates(name, candidates):
     found, decoded = _count_calls(GroupElement, "__init__", lambda: W.by_key[one])
     assert found == W.by_key[one] == W.identity and decoded == 0, name
     assert 0 < len(formed) <= W.order.bit_length() + 1, name
+
+
+def _trace_candidates(W):
+    """The trace test that the closure ran element by element before it kept
+    one verdict per diagonal, kept as the oracle: the ids whose trace,
+    read off the flat coordinates, is dim - 1 + zeta with zeta one of the
+    +-zeta_N^k other than 1."""
+    n, phi = W.field, exactnum._phi_degree(W.field)
+    roots = {exactnum.to_flat(s * root_of_unity(n, k), n)[:-1]
+             for k in range(n) for s in (1, -1)} - {exactnum.to_flat(as_cyc(1), n)[:-1]}
+    step, out = (W.dim + 1) * phi, []
+    for g, t in enumerate(W._flat):
+        d = t[-1]
+        tr = [sum(t[a:-1:step]) for a in range(phi)]
+        tr[0] -= (W.dim - 1) * d
+        if not any(c % d for c in tr) and tuple(c // d for c in tr) in roots:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("name", dict.fromkeys(ORACLE_BATTERY + tuple(n for n, _ in CLOSURE_CASES)))
+def test_trace_verdicts_per_diagonal_match_a_per_element_test(name):
+    W = ReflectionGroup(*_closure_case(name))
+    assert W._candidates == _trace_candidates(W), name
 
 
 @pytest.mark.parametrize("name", ORACLE_BATTERY)
