@@ -82,6 +82,8 @@ def resolve_group(spec: str, cap: int) -> ReflectionGroup:
         raise SpecError("missing --group")
     data = _spec_object(spec, "group spec must be an object")
     if data is not None:
+        if "name" in data and "generators" in data:
+            raise SpecError("group spec has conflicting keys 'name' and 'generators'")
         if "name" in data:
             return group_catalog(str(data["name"]), cap)
         if "generators" in data:
@@ -116,12 +118,15 @@ def resolve_tau(W: ReflectionGroup, spec: str, cap: int):
         return la.mat([[(-1 if i == 0 else 1) if i == j else 0 for j in range(W.dim)]
                        for i in range(W.dim)]), "diag-flip"
     if spec == "swap":
-        m = re.fullmatch(r"dihedral(\d+)", W.name or "")
+        m = re.fullmatch(r"dihedral(\d+)", W.name)
         if not m:
             raise SpecError("the swap twist is defined for dihedral groups")
         return dihedral_tau(int(m.group(1))), "swap"
     data = _spec_object(spec, "twist spec must be an object")
     if data is not None:
+        clash = [repr(k) for k in ("word", "zeta") if k in data]
+        if "matrix" in data and clash:
+            raise SpecError(f"twist spec has conflicting keys 'matrix' and {' and '.join(clash)}")
         if "matrix" in data:
             try:
                 mat = la.mat([[cyc_parse(_checked(str(x), cap)) for x in row]
@@ -248,15 +253,10 @@ def _tau_context(args, W) -> tuple[TauContext, dict]:
 
 def cmd_reflections(job):
     W = job.group
-    rows = []
-    for H in W.hyperplanes:
-        rows.append({
-            "alpha": [num_str(x) for x in H.alpha],
-            "e": H.e,
-            "orbit": H.orbit_id,
-        })
+    rows = [{"alpha": [num_str(x) for x in H.alpha], "e": H.e, "orbit": H.orbit_id}
+            for H in W.hyperplanes]
     report = {
-        "schema": 1, "command": "reflections", "group": W.name or "custom",
+        "schema": 1, "command": "reflections", "group": W.name,
         "rule": "reflection-scan",
         "order": W.order, "reflection_count": len(W.reflections),
         "hyperplane_count": len(W.hyperplanes),
@@ -268,18 +268,12 @@ def cmd_reflections(job):
 
 def cmd_parabolics(job):
     W = job.group
-    rows = []
-    for c in W.parabolic_classes():
-        N = W.normalizer(c.representative)
-        rows.append({
-            "class": c.class_id,
-            "fixed_dim": c.fixed_dim,
-            "order": c.representative.order,
-            "members": len(c.members),
-            "normalizer_quotient_order": N.order,
-        })
+    rows = [{"class": c.class_id, "fixed_dim": c.fixed_dim, "order": c.representative.order,
+             "members": len(c.members),
+             "normalizer_quotient_order": W.normalizer(c.representative).order}
+            for c in W.parabolic_classes()]
     report = {
-        "schema": 1, "command": "parabolics", "group": W.name or "custom",
+        "schema": 1, "command": "parabolics", "group": W.name,
         "rule": "parabolic-classes",
         "class_count": len(rows), "classes": rows,
     }
@@ -291,7 +285,7 @@ def cmd_lehrer_springer(job):
     ctx, info = job.tau
     from .tau import hyperplane_restriction_matches
     report = {
-        "schema": 1, "command": "lehrer-springer", "group": W.name or "custom",
+        "schema": 1, "command": "lehrer-springer", "group": W.name,
         "rule": "induced-reflection-group",
         **info,
         "regular": is_regular(ctx),
@@ -319,7 +313,7 @@ def cmd_tau_split(job):
             "tau_rank": sp.tau_rank,
         })
     report = {
-        "schema": 1, "command": "tau-split", "group": W.name or "custom",
+        "schema": 1, "command": "tau-split", "group": W.name,
         "rule": "split-parabolic-table",
         **info,
         "split_count": len(ctx.split_parabolics()),
@@ -332,7 +326,7 @@ def cmd_tau_split(job):
 def cmd_leaves_zero(job):
     W = job.group
     ctx, info = job.tau
-    report = leaves_mod.leaf_report(ctx, W.name or "custom", info["tau"])
+    report = leaves_mod.leaf_report(ctx, W.name, info["tau"])
     report["command"] = "leaves-zero"
     report.update(info)
     return report, "leaves"
@@ -389,7 +383,7 @@ def cmd_cherednik_check(job):
     k = resolve_parameter(W, job.args.k, job.args.cap)
     rec = rank1_center_relation(k)
     report = {
-        "schema": 1, "command": "cherednik-check", "group": W.name or "custom",
+        "schema": 1, "command": "cherednik-check", "group": W.name,
         "rule": "rank1-quadric",
         "gamma": num_str(rec["gamma"]),
         "difference": num_str(rec["difference"]),
@@ -417,7 +411,7 @@ def cmd_poisson(job):
     bracket = ch.poisson_bracket(z1, z2, t_alg)
     deg = ch.euler_degree(bracket)
     report = {
-        "schema": 1, "command": "poisson", "group": W.name or "custom",
+        "schema": 1, "command": "poisson", "group": W.name,
         "rule": "deformation-limit-bracket",
         "z1": ch.format_element(z1), "z2": ch.format_element(z2),
         "bracket": ch.format_element(bracket),
@@ -433,7 +427,7 @@ def cmd_verify(job):
     results = job.invariants()
     failed = [r for r in results if r["status"] != "pass"]
     report = {
-        "schema": 1, "command": "verify", "group": W.name or "custom",
+        "schema": 1, "command": "verify", "group": W.name,
         "rule": "invariant-suite",
         **info,
         "pass_count": len(results) - len(failed),

@@ -250,12 +250,6 @@ class ReflectionGroup:
         s_inv = self._generator_inverses
         return self._along_tree(self.identity, lambda x, j: self.mul(s_inv[j], x))
 
-    @cached_property
-    def hyperplane_perms(self) -> list[tuple[int, ...]]:
-        """Per id, the element's `hyperplane_perm`."""
-        start = tuple(range(len(self.hyperplanes)))
-        return self._along_tree(start, lambda q, j: tuple(q[i] for i in self._generator_perms[j]))
-
     def extend(self, images, target: "ReflectionGroup | None" = None) -> list[int]:
         """Per id, the id in target (W itself by default) of the product of
         images along the element's tree word, where images[j] stands for
@@ -436,10 +430,7 @@ class ReflectionGroup:
             self._class_by_inc, self._parabolic_by_inc = {}, {}
 
             def walk(start, flat):
-                conj = {}
-                for inc, step in _orbit(start, self._generator_perms).items():
-                    conj[inc] = self.identity if step is None else \
-                        self.mul(self.generators[step[1]], conj[step[0]])
+                conj = self._carried_orbit(start)
                 R = self._parabolic_of(start)
                 R.fixed_space = flat                # so it is not solved again
                 members = sorted([R] + [Parabolic(self, (self.conj(p, x) for p in R.ids), inc)
@@ -478,16 +469,26 @@ class ReflectionGroup:
             raise GroupError("subgroup is not a parabolic of this group")
         return self._class_by_inc[P.inc]
 
+    def _carried_orbit(self, start: frozenset[int]) -> dict[frozenset[int], int]:
+        """start's orbit under the generators' hyperplane permutations, breadth
+        first, as {m: x_m}, x_m a product of generators taking start to m."""
+        carry = {}
+        for inc, step in _orbit(start, self._generator_perms).items():
+            carry[inc] = self.identity if step is None else \
+                self.mul(self.generators[step[1]], carry[step[0]])
+        return carry
+
     # -- normalizers -------------------------------------------------------------
     def normalizer(self, P: Parabolic) -> "CosetQuotient":
-        """N_W(P): the g with g V^P = V^P, that is (Steinberg's theorem) the g
-        whose hyperplane permutation maps P.inc onto itself; scanned once per
-        incidence set."""
+        """N_W(P), the g with g V^P = V^P: by Steinberg's theorem the stabilizer
+        of P.inc, closed once per incidence set from Schreier's generators
+        x_(s m)^-1 s x_m, m in P.inc's orbit and s a generator."""
         inc = P.inc
         if inc not in self._normalizers:
-            self._normalizers[inc] = CosetQuotient(
-                self, [g for g, q in enumerate(self.hyperplane_perms)
-                       if all(q[i] in inc for i in inc)], P)
+            x = self._carried_orbit(inc)
+            schreier = [self.mul(self.inv(x[frozenset(q[i] for i in m)]), self.mul(s, x[m]))
+                        for m in x for s, q in zip(self.generators, self._generator_perms)]
+            self._normalizers[inc] = CosetQuotient(self, _close(self, schreier)[0], P)
         return self._normalizers[inc]
 
 

@@ -16,7 +16,7 @@ for tau = 1 W_tau is W itself and each parabolic has one twist class.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg as la
 from .exactnum import CycNum, as_cyc
@@ -188,8 +188,8 @@ class TauContext:
             raise TauError("twist must be full for split-parabolic theory")
         if self._split_orbits is None:
             W, wt = self.W, self.w_tau
-            perms = [W.hyperplane_perms[self.section[g]] for g in wt.generators]
-            tau_perms = [wt.hyperplane_perms[g] for g in wt.generators]
+            perms = [W.hyperplane_perm(partial(W.conj, by=self.section[g])) for g in wt.generators]
+            tau_perms = [wt.hyperplane_perm(partial(wt.conj, by=g)) for g in wt.generators]
             splits = self._split_by_inc = {}
             seen, orbits = set(), []
             for P in W.parabolic_subgroups():

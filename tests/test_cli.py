@@ -233,6 +233,9 @@ VERIFY_WITHOUT_GROUP = [
     ["reflections", "--config", "{noeq}"],
     ["leaves-zero", "--group", "B2", "--tau", "@{list}"],
     ["reflections", "--group", "@{list}"],
+    # specs with conflicting keys, one of which would be ignored
+    ["reflections", "--group", '{"generators":[[["0","1"],["1","0"]]],"name":"B2"}'],
+    ["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1","0"],["0","1"]],"word":[0]}'],
     # specs that name nothing known
     ["leaves-zero", "--group", "B2", "--tau", '{"foo":1}'],
     ["reflections", "--group", '{"foo":1}'],
@@ -288,6 +291,18 @@ def test_decimals_exponents_and_signs_are_not_scalars(capsys, argv, scalar):
     # one grammar, p/q or a Q(z_N) literal: the line names the scalar
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and f"bad scalar {scalar!r}" in err
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["reflections", "--group", '{"generators":[[["0","1"],["1","0"]]],"name":"B2"}'],
+     ("'name'", "'generators'")),
+    (["leaves-zero", "--group", "B2", "--tau", '{"matrix":[["1","0"],["0","1"]],"zeta":"2/1"}'],
+     ("'matrix'", "'zeta'")),
+])
+def test_conflicting_spec_keys_are_named(capsys, argv, keys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and all(k in err for k in keys)
     _assert_one_line_error(err)
 
 

@@ -506,6 +506,27 @@ def test_normalizer_filter_matches_setwise_scan_on_twists(pair_contexts):
         _assert_normalizers_match_setwise_scan(W, name)
 
 
+def _assert_normalizers_of_class_members_are_conjugate(W, name):
+    # orbit-stabilizer: N_W(P) is P's stabilizer under conjugation, and the
+    # class is its orbit; a member Q = x P x^-1 has N_W(Q) = x N_W(P) x^-1
+    for c in W.parabolic_classes():
+        N = frozenset(W.normalizer(c.representative).subgroup)
+        assert len(N) * len(c.members) == W.order, name
+        for Q in c.members:
+            x = c.conjugators[Q.inc]
+            assert frozenset(W.normalizer(Q).subgroup) == {W.conj(g, x) for g in N}, name
+
+
+@pytest.mark.parametrize("name", ORACLE_BATTERY + ("B4",))
+def test_normalizers_of_class_members_are_conjugate(name):
+    _assert_normalizers_of_class_members_are_conjugate(catalog(name), name)
+
+
+def test_normalizers_of_class_members_are_conjugate_on_twists(pair_contexts):
+    for name, ctx in pair_contexts.items():
+        _assert_normalizers_of_class_members_are_conjugate(ctx.w_tau, name)
+
+
 def _dense_mat_mul(a, b):
     """The triple-loop product that the column plan replaced: the oracle."""
     zero = as_cyc(0)
